@@ -40,8 +40,14 @@ def test_perf_subsystem_read_stream(benchmark, bench_record):
                  better="lower", unit="ns")
 
 
+#: Gate on interpreted / compiled time.  Speeding up the interpreter
+#: shrinks the ratio; at 2x or less the compiled backend is due for
+#: deletion (see ROADMAP), so the gate sits above that line.
+MIN_COMPILED_SPEEDUP = 3.0
+
+
 def test_perf_compiled_speedup(bench_record):
-    """The compiled backend must beat the interpreter by >= 5x.
+    """The compiled backend must beat the interpreter by >= 3x.
 
     The stream is the kernel's best case on purpose — the gate measures
     the compiled path's headroom, not average-case gains: 4 KiB closed
@@ -50,7 +56,8 @@ def test_perf_compiled_speedup(bench_record):
     phase of every chunk.  Wall clock is noisy on shared CI hosts, so
     the measurement is an interleaved min-of-N of ``process_time`` with
     the collector parked; the ratio (not the absolute times) is the
-    gated quantity.
+    gated quantity.  Both sides' times go into BENCH as advisory
+    metrics, so the trajectory shows which side moved the ratio.
     """
     requests = 64
 
@@ -93,11 +100,16 @@ def test_perf_compiled_speedup(bench_record):
     for _ in range(5):
         interpreted_times.append(timed("interpreted"))
         compiled_times.append(timed("compiled"))
-    speedup = min(interpreted_times) / min(compiled_times)
-    assert speedup >= 5.0, (
+    interpreted_ms = min(interpreted_times) * 1e3
+    compiled_ms = min(compiled_times) * 1e3
+    bench_record("perf.compiled_stream.interpreted_ms", interpreted_ms,
+                 unit="ms")
+    bench_record("perf.compiled_stream.compiled_ms", compiled_ms, unit="ms")
+    speedup = interpreted_ms / compiled_ms
+    assert speedup >= MIN_COMPILED_SPEEDUP, (
         f"compiled backend only {speedup:.2f}x faster "
-        f"(interpreted {min(interpreted_times) * 1e3:.1f} ms, "
-        f"compiled {min(compiled_times) * 1e3:.1f} ms)")
+        f"(interpreted {interpreted_ms:.1f} ms, "
+        f"compiled {compiled_ms:.1f} ms)")
     bench_record("perf.compiled_speedup", speedup, better="higher",
                  unit="ratio")
 

@@ -20,7 +20,6 @@ phase, an RDB hit skips both pre-active and activate.
 
 from __future__ import annotations
 
-import dataclasses
 import typing
 
 from repro.analysis.conformance import Command, CommandRecord, ProtocolChecker
@@ -38,7 +37,15 @@ from repro.faults.plan import FaultState
 from repro.pram.address import AddressMap, PramAddress
 from repro.pram.module import PramModule
 from repro.pram.overlay_window import CMD_RETRY_PROGRAM, CMD_SELECTIVE_ERASE
-from repro.sim import Counter, Histogram, LatencySketch, Resource, Simulator
+from repro.sim import (
+    Counter,
+    Histogram,
+    LatencySketch,
+    Process,
+    Resource,
+    Simulator,
+)
+from repro.sim.resource import Request
 from repro.telemetry.metrics import current_metrics
 from repro.telemetry.timeseries import Sampler, TimeWeightedTracker
 
@@ -207,7 +214,7 @@ class ChannelController:
         order.
         """
         if self.policy.interleaves:
-            done = [self.sim.process(self._chunk_process(c)) for c in chunks]
+            done = self._start_chunks(chunks)
             results = yield self.sim.all_of(done)
             ordered = [results[proc] for proc in done]
         else:
@@ -218,13 +225,20 @@ class ChannelController:
             lock = self._serial_lock.request()
             yield lock
             try:
-                done = [self.sim.process(self._chunk_process(c))
-                        for c in chunks]
+                done = self._start_chunks(chunks)
                 results = yield self.sim.all_of(done)
                 ordered = [results[proc] for proc in done]
             finally:
                 self._serial_lock.release(lock)
         return ordered
+
+    def _start_chunks(self, chunks: typing.Sequence[ChunkPlan]
+                      ) -> typing.List[Process]:
+        """One process per chunk, in chunk order."""
+        process = self.sim.process
+        return [process(self._write_chunk(chunk) if chunk.is_write
+                        else self._read_chunk(chunk))
+                for chunk in chunks]
 
     def prefetch_hints(self) -> typing.Generator:
         """Process body: drain the write-hint store by pre-RESETting.
@@ -266,54 +280,39 @@ class ChannelController:
     # ------------------------------------------------------------------
     # Chunk state machines
     # ------------------------------------------------------------------
-    def _chunk_process(self, chunk: ChunkPlan
-                       ) -> typing.Generator:
-        start = self.sim.now
-        tracer = self.sim.tracer
-        req = chunk.request.request_id
-        if chunk.is_write:
-            yield from self._write_chunk(chunk)
-            self.write_latency.add(self.sim.now - start)
-            self.write_sketch.add(self.sim.now - start)
-            self.chunks_written += 1
-            if tracer.enabled:
-                tracer.emit("write_chunk",
-                            f"ch{self.channel_id}.inflight",
-                            start, self.sim.now, asynchronous=True,
-                            module=chunk.address.module,
-                            partition=chunk.address.partition, req=req)
-            return (chunk.offset, b"")
-        data = yield from self._read_chunk(chunk)
-        self.read_latency.add(self.sim.now - start)
-        self.read_sketch.add(self.sim.now - start)
-        self.chunks_read += 1
-        if tracer.enabled:
-            tracer.emit("read_chunk", f"ch{self.channel_id}.inflight",
-                        start, self.sim.now, asynchronous=True,
-                        module=chunk.address.module,
-                        partition=chunk.address.partition, req=req)
-        return (chunk.offset, data)
-
+    # Each chunk runs as one flat generator.  Every resume of a chunk
+    # costs one frame, not one per helper layer, so the bus holds are
+    # written out in place: request the bus, sleep for the hold, then
+    # hand the grant to _release_bus, which does the accounting and the
+    # release.  Only the fault and wear-leveling paths, which few
+    # chunks take, delegate to sub-generators.
     def _read_chunk(self, chunk: ChunkPlan) -> typing.Generator:
-        module = self.modules[chunk.address.module]
-        partition = chunk.address.partition
-        row = self._physical_row(chunk.address.module, partition,
-                                 chunk.address.row)
+        """Process body: one read chunk, pair probe to data burst."""
+        sim = self.sim
+        start = sim.now
+        tracer = sim.tracer
+        observing = self.monitor is not None or tracer.enabled
+        address = chunk.address
+        index = address.module
+        module = self.modules[index]
+        partition = address.partition
+        row = self._physical_row(index, partition, address.row)
         upper, lower = self.address_map.split_row(row)
+        req = chunk.request.request_id
 
         # Own one RAB/RDB pair for the whole probe→burst span.  Without
         # this, pipelined reads that share a pair (e.g. every chunk
         # RAB-hitting pair 0) re-activate over an RDB whose burst has
         # not happened yet and stream the wrong row.
-        slot = self._pair_slots[chunk.address.module].request()
+        slots = self._pair_slots[index]
+        slot = slots.request()
         yield slot
         if self._pairs_series is not None:
             self._pairs_in_use += 1
-            self._pairs_series.record(self.sim.now,
-                                      float(self._pairs_in_use))
+            self._pairs_series.record(sim.now, float(self._pairs_in_use))
             if self._pairs_tracker is not None:
-                self._pairs_tracker.adjust(self.sim.now, 1.0)
-        busy = self._busy_pairs[chunk.address.module]
+                self._pairs_tracker.adjust(sim.now, 1.0)
+        busy = self._busy_pairs[index]
         # No yield between the grant above and the add below, so the
         # probe and the reservation are atomic under cooperative
         # scheduling.
@@ -321,177 +320,220 @@ class ChannelController:
             module, partition, row, upper, chunk.buffer_id, busy)
         busy.add(buffer_id)
         try:
-            data = yield from self._issue_read_phases(
-                chunk, module, partition, row, upper, lower,
-                buffer_id, need_pre_active, need_activate)
+            paused = False
+            if (self.write_pausing and need_activate
+                    and module.program_in_flight(partition, sim.now)):
+                paused = module.pause_program(partition, sim.now,
+                                              self.pause_resume_penalty_ns)
+                if paused:
+                    self.pauses_issued += 1
+
+            if need_pre_active or need_activate:
+                # Command packets go over the shared bus; the array
+                # phases themselves run inside the module without
+                # holding the bus.
+                packets = (1 if need_pre_active else 0) + (
+                    1 if need_activate else 0)
+                duration = self.phy.command_cost(packets)
+                if duration > 0:
+                    grant = self.bus.request()
+                    yield grant
+                    held = sim.now
+                    try:
+                        yield sim.timeout(duration)
+                    except BaseException:
+                        self.bus.release(grant)
+                        raise
+                    self._release_bus(grant, held, duration, "cmd", req=req)
+                now = sim.now
+                if need_pre_active:
+                    if observing:
+                        self._observe(Command.PRE_ACTIVE, index,
+                                      buffer_id=buffer_id, upper_row=upper)
+                    finish = module.pre_active(now, buffer_id, upper)
+                    if tracer.enabled:
+                        tracer.emit("pre_active",
+                                    self._partition_track(index, partition),
+                                    now, finish, buffer=buffer_id,
+                                    upper_row=upper, req=req)
+                    now = finish
+                if need_activate:
+                    if observing:
+                        self._observe(Command.ACTIVATE, index,
+                                      buffer_id=buffer_id,
+                                      partition=partition, row=row,
+                                      upper_row=upper, lower_row=lower,
+                                      skipped_pre_active=not need_pre_active)
+                    finish = module.activate(now, buffer_id, partition, lower)
+                    if tracer.enabled:
+                        tracer.emit("activate",
+                                    self._partition_track(index, partition),
+                                    now, finish, buffer=buffer_id, row=row,
+                                    req=req)
+                    now = finish
+                # Record the array-busy window before sleeping on it, so
+                # a concurrent burst on another partition can see the
+                # overlap.
+                self._note_array_window(index, partition, sim.now, now)
+                if now > sim.now:
+                    yield sim.timeout(now - sim.now)
+            if paused:
+                # The read has its row; the program picks back up while
+                # the burst streams over the bus.
+                module.resume_program(partition, sim.now)
+
+            # The data burst occupies the bus for preamble + burst time.
+            if observing:
+                self._observe(Command.READ_BURST, index,
+                              buffer_id=buffer_id, partition=partition,
+                              row=row, skipped_pre_active=not need_pre_active,
+                              skipped_activate=not need_activate)
+            finish, data = module.read_burst(
+                sim.now, buffer_id, address.column, chunk.size)
+            # Consume the fault record synchronously (no yield since the
+            # burst) so concurrent chunks never see each other's flips.
+            fault_bits = (module.take_read_fault()
+                          if self.faults is not None else ())
+            duration = finish - sim.now
+            if duration > 0:
+                grant = self.bus.request()
+                yield grant
+                held = sim.now
+                try:
+                    yield sim.timeout(duration)
+                except BaseException:
+                    self.bus.release(grant)
+                    raise
+                self._release_bus(grant, held, duration, "read_burst",
+                                  array_key=(index, partition),
+                                  module=index, partition=partition,
+                                  row=row, req=req)
+            if fault_bits and self.faults is not None:
+                decoded = secded_decode(data, fault_bits)
+                data = decoded.data
+                self.datapath.record_ecc(decoded.corrected_bits,
+                                         decoded.uncorrectable_codewords)
+                self.faults.note_ecc(decoded.corrected_bits,
+                                     decoded.uncorrectable_codewords)
+                if decoded.uncorrectable_codewords:
+                    chunk.request.degrade(
+                        RequestStatus.DEGRADED,
+                        f"uncorrectable read error in ch{self.channel_id}."
+                        f"m{index}.p{partition} row {row}")
+                else:
+                    chunk.request.degrade(RequestStatus.CORRECTED)
+            self.datapath.stage_load(data)
         finally:
             busy.discard(buffer_id)
-            self._pair_slots[chunk.address.module].release(slot)
+            slots.release(slot)
             if self._pairs_series is not None:
                 self._pairs_in_use -= 1
-                self._pairs_series.record(self.sim.now,
+                self._pairs_series.record(sim.now,
                                           float(self._pairs_in_use))
                 if self._pairs_tracker is not None:
-                    self._pairs_tracker.adjust(self.sim.now, -1.0)
-        return data
-
-    def _issue_read_phases(self, chunk: ChunkPlan, module: PramModule,
-                           partition: int, row: int, upper: int,
-                           lower: int, buffer_id: int,
-                           need_pre_active: bool,
-                           need_activate: bool) -> typing.Generator:
-        paused = False
-        req = chunk.request.request_id
-        if (self.write_pausing and need_activate
-                and module.program_in_flight(partition, self.sim.now)):
-            paused = module.pause_program(partition, self.sim.now,
-                                          self.pause_resume_penalty_ns)
-            if paused:
-                self.pauses_issued += 1
-
-        if need_pre_active or need_activate:
-            # Command packets go over the shared bus; the array phases
-            # themselves run inside the module without holding the bus.
-            packets = (1 if need_pre_active else 0) + (
-                1 if need_activate else 0)
-            yield from self._hold_bus(self.phy.command_cost(packets),
-                                      span_name="cmd",
-                                      span_args={"req": req})
-            now = self.sim.now
-            tracer = self.sim.tracer
-            track = self._partition_track(chunk.address.module, partition)
-            if need_pre_active:
-                self._observe(Command.PRE_ACTIVE, chunk.address.module,
-                              buffer_id=buffer_id, upper_row=upper)
-                finish = module.pre_active(now, buffer_id, upper)
-                if tracer.enabled:
-                    tracer.emit("pre_active", track, now, finish,
-                                buffer=buffer_id, upper_row=upper,
-                                req=req)
-                now = finish
-            if need_activate:
-                self._observe(Command.ACTIVATE, chunk.address.module,
-                              buffer_id=buffer_id, partition=partition,
-                              row=row, upper_row=upper, lower_row=lower,
-                              skipped_pre_active=not need_pre_active)
-                finish = module.activate(now, buffer_id, partition, lower)
-                if tracer.enabled:
-                    tracer.emit("activate", track, now, finish,
-                                buffer=buffer_id, row=row, req=req)
-                now = finish
-            # Record the array-busy window before sleeping on it, so a
-            # concurrent burst on another partition can see the overlap.
-            self._note_array_window(chunk.address.module, partition,
-                                    self.sim.now, now)
-            if now > self.sim.now:
-                yield self.sim.timeout(now - self.sim.now)
-        if paused:
-            # The read has its row; the program picks back up while
-            # the burst streams over the bus.
-            module.resume_program(partition, self.sim.now)
-
-        # The data burst occupies the bus for preamble + burst time.
-        self._observe(Command.READ_BURST, chunk.address.module,
-                      buffer_id=buffer_id, partition=partition, row=row,
-                      skipped_pre_active=not need_pre_active,
-                      skipped_activate=not need_activate)
-        finish, data = module.read_burst(
-            self.sim.now, buffer_id, chunk.address.column, chunk.size)
-        # Consume the fault record synchronously (no yield since the
-        # burst) so concurrent chunks never see each other's flips.
-        fault_bits = (module.take_read_fault()
-                      if self.faults is not None else ())
-        yield from self._hold_bus(
-            finish - self.sim.now, span_name="read_burst",
-            array_key=(chunk.address.module, partition),
-            span_args={"module": chunk.address.module,
-                       "partition": partition, "row": row, "req": req})
-        if fault_bits and self.faults is not None:
-            decoded = secded_decode(data, fault_bits)
-            data = decoded.data
-            self.datapath.record_ecc(decoded.corrected_bits,
-                                     decoded.uncorrectable_codewords)
-            self.faults.note_ecc(decoded.corrected_bits,
-                                 decoded.uncorrectable_codewords)
-            if decoded.uncorrectable_codewords:
-                chunk.request.degrade(
-                    RequestStatus.DEGRADED,
-                    f"uncorrectable read error in ch{self.channel_id}."
-                    f"m{chunk.address.module}.p{partition} row {row}")
-            else:
-                chunk.request.degrade(RequestStatus.CORRECTED)
-        self.datapath.stage_load(data)
-        return data
+                    self._pairs_tracker.adjust(sim.now, -1.0)
+        self.read_latency.add(sim.now - start)
+        self.read_sketch.add(sim.now - start)
+        self.chunks_read += 1
+        if tracer.enabled:
+            tracer.emit("read_chunk", f"ch{self.channel_id}.inflight",
+                        start, sim.now, asynchronous=True,
+                        module=index, partition=partition, req=req)
+        return (chunk.offset, data)
 
     def _write_chunk(self, chunk: ChunkPlan) -> typing.Generator:
-        module = self.modules[chunk.address.module]
-        index = chunk.address.module
+        """Process body: one write chunk, stage to write recovery."""
+        sim = self.sim
+        start = sim.now
+        tracer = sim.tracer
+        observing = self.monitor is not None or tracer.enabled
+        address = chunk.address
+        index = address.module
+        module = self.modules[index]
         payload = chunk.payload
         assert payload is not None  # guaranteed by MemoryRequest validation
 
-        partition = chunk.address.partition
-        row = self._physical_row(index, partition, chunk.address.row)
+        partition = address.partition
+        row = self._physical_row(index, partition, address.row)
         req = chunk.request.request_id
-        window = self._window_locks[index].request()
+        lock = self._window_locks[index]
+        window = lock.request()
         yield window
         try:
             self.datapath.stage_store(payload)
             # Register pokes + payload burst into the program buffer all
             # travel over the shared bus.
-            self._observe(Command.STAGE_PROGRAM, index,
-                          partition=partition, row=row)
+            if observing:
+                self._observe(Command.STAGE_PROGRAM, index,
+                              partition=partition, row=row)
             stage_finish = module.stage_program(
-                self.sim.now, partition, row,
-                chunk.address.column, payload)
-            yield from self._hold_bus(stage_finish - self.sim.now,
-                                      span_name="stage_program",
-                                      span_args={"module": index,
-                                                 "partition": partition,
-                                                 "req": req})
+                sim.now, partition, row, address.column, payload)
+            duration = stage_finish - sim.now
+            if duration > 0:
+                grant = self.bus.request()
+                yield grant
+                held = sim.now
+                try:
+                    yield sim.timeout(duration)
+                except BaseException:
+                    self.bus.release(grant)
+                    raise
+                self._release_bus(grant, held, duration, "stage_program",
+                                  module=index, partition=partition,
+                                  req=req)
             # The array program frees the bus but occupies the partition
             # and the module's overlay window until completion.  The
             # wait re-checks the partition clock because write pausing
             # can extend an in-flight program.
-            self._observe(Command.EXECUTE_PROGRAM, index,
-                          partition=partition, row=row)
-            module.execute_program(self.sim.now, req=req)
+            if observing:
+                self._observe(Command.EXECUTE_PROGRAM, index,
+                              partition=partition, row=row)
+            module.execute_program(sim.now, req=req)
             failures = (module.take_program_failures()
                         if self.faults is not None else [])
-            self._note_array_window(index, partition, self.sim.now,
+            self._note_array_window(index, partition, sim.now,
                                     module.partition_ready_at(partition))
             while True:
                 ready = module.partition_ready_at(partition)
-                if ready <= self.sim.now:
+                if ready <= sim.now:
                     break
-                yield self.sim.timeout(ready - self.sim.now)
+                yield sim.timeout(ready - sim.now)
             recovery = module.timing.write_recovery()
             if recovery > 0:
-                recovery_start = self.sim.now
-                yield self.sim.timeout(recovery)
-                tracer = self.sim.tracer
+                recovery_start = sim.now
+                yield sim.timeout(recovery)
                 if tracer.enabled:
                     tracer.emit("write_recovery",
                                 self._partition_track(index, partition),
-                                recovery_start, self.sim.now,
+                                recovery_start, sim.now,
                                 module=index, partition=partition,
                                 req=req)
             if failures:
                 yield from self._verify_and_retry(
                     chunk, module, index, partition, row, failures, req)
-            yield from self._account_write(index, partition)
+            if self.wear_leveling:
+                yield from self._account_write(index, partition)
         finally:
-            self._window_locks[index].release(window)
+            lock.release(window)
+        self.write_latency.add(sim.now - start)
+        self.write_sketch.add(sim.now - start)
+        self.chunks_written += 1
+        if tracer.enabled:
+            tracer.emit("write_chunk", f"ch{self.channel_id}.inflight",
+                        start, sim.now, asynchronous=True,
+                        module=index, partition=partition, req=req)
+        return (chunk.offset, b"")
 
     def _pre_reset(self, address: PramAddress, size: int,
                    registered_at: float = float("inf")
                    ) -> typing.Generator:
         """Background all-zero program of one row chunk (Section V-A)."""
+        sim = self.sim
         module = self.modules[address.module]
         if self.wear_leveling:
             # Rebind to the current physical row.
-            address = dataclasses.replace(
-                address, row=self._physical_row(
-                    address.module, address.partition, address.row))
+            address = address._replace(row=self._physical_row(
+                address.module, address.partition, address.row))
         # Skip rows that are already pristine: resetting them would
         # waste endurance and bus time for no latency benefit.
         if not module.program_needs_reset(
@@ -519,19 +561,27 @@ class ChannelController:
             self._observe(Command.STAGE_PROGRAM, address.module,
                           partition=address.partition, row=address.row)
             stage_finish = module.stage_program(
-                self.sim.now, address.partition, address.row,
+                sim.now, address.partition, address.row,
                 address.column, bytes(size), command=CMD_SELECTIVE_ERASE)
-            yield from self._hold_bus(stage_finish - self.sim.now,
-                                      span_name="stage_reset",
-                                      span_args={"module": address.module,
-                                                 "partition":
-                                                 address.partition})
+            duration = stage_finish - sim.now
+            if duration > 0:
+                grant = self.bus.request()
+                yield grant
+                held = sim.now
+                try:
+                    yield sim.timeout(duration)
+                except BaseException:
+                    self.bus.release(grant)
+                    raise
+                self._release_bus(grant, held, duration, "stage_reset",
+                                  module=address.module,
+                                  partition=address.partition)
             self._observe(Command.EXECUTE_PROGRAM, address.module,
                           partition=address.partition, row=address.row)
-            finish = module.execute_program(self.sim.now)
+            finish = module.execute_program(sim.now)
             self._note_array_window(address.module, address.partition,
-                                    self.sim.now, finish)
-            yield self.sim.timeout(finish - self.sim.now)
+                                    sim.now, finish)
+            yield sim.timeout(finish - sim.now)
             self.pre_resets_issued += 1
         finally:
             lock.release(window)
@@ -586,11 +636,19 @@ class ChannelController:
             stage_finish = module.stage_program(
                 self.sim.now, partition, row, first * word_bytes,
                 retry_payload, command=CMD_RETRY_PROGRAM)
-            yield from self._hold_bus(stage_finish - self.sim.now,
-                                      span_name="stage_program",
-                                      span_args={"module": index,
-                                                 "partition": partition,
-                                                 "req": req})
+            duration = stage_finish - self.sim.now
+            if duration > 0:
+                grant = self.bus.request()
+                yield grant
+                held = self.sim.now
+                try:
+                    yield self.sim.timeout(duration)
+                except BaseException:
+                    self.bus.release(grant)
+                    raise
+                self._release_bus(grant, held, duration, "stage_program",
+                                  module=index, partition=partition,
+                                  req=req)
             self._observe(Command.EXECUTE_PROGRAM, index,
                           partition=partition, row=row)
             module.execute_program(self.sim.now, req=req)
@@ -643,11 +701,19 @@ class ChannelController:
                       partition=partition, row=spare)
         stage_finish = module.stage_program(
             self.sim.now, partition, spare, 0, bytes(row_data))
-        yield from self._hold_bus(stage_finish - self.sim.now,
-                                  span_name="stage_program",
-                                  span_args={"module": index,
-                                             "partition": partition,
-                                             "req": req})
+        duration = stage_finish - self.sim.now
+        if duration > 0:
+            grant = self.bus.request()
+            yield grant
+            held = self.sim.now
+            try:
+                yield self.sim.timeout(duration)
+            except BaseException:
+                self.bus.release(grant)
+                raise
+            self._release_bus(grant, held, duration, "stage_program",
+                              module=index, partition=partition,
+                              req=req)
         self._observe(Command.EXECUTE_PROGRAM, index,
                       partition=partition, row=spare)
         module.execute_program(self.sim.now, req=req)
@@ -751,12 +817,10 @@ class ChannelController:
                        partition: int) -> typing.Generator:
         """Wear-leveling bookkeeping after a program; may move the gap.
 
-        The gap move (read the source row, program it into the old gap
+        Writes call it only with wear leveling on.  The gap move (read the source row, program it into the old gap
         line) runs inline under the already-held window lock — an
         amortized 1/ψ overhead per write.
         """
-        if not self.wear_leveling:
-            return
         move = self._mapper(module_index, partition).record_write()
         if move is None:
             return
@@ -769,7 +833,17 @@ class ChannelController:
                       partition=partition, row=move.destination)
         stage_finish = module.stage_program(
             self.sim.now, partition, move.destination, 0, data)
-        yield from self._hold_bus(stage_finish - self.sim.now)
+        duration = stage_finish - self.sim.now
+        if duration > 0:
+            grant = self.bus.request()
+            yield grant
+            held = self.sim.now
+            try:
+                yield self.sim.timeout(duration)
+            except BaseException:
+                self.bus.release(grant)
+                raise
+            self._release_bus(grant, held, duration)
         self._observe(Command.EXECUTE_PROGRAM, module_index,
                       partition=partition, row=move.destination)
         finish = module.execute_program(self.sim.now)
@@ -839,46 +913,49 @@ class ChannelController:
         total += merged_end - merged_start
         return total
 
-    def _hold_bus(self, duration: float,
-                  span_name: str | None = None,
-                  span_args: typing.Dict[str, typing.Any] | None = None,
-                  array_key: typing.Tuple[int, int] | None = None
-                  ) -> typing.Generator:
-        """Occupy the channel bus for ``duration`` ns.
+    def _release_bus(self, grant: Request, start: float, duration: float,
+                     span_name: str | None = None,
+                     array_key: typing.Tuple[int, int] | None = None,
+                     module: int | None = None,
+                     partition: int | None = None,
+                     row: int | None = None,
+                     req: int | None = None) -> None:
+        """Account one finished bus hold, then release the bus.
 
-        ``span_name`` labels the occupation on the bus trace track;
-        ``array_key`` marks a read burst whose overlap with other
-        partitions' array windows should be accounted (Figure 12).
+        Every bus holder calls this right after its ``duration``-ns
+        hold that began at ``start``.  ``span_name`` labels the hold on
+        the bus trace track (None: no span); ``array_key`` marks a read
+        burst whose overlap with other partitions' array windows is
+        accounted (Figure 12).  The non-None span fields become the
+        span's arguments, in the order of the parameters.
         """
-        if duration <= 0:
-            return
-        grant = self.bus.request()
-        yield grant
         try:
-            start = self.sim.now
-            yield self.sim.timeout(duration)
             self.bus_busy_ns += duration
             if self._bus_counter is not None:
                 self._bus_counter.add(duration)
             if span_name is not None:
+                end = self.sim.now
                 # Overlap is computed before the span goes out so the
                 # burst span carries its own credit: per-request credits
                 # then sum to sched.interleave.overlap_ns by identity,
                 # not by re-derivation.
                 overlap = 0.0
                 if array_key is not None and self._telemetry_on:
-                    overlap = self._array_overlap(array_key, start,
-                                                  self.sim.now)
+                    overlap = self._array_overlap(array_key, start, end)
                     if overlap > 0.0:
                         self.overlap_ns += overlap
                         if self._overlap_counter is not None:
                             self._overlap_counter.add(overlap)
                 tracer = self.sim.tracer
                 if tracer.enabled:
-                    args = dict(span_args) if span_args else {}
+                    fields = (("module", module), ("partition", partition),
+                              ("row", row), ("req", req))
+                    args: typing.Dict[str, typing.Any] = {
+                        key: value for key, value in fields
+                        if value is not None}
                     if array_key is not None:
                         args["overlap"] = overlap
-                    tracer.emit(span_name, self._bus_track, start,
-                                self.sim.now, **args)
+                    tracer.emit(span_name, self._bus_track, start, end,
+                                **args)
         finally:
             self.bus.release(grant)

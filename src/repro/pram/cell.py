@@ -62,9 +62,7 @@ class WordStateTracker:
 
     def program(self, row: int, words: typing.Iterable[int]) -> bool:
         """Program ``words``; returns True if a RESET pass was needed."""
-        words = list(words)
-        for word in words:
-            self._check(word)
+        words = self._checked(words)
         reset_needed = self.needs_reset(row, words)
         for word in words:
             key = (row, word)
@@ -83,24 +81,24 @@ class WordStateTracker:
         it consumes endurance and marks the words programmed without
         a RESET pass.
         """
+        words = self._checked(words)
         for word in words:
-            self._check(word)
             key = (row, word)
             self._programmed.add(key)
             self._write_counts[key] = self._write_counts.get(key, 0) + 1
-            self.total_set_passes += 1
+        self.total_set_passes += len(words)
 
     def reset(self, row: int, words: typing.Iterable[int]) -> None:
         """RESET ``words`` back to pristine (selective erasing primitive).
 
         Counts against endurance like any other pulse.
         """
+        words = self._checked(words)
         for word in words:
-            self._check(word)
             key = (row, word)
             self._programmed.discard(key)
             self._write_counts[key] = self._write_counts.get(key, 0) + 1
-            self.total_reset_passes += 1
+        self.total_reset_passes += len(words)
 
     def erase_rows(self, rows: typing.Iterable[int]) -> None:
         """Bulk erase: every word in ``rows`` returns to pristine."""
@@ -122,3 +120,16 @@ class WordStateTracker:
             raise ValueError(
                 f"word {word} out of range [0, {self.words_per_row})"
             )
+
+    def _checked(self, words: typing.Iterable[int]) -> typing.List[int]:
+        """``words`` as a list, range-checked as a batch.
+
+        Raises on the first out-of-range word before the caller changes
+        any state; one min/max pass replaces a method call per word.
+        """
+        words = list(words)
+        if words and (min(words) < 0
+                      or max(words) >= self.words_per_row):
+            for word in words:
+                self._check(word)
+        return words

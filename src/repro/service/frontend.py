@@ -479,20 +479,26 @@ class ServiceFrontend:
     # Telemetry
     # ------------------------------------------------------------------
     def _publish_metrics(self, result: ServiceResult) -> None:
-        """Feed outcome counters + class sketches into ambient metrics."""
+        """Feed outcome counters + class sketches into ambient metrics.
+
+        Each run reserves its own ``service`` prefix (``service#2`` for
+        the second run under one registry, ...): a sweep runs the front
+        end many times, and every run owns fresh class sketches.
+        """
         metrics = current_metrics()
         if not metrics.enabled:
             return
+        prefix = metrics.component_prefix("service")
         totals = result.totals()
         for name in ("ok", "corrected", "degraded", "shed", "timeout",
                      "failed"):
             value = totals.get(name, 0.0)
             if value:
-                metrics.counter(f"service.requests.{name}").add(value)
-        metrics.counter("service.requests.offered").add(
+                metrics.counter(f"{prefix}.requests.{name}").add(value)
+        metrics.counter(f"{prefix}.requests.offered").add(
             float(result.offered))
         retries = sum(stats.retries for stats in result.tenants)
         if retries:
-            metrics.counter("service.retries").add(float(retries))
+            metrics.counter(f"{prefix}.retries").add(float(retries))
         for name, cls_stats in result.class_stats().items():
-            metrics.attach(f"service.sketch.{name}", cls_stats.sketch)
+            metrics.attach(f"{prefix}.sketch.{name}", cls_stats.sketch)

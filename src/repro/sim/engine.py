@@ -269,8 +269,9 @@ class Simulator:
         is the process waiting on them — without this, traces degrade
         to a wall of bare ``Timeout``/``Event`` entries.
         """
-        if event.name:
-            return event.name
+        name = event.name
+        if name:
+            return name
         label = type(event).__name__
         for callback in event.callbacks:
             owner = getattr(callback, "__self__", None)

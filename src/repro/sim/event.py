@@ -24,23 +24,38 @@ class Event:
         that created them.
     name:
         Optional label used in ``repr`` and error messages.
+
+    Labels are built on demand.  Untraced runs never read them, so the
+    kernel's own events (timeouts, resource grants, process bootstraps)
+    store what their label is made of and format it only when
+    :attr:`name` is read — by the tracer, the race sanitizer, the host
+    profiler, ``repr`` or an error message.
     """
 
     # Experiments allocate events by the million (one Timeout per
     # device latency); slotted instances skip the per-object __dict__,
     # which measurably cuts both allocation time and peak memory on the
     # full figure sweep.  Subclasses declare their own additions.
-    __slots__ = ("sim", "name", "callbacks", "_value", "_ok",
+    __slots__ = ("sim", "_name", "callbacks", "_value", "_ok",
                  "_triggered", "_processed", "__weakref__")
 
     def __init__(self, sim: "Simulator", name: str = "") -> None:
         self.sim = sim
-        self.name = name
+        self._name: str | typing.Callable[[], str] = name
         self.callbacks: typing.List[typing.Callable[["Event"], None]] = []
         self._value: object = None
         self._ok = True
         self._triggered = False
         self._processed = False
+
+    @property
+    def name(self) -> str:
+        """The event's label (``""`` for an anonymous plain event).
+
+        A callable stored in place of the label is called to build it.
+        """
+        name = self._name
+        return name if isinstance(name, str) else name()
 
     @property
     def triggered(self) -> bool:
@@ -104,18 +119,32 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that fires ``delay`` nanoseconds after creation."""
+    """An event that fires ``delay`` nanoseconds after creation.
 
-    __slots__ = ()
+    Unnamed timeouts read as ``Timeout(<delay>)``.
+    """
+
+    __slots__ = ("_delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: object = None,
                  name: str = "") -> None:
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay}")
-        super().__init__(sim, name or f"Timeout({delay})")
+        # One timeout per device latency: the fields are set here
+        # rather than through Event.__init__ to save a call per event.
+        self.sim = sim
+        self._name = name
+        self.callbacks = []
         self._value = value
+        self._ok = True
         self._triggered = True
+        self._processed = False
+        self._delay = delay
         sim._schedule(delay, self)
+
+    @property
+    def name(self) -> str:
+        return self._name or f"Timeout({self._delay})"
 
 
 class Interrupt(Exception):
@@ -139,7 +168,7 @@ class _Condition(Event):
         for event in self._events:
             if event.sim is not sim:
                 raise ValueError("all events must belong to the same simulator")
-            if event.processed:
+            if event._processed:
                 self._observe(event)
             else:
                 event.callbacks.append(self._observe)
@@ -149,15 +178,15 @@ class _Condition(Event):
     def _observe(self, event: Event) -> None:
         if self._triggered:
             return
-        if not event.ok:
-            self.fail(typing.cast(BaseException, event.value))
+        if not event._ok:
+            self.fail(typing.cast(BaseException, event._value))
             return
         self._pending -= 1
         self._check()
 
     def _collect(self) -> typing.Dict["Event", object]:
         return {
-            event: event.value for event in self._events if event.triggered
+            event: event._value for event in self._events if event._triggered
         }
 
     def _check(self) -> None:  # pragma: no cover - abstract

@@ -40,10 +40,17 @@ class Process(Event):
         self._waiting_on: Event | None = None
         # Kick off on the next kernel step so creation order does not
         # matter within a single simulated instant.
-        bootstrap = Event(sim, name=f"{self.name}.bootstrap")
+        bootstrap = Event(sim)
+        bootstrap._name = self._bootstrap_label
         bootstrap.callbacks.append(self._resume)
         bootstrap._triggered = True
         sim._schedule(0.0, bootstrap)
+
+    def _bootstrap_label(self) -> str:
+        return f"{self.name}.bootstrap"
+
+    def _passthrough_label(self) -> str:
+        return f"{self.name}.passthrough"
 
     @property
     def is_alive(self) -> bool:
@@ -61,20 +68,20 @@ class Process(Event):
         self._step(Interrupt(cause), throw=True)
 
     # ------------------------------------------------------------------
+    # _resume and _step run once per process wake-up: they read the
+    # event slots directly rather than through the public properties.
     def _resume(self, event: Event) -> None:
         self._waiting_on = None
-        if event.ok:
-            self._step(event.value, throw=False)
-        else:
-            self._step(typing.cast(BaseException, event.value), throw=True)
+        self._step(event._value, not event._ok)
 
     def _step(self, value: object, throw: bool) -> None:
-        previous = self.sim._active
-        self.sim._active = self
+        sim = self.sim
+        previous = sim._active
+        sim._active = self
         # Sanitizer actor attribution: the happens-before report names
         # the process whose segment performed each watched access, not
         # just the anonymous event that resumed it.
-        sanitizer = self.sim._sanitizer
+        sanitizer = sim._sanitizer
         if sanitizer is not None:
             sanitizer.on_actor(self)
         try:
@@ -91,7 +98,7 @@ class Process(Event):
             self.fail(exc)
             return
         finally:
-            self.sim._active = previous
+            sim._active = previous
         if not isinstance(target, Event):
             message = TypeError(
                 f"process {self.name!r} yielded {target!r}; "
@@ -99,14 +106,15 @@ class Process(Event):
             )
             self._step(message, throw=True)
             return
-        if target.processed:
+        if target._processed:
             # Already in the past; resume immediately on the next step.
-            passthrough = Event(self.sim, name=f"{self.name}.passthrough")
-            passthrough._ok = target.ok
-            passthrough._value = target.value
+            passthrough = Event(sim)
+            passthrough._name = self._passthrough_label
+            passthrough._ok = target._ok
+            passthrough._value = target._value
             passthrough._triggered = True
             passthrough.callbacks.append(self._resume)
-            self.sim._schedule(0.0, passthrough)
+            sim._schedule(0.0, passthrough)
             self._waiting_on = passthrough
         else:
             target.callbacks.append(self._resume)

@@ -12,13 +12,28 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 class Request(Event):
-    """Pending claim on a :class:`Resource` slot."""
+    """Pending claim on a :class:`Resource` slot.
+
+    Reads as ``request(<resource name>)``.
+    """
 
     __slots__ = ("resource",)
 
     def __init__(self, resource: "Resource") -> None:
-        super().__init__(resource.sim, name=f"request({resource.name})")
+        # One request per bus or pair claim: fields are set inline, as
+        # in Timeout, and the label is built only when read.
+        self.sim = resource.sim
+        self._name = ""
+        self.callbacks = []
+        self._value = None
+        self._ok = True
+        self._triggered = False
+        self._processed = False
         self.resource = resource
+
+    @property
+    def name(self) -> str:
+        return f"request({self.resource.name})"
 
 
 class Resource:

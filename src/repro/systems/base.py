@@ -29,10 +29,24 @@ from repro.host import PcieLink
 from repro.sim import Breakdown, Simulator, TimeSeries
 from repro.workloads.trace import TraceBundle
 
-#: Deterministic content pattern for input preloading.
+#: Period of :func:`input_pattern`: byte ``i`` of the pattern depends
+#: only on ``(address + i) % 251``.
+_PATTERN_PERIOD = 251
+#: The pattern byte for every residue ``(address + i) % 251``.
+_PATTERN_CYCLE = bytes((j * 31 + 7) % _PATTERN_PERIOD + 1
+                       for j in range(_PATTERN_PERIOD))
+
+
 def input_pattern(address: int, size: int) -> bytes:
-    """Reproducible non-zero input bytes for a region."""
-    return bytes(((address + i) * 31 + 7) % 251 + 1 for i in range(size))
+    """Reproducible non-zero input bytes for a region.
+
+    Byte ``i`` is ``((address + i) * 31 + 7) % 251 + 1``.  The pattern
+    repeats every 251 bytes, so one rotated period is tiled over the
+    region instead of evaluating the expression per byte.
+    """
+    shift = address % _PATTERN_PERIOD
+    period = _PATTERN_CYCLE[shift:] + _PATTERN_CYCLE[:shift]
+    return (period * (size // _PATTERN_PERIOD + 1))[:size]
 
 
 @dataclasses.dataclass(frozen=True)

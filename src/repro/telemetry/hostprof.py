@@ -79,15 +79,17 @@ def classify_event(event: "Event",
       callback bound to a :class:`~repro.sim.process.Process` (the
       same scan the tracer's event labels use): the process name, and
       the owning class / method split of the generator's qualname
-      (``ChannelController._chunk_process`` → component
-      ``ChannelController``, phase ``_chunk_process``).  Module-level
+      (``ChannelController._read_chunk`` → component
+      ``ChannelController``, phase ``_read_chunk``).  Module-level
       generators get component ``toplevel``.
     * events nobody waits on fall back to the kernel component with an
       ``idle`` phase — they cost only their own bookkeeping.
     """
     kind = type(event).__name__
-    name = getattr(event, "name", "") or ""
-    if kind == "Event" and name:
+    # Only plain events can carry a role; other kinds never build
+    # their (lazy) label here.
+    name = (getattr(event, "name", "") or "") if kind == "Event" else ""
+    if name:
         for role in ("bootstrap", "passthrough"):
             if name == role or name.endswith("." + role):
                 kind = role

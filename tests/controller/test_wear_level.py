@@ -144,6 +144,16 @@ class TestSubsystemIntegration:
                         in tracker._write_counts}
         assert len(written_rows) > 1
 
+    def test_pre_reset_follows_the_remapped_row(self):
+        # Pre-RESET hints rebind their row address through start-gap.
+        sim, subsystem = self.make(interval=2)
+        self.run_writes(sim, subsystem, 5)
+        subsystem.register_write_hint(0, 32)
+        done = sim.process(subsystem.drain_hints())
+        sim.run()
+        assert done.ok, done.value
+        assert sum(ch.pre_resets_issued for ch in subsystem.channels) == 1
+
     def test_wear_leveling_off_keeps_writes_in_place(self):
         sim = Simulator()
         subsystem = PramSubsystem(sim, geometry=SMALL,

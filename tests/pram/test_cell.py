@@ -38,6 +38,21 @@ class TestStates:
         with pytest.raises(ValueError):
             tracker.reset(0, [-1])
 
+    @pytest.mark.parametrize("operation", ["program", "set_pass", "reset"])
+    def test_out_of_range_word_changes_nothing(self, operation):
+        tracker = make_tracker()
+        tracker.program(0, [1])
+        before = (tracker.programmed_words, tracker.writes_to(0, 0),
+                  tracker.writes_to(0, 1), tracker.total_set_passes,
+                  tracker.total_reset_passes)
+        # The first out-of-range word is the one named, and the
+        # in-range words before it are left untouched.
+        with pytest.raises(ValueError, match=r"word 9 out of range"):
+            getattr(tracker, operation)(0, [0, 1, 9, -1])
+        assert (tracker.programmed_words, tracker.writes_to(0, 0),
+                tracker.writes_to(0, 1), tracker.total_set_passes,
+                tracker.total_reset_passes) == before
+
     def test_words_per_row_must_be_positive(self):
         with pytest.raises(ValueError):
             WordStateTracker(0)

@@ -1,0 +1,141 @@
+"""The kernel hot-path contract: lazy labels and a pinned schedule.
+
+Speed-only changes to the kernel or the chunk path must keep every
+event: the same kinds, the same count, the same order and the same
+labels.  The census and the label digest below pin the schedule of a
+small mixed read/write stream, so a change that adds, removes or
+reorders an event fails here on purpose.  Re-pin them only in a change
+that means to move the schedule, and say so in its description.
+"""
+
+import hashlib
+
+import pytest
+
+from repro.analysis.determinism import trace_of
+from repro.controller import MemoryRequest, Op, PramSubsystem
+from repro.controller.request import RequestStatus, reset_request_ids
+from repro.pram.errors import PramError
+from repro.pram.module import PramModule
+from repro.sim import Resource, Simulator, Timeout
+from repro.sim.hostprof import use_hostprof
+from repro.telemetry.hostprof import HostProfiler
+
+#: Dispatches per event kind of :func:`_run_mixed_stream`.
+PINNED_DISPATCHES = {"AllOf": 27, "Process": 123, "Request": 256,
+                     "Timeout": 304, "bootstrap": 123}
+#: SHA-256 of its ``"<time!r> <label>"`` kernel-event lines.
+PINNED_LABEL_DIGEST = (
+    "095001e27b9b9066696dd98382673b69548c5848270eb3bf5f0848c6380eabec")
+
+
+def _mixed_stream():
+    """Twelve open-loop requests; every third one writes.
+
+    Five addresses cycle, so reads hit rows other chunks just read or
+    wrote: RAB/RDB hits, pair contention and bus contention all occur.
+    """
+    requests = []
+    for index in range(12):
+        address = (index % 5) * 640
+        if index % 3 == 2:
+            requests.append(MemoryRequest(Op.WRITE, address, 256,
+                                          data=bytes([index + 1]) * 256))
+        else:
+            requests.append(MemoryRequest(Op.READ, address, 256))
+    return requests
+
+
+def _run_mixed_stream():
+    reset_request_ids()
+    sim = Simulator()
+    PramSubsystem(sim).run_stream(_mixed_stream(), mode="open",
+                                  backend="interpreted")
+    return sim.now
+
+
+class TestPinnedSchedule:
+    def test_dispatch_census(self):
+        profiler = HostProfiler()
+        with use_hostprof(profiler):
+            _run_mixed_stream()
+        census = profiler.census()
+        assert census["dispatches"] == PINNED_DISPATCHES
+        # Every process bootstrap is a plain Event on the heap.
+        schedules = dict(PINNED_DISPATCHES)
+        schedules["Event"] = schedules.pop("bootstrap")
+        assert census["schedules"] == schedules
+
+    def test_kernel_label_sequence(self):
+        lines = [f"{ts!r} {label}" for ts, label
+                 in trace_of(_run_mixed_stream)]
+        assert len(lines) == sum(PINNED_DISPATCHES.values())
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == PINNED_LABEL_DIGEST
+
+
+class TestLazyLabels:
+    def test_timeout_label(self):
+        timeout = Simulator().timeout(12.5)
+        assert timeout.name == "Timeout(12.5)"
+        assert repr(timeout) == "<Timeout(12.5) (triggered)>"
+
+    def test_request_label(self):
+        bus = Resource(Simulator(), name="ch0.bus")
+        assert bus.request().name == "request(ch0.bus)"
+
+    def test_explicit_names_win(self):
+        sim = Simulator()
+        assert Timeout(sim, 1.0, name="tick").name == "tick"
+        assert sim.event("gate").name == "gate"
+        assert sim.event().name == ""
+
+    def test_kernel_labels_in_a_trace(self):
+        def workload():
+            sim = Simulator()
+
+            def worker():
+                early = sim.timeout(1.0)
+                yield sim.timeout(12.5)
+                yield early  # long processed: resumes via a passthrough
+
+            sim.process(worker())
+            sim.process(worker(), name="alpha")
+            sim.run()
+
+        assert [label for _, label in trace_of(workload)] == [
+            "worker.bootstrap", "alpha.bootstrap",
+            "Timeout(1.0)", "Timeout(1.0)",
+            "Timeout(12.5)", "Timeout(12.5)",
+            "worker.passthrough", "alpha.passthrough",
+            "worker", "alpha",
+        ]
+
+
+@pytest.mark.parametrize("phase", ["activate", "read_burst"])
+def test_device_error_mid_read_releases_bus_and_pair(monkeypatch, phase):
+    original = getattr(PramModule, phase)
+    failed = []
+
+    def fail_once(self, *args, **kwargs):
+        if not failed:
+            failed.append(self)
+            raise PramError(f"injected {phase} failure")
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(PramModule, phase, fail_once)
+    sim = Simulator()
+    subsystem = PramSubsystem(sim)
+    broken = MemoryRequest(Op.READ, 0, 256)
+    subsystem.run_stream([broken], backend="interpreted")
+    assert failed
+    assert broken.status is RequestStatus.FAILED
+    for channel in subsystem.channels:
+        assert channel.bus.count == 0
+        assert channel.bus.queue_length == 0
+        assert all(slots.count == 0 for slots in channel._pair_slots)
+        assert all(not busy for busy in channel._busy_pairs)
+    # The released bus and pair serve the next read of the same row.
+    retry = MemoryRequest(Op.READ, 0, 256)
+    subsystem.run_stream([retry], backend="interpreted")
+    assert retry.status is RequestStatus.OK
