@@ -43,11 +43,11 @@ def test_perf_subsystem_read_stream(benchmark, bench_record):
 #: Gate on interpreted / compiled time.  Speeding up the interpreter
 #: shrinks the ratio; at 2x or less the compiled backend is due for
 #: deletion (see ROADMAP), so the gate sits above that line.
-MIN_COMPILED_SPEEDUP = 3.0
+MIN_COMPILED_SPEEDUP = 2.5
 
 
 def test_perf_compiled_speedup(bench_record):
-    """The compiled backend must beat the interpreter by >= 3x.
+    """The compiled backend must beat the interpreter by >= 2.5x.
 
     The stream is the kernel's best case on purpose — the gate measures
     the compiled path's headroom, not average-case gains: 4 KiB closed

@@ -2,8 +2,8 @@
 
 The engine is a small, from-scratch, simpy-style coroutine kernel:
 
-* :class:`~repro.sim.engine.Simulator` owns the event heap and simulated
-  clock (nanoseconds, floats).
+* :class:`~repro.sim.engine.Simulator` owns the event heap, the ready
+  queue and the simulated clock (nanoseconds, floats).
 * :class:`~repro.sim.event.Event` / :class:`~repro.sim.event.Timeout` are
   the primitive wait objects.
 * :class:`~repro.sim.process.Process` drives a generator; processes

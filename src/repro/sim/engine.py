@@ -1,23 +1,43 @@
-"""The simulation kernel: clock, event heap, and run loop.
+"""The simulation kernel: clock, event queues, and run loop.
 
 Ordering contract
 -----------------
-The heap orders occurrences by ``(timestamp, tie-break counter)``.  The
-counter increments per schedule, so **events that land on the same
-simulated instant drain in FIFO schedule order**, and events scheduled
-*by a callback at the current instant* sort after everything already
-queued for that instant.  This FIFO tie-break is a documented, asserted
-invariant (see :meth:`Simulator.run`): the batched same-timestamp drain,
-the sharded parallel merge, and any future compiled/batched kernel all
-reproduce results byte-for-byte only because equal-timestamp ordering
-is deterministic.  :mod:`repro.analysis.racecheck` certifies which
-workloads are *independent* of that ordering (and would therefore
-survive a kernel that reorders within an instant); the seeded
-``tiebreak_seed`` debug mode below is the mechanism it uses.
+Events dispatch in ``(timestamp, schedule order)`` order: **events that
+land on the same simulated instant drain in FIFO schedule order**, and
+events scheduled *by a callback at the current instant* run after
+everything already due at that instant.  The sharded parallel merge,
+the result cache and the compiled backend reproduce results
+byte-for-byte only because this order is deterministic.
+:mod:`repro.analysis.racecheck` certifies which workloads are
+*independent* of it (and would therefore survive a kernel that
+reorders within an instant); the seeded ``tiebreak_seed`` debug mode
+below is the mechanism it uses.
+
+Two structures hold pending events:
+
+* the **heap** holds events due *later* than the clock, keyed by
+  ``(timestamp, tie-break counter)``; the counter increments per heap
+  push, so equal timestamps pop in push order;
+* the **ready queue** (a FIFO deque) holds events whose computed
+  timestamp equals the clock.  Most events are scheduled at zero delay
+  (resource grants, process bootstraps and completions, ``AllOf``), and
+  these skip the heap.
+
+Draining the heap's entries due at ``now`` first, then the ready queue
+in FIFO order, is exactly ``(timestamp, counter)`` order over one
+combined heap.  A heap entry due at ``now`` was pushed while the clock
+still read an earlier instant (had the clock read ``now``, its
+timestamp would have routed it to the queue), so it precedes every
+event queued at ``now``; and the clock moves to a heap timestamp only
+once the queue is empty, so every queued event is due at the current
+instant.  Routing compares the computed timestamp, not the delay: a
+positive delay that rounds to ``now`` (``1e20 + 1.0 == 1e20``) queues
+exactly where a heap push at ``now`` would have sorted.
 """
 
 from __future__ import annotations
 
+import collections
 import heapq
 import itertools
 import math
@@ -45,7 +65,7 @@ TraceEntry = typing.Tuple[float, str]
 
 
 class Simulator:
-    """Heap-ordered discrete-event simulator.
+    """Discrete-event simulator: a timestamp heap plus a ready queue.
 
     Simulated time is a float in **nanoseconds**.  All device models in
     this package express their latencies in nanoseconds so event
@@ -71,6 +91,8 @@ class Simulator:
                  hostprof: HostProfilerHook | None = None) -> None:
         self._now = 0.0
         self._heap: typing.List[HeapEntry] = []
+        # Events due at the current instant, in schedule order.
+        self._ready: typing.Deque[Event] = collections.deque()
         self._counter = itertools.count()
         self._active: Process | None = None
         # Race-sanitizer hooks (repro.analysis.racecheck).  Explicit
@@ -121,6 +143,11 @@ class Simulator:
             self._schedule = (  # type: ignore[method-assign]
                 self._schedule_profiled_sanitized if self._sanitizing
                 else self._schedule_profiled)
+        # Triggers (Event.succeed/fail) bypass _schedule; with either
+        # hook bound they take the hooked route through it instead.
+        if self._sanitizing or self._hostprofiling:
+            self._trigger = (  # type: ignore[method-assign]
+                self._trigger_observed)
         # Explicit tracer and the ambient one (use_tracer) both observe
         # this kernel; with neither active this collapses to the null
         # tracer and step() pays one attribute load.  Binding happens at
@@ -195,9 +222,16 @@ class Simulator:
         # compares false), so the hot path pays no math.isnan call.
         # The clock is never NaN (it only takes values this check has
         # already admitted), so the timestamp needs no separate check.
+        # Route on the timestamp, not the delay: a delay that rounds to
+        # the current instant queues where a heap push would sort.
         if delay >= 0:
-            heapq.heappush(self._heap,
-                           (self._now + delay, next(self._counter), event))
+            now = self._now
+            when = now + delay
+            if when == now:
+                self._ready.append(event)
+            else:
+                heapq.heappush(self._heap,
+                               (when, next(self._counter), event))
             return
         if math.isnan(delay):
             raise ValueError(f"cannot schedule {event!r}: delay is NaN")
@@ -217,7 +251,7 @@ class Simulator:
 
     def _schedule_profiled(self, delay: float, event: Event) -> None:
         # Swapped in over _schedule only when a host profiler is bound:
-        # the schedule census (pushes per event kind) has to see the
+        # the schedule census (schedules per event kind) has to see the
         # `_schedule` fast path too, and a permanent guard there would
         # tax every uninstrumented run.
         Simulator._schedule(self, delay, event)
@@ -237,8 +271,27 @@ class Simulator:
         if hook is not None:
             hook.on_schedule(event)
 
+    def _trigger(self, event: Event) -> None:
+        # Event.succeed()/fail() schedule here.  A zero delay always
+        # lands on the current instant, so the event joins the ready
+        # queue directly: exactly where _schedule(0.0, event) puts it.
+        self._ready.append(event)
+
+    def _trigger_observed(self, event: Event) -> None:
+        # Swapped in over _trigger (instance attribute) when a sanitizer
+        # or a host profiler is bound.  The sanitizer labels the
+        # upcoming schedule edge as a trigger (succeed -> wait
+        # causality) before the hooked _schedule records it; the
+        # profiler's schedule census counts it there.
+        sanitizer = self._sanitizer
+        if sanitizer is not None:
+            sanitizer.on_trigger(event, event._ok)
+        self._schedule(0.0, event)
+
     def peek(self) -> float:
         """Timestamp of the next scheduled event, or ``inf`` if none."""
+        if self._ready:
+            return self._now
         return self._heap[0][0] if self._heap else float("inf")
 
     def fast_forward(self, now: float) -> None:
@@ -251,9 +304,10 @@ class Simulator:
         event by event.  Refuses to skip pending events or rewind:
         both would silently desynchronize the two backends.
         """
-        if self._heap:
+        pending = len(self._heap) + len(self._ready)
+        if pending:
             raise RuntimeError(
-                f"fast_forward({now}) with {len(self._heap)} events "
+                f"fast_forward({now}) with {pending} events "
                 "still pending — drain them with run() first")
         if math.isnan(now) or now < self._now:
             raise ValueError(
@@ -280,11 +334,22 @@ class Simulator:
         return label
 
     def step(self) -> None:
-        """Process exactly one event off the heap."""
-        if not self._heap:
-            raise RuntimeError("step() on an empty event heap")
-        when, _, event = heapq.heappop(self._heap)
-        self._now = when
+        """Process exactly one event: the next in dispatch order.
+
+        Heap entries due at the current instant go first (they were
+        scheduled at an earlier one), then the ready queue; the clock
+        moves to the heap's next timestamp only once both are spent.
+        """
+        heap = self._heap
+        ready = self._ready
+        when = self._now
+        if heap and heap[0][0] == when or not ready:
+            if not heap:
+                raise RuntimeError("step() on an empty event heap")
+            when, _, event = heapq.heappop(heap)
+            self._now = when
+        else:
+            event = ready.popleft()
         sanitizer = self._sanitizer
         if sanitizer is not None:
             sanitizer.begin_task(event, when, self._event_label(event))
@@ -298,20 +363,23 @@ class Simulator:
             callback(event)
 
     def run(self, until: float | None = None) -> None:
-        """Drain the event heap, optionally stopping at time ``until``.
+        """Drain pending events, optionally stopping at time ``until``.
 
         With ``until`` set, the clock is advanced to exactly ``until``
         even if no event lands on that instant, matching the convention
         of mainstream DES kernels.
 
         **FIFO tie-break invariant.**  Within one simulated instant,
-        events are processed in schedule (counter) order — the batched
-        drain below asserts it per batch.  Everything downstream that
-        promises byte-identical results (serial-vs-sharded merge, the
-        result cache, determinism-marked tests, the future compiled
-        kernel) inherits this invariant; ``tiebreak_seed`` is the one
-        sanctioned way to deviate from it, and exists precisely so
-        :mod:`repro.analysis.racecheck` can measure which workloads
+        events are processed in schedule order: the heap's entries due
+        now, then the ready queue (see the module docstring for why
+        that is exactly ``(timestamp, counter)`` order).  Everything
+        downstream that promises byte-identical results
+        (serial-vs-sharded merge, the result cache, determinism-marked
+        tests, the compiled backend) inherits this invariant, and
+        ``tests/sim/test_ready_queue.py`` checks it against a single
+        ``(timestamp, counter)`` reference heap.  ``tiebreak_seed`` is
+        the one sanctioned way to deviate from it, and exists precisely
+        so :mod:`repro.analysis.racecheck` can measure which workloads
         depend on it.
         """
         if until is not None and math.isnan(until):
@@ -329,8 +397,8 @@ class Simulator:
         elif self._hostprofiling:
             self._run_profiled(until)
         elif self._tracing or self._sanitizing or self._sampling:
-            while self._heap:
-                when = self._heap[0][0]
+            while self._ready or self._heap:
+                when = self.peek()
                 if until is not None and when > until:
                     break
                 # Windows close *before* the events at `when` run, so a
@@ -341,32 +409,35 @@ class Simulator:
                 self.step()
         else:
             # Untraced fast drain: inline step() minus the tracer
-            # branch, and batch same-timestamp events so the clock is
-            # written (and the stop condition tested) once per instant
-            # rather than once per event.  Ordering is unchanged — the
-            # heap already yields equal timestamps in schedule
-            # (counter) order, and events scheduled by a callback at
-            # the current instant sort after everything already queued.
+            # branch, one instant at a time, so the clock is written
+            # (and the stop condition tested) once per instant rather
+            # than once per event.  Each instant drains the heap's
+            # entries due now, then the ready queue, which also takes
+            # whatever the callbacks schedule at this instant.
             heap = self._heap
+            ready = self._ready
             pop = heapq.heappop
-            while heap:
-                when = heap[0][0]
-                if until is not None and when > until:
-                    break
-                self._now = when
-                last_seq = -1
+            popleft = ready.popleft
+            when = self._now
+            while True:
                 while heap and heap[0][0] == when:
-                    _, seq, event = pop(heap)
-                    # Regression guard for the FIFO tie-break invariant
-                    # racecheck certifies against: equal timestamps
-                    # must drain in schedule-counter order.
-                    assert seq > last_seq, (
-                        "same-timestamp drain broke FIFO schedule order")
-                    last_seq = seq
+                    event = pop(heap)[2]
                     callbacks, event.callbacks = event.callbacks, []
                     event._processed = True
                     for callback in callbacks:
                         callback(event)
+                while ready:
+                    event = popleft()
+                    callbacks, event.callbacks = event.callbacks, []
+                    event._processed = True
+                    for callback in callbacks:
+                        callback(event)
+                if not heap:
+                    break
+                when = heap[0][0]
+                if until is not None and when > until:
+                    break
+                self._now = when
         if until is not None:
             # Close windows up to the stop time so a run that idles out
             # to `until` still materializes its trailing windows.
@@ -389,23 +460,33 @@ class Simulator:
         rng = self._tiebreak_rng
         assert rng is not None
         heap = self._heap
+        ready = self._ready
         tracer = self.tracer if self._tracing else None
         sanitizer = self._sanitizer
         sampler = self.sampler
-        batch: typing.List[HeapEntry] = []
-        while heap:
-            when = heap[0][0]
-            if until is not None and when > until:
-                break
+        batch: typing.List[Event] = []
+        when = self._now
+        while ready or heap:
+            if not ready and heap[0][0] != when:
+                when = heap[0][0]
+                if until is not None and when > until:
+                    break
             if sampler is not None:
                 sampler.advance(when)
             self._now = when
+            # One wave: the heap's entries due now, then everything
+            # queued so far — the set (and the pre-shuffle order) a
+            # single (timestamp, counter) heap would hold due now.
+            # After the first wave of an instant the heap holds none,
+            # so each later wave is one generation of queued events.
             del batch[:]
             while heap and heap[0][0] == when:
-                batch.append(heapq.heappop(heap))
+                batch.append(heapq.heappop(heap)[2])
+            batch.extend(ready)
+            ready.clear()
             if len(batch) > 1:
                 rng.shuffle(batch)
-            for _, _, event in batch:
+            for event in batch:
                 if sanitizer is not None:
                     sanitizer.begin_task(event, when,
                                          self._event_label(event))
@@ -427,34 +508,38 @@ class Simulator:
         event's callbacks; together with :meth:`HostProfilerHook.
         begin_run`/``end_run`` the segments tile the drain's wall clock
         — the gap between one dispatch's end and the next one's start
-        is the kernel's own heap work, so a collector that accounts the
+        is the kernel's own queue work, so a collector that accounts the
         gaps attributes ~100% of measured ``run()`` time.
         """
         hook = self.hostprof
         assert hook is not None
         clock = hook.clock
         heap = self._heap
+        ready = self._ready
         pop = heapq.heappop
         tracer = self.tracer if self._tracing else None
         sanitizer = self._sanitizer
         sampler = self.sampler
         hook.begin_run(clock())
-        while heap:
-            when = heap[0][0]
-            if until is not None and when > until:
-                break
+        when = self._now
+        while ready or heap:
+            if not ready and heap[0][0] != when:
+                when = heap[0][0]
+                if until is not None and when > until:
+                    break
             if sampler is not None:
                 sampler.advance(when)
             self._now = when
+            # One batch is everything dispatched at this instant: the
+            # heap's entries due now, then the ready queue until empty.
             batch_size = 0
-            last_seq = -1
-            while heap and heap[0][0] == when:
-                _, seq, event = pop(heap)
-                # Same FIFO tie-break regression guard as the batched
-                # fast drain: equal timestamps in schedule order.
-                assert seq > last_seq, (
-                    "same-timestamp drain broke FIFO schedule order")
-                last_seq = seq
+            while True:
+                if heap and heap[0][0] == when:
+                    event = pop(heap)[2]
+                elif ready:
+                    event = ready.popleft()
+                else:
+                    break
                 batch_size += 1
                 if sanitizer is not None:
                     sanitizer.begin_task(event, when,

@@ -1,7 +1,7 @@
 """Primitive event types for the simulation kernel.
 
 Events move through three states: *pending* (created, not scheduled),
-*triggered* (scheduled on the simulator heap with a value), and
+*triggered* (scheduled on the simulator with a value), and
 *processed* (callbacks ran).  Processes wait on events by ``yield``-ing
 them; the kernel wires the resumption up through the callback list.
 """
@@ -84,13 +84,10 @@ class Event:
         self._ok = True
         self._value = value
         self._triggered = True
-        # Sanitizer (repro.analysis.racecheck): label the upcoming
-        # schedule edge as a trigger (succeed -> wait causality) rather
-        # than a plain schedule.  One guarded load when uninstrumented.
-        sanitizer = self.sim._sanitizer
-        if sanitizer is not None:
-            sanitizer.on_trigger(self, True)
-        self.sim._schedule(0.0, self)
+        # Zero delay: straight onto the ready queue.  A sanitizer or a
+        # host profiler swaps its hooked variant in per simulator (see
+        # Simulator._trigger), so an uninstrumented trigger pays none.
+        self.sim._trigger(self)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -102,10 +99,7 @@ class Event:
         self._ok = False
         self._value = exception
         self._triggered = True
-        sanitizer = self.sim._sanitizer
-        if sanitizer is not None:
-            sanitizer.on_trigger(self, False)
-        self.sim._schedule(0.0, self)
+        self.sim._trigger(self)
         return self
 
     def __repr__(self) -> str:

@@ -22,7 +22,7 @@ The contract mirrors the sampling ambient:
   - :meth:`HostProfilerHook.begin_run` / :meth:`HostProfilerHook.end_run`
     bracket one ``run()`` drain; every dispatch segment lands between
     them, so the segments tile the drain's wall clock with no gaps
-    (inter-dispatch time is the kernel's own heap work).
+    (inter-dispatch time is the kernel's own queue work).
   - :meth:`HostProfilerHook.on_dispatch` fires after each event's
     callbacks ran, with the *pre-dispatch* callback list (so the hook
     can attribute the event to the process that was resumed) and the
@@ -90,7 +90,7 @@ class HostProfilerHook:
         """A same-timestamp batch of ``size`` events finished draining."""
 
     def on_schedule(self, event: "Event") -> None:
-        """``event`` was admitted onto the heap (schedule census)."""
+        """``event`` was scheduled (schedule census)."""
 
 
 class HostProfilingProvider(typing.Protocol):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import typing
+from types import GeneratorType
 
 from repro.sim.event import Event, Interrupt
 
@@ -31,19 +32,34 @@ class Process(Event):
 
     def __init__(self, sim: "Simulator", generator: typing.Generator,
                  name: str = "") -> None:
-        if not hasattr(generator, "send") or not hasattr(generator, "throw"):
+        if type(generator) is not GeneratorType and (
+                not hasattr(generator, "send")
+                or not hasattr(generator, "throw")):
             raise TypeError(
                 f"Process requires a generator, got {type(generator).__name__}"
             )
-        super().__init__(sim, name or getattr(generator, "__name__", "process"))
+        # One process per chunk: the fields of the process and of its
+        # bootstrap event are set here rather than through
+        # Event.__init__, as in Timeout, to save two calls per spawn.
+        self.sim = sim
+        self._name = name or getattr(generator, "__name__", "process")
+        self.callbacks = []
+        self._value = None
+        self._ok = True
+        self._triggered = False
+        self._processed = False
         self._generator = generator
         self._waiting_on: Event | None = None
         # Kick off on the next kernel step so creation order does not
         # matter within a single simulated instant.
-        bootstrap = Event(sim)
+        bootstrap = Event.__new__(Event)
+        bootstrap.sim = sim
         bootstrap._name = self._bootstrap_label
-        bootstrap.callbacks.append(self._resume)
+        bootstrap.callbacks = [self._resume]
+        bootstrap._value = None
+        bootstrap._ok = True
         bootstrap._triggered = True
+        bootstrap._processed = False
         sim._schedule(0.0, bootstrap)
 
     def _bootstrap_label(self) -> str:

@@ -56,6 +56,14 @@ class Resource:
         self.capacity = capacity
         self._users: typing.Set[Request] = set()
         self._queue: typing.Deque[Request] = collections.deque()
+        # The sanitizer's slot hooks live in separate methods, bound
+        # over request/release per instance (as Simulator does with
+        # _schedule), so unsanitized claims pay nothing for them.
+        if sim._sanitizing:
+            self.request = (  # type: ignore[method-assign]
+                self._request_sanitized)
+            self.release = (  # type: ignore[method-assign]
+                self._release_sanitized)
 
     @property
     def count(self) -> int:
@@ -72,9 +80,6 @@ class Resource:
         req = Request(self)
         if len(self._users) < self.capacity:
             self._users.add(req)
-            sanitizer = self.sim._sanitizer
-            if sanitizer is not None:
-                sanitizer.on_acquire(self, req)
             req.succeed()
         else:
             self._queue.append(req)
@@ -85,15 +90,12 @@ class Resource:
 
         Hand-offs to queued waiters happen inside the releasing task,
         so release -> next-grant is a happens-before edge by
-        construction; the sanitizer hooks label it explicitly so
-        racecheck reports can distinguish Resource causality from
+        construction; under a sanitizer the hooks label it explicitly
+        so racecheck reports can distinguish Resource causality from
         ordinary scheduling.
         """
-        sanitizer = self.sim._sanitizer
         if request in self._users:
             self._users.remove(request)
-            if sanitizer is not None:
-                sanitizer.on_release(self, request)
         elif request in self._queue:
             self._queue.remove(request)
             return
@@ -102,8 +104,38 @@ class Resource:
         while self._queue and len(self._users) < self.capacity:
             waiter = self._queue.popleft()
             self._users.add(waiter)
-            if sanitizer is not None:
-                sanitizer.on_grant(self, waiter)
+            waiter.succeed()
+
+    # request() and release() with the sanitizer's hooks.  Each hook
+    # fires before the grant's succeed(), so the sanitizer labels that
+    # schedule edge "acquire" or "grant" rather than "trigger".
+    def _request_sanitized(self) -> Request:
+        sanitizer = self.sim._sanitizer
+        assert sanitizer is not None
+        req = Request(self)
+        if len(self._users) < self.capacity:
+            self._users.add(req)
+            sanitizer.on_acquire(self, req)
+            req.succeed()
+        else:
+            self._queue.append(req)
+        return req
+
+    def _release_sanitized(self, request: Request) -> None:
+        sanitizer = self.sim._sanitizer
+        assert sanitizer is not None
+        if request in self._users:
+            self._users.remove(request)
+            sanitizer.on_release(self, request)
+        elif request in self._queue:
+            self._queue.remove(request)
+            return
+        else:
+            raise ValueError(f"{request!r} does not hold {self.name}")
+        while self._queue and len(self._users) < self.capacity:
+            waiter = self._queue.popleft()
+            self._users.add(waiter)
+            sanitizer.on_grant(self, waiter)
             waiter.succeed()
 
     def use(self, duration: float) -> typing.Generator:

@@ -10,11 +10,12 @@ Two debug facilities share this module:
 
 * :class:`KernelSanitizer` — the observation interface.  The kernel,
   events, processes and resources call these hooks *only when a
-  sanitizer is installed*; every call site is guarded by an
-  ``is not None`` test on the simulator's resolved sanitizer, so an
-  uninstrumented run pays at most one attribute load per guarded site
-  (and nothing at all on the scheduling fast path, which is swapped in
-  wholesale at construction time).
+  sanitizer is installed*.  Scheduling, triggers and resource claims
+  (``Simulator._schedule``/``_trigger``, ``Resource.request``/
+  ``release``) swap their hooked variants in at construction time, so
+  an uninstrumented run pays nothing there; the one remaining site,
+  ``Process._step``, is guarded by an ``is not None`` test on the
+  simulator's resolved sanitizer (one attribute load per step).
 * The **tie-break shuffle seed** — an ambient knob that makes
   :meth:`repro.sim.engine.Simulator.run` drain same-timestamp events in
   a seeded random permutation instead of FIFO order.  The shuffle
@@ -47,11 +48,12 @@ class KernelSanitizer:
     overrides them to build the happens-before graph.  Hook timing
     contract (what the kernel guarantees):
 
-    * :meth:`begin_task` — an event was popped off the heap; everything
-      until the next ``begin_task`` (its callbacks, including process
-      segments they resume) executes inside this task.
-    * :meth:`on_schedule` — an event was pushed onto the heap from the
-      currently running task (or from outside ``run()``, the root task).
+    * :meth:`begin_task` — an event was taken off the heap or the ready
+      queue; everything until the next ``begin_task`` (its callbacks,
+      including process segments they resume) executes inside this
+      task.
+    * :meth:`on_schedule` — an event was scheduled from the currently
+      running task (or from outside ``run()``, the root task).
     * :meth:`on_trigger` — :meth:`Event.succeed` / :meth:`Event.fail`
       is about to schedule the event; fires *before* ``on_schedule``
       for the same event so the edge can be labeled.

@@ -35,12 +35,18 @@ NOR_WRITE_32B_NS = 3_750.0
 
 _WORDS_PER_OPERAND = 32 // WORD_BYTES
 
+#: Granularity of the sparse backing store.  Timing is per 16-bit word
+#: and does not depend on it.
+PAGE_BYTES = 4096
+
 
 class NorPram:
     """Byte-addressable PRAM behind a word-serialized NOR interface.
 
     The single interface port is the bottleneck: there is no internal
-    parallelism to exploit, so all accesses queue.
+    parallelism to exploit, so all accesses queue.  Contents live in
+    sparse 4 KiB pages allocated on first write; unwritten bytes read
+    as zero.
     """
 
     def __init__(self, sim: Simulator,
@@ -50,7 +56,7 @@ class NorPram:
         self.name = name
         self.port = Resource(sim, capacity=1, name=f"{name}.port")
         self.energy = energy
-        self._storage: typing.Dict[int, int] = {}  # word index -> value
+        self._pages: typing.Dict[int, bytearray] = {}  # page index -> data
         self.words_read = 0
         self.words_written = 0
 
@@ -59,26 +65,22 @@ class NorPram:
     # ------------------------------------------------------------------
     def read(self, address: int, size: int) -> typing.Generator:
         """Read ``size`` bytes, one 16-bit word at a time."""
-        words = self._word_span(address, size)
-        duration = len(words) * (NOR_READ_32B_NS / _WORDS_PER_OPERAND)
+        words = self._word_count(address, size)
+        duration = words * (NOR_READ_32B_NS / _WORDS_PER_OPERAND)
         yield self.sim.process(self.port.use(duration))
-        self.words_read += len(words)
+        self.words_read += words
         if self.energy is not None:
             self.energy.charge_bytes(
                 "storage", self.energy.model.nor_read_pj_per_byte, size)
-        raw = b"".join(
-            self._storage.get(w, 0).to_bytes(WORD_BYTES, "little")
-            for w in words)
-        start = address - words[0] * WORD_BYTES
-        return raw[start:start + size]
+        return self._load(address, size)
 
     def write(self, address: int, data: bytes) -> typing.Generator:
         """Write ``data``, serialized into 16-bit word programs."""
-        words = self._word_span(address, len(data))
-        duration = len(words) * (NOR_WRITE_32B_NS / _WORDS_PER_OPERAND)
+        words = self._word_count(address, len(data))
+        duration = words * (NOR_WRITE_32B_NS / _WORDS_PER_OPERAND)
         yield self.sim.process(self.port.use(duration))
         self._store(address, data)
-        self.words_written += len(words)
+        self.words_written += words
         if self.energy is not None:
             self.energy.charge_bytes(
                 "storage", self.energy.model.nor_write_pj_per_byte,
@@ -89,35 +91,46 @@ class NorPram:
     # ------------------------------------------------------------------
     def preload(self, address: int, data: bytes) -> None:
         """Zero-time data placement."""
+        self._word_count(address, len(data))
         self._store(address, data)
 
     def inspect(self, address: int, size: int) -> bytes:
         """Zero-time read-back."""
-        words = self._word_span(address, size)
-        raw = b"".join(
-            self._storage.get(w, 0).to_bytes(WORD_BYTES, "little")
-            for w in words)
-        start = address - words[0] * WORD_BYTES
-        return raw[start:start + size]
+        self._word_count(address, size)
+        return self._load(address, size)
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
     @staticmethod
-    def _word_span(address: int, size: int) -> typing.List[int]:
+    def _word_count(address: int, size: int) -> int:
+        """16-bit words the byte range touches; rejects a bad range."""
         if address < 0 or size < 1:
             raise ValueError(f"bad range: address={address} size={size}")
-        first = address // WORD_BYTES
-        last = (address + size - 1) // WORD_BYTES
-        return list(range(first, last + 1))
+        return ((address + size - 1) // WORD_BYTES
+                - address // WORD_BYTES + 1)
+
+    def _load(self, address: int, size: int) -> bytes:
+        pages = self._pages
+        end = address + size
+        pieces: typing.List[bytes] = []
+        while address < end:
+            index, offset = divmod(address, PAGE_BYTES)
+            count = min(PAGE_BYTES - offset, end - address)
+            page = pages.get(index)
+            pieces.append(bytes(count) if page is None
+                          else page[offset:offset + count])
+            address += count
+        return b"".join(pieces)
 
     def _store(self, address: int, data: bytes) -> None:
-        words = self._word_span(address, len(data))
-        raw = bytearray(
-            b"".join(self._storage.get(w, 0).to_bytes(WORD_BYTES, "little")
-                     for w in words))
-        start = address - words[0] * WORD_BYTES
-        raw[start:start + len(data)] = data
-        for i, word in enumerate(words):
-            self._storage[word] = int.from_bytes(
-                raw[i * WORD_BYTES:(i + 1) * WORD_BYTES], "little")
+        pages = self._pages
+        position = 0
+        while position < len(data):
+            index, offset = divmod(address + position, PAGE_BYTES)
+            count = min(PAGE_BYTES - offset, len(data) - position)
+            page = pages.get(index)
+            if page is None:
+                page = pages[index] = bytearray(PAGE_BYTES)
+            page[offset:offset + count] = data[position:position + count]
+            position += count

@@ -28,7 +28,7 @@ Attribution model
 The engine's profiled drain brackets each ``run()`` with
 ``begin_run``/``end_run`` and times each dispatch ``[start, end)``.
 The collector keeps a cursor on that timeline: the gap before a
-dispatch accrues to the kernel's own bucket (heap pops, clock writes —
+dispatch accrues to the kernel's own bucket (queue pops, clock writes —
 :data:`KERNEL_BUCKET`), the dispatch itself to the event's bucket, so
 the buckets *tile* the drain and their sum tracks end-to-end ``run()``
 wall clock (the ≥95% attribution criterion the simulator benchmark
@@ -54,7 +54,7 @@ if typing.TYPE_CHECKING:  # pragma: no cover - typing only
 #: One attribution bucket: (component, process, phase, event kind).
 BucketKey = typing.Tuple[str, str, str, str]
 
-#: The kernel's own inter-dispatch work (heap management, clock
+#: The kernel's own inter-dispatch work (queue management, clock
 #: writes, hook bookkeeping): everything between dispatch segments.
 KERNEL_BUCKET: BucketKey = ("kernel", "-", "drain", "-")
 

@@ -106,6 +106,7 @@ def test_resource_guard_establishes_happens_before():
     # Uncontended claim and queue hand-off are distinct HB edge kinds.
     assert len(sanitizer.edges_of("acquire")) == 1
     assert len(sanitizer.edges_of("grant")) == 1
+    assert [name for _, name in sanitizer.releases] == ["lock", "lock"]
 
 
 def test_event_trigger_edges_cover_succeed_causality():
@@ -135,6 +136,21 @@ def test_event_trigger_edges_cover_succeed_causality():
     # trigger edge, so the waiter's write is ordered after.
     assert sanitizer.races() == []
     assert any(edge.kind == "trigger" for edge in sanitizer.hb_edges)
+
+
+def test_failed_event_edge_is_labeled_fail():
+    with racecheck.sanitize() as sanitizer:
+        sim = Simulator()
+        gate = sim.event("gate")
+
+        def waiter():
+            with pytest.raises(RuntimeError):
+                yield gate
+
+        sim.process(waiter(), name="waiter")
+        gate.fail(RuntimeError("gate broke"))
+        sim.run()
+    assert len(sanitizer.edges_of("fail")) == 1
 
 
 def test_reads_do_not_race_with_reads():

@@ -2,13 +2,15 @@
 
 Speed-only changes to the kernel or the chunk path must keep every
 event: the same kinds, the same count, the same order and the same
-labels.  The census and the label digest below pin the schedule of a
-small mixed read/write stream, so a change that adds, removes or
-reorders an event fails here on purpose.  Re-pin them only in a change
+labels.  The dispatch and batch censuses and the label digest below
+pin the schedule of a small mixed read/write stream, so a change that
+adds, removes or reorders an event fails here on purpose.  Re-pin them only in a change
 that means to move the schedule, and say so in its description.
 """
 
+import collections
 import hashlib
+import itertools
 
 import pytest
 
@@ -27,6 +29,9 @@ PINNED_DISPATCHES = {"AllOf": 27, "Process": 123, "Request": 256,
 #: SHA-256 of its ``"<time!r> <label>"`` kernel-event lines.
 PINNED_LABEL_DIGEST = (
     "095001e27b9b9066696dd98382673b69548c5848270eb3bf5f0848c6380eabec")
+#: Its profiled drain's batches: ``{batch size: number of batches}``.
+PINNED_BATCH_SIZES = {1: 64, 2: 125, 3: 61, 4: 9, 5: 1, 6: 7, 7: 4, 8: 1,
+                      217: 1}
 
 
 def _mixed_stream():
@@ -58,13 +63,27 @@ class TestPinnedSchedule:
     def test_dispatch_census(self):
         profiler = HostProfiler()
         with use_hostprof(profiler):
-            _run_mixed_stream()
+            profiled_end = _run_mixed_stream()
+        # The profiled drain observes and never perturbs.
+        assert profiled_end == _run_mixed_stream()
         census = profiler.census()
         assert census["dispatches"] == PINNED_DISPATCHES
-        # Every process bootstrap is a plain Event on the heap.
+        # Every process bootstrap is a plain Event, scheduled at zero
+        # delay (so it waits in the ready queue, not on the heap).
         schedules = dict(PINNED_DISPATCHES)
         schedules["Event"] = schedules.pop("bootstrap")
         assert census["schedules"] == schedules
+
+    def test_batch_census(self):
+        profiler = HostProfiler()
+        with use_hostprof(profiler):
+            _run_mixed_stream()
+        sizes = profiler.census()["batch_sizes"]
+        assert dict(collections.Counter(sizes)) == PINNED_BATCH_SIZES
+        # A profiled batch is exactly one instant of the traced run.
+        times = [ts for ts, _ in trace_of(_run_mixed_stream)]
+        assert sizes == [len(list(group))
+                         for _, group in itertools.groupby(times)]
 
     def test_kernel_label_sequence(self):
         lines = [f"{ts!r} {label}" for ts, label

@@ -1,11 +1,18 @@
 """PRAM SSD and NOR-interface PRAM tests."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.energy import EnergyAccount
 from repro.sim import Simulator
 from repro.storage import NorPram, PramSsd
-from repro.storage.nor_pram import NOR_READ_32B_NS, NOR_WRITE_32B_NS
+from repro.storage.nor_pram import (
+    NOR_READ_32B_NS,
+    NOR_WRITE_32B_NS,
+    PAGE_BYTES,
+    WORD_BYTES,
+)
 from repro.storage.optane import PRAM_SSD_READ_NS
 
 
@@ -184,3 +191,98 @@ class TestNorPram:
                 yield from nor.read(0, 0)
 
         run(sim, driver())
+
+    @pytest.mark.parametrize("call", [
+        lambda nor: nor.preload(-1, b"x"),
+        lambda nor: nor.preload(0, b""),
+        lambda nor: nor.inspect(0, 0),
+        lambda nor: nor.inspect(-2, 4),
+    ])
+    def test_bad_zero_time_range_rejected(self, call):
+        with pytest.raises(ValueError):
+            call(NorPram(Simulator()))
+
+
+class WordStore:
+    """Reference store: one dict entry per 16-bit word, unwritten = 0."""
+
+    def __init__(self):
+        self.words = {}
+
+    def store(self, address, data):
+        for offset, byte in enumerate(data):
+            word, lane = divmod(address + offset, WORD_BYTES)
+            shift = 8 * lane
+            value = self.words.get(word, 0) & ~(0xFF << shift)
+            self.words[word] = value | byte << shift
+
+    def load(self, address, size):
+        return bytes(
+            self.words.get(word, 0) >> 8 * lane & 0xFF
+            for word, lane in (divmod(address + offset, WORD_BYTES)
+                               for offset in range(size)))
+
+
+#: Addresses anywhere in three pages, and just around page boundaries.
+ADDRESSES = st.one_of(
+    st.integers(0, 3 * PAGE_BYTES),
+    st.builds(lambda page, delta: page * PAGE_BYTES + delta,
+              st.integers(1, 3), st.integers(-9, 9)))
+
+#: ``(write?, address, data or size)``: writes carry data, reads a size.
+ACCESSES = st.lists(st.one_of(
+    st.tuples(st.just(True), ADDRESSES, st.binary(min_size=1, max_size=600)),
+    st.tuples(st.just(False), ADDRESSES, st.integers(1, PAGE_BYTES + 9)),
+), max_size=25)
+
+
+class TestNorPramPages:
+    @settings(max_examples=200, deadline=None)
+    @given(ACCESSES)
+    def test_zero_time_access_matches_the_word_store(self, accesses):
+        nor = NorPram(Simulator())
+        reference = WordStore()
+        for write, address, argument in accesses:
+            if write:
+                nor.preload(address, argument)
+                reference.store(address, argument)
+            else:
+                assert (nor.inspect(address, argument)
+                        == reference.load(address, argument))
+
+    @settings(max_examples=60, deadline=None)
+    @given(ACCESSES)
+    def test_timed_access_counts_words_and_time(self, accesses):
+        sim = Simulator()
+        nor = NorPram(sim)
+        reference = WordStore()
+        expected = {"words_read": 0, "words_written": 0, "ns": 0.0}
+
+        def driver():
+            for write, address, argument in accesses:
+                size = len(argument) if write else argument
+                words = ((address + size - 1) // WORD_BYTES
+                         - address // WORD_BYTES + 1)
+                if write:
+                    yield from nor.write(address, argument)
+                    reference.store(address, argument)
+                    expected["words_written"] += words
+                    expected["ns"] += words * NOR_WRITE_32B_NS / 16
+                else:
+                    data = yield from nor.read(address, argument)
+                    assert data == reference.load(address, argument)
+                    expected["words_read"] += words
+                    expected["ns"] += words * NOR_READ_32B_NS / 16
+
+        run(sim, driver())
+        assert nor.words_read == expected["words_read"]
+        assert nor.words_written == expected["words_written"]
+        assert sim.now == pytest.approx(expected["ns"])
+
+    def test_unwritten_ranges_read_zero_around_written_ones(self):
+        nor = NorPram(Simulator())
+        nor.preload(PAGE_BYTES - 3, b"\xff" * 6)
+        assert nor.inspect(0, 8) == bytes(8)
+        assert nor.inspect(PAGE_BYTES - 5, 10) == (
+            b"\x00\x00" + b"\xff" * 6 + b"\x00\x00")
+        assert nor.inspect(5 * PAGE_BYTES + 1, 3) == bytes(3)
