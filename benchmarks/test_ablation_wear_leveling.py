@@ -32,9 +32,7 @@ def hammer(wear_leveling: bool, interval: int = 8):
     sim.process(driver())
     sim.run()
     tracker = subsystem.modules[0][0].cell_tracker(0)
-    per_row = {}
-    for (row, _word), count in tracker._write_counts.items():
-        per_row[row] = per_row.get(row, 0) + count
+    per_row = tracker.writes_per_row()
     hottest = max(per_row.values())
     return sim.now, hottest, len(per_row)
 

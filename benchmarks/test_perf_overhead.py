@@ -109,28 +109,55 @@ def _seed_fail(self, exception):
     return self
 
 
-def _seed_process_step(self, value, throw):
+def _seed_process_init(self, sim, generator, name=""):
+    if type(generator) is not types.GeneratorType and (
+            not hasattr(generator, "send")
+            or not hasattr(generator, "throw")):
+        raise TypeError(
+            f"Process requires a generator, got {type(generator).__name__}")
+    self.sim = sim
+    self._name = name or getattr(generator, "__name__", "process")
+    self.callbacks = []
+    self._value = None
+    self._ok = True
+    self._triggered = False
+    self._processed = False
+    self._generator = generator
+    self._waiting_on = None
+    bootstrap = Event.__new__(Event)
+    bootstrap.sim = sim
+    bootstrap._name = self._bootstrap_label
+    bootstrap.callbacks = [self._resume]
+    bootstrap._value = None
+    bootstrap._ok = True
+    bootstrap._triggered = True
+    bootstrap._processed = False
+    sim._spawn(bootstrap)
+
+
+def _seed_process_resume(self, event):
+    """``Process._resume`` without the sanitizer's guarded load."""
+    self._waiting_on = None
     sim = self.sim
-    previous = sim._active
-    sim._active = self
     try:
-        if throw:
-            target = self._generator.throw(value)
+        if event._ok:
+            target = self._generator.send(event._value)
         else:
-            target = self._generator.send(value)
+            target = self._generator.throw(event._value)
     except StopIteration as stop:
-        self.succeed(stop.value)
+        if self._triggered:
+            raise RuntimeError(f"{self!r} has already been triggered")
+        self._value = stop.value
+        self._triggered = True
+        sim._trigger(self)
         return
     except BaseException as exc:
         self.fail(exc)
         return
-    finally:
-        sim._active = previous
     if not isinstance(target, Event):
-        message = TypeError(
+        self._throw(TypeError(
             f"process {self.name!r} yielded {target!r}; "
-            "processes may only yield Event instances")
-        self._step(message, throw=True)
+            "processes may only yield Event instances"))
         return
     if target._processed:
         passthrough = Event(sim)
@@ -150,7 +177,8 @@ def _seed_request(self):
     req = Request(self)
     if len(self._users) < self.capacity:
         self._users.add(req)
-        req.succeed()
+        req._triggered = True
+        self.sim._trigger(req)
     else:
         self._queue.append(req)
     return req
@@ -167,7 +195,10 @@ def _seed_release(self, request):
     while self._queue and len(self._users) < self.capacity:
         waiter = self._queue.popleft()
         self._users.add(waiter)
-        waiter.succeed()
+        if waiter._triggered:
+            raise RuntimeError(f"{waiter!r} has already been triggered")
+        waiter._triggered = True
+        self.sim._trigger(waiter)
 
 
 def _seed_sketch_add(self, value):
@@ -290,15 +321,17 @@ CASES = (
     # A plan whose probabilities are all zero against no plan: the
     # module and channel paths check `faults is not None` per access.
     Case("faults", writes=True, faults=FaultConfig(seed=9)),
-    # The sanitizer's guarded load per process step and run()'s choice
-    # among the drains (a disabled host profiler's one cost, too).
-    # succeed/fail and resource claims swap their sanitizer hooks in per
-    # simulator; their replicas pin them hook-free.  Per-event costs, so
-    # the bound is tighter than the default.
+    # The sanitizer's guarded load per process wake-up and run()'s
+    # choice among the drains (a disabled host profiler's one cost,
+    # too).  Triggers, resource claims and process bootstraps take
+    # routes the simulator binds per instance; their replicas pin them
+    # hook-free.  Per-event costs, so the bound is tighter than the
+    # default.
     Case("sanitizer", bound=1.02, patches=(
         (Event, "succeed", _seed_succeed),
         (Event, "fail", _seed_fail),
-        (Process, "_step", _seed_process_step),
+        (Process, "__init__", _seed_process_init),
+        (Process, "_resume", _seed_process_resume),
         (Resource, "request", _seed_request),
         (Resource, "release", _seed_release),
         (Simulator, "run", _bare_run),

@@ -40,9 +40,7 @@ def hammer(wear_leveling: bool):
     sim.run()
 
     tracker = subsystem.modules[0][0].cell_tracker(0)
-    per_row = {}
-    for (row, _word), count in tracker._write_counts.items():
-        per_row[row] = per_row.get(row, 0) + count
+    per_row = tracker.writes_per_row()
     moves = sum(channel.gap_moves for channel in subsystem.channels)
     return sim.now, per_row, moves
 

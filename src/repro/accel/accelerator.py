@@ -11,6 +11,8 @@ residency for energy).
 from __future__ import annotations
 
 import dataclasses
+import itertools
+import operator
 import typing
 
 from repro.accel.kernel import KernelSegment, pack_data
@@ -205,9 +207,24 @@ def _state_power(state: float, model: EnergyModel) -> float:
 
 def _sum_series(series: typing.Sequence[TimeSeries],
                 name: str) -> TimeSeries:
-    """Pointwise sum of step functions."""
-    times = sorted({t for s in series for t in s.times})
+    """Pointwise sum of step functions.
+
+    One sweep over every change point in time order keeps each series'
+    current level (its last sample at or before the time, 0.0 before
+    its first).  At each distinct time the levels are summed in series
+    order, so the floats add exactly as per-time lookups would.
+    """
+    at_time = operator.itemgetter(0)
+    changes = [(time, index, value)
+               for index, steps in enumerate(series)
+               for time, value in zip(steps.times, steps.values)]
+    # Stable on time alone: a series' samples at one time stay in
+    # record order, so its last one is the level that holds.
+    changes.sort(key=at_time)
+    levels = [0.0] * len(series)
     total = TimeSeries(name)
-    for time in times:
-        total.record(time, sum(s.value_at(time) for s in series))
+    for time, group in itertools.groupby(changes, key=at_time):
+        for _, index, value in group:
+            levels[index] = value
+        total.record(time, sum(levels))
     return total

@@ -498,7 +498,7 @@ class ChannelController:
                 if ready <= sim.now:
                     break
                 yield sim.timeout(ready - sim.now)
-            recovery = module.timing.write_recovery()
+            recovery = module.timing.write_recovery_ns
             if recovery > 0:
                 recovery_start = sim.now
                 yield sim.timeout(recovery)

@@ -371,14 +371,20 @@ class PramSubsystem:
 
         Mirrors the paper's evaluation setup: "we initialize the data
         and place it in the persistent storages" before each run.
-        Partial first/last rows are read-modify-written functionally.
+        Rows the data covers whole are poked straight from its slice;
+        partial first/last rows are read-modify-written functionally.
         """
+        row_bytes = self.geometry.row_bytes
         for pram_address, offset, size in self.address_map.iter_rows(
                 address, len(data)):
             module = self.modules[pram_address.channel][pram_address.module]
             physical = self.channels[pram_address.channel]._physical_row(
                 pram_address.module, pram_address.partition,
                 pram_address.row)
+            if size == row_bytes:
+                module.poke(pram_address.partition, physical,
+                            data[offset:offset + size])
+                continue
             row = bytearray(module.peek(pram_address.partition, physical))
             row[pram_address.column:pram_address.column + size] = (
                 data[offset:offset + size])

@@ -140,6 +140,9 @@ class AccessPlanner:
         rows = geometry.rows_per_partition
         rdb_count = geometry.rdb_count
         next_buffer = self._next_buffer
+        # Build the named tuples through tuple.__new__, as their _make
+        # does: it skips their Python-level __new__, two calls a chunk.
+        new: typing.Callable[..., typing.Any] = tuple.__new__
         address = address_map.decompose(request.address)
         channel, module, partition, row, column = address
         cursor = request.address
@@ -152,8 +155,8 @@ class AccessPlanner:
             module_key = (channel, module)
             buffer_id = next_buffer.get(module_key, 0)
             next_buffer[module_key] = (buffer_id + 1) % rdb_count
-            chunks.append(
-                ChunkPlan(request, address, produced, chunk, buffer_id))
+            chunks.append(new(
+                ChunkPlan, (request, address, produced, chunk, buffer_id)))
             produced += chunk
             if produced >= size:
                 return chunks
@@ -174,7 +177,7 @@ class AccessPlanner:
                                 f"{geometry.total_bytes:#x}"
                             )
             column = 0
-            address = PramAddress(channel, module, partition, row, 0)
+            address = new(PramAddress, (channel, module, partition, row, 0))
 
     def chunks_by_channel(self, request: MemoryRequest) -> typing.Dict[
             int, typing.List[ChunkPlan]]:

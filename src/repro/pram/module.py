@@ -138,7 +138,7 @@ class PramModule:
                 1 << max(1, self.geometry.upper_row_bits)):
             raise AddressError(f"upper row {upper_row} out of range")
         self.buffers.load_rab(buffer_id, upper_row)
-        return now + self.timing.pre_active()
+        return now + self.timing.pre_active_ns
 
     def activate(self, now: float, buffer_id: int, partition: int,
                  lower_row: int) -> float:
@@ -154,7 +154,7 @@ class PramModule:
                 f"activate on buffer {buffer_id} before any pre-active"
             )
         row = self._compose_row(pair.upper_row, lower_row)
-        finish = self._occupy(partition, now, self.timing.activate())
+        finish = self._occupy(partition, now, self.timing.activate_ns)
         data = self._read_row(partition, row)
         self.buffers.load_rdb(buffer_id, partition, row, data)
         return finish
@@ -173,7 +173,8 @@ class PramModule:
                 f"{self.geometry.row_bytes}-byte row buffer"
             )
         self.reads += 1
-        finish = now + self.timing.read_preamble() + self.timing.burst(size)
+        timing = self.timing
+        finish = now + timing.read_preamble_ns + timing.burst(size)
         data = pair.data[column:column + size]
         faults = self._faults
         if faults is not None and faults.read_faults_on:
@@ -190,7 +191,7 @@ class PramModule:
     # Compiled-backend state halves (repro.sim.compiled)
     # ------------------------------------------------------------------
     # The compiled kernel computes the read-phase *schedule* in batch
-    # (timing tables, no per-event dispatch) and then applies the same
+    # (phase arithmetic, no per-event dispatch) and then applies the same
     # device-state transitions the timed entry points above would have
     # made, in the same order.  Each method below is the state half of
     # exactly one timed operation; validation and counters match so a
@@ -274,8 +275,9 @@ class PramModule:
         )
         self.window.write_register(ow.REG_MULTIPURPOSE, len(data))
         self.window.write_buffer(0, data)
-        return (now + self.timing.activate() + self.timing.write_preamble()
-                + self.timing.burst(len(data)))
+        timing = self.timing
+        return (now + timing.activate_ns + timing.write_preamble_ns
+                + timing.burst(len(data)))
 
     def execute_program(self, now: float,
                         req: int | None = None) -> float:
@@ -332,7 +334,7 @@ class PramModule:
                 span_name,
                 f"ch{self.channel_id}.m{self.module_id}.p{partition}",
                 max(now, finish - duration), finish, **args)
-        finish += self.timing.write_recovery()
+        finish += self.timing.write_recovery_ns
         self.window.complete()
         return finish
 
@@ -391,6 +393,8 @@ class PramModule:
         touched words programmed so later overwrites price correctly.
         """
         self._check_partition(partition)
+        if row < 0 or row >= self.geometry.rows_per_partition:
+            raise AddressError(f"row {row} out of range")
         if len(data) != self.geometry.row_bytes:
             raise AddressError(
                 f"poke must cover the whole {self.geometry.row_bytes}-byte row"
@@ -433,10 +437,15 @@ class PramModule:
         return partition, row, column
 
     def _words_touched(self, row: int, column: int, size: int) -> typing.List[
-            typing.Tuple[int, typing.List[int]]]:
+            typing.Tuple[int, range]]:
         """(row, word indices) pairs a program starting at (row, column)
         of ``size`` bytes will touch; programs may spill into later rows."""
         geo = self.geometry
+        if 0 < size <= geo.row_bytes - column and (
+                row < geo.rows_per_partition):
+            # Within one row: the loop below would run once.
+            return [(row, range(column // geo.word_bytes,
+                                (column + size - 1) // geo.word_bytes + 1))]
         result = []
         offset = column
         remaining = size
@@ -445,7 +454,7 @@ class PramModule:
             chunk = min(geo.row_bytes - offset, remaining)
             first_word = offset // geo.word_bytes
             last_word = (offset + chunk - 1) // geo.word_bytes
-            result.append((current_row, list(range(first_word, last_word + 1))))
+            result.append((current_row, range(first_word, last_word + 1)))
             remaining -= chunk
             offset = 0
             current_row += 1

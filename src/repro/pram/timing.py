@@ -8,24 +8,46 @@ windows, phase-skip savings) without mutating anything.
 from __future__ import annotations
 
 import math
+import typing
 
 from repro.pram.constants import PramGeometry, PramTimingParams
 
 
 class TimingModel:
-    """Latency calculator bound to one parameter/geometry set."""
+    """Latency calculator bound to one parameter/geometry set.
+
+    The phase latencies depend on the parameter set alone, so
+    ``__init__`` evaluates each once and keeps it as a plain attribute
+    (``pre_active_ns`` through ``write_recovery_ns``) for the per-chunk
+    paths, and :meth:`burst` memoizes its result per size.  Each is the
+    expression a per-call evaluation would run, so every float is
+    identical to one.
+    """
 
     def __init__(self, params: PramTimingParams = PramTimingParams(),
                  geometry: PramGeometry = PramGeometry()) -> None:
         self.params = params
         self.geometry = geometry
+        #: tRP: update a RAB.
+        self.pre_active_ns = params.trp_ns
+        #: tRCD: compose the row address and sense the row into the RDB.
+        self.activate_ns = params.trcd_ns
+        #: RL plus strobe output access time (tDQSCK).
+        self.read_preamble_ns = params.rl_ns + params.tdqsck_ns
+        #: WL plus strobe setup (tDQSS).
+        self.write_preamble_ns = params.wl_ns + params.tdqss_ns
+        #: tWR: the program buffer drained to the array.
+        self.write_recovery_ns = params.twr_ns
+        # Burst sizes are bounded by the row and program buffers, so
+        # the memo stays small.
+        self._bursts: typing.Dict[int, float] = {}
 
     # ------------------------------------------------------------------
     # Individual phases (Figure 11 timing diagrams)
     # ------------------------------------------------------------------
     def pre_active(self) -> float:
         """Pre-active phase: update a RAB within tRP."""
-        return self.params.trp_ns
+        return self.pre_active_ns
 
     def activate(self) -> float:
         """Activate phase: compose the row address, fetch into the RDB.
@@ -33,15 +55,15 @@ class TimingModel:
         tRCD covers address composition, the overlay-window range check,
         and sensing the row out of the array (Section V-A).
         """
-        return self.params.trcd_ns
+        return self.activate_ns
 
     def read_preamble(self) -> float:
         """Read preamble: RL plus strobe output access time (tDQSCK)."""
-        return self.params.rl_ns + self.params.tdqsck_ns
+        return self.read_preamble_ns
 
     def write_preamble(self) -> float:
         """Write preamble: WL plus strobe setup (tDQSS)."""
-        return self.params.wl_ns + self.params.tdqss_ns
+        return self.write_preamble_ns
 
     def burst(self, size_bytes: int) -> float:
         """Data burst time for ``size_bytes`` over the 16-bit DQ bus.
@@ -49,15 +71,19 @@ class TimingModel:
         One burst of the configured length moves ``2 * burst_length``
         bytes (DDR, 16-bit dq); larger transfers chain bursts.
         """
-        if size_bytes <= 0:
-            raise ValueError(f"burst size must be positive, got {size_bytes}")
-        bytes_per_burst = 2 * self.params.burst_length
-        bursts = math.ceil(size_bytes / bytes_per_burst)
-        return bursts * self.params.tburst_ns
+        value = self._bursts.get(size_bytes)
+        if value is None:
+            if size_bytes <= 0:
+                raise ValueError(
+                    f"burst size must be positive, got {size_bytes}")
+            bytes_per_burst = 2 * self.params.burst_length
+            bursts = math.ceil(size_bytes / bytes_per_burst)
+            value = self._bursts[size_bytes] = bursts * self.params.tburst_ns
+        return value
 
     def write_recovery(self) -> float:
         """tWR: guarantee the program buffer drained to the array."""
-        return self.params.twr_ns
+        return self.write_recovery_ns
 
     # ------------------------------------------------------------------
     # Array (storage-core) operations

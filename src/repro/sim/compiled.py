@@ -4,12 +4,13 @@ The interpreted engine (:mod:`repro.sim.engine`) pays a Python dispatch
 per event — fine for exploration, too slow for the million-request
 service-layer runs the roadmap targets.  This module is the second
 backend: for a **frozen** (topology, scheduler, fault-plan)
-configuration it compiles a request stream into a flat loop over
-precomputed per-phase timing tables derived from the LPDDR2-NVM
-three-phase model, with numpy-vectorized batch phase arithmetic for
-homogeneous waves (and a pure-stdlib tier producing bit-identical
-floats when numpy is absent).  No event heap, no coroutines, no
-per-event dispatch on the steady-state path.
+configuration it compiles a request stream into a flat loop over the
+per-phase latencies that :class:`~repro.pram.timing.TimingModel`
+precomputes from the LPDDR2-NVM three-phase model, with
+numpy-vectorized batch phase arithmetic for homogeneous waves (and a
+pure-stdlib tier producing bit-identical floats when numpy is
+absent).  No event heap, no coroutines, no per-event dispatch on the
+steady-state path.
 
 The contract is *byte identity*: a compiled run must leave every
 observable — device state, stats objects, latency-sketch payloads,
@@ -45,7 +46,6 @@ if typing.TYPE_CHECKING:
     from repro.controller.request import MemoryRequest
     from repro.controller.translator import ChunkPlan
     from repro.pram.module import PramModule
-    from repro.pram.timing import TimingModel
 
 #: The selectable execution backends.
 BACKENDS: typing.Tuple[str, ...] = ("interpreted", "compiled")
@@ -257,40 +257,6 @@ def stream_fallback_reasons(
     return reasons
 
 
-# ----------------------------------------------------------------------
-# Timing tables
-# ----------------------------------------------------------------------
-class TimingTable:
-    """Per-phase constants precomputed from the three-phase model.
-
-    One evaluation of :class:`~repro.pram.timing.TimingModel` per
-    phase at kernel construction; the flat loop then runs on plain
-    float loads.  Burst durations are memoized per size (the chunk
-    ceiling makes them step functions of size).
-    """
-
-    __slots__ = ("pre_active", "activate", "read_preamble",
-                 "write_preamble", "write_recovery", "_model",
-                 "_burst_cache")
-
-    def __init__(self, timing: "TimingModel") -> None:
-        self.pre_active = timing.pre_active()
-        self.activate = timing.activate()
-        self.read_preamble = timing.read_preamble()
-        self.write_preamble = timing.write_preamble()
-        self.write_recovery = timing.write_recovery()
-        self._model = timing
-        self._burst_cache: typing.Dict[int, float] = {}
-
-    def burst_ns(self, size: int) -> float:
-        """Bus occupancy of a ``size``-byte data burst."""
-        value = self._burst_cache.get(size)
-        if value is None:
-            value = self._model.burst(size)
-            self._burst_cache[size] = value
-        return value
-
-
 class _ChunkState:
     """Working record of one chunk as it moves through a wave."""
 
@@ -322,7 +288,8 @@ class CompiledKernel:
     The kernel mirrors the interpreted schedule analytically: per
     channel it keeps one bus-clock (the FIFO bus grant chain is
     ``grant = max(previous hold end, request time)``), issues command
-    packets and array phases from the timing table, and applies device
+    packets and array phases from the module's timing model, and
+    applies device
     state through the module's ``latch_*`` state halves in the same
     order the event loop would have.  At the end it
     :meth:`~repro.sim.engine.Simulator.fast_forward`\\ s the simulator
@@ -332,7 +299,7 @@ class CompiledKernel:
     def __init__(self, subsystem: "PramSubsystem") -> None:
         self.subsystem = subsystem
         self.sim = subsystem.sim
-        self.table = TimingTable(subsystem.channels[0].modules[0].timing)
+        self.timing = subsystem.channels[0].modules[0].timing
         self._bus_free = [0.0] * len(subsystem.channels)
         self._np = load_numpy()
 
@@ -621,20 +588,20 @@ class CompiledKernel:
         horizon, and the engine's ``a + (b - a)`` timeout wake — so
         their outputs are bit-identical.
         """
-        table = self.table
+        timing = self.timing
         np = self._np
         if np is not None:
             seeded = np.empty(len(costs) + 1, dtype=np.float64)
             seeded[0] = start
             seeded[1:] = costs
             cmd = np.cumsum(seeded)[1:]
-            device = cmd + table.pre_active if need_pre else cmd
+            device = cmd + timing.pre_active_ns if need_pre else cmd
             begin = np.maximum(device, np.asarray(ready,
                                                   dtype=np.float64))
-            act = begin + table.activate
+            act = begin + timing.activate_ns
             wake = cmd + (act - cmd)
-            finish = (wake + table.read_preamble) + np.asarray(
-                [table.burst_ns(size) for size in sizes],
+            finish = (wake + timing.read_preamble_ns) + np.asarray(
+                [timing.burst(size) for size in sizes],
                 dtype=np.float64)
             duration = finish - wake
             return (cmd.tolist(), act.tolist(), wake.tolist(),
@@ -648,13 +615,13 @@ class CompiledKernel:
         wakes: typing.List[float] = []
         durations: typing.List[float] = []
         for index, cmd_end in enumerate(cmd_ends):
-            device = cmd_end + table.pre_active if need_pre else cmd_end
+            device = cmd_end + timing.pre_active_ns if need_pre else cmd_end
             horizon = ready[index]
             begin = device if device >= horizon else horizon
-            act_end = begin + table.activate
+            act_end = begin + timing.activate_ns
             wake = cmd_end + (act_end - cmd_end)
-            finish = ((wake + table.read_preamble)
-                      + table.burst_ns(sizes[index]))
+            finish = ((wake + timing.read_preamble_ns)
+                      + timing.burst(sizes[index]))
             act_ends.append(act_end)
             wakes.append(wake)
             durations.append(finish - wake)
@@ -672,14 +639,14 @@ class CompiledKernel:
         any deferred burst is granted (deferred requests join the FIFO
         strictly later), so pass 2 replays them in (wake, chunk) order.
         """
-        table = self.table
+        timing = self.timing
         bus_counter = channel._bus_counter
         deferred: typing.List[
             typing.Tuple[float, int, _ChunkState, float]] = []
         for sequence, state in enumerate(states):
             if not state.need_pre and not state.need_act:
-                finish = ((arrival + table.read_preamble)
-                          + table.burst_ns(state.chunk.size))
+                finish = ((arrival + timing.read_preamble_ns)
+                          + timing.burst(state.chunk.size))
                 self._finish_burst(channel, channel_index, state,
                                    arrival, finish - arrival, arrival)
                 continue
@@ -697,20 +664,20 @@ class CompiledKernel:
             now = cmd_end
             if state.need_pre:
                 state.module.latch_rab(state.buffer_id, state.upper)
-                now = now + table.pre_active
+                now = now + timing.pre_active_ns
             if state.need_act:
                 horizon = state.module._partition_busy_until[
                     state.partition]
                 begin = now if now >= horizon else horizon
-                act_end = begin + table.activate
+                act_end = begin + timing.activate_ns
                 state.module.latch_rdb(state.buffer_id, state.partition,
                                        state.lower, act_end)
                 now = act_end
             self._note_window(channel, state.module_index,
                               state.partition, cmd_end, now, cmd_end)
             wake = cmd_end + (now - cmd_end) if now > cmd_end else cmd_end
-            finish = ((wake + table.read_preamble)
-                      + table.burst_ns(state.chunk.size))
+            finish = ((wake + timing.read_preamble_ns)
+                      + timing.burst(state.chunk.size))
             deferred.append((wake, sequence, state, finish - wake))
         deferred.sort(key=lambda item: (item[0], item[1]))
         for wake, _, state, duration in deferred:
@@ -759,7 +726,7 @@ class CompiledKernel:
         staging bursts chained over the bus, array programs through the
         module's own timed entry points."""
         channel = self.subsystem.channels[channel_index]
-        table = self.table
+        timing = self.timing
         bus_counter = channel._bus_counter
         completions: typing.List[typing.Tuple[float, int, float]] = []
         for sequence, state in enumerate(states):
@@ -788,7 +755,7 @@ class CompiledKernel:
             while ready > now:
                 now = now + (ready - now)
                 ready = module.partition_ready_at(state.partition)
-            recovery = table.write_recovery
+            recovery = timing.write_recovery_ns
             if recovery > 0:
                 now = now + recovery
             completions.append((now, sequence, now - arrival))

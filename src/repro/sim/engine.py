@@ -94,7 +94,6 @@ class Simulator:
         # Events due at the current instant, in schedule order.
         self._ready: typing.Deque[Event] = collections.deque()
         self._counter = itertools.count()
-        self._active: Process | None = None
         # Race-sanitizer hooks (repro.analysis.racecheck).  Explicit
         # argument wins over the ambient slot; with neither, every
         # guarded hook site sees None and the scheduling fast path is
@@ -143,11 +142,19 @@ class Simulator:
             self._schedule = (  # type: ignore[method-assign]
                 self._schedule_profiled_sanitized if self._sanitizing
                 else self._schedule_profiled)
-        # Triggers (Event.succeed/fail) bypass _schedule; with either
-        # hook bound they take the hooked route through it instead.
+        # Zero-delay routes: triggers (Event.succeed/fail, resource
+        # grants, process completions) and process bootstraps.  A zero
+        # delay always lands on the current instant, so unobserved they
+        # append straight to the ready queue, exactly where
+        # _schedule(0.0, event) puts it; with either hook bound they
+        # take the hooked route through _schedule instead.
+        self._trigger: typing.Callable[[Event], None]
+        self._spawn: typing.Callable[[Event], None]
         if self._sanitizing or self._hostprofiling:
-            self._trigger = (  # type: ignore[method-assign]
-                self._trigger_observed)
+            self._trigger = self._trigger_observed
+            self._spawn = self._spawn_observed
+        else:
+            self._trigger = self._spawn = self._ready.append
         # Explicit tracer and the ambient one (use_tracer) both observe
         # this kernel; with neither active this collapses to the null
         # tracer and step() pays one attribute load.  Binding happens at
@@ -167,11 +174,6 @@ class Simulator:
     def now(self) -> float:
         """Current simulated time in nanoseconds."""
         return self._now
-
-    @property
-    def active_process(self) -> Process | None:
-        """The process currently being stepped, if any."""
-        return self._active
 
     # ------------------------------------------------------------------
     # Factories
@@ -271,21 +273,21 @@ class Simulator:
         if hook is not None:
             hook.on_schedule(event)
 
-    def _trigger(self, event: Event) -> None:
-        # Event.succeed()/fail() schedule here.  A zero delay always
-        # lands on the current instant, so the event joins the ready
-        # queue directly: exactly where _schedule(0.0, event) puts it.
-        self._ready.append(event)
-
     def _trigger_observed(self, event: Event) -> None:
-        # Swapped in over _trigger (instance attribute) when a sanitizer
-        # or a host profiler is bound.  The sanitizer labels the
-        # upcoming schedule edge as a trigger (succeed -> wait
-        # causality) before the hooked _schedule records it; the
-        # profiler's schedule census counts it there.
+        # Bound as _trigger when a sanitizer or a host profiler is
+        # bound.  The sanitizer labels the upcoming schedule edge as a
+        # trigger (succeed -> wait causality) before the hooked
+        # _schedule records it; the profiler's schedule census counts
+        # it there.
         sanitizer = self._sanitizer
         if sanitizer is not None:
             sanitizer.on_trigger(event, event._ok)
+        self._schedule(0.0, event)
+
+    def _spawn_observed(self, event: Event) -> None:
+        # Bound as _spawn when a sanitizer or a host profiler is bound:
+        # a process bootstrap is an ordinary zero-delay schedule, so
+        # the hooks see it as one.
         self._schedule(0.0, event)
 
     def peek(self) -> float:

@@ -60,7 +60,7 @@ class Process(Event):
         bootstrap._ok = True
         bootstrap._triggered = True
         bootstrap._processed = False
-        sim._schedule(0.0, bootstrap)
+        sim._spawn(bootstrap)
 
     def _bootstrap_label(self) -> str:
         return f"{self.name}.bootstrap"
@@ -80,20 +80,22 @@ class Process(Event):
         waiting = self._waiting_on
         if waiting is not None and self._resume in waiting.callbacks:
             waiting.callbacks.remove(self._resume)
-        self._waiting_on = None
-        self._step(Interrupt(cause), throw=True)
+        self._throw(Interrupt(cause))
+
+    def _throw(self, exception: BaseException) -> None:
+        """Raise ``exception`` inside the generator at its wait point."""
+        carrier = Event(self.sim)  # never scheduled: carries the failure
+        carrier._ok = False
+        carrier._value = exception
+        self._resume(carrier)
 
     # ------------------------------------------------------------------
-    # _resume and _step run once per process wake-up: they read the
-    # event slots directly rather than through the public properties.
+    # _resume runs once per process wake-up: it steps the generator
+    # itself and reads the event slots directly rather than through the
+    # public properties.
     def _resume(self, event: Event) -> None:
         self._waiting_on = None
-        self._step(event._value, not event._ok)
-
-    def _step(self, value: object, throw: bool) -> None:
         sim = self.sim
-        previous = sim._active
-        sim._active = self
         # Sanitizer actor attribution: the happens-before report names
         # the process whose segment performed each watched access, not
         # just the anonymous event that resumed it.
@@ -101,26 +103,28 @@ class Process(Event):
         if sanitizer is not None:
             sanitizer.on_actor(self)
         try:
-            if throw:
-                target = self._generator.throw(
-                    typing.cast(BaseException, value)
-                )
+            if event._ok:
+                target = self._generator.send(event._value)
             else:
-                target = self._generator.send(value)
+                target = self._generator.throw(
+                    typing.cast(BaseException, event._value))
         except StopIteration as stop:
-            self.succeed(stop.value)
+            # Event.succeed() written out: the process triggers with the
+            # generator's return value.
+            if self._triggered:
+                raise RuntimeError(f"{self!r} has already been triggered")
+            self._value = stop.value
+            self._triggered = True
+            sim._trigger(self)
             return
         except BaseException as exc:
             self.fail(exc)
             return
-        finally:
-            sim._active = previous
         if not isinstance(target, Event):
-            message = TypeError(
+            self._throw(TypeError(
                 f"process {self.name!r} yielded {target!r}; "
                 "processes may only yield Event instances"
-            )
-            self._step(message, throw=True)
+            ))
             return
         if target._processed:
             # Already in the past; resume immediately on the next step.

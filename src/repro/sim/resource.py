@@ -80,7 +80,10 @@ class Resource:
         req = Request(self)
         if len(self._users) < self.capacity:
             self._users.add(req)
-            req.succeed()
+            # req.succeed() written out (the request is fresh, so it
+            # cannot have been triggered): one frame fewer per grant.
+            req._triggered = True
+            self.sim._trigger(req)
         else:
             self._queue.append(req)
         return req
@@ -104,7 +107,11 @@ class Resource:
         while self._queue and len(self._users) < self.capacity:
             waiter = self._queue.popleft()
             self._users.add(waiter)
-            waiter.succeed()
+            # waiter.succeed() written out, its double-trigger check kept.
+            if waiter._triggered:
+                raise RuntimeError(f"{waiter!r} has already been triggered")
+            waiter._triggered = True
+            self.sim._trigger(waiter)
 
     # request() and release() with the sanitizer's hooks.  Each hook
     # fires before the grant's succeed(), so the sanitizer labels that

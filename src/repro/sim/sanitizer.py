@@ -11,11 +11,12 @@ Two debug facilities share this module:
 * :class:`KernelSanitizer` — the observation interface.  The kernel,
   events, processes and resources call these hooks *only when a
   sanitizer is installed*.  Scheduling, triggers and resource claims
-  (``Simulator._schedule``/``_trigger``, ``Resource.request``/
-  ``release``) swap their hooked variants in at construction time, so
-  an uninstrumented run pays nothing there; the one remaining site,
-  ``Process._step``, is guarded by an ``is not None`` test on the
-  simulator's resolved sanitizer (one attribute load per step).
+  (``Simulator._schedule``/``_trigger``/``_spawn``,
+  ``Resource.request``/``release``) swap their hooked variants in at
+  construction time, so an uninstrumented run pays nothing there; the
+  one remaining site, ``Process._resume``, is guarded by an
+  ``is not None`` test on the simulator's resolved sanitizer (one
+  attribute load per process wake-up).
 * The **tie-break shuffle seed** — an ambient knob that makes
   :meth:`repro.sim.engine.Simulator.run` drain same-timestamp events in
   a seeded random permutation instead of FIFO order.  The shuffle
@@ -54,8 +55,9 @@ class KernelSanitizer:
       task.
     * :meth:`on_schedule` — an event was scheduled from the currently
       running task (or from outside ``run()``, the root task).
-    * :meth:`on_trigger` — :meth:`Event.succeed` / :meth:`Event.fail`
-      is about to schedule the event; fires *before* ``on_schedule``
+    * :meth:`on_trigger` — an event is about to be scheduled as
+      triggered (:meth:`Event.succeed` / :meth:`Event.fail`, a resource
+      grant or a process completion); fires *before* ``on_schedule``
       for the same event so the edge can be labeled.
     * :meth:`on_acquire` / :meth:`on_grant` / :meth:`on_release` —
       :class:`~repro.sim.resource.Resource` slot lifecycle; ``on_grant``
@@ -72,7 +74,8 @@ class KernelSanitizer:
         """``event`` was scheduled by the currently running task."""
 
     def on_trigger(self, event: "Event", ok: bool) -> None:
-        """``event`` is being triggered (succeed/fail) right now."""
+        """``event`` is being triggered (succeed/fail, a resource grant
+        or a process completion) right now."""
 
     def on_actor(self, process: "Process") -> None:
         """``process`` is executing inside the current task."""

@@ -1,6 +1,8 @@
 """Accelerator statistics helpers: series summation, residency."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.accel import Accelerator, ComputeOp, LoadOp
 from repro.accel.accelerator import _state_residency, _sum_series
@@ -24,6 +26,40 @@ class TestSumSeries:
     def test_empty_inputs(self):
         total = _sum_series([TimeSeries("a")], "total")
         assert len(total) == 0
+
+
+def _reference_sum_series(series, name):
+    """Per-time lookups of every series: the sweep's reference."""
+    times = sorted({t for s in series for t in s.times})
+    total = TimeSeries(name)
+    for time in times:
+        total.record(time, sum(s.value_at(time) for s in series))
+    return total
+
+
+#: One step function: non-decreasing sample times drawn from a small
+#: grid (so series share and repeat timestamps), arbitrary levels.
+step_functions = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=12),
+              st.floats(min_value=-1e3, max_value=1e3)),
+    max_size=12).map(lambda points: sorted(points,
+                                           key=lambda point: point[0]))
+
+
+@given(st.lists(step_functions, max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_sweep_sums_exactly_like_per_time_lookups(samples):
+    series = []
+    for index, points in enumerate(samples):
+        steps = TimeSeries(f"s{index}")
+        for time, value in points:
+            steps.record(time * 0.1, value)
+        series.append(steps)
+    total = _sum_series(series, "total")
+    reference = _reference_sum_series(series, "total")
+    assert total.name == reference.name
+    assert total.times == reference.times
+    assert total.values == reference.values
 
 
 class TestStateResidency:

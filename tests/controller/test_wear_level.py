@@ -140,8 +140,7 @@ class TestSubsystemIntegration:
         # than one physical row absorbed programs.
         module = subsystem.modules[0][0]
         tracker = module.cell_tracker(0)
-        written_rows = {row for (row, _word)
-                        in tracker._write_counts}
+        written_rows = set(tracker.writes_per_row())
         assert len(written_rows) > 1
 
     def test_pre_reset_follows_the_remapped_row(self):
@@ -167,7 +166,7 @@ class TestSubsystemIntegration:
         sim.run()
         module = subsystem.modules[0][0]
         tracker = module.cell_tracker(0)
-        written_rows = {row for (row, _word) in tracker._write_counts}
+        written_rows = set(tracker.writes_per_row())
         assert written_rows == {0}
 
     def test_overhead_is_bounded(self):

@@ -198,6 +198,19 @@ class TestPeekPoke:
         with pytest.raises(AddressError):
             module.poke(0, 0, b"short")
 
+    def test_poke_range_checks_the_row_like_peek(self, module):
+        last = module.geometry.rows_per_partition - 1
+        for row in (0, last):
+            module.poke(0, row, b"\x42" * 32)
+            assert module.peek(0, row) == b"\x42" * 32
+        for row in (-1, last + 1):
+            with pytest.raises(AddressError, match=f"row {row} out of range"):
+                module.peek(0, row)
+            with pytest.raises(AddressError, match=f"row {row} out of range"):
+                module.poke(0, row, b"\x42" * 32)
+        assert module.cell_tracker(0).programmed_words == (
+            2 * module.geometry.words_per_row)
+
 
 class TestCounters:
     def test_operation_counters(self, module):

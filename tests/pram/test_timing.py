@@ -1,5 +1,8 @@
 """Timing-model tests, anchored to Section VI's quoted latencies."""
 
+import math
+import random
+
 import pytest
 
 from repro.pram import PramTimingParams, TimingModel
@@ -99,3 +102,33 @@ class TestCompositeLatencies:
 
     def test_transfer_only_window(self, timing):
         assert timing.transfer_only(32) == pytest.approx(57.5)
+
+
+@pytest.mark.parametrize("params", [
+    PramTimingParams(),
+    PramTimingParams(burst_length=4, tck_ns=1.875, read_latency_cycles=5,
+                     write_latency_cycles=2, trp_cycles=4, trcd_ns=72.5,
+                     tdqsck_ns=5.5, tdqss_ns=1.25, twr_ns=12.0),
+    PramTimingParams(burst_length=8, tck_ns=0.3),
+], ids=["table2", "bl4", "bl8"])
+def test_stored_phases_and_memoized_bursts_match_the_expressions(params):
+    timing = TimingModel(params)
+    stored = (timing.pre_active_ns, timing.activate_ns,
+              timing.read_preamble_ns, timing.write_preamble_ns,
+              timing.write_recovery_ns)
+    expected = (params.trp_ns, params.trcd_ns,
+                params.rl_ns + params.tdqsck_ns,
+                params.wl_ns + params.tdqss_ns, params.twr_ns)
+    assert stored == expected
+    assert (timing.pre_active(), timing.activate(), timing.read_preamble(),
+            timing.write_preamble(), timing.write_recovery()) == expected
+    sizes = list(range(1, 4097))
+    random.Random(7).shuffle(sizes)
+    for _ in range(2):  # computed, then served from the memo
+        for size in sizes:
+            assert timing.burst(size) == (
+                math.ceil(size / (2 * params.burst_length))
+                * params.tburst_ns)
+    for size in (0, -32):
+        with pytest.raises(ValueError):
+            timing.burst(size)

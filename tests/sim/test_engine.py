@@ -274,3 +274,15 @@ def test_process_requires_generator():
     sim = Simulator()
     with pytest.raises(TypeError):
         Process(sim, "not a generator")
+
+
+def test_completion_of_an_externally_triggered_process_rejected():
+    sim = Simulator()
+
+    def quick():
+        yield sim.timeout(1.0)
+
+    proc = sim.process(quick())
+    proc.succeed("early")
+    with pytest.raises(RuntimeError, match="already been triggered"):
+        sim.run()

@@ -5,7 +5,9 @@ event: the same kinds, the same count, the same order and the same
 labels.  The dispatch and batch censuses and the label digest below
 pin the schedule of a small mixed read/write stream, so a change that
 adds, removes or reorders an event fails here on purpose.  Re-pin them only in a change
-that means to move the schedule, and say so in its description.
+that means to move the schedule, and say so in its description.  The
+device-state digest pins what the stream leaves in the modules, so a
+change to how the device model stores its state must leave it alone.
 """
 
 import collections
@@ -17,6 +19,7 @@ import pytest
 from repro.analysis.determinism import trace_of
 from repro.controller import MemoryRequest, Op, PramSubsystem
 from repro.controller.request import RequestStatus, reset_request_ids
+from repro.pram.cell import CellState
 from repro.pram.errors import PramError
 from repro.pram.module import PramModule
 from repro.sim import Resource, Simulator, Timeout
@@ -32,6 +35,9 @@ PINNED_LABEL_DIGEST = (
 #: Its profiled drain's batches: ``{batch size: number of batches}``.
 PINNED_BATCH_SIZES = {1: 64, 2: 125, 3: 61, 4: 9, 5: 1, 6: 7, 7: 4, 8: 1,
                       217: 1}
+#: SHA-256 of :func:`_device_state` after it.
+PINNED_DEVICE_DIGEST = (
+    "d2effab76a4b83bee67f94b4436b1ab82d7a58a786f69b17ed5d1d6f8f76207f")
 
 
 def _mixed_stream():
@@ -51,12 +57,47 @@ def _mixed_stream():
     return requests
 
 
-def _run_mixed_stream():
+def _mixed_subsystem():
     reset_request_ids()
-    sim = Simulator()
-    PramSubsystem(sim).run_stream(_mixed_stream(), mode="open",
-                                  backend="interpreted")
-    return sim.now
+    subsystem = PramSubsystem(Simulator())
+    subsystem.run_stream(_mixed_stream(), mode="open", backend="interpreted")
+    return subsystem
+
+
+def _run_mixed_stream():
+    return _mixed_subsystem().sim.now
+
+
+def _device_state(subsystem):
+    """Every module's counters and partition busy horizons, then each
+    stored row's bytes, programmed-word mask, per-word pulse counts and
+    last-program time, then each partition's pass totals, as text read
+    through the device's public accessors."""
+    lines = []
+    for channel in subsystem.modules:
+        for module in channel:
+            words = range(module.geometry.words_per_row)
+            partitions = range(module.geometry.partitions_per_bank)
+            busy = [module.partition_ready_at(p) for p in partitions]
+            lines.append(f"m{module.channel_id}.{module.module_id} "
+                         f"{module.reads} {module.programs} "
+                         f"{module.resets} {busy!r}")
+            for (partition, row), data in sorted(module._storage.items()):
+                tracker = module.cell_tracker(partition)
+                mask = sum(1 << word for word in words
+                           if tracker.state(row, word)
+                           is CellState.PROGRAMMED)
+                pulses = [tracker.writes_to(row, word) for word in words]
+                lines.append(
+                    f"  p{partition} r{row} {data.hex()} {mask:#x} "
+                    f"{pulses} {module.last_program_time(partition, row)!r}")
+            for partition in partitions:
+                tracker = module.cell_tracker(partition)
+                lines.append(
+                    f"  p{partition} {tracker.total_set_passes} "
+                    f"{tracker.total_reset_passes} "
+                    f"{tracker.programmed_words} {tracker.max_writes()}")
+    return "\n".join(lines)
 
 
 class TestPinnedSchedule:
@@ -84,6 +125,11 @@ class TestPinnedSchedule:
         times = [ts for ts, _ in trace_of(_run_mixed_stream)]
         assert sizes == [len(list(group))
                          for _, group in itertools.groupby(times)]
+
+    def test_device_state(self):
+        state = _device_state(_mixed_subsystem())
+        digest = hashlib.sha256(state.encode()).hexdigest()
+        assert digest == PINNED_DEVICE_DIGEST
 
     def test_kernel_label_sequence(self):
         lines = [f"{ts!r} {label}" for ts, label

@@ -203,3 +203,13 @@ def test_channel_rejects_negative_size():
     proc = sim.process(sender())
     sim.run()
     assert proc.value == "ok"
+
+
+def test_resource_grant_of_a_triggered_waiter_rejected():
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+    holder = res.request()
+    waiter = res.request()
+    waiter.succeed()
+    with pytest.raises(RuntimeError, match="already been triggered"):
+        res.release(holder)
