@@ -8,9 +8,10 @@ The engine is a small, from-scratch, simpy-style coroutine kernel:
   the primitive wait objects.
 * :class:`~repro.sim.process.Process` drives a generator; processes
   ``yield`` events, timeouts, other processes, or condition combinators.
-* :class:`~repro.sim.resource.Resource`, :class:`~repro.sim.resource.Store`
-  and :class:`~repro.sim.resource.Channel` model contended hardware
-  (ports, buses, buffers).
+* :class:`~repro.sim.resource.Resource`, :class:`~repro.sim.resource.Pool`,
+  :class:`~repro.sim.resource.Store` and :class:`~repro.sim.resource.Channel`
+  model contended hardware (ports, buses, buffers); a ``Pool`` serves
+  holds whose length is known when they are claimed.
 * :mod:`~repro.sim.stats` collects counters, time-weighted series and
   category breakdowns used to regenerate the paper's figures.
 """
@@ -32,7 +33,7 @@ from repro.sim.hostprof import (
     use_hostprof,
 )
 from repro.sim.process import Process
-from repro.sim.resource import Channel, Resource, Store
+from repro.sim.resource import Channel, Pool, Resource, Store
 from repro.sim.sampling import SamplerHook, current_sampling, use_sampling
 from repro.sim.sanitizer import (
     KernelSanitizer,
@@ -66,6 +67,7 @@ __all__ = [
     "Interrupt",
     "KernelSanitizer",
     "LatencySketch",
+    "Pool",
     "Process",
     "QUANTILE_TARGETS",
     "Resource",

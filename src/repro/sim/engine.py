@@ -153,6 +153,8 @@ class Simulator:
         if self._sanitizing or self._hostprofiling:
             self._trigger = self._trigger_observed
             self._spawn = self._spawn_observed
+            self._schedule_at = (  # type: ignore[method-assign]
+                self._schedule_at_observed)
         else:
             self._trigger = self._spawn = self._ready.append
         # Explicit tracer and the ambient one (use_tracer) both observe
@@ -187,14 +189,17 @@ class Simulator:
         return Timeout(self, delay, value)
 
     def deadline(self, at: float, value: object = None) -> Timeout:
-        """Create an event that fires at the absolute instant ``at``.
+        """Create an event that fires at exactly the absolute instant ``at``.
 
         The service layer schedules arrival injections and deadline
-        sweeps against absolute simulated instants; expressing them as
-        relative timeouts at every call site invites drift bugs.  NaN
-        and past instants are rejected here (mirroring
-        :meth:`_schedule`'s delay validation) so a bad deadline fails
-        at creation, not as a negative-delay error deep in the heap.
+        sweeps against absolute simulated instants, and
+        :class:`~repro.sim.resource.Pool` holds wake at the finish
+        instant they reserved.  The event is keyed by ``at`` itself:
+        ``now + (at - now)`` can land an ulp off ``at``.  Like a
+        zero-delay timeout, ``deadline(now)`` queues behind the events
+        already ready at this instant.  NaN and past instants are
+        rejected here (mirroring :meth:`_schedule`'s delay validation)
+        so a bad deadline fails at creation, not deep in the heap.
         """
         if math.isnan(at):
             raise ValueError("cannot schedule a deadline at NaN")
@@ -202,7 +207,7 @@ class Simulator:
             raise ValueError(
                 f"cannot schedule a deadline at {at} ns: clock already "
                 f"at {self._now} ns")
-        return Timeout(self, at - self._now, value)
+        return Timeout.at(self, at, value)
 
     def process(self, generator: GeneratorType, name: str = "") -> Process:
         """Register a generator as a runnable process."""
@@ -240,6 +245,26 @@ class Simulator:
         raise ValueError(
             f"cannot schedule {event!r}: negative delay {delay}"
         )
+
+    def _schedule_at(self, when: float, event: Event) -> None:
+        # The absolute-instant route (deadline()): the same two queues
+        # as _schedule, keyed by the instant itself.  Callers have
+        # checked that `when` is not NaN and not in the past.
+        if when == self._now:
+            self._ready.append(event)
+        else:
+            heapq.heappush(self._heap, (when, next(self._counter), event))
+
+    def _schedule_at_observed(self, when: float, event: Event) -> None:
+        # Bound as _schedule_at when a sanitizer or a host profiler is
+        # bound, with the hooks in _schedule_profiled_sanitized's order.
+        Simulator._schedule_at(self, when, event)
+        sanitizer = self._sanitizer
+        if sanitizer is not None:
+            sanitizer.on_schedule(event)
+        hook = self.hostprof
+        if hook is not None:
+            hook.on_schedule(event)
 
     def _schedule_sanitized(self, delay: float, event: Event) -> None:
         # Installed over _schedule (instance attribute) only when a

@@ -136,6 +136,27 @@ class Timeout(Event):
         self._delay = delay
         sim._schedule(delay, self)
 
+    @classmethod
+    def at(cls, sim: "Simulator", when: float,
+           value: object = None) -> "Timeout":
+        """A timeout that fires at exactly the instant ``when``.
+
+        The backing of :meth:`Simulator.deadline`, which validates
+        ``when``.  It reads as ``Timeout(<when - now>)``, as a relative
+        timeout of that length would.
+        """
+        timeout = cls.__new__(cls)
+        timeout.sim = sim
+        timeout._name = ""
+        timeout.callbacks = []
+        timeout._value = value
+        timeout._ok = True
+        timeout._triggered = True
+        timeout._processed = False
+        timeout._delay = when - sim._now
+        sim._schedule_at(when, timeout)
+        return timeout
+
     @property
     def name(self) -> str:
         return self._name or f"Timeout({self._delay})"

@@ -1,8 +1,9 @@
-"""Contended-resource primitives: resources, stores, and channels."""
+"""Contended-resource primitives: resources, pools, stores, and channels."""
 
 from __future__ import annotations
 
 import collections
+import heapq
 import typing
 
 from repro.sim.event import Event
@@ -155,6 +156,61 @@ class Resource:
             self.release(req)
 
 
+class Pool:
+    """A FIFO pool of ``capacity`` identical slots for fixed-length holds.
+
+    A :class:`Resource` slot is held until its holder releases it.  A
+    pool claim states its length when it is made, so the pool prices
+    it then: :meth:`reserve` takes the earliest-free slot and returns
+    the finish instant ``start + duration``, where ``start`` is the
+    current instant, or that slot's free instant if it is later.
+    :meth:`hold` sleeps until that finish with one event, where
+    ``sim.process(resource.use(duration))`` dispatches four.
+
+    Each claim gets the start and finish instants a FIFO ``Resource``
+    would give it, as the same floats: FIFO order over identical slots
+    is earliest-free slot first; the kernel runs the releases due at an
+    instant (heap) before the claims made at it (ready queue); and the
+    finish is the ``start + duration`` the holder's timeout computes.
+    What moves is where in the finish instant the holder wakes.
+
+    Use a pool only where every claim is a hold whose length is known
+    when it is claimed.  A reserved slot cannot be handed back: a
+    holder interrupted mid-hold keeps its slot until the finish it
+    reserved (nothing in the device models interrupts a storage hold).
+    Pool holds model occupancy time, not a critical section, so the
+    race sanitizer records no acquire or grant edge for them.
+    """
+
+    def __init__(self, sim: "Simulator", capacity: int = 1,
+                 name: str = "pool") -> None:
+        if capacity < 1:
+            raise ValueError(f"capacity must be >= 1, got {capacity}")
+        self.sim = sim
+        self.name = name
+        self.capacity = capacity
+        # Each slot's free instant, as a min-heap.
+        self._free = [0.0] * capacity
+
+    def reserve(self, duration: float) -> float:
+        """Claim the earliest-free slot for ``duration`` ns; return the
+        instant the hold finishes."""
+        if not duration >= 0:  # also rejects NaN
+            raise ValueError(
+                f"{self.name}: hold length must be >= 0, got {duration}")
+        free = self._free
+        start = self.sim.now
+        if free[0] > start:
+            start = free[0]
+        finish = start + duration
+        heapq.heapreplace(free, finish)
+        return finish
+
+    def hold(self, duration: float) -> typing.Generator:
+        """Process body: hold one slot for ``duration`` ns."""
+        yield self.sim.deadline(self.reserve(duration))
+
+
 class Store:
     """Unbounded-or-bounded FIFO of items passed between processes."""
 
@@ -207,7 +263,8 @@ class Channel:
     A transfer of ``size`` bytes occupies the channel for
     ``size / bandwidth`` ns and completes ``latency`` ns after its last
     byte leaves — the standard store-and-forward pipe model.  Transfers
-    serialize; concurrent senders queue.
+    serialize; concurrent senders queue.  A transfer's occupancy is
+    known when it starts, so the link is a one-slot :class:`Pool`.
     """
 
     def __init__(self, sim: "Simulator", bandwidth_bytes_per_ns: float,
@@ -222,7 +279,7 @@ class Channel:
         self.name = name
         self.bandwidth = bandwidth_bytes_per_ns
         self.latency = latency_ns
-        self._lock = Resource(sim, capacity=1, name=f"{name}.lock")
+        self._lock = Pool(sim, capacity=1, name=f"{name}.lock")
         self.bytes_transferred = 0.0
         self.busy_time = 0.0
 
@@ -238,13 +295,8 @@ class Channel:
         """Process body: move ``size_bytes`` across the channel."""
         if size_bytes < 0:
             raise ValueError(f"negative transfer size: {size_bytes}")
-        req = self._lock.request()
-        yield req
-        try:
-            hold = self.occupancy_time(size_bytes)
-            yield self.sim.timeout(hold)
-            self.busy_time += hold
-            self.bytes_transferred += size_bytes
-        finally:
-            self._lock.release(req)
+        hold = self.occupancy_time(size_bytes)
+        yield from self._lock.hold(hold)
+        self.busy_time += hold
+        self.bytes_transferred += size_bytes
         yield self.sim.timeout(self.latency)

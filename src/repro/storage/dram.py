@@ -12,7 +12,7 @@ from __future__ import annotations
 import collections
 import typing
 
-from repro.sim import Resource, Simulator
+from repro.sim import Pool, Simulator
 
 #: Row-hit DRAM access latency, ns (CAS-ish; coarse on purpose).
 DRAM_ACCESS_NS = 50.0
@@ -38,7 +38,7 @@ class DramBuffer:
         self.block_bytes = block_bytes
         self.access_ns = access_ns
         self.bandwidth = bandwidth
-        self.port = Resource(sim, capacity=1, name=f"{name}.port")
+        self.port = Pool(sim, capacity=1, name=f"{name}.port")
         # block id -> dirty flag; OrderedDict gives LRU order.
         self._blocks: "collections.OrderedDict[int, bool]" = (
             collections.OrderedDict())
@@ -61,7 +61,7 @@ class DramBuffer:
         if size < 1:
             raise ValueError(f"access size must be >= 1, got {size}")
         duration = self.access_ns + size / self.bandwidth
-        yield self.sim.process(self.port.use(duration))
+        yield from self.port.hold(duration)
         self.bytes_accessed += size
 
     # ------------------------------------------------------------------

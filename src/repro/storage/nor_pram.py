@@ -12,7 +12,7 @@ from __future__ import annotations
 import typing
 
 from repro.energy import EnergyAccount
-from repro.sim import Resource, Simulator
+from repro.sim import Pool, Simulator
 
 #: Access unit on the legacy interface: one 16-bit word.
 WORD_BYTES = 2
@@ -54,7 +54,7 @@ class NorPram:
                  name: str = "nor-pram") -> None:
         self.sim = sim
         self.name = name
-        self.port = Resource(sim, capacity=1, name=f"{name}.port")
+        self.port = Pool(sim, capacity=1, name=f"{name}.port")
         self.energy = energy
         self._pages: typing.Dict[int, bytearray] = {}  # page index -> data
         self.words_read = 0
@@ -67,7 +67,7 @@ class NorPram:
         """Read ``size`` bytes, one 16-bit word at a time."""
         words = self._word_count(address, size)
         duration = words * (NOR_READ_32B_NS / _WORDS_PER_OPERAND)
-        yield self.sim.process(self.port.use(duration))
+        yield from self.port.hold(duration)
         self.words_read += words
         if self.energy is not None:
             self.energy.charge_bytes(
@@ -78,7 +78,7 @@ class NorPram:
         """Write ``data``, serialized into 16-bit word programs."""
         words = self._word_count(address, len(data))
         duration = words * (NOR_WRITE_32B_NS / _WORDS_PER_OPERAND)
-        yield self.sim.process(self.port.use(duration))
+        yield from self.port.hold(duration)
         self._store(address, data)
         self.words_written += words
         if self.energy is not None:

@@ -17,7 +17,7 @@ from repro.pram.constants import (
     PRAM_WRITE_OVERWRITE_NS,
     PRAM_WRITE_PRISTINE_NS,
 )
-from repro.sim import Resource, Simulator
+from repro.sim import Pool, Simulator, Timeout
 from repro.storage.ssd import SSD_COMMAND_NS
 
 #: Medium chunk: PRAM bank-level parallel I/O width.
@@ -41,8 +41,8 @@ class PramSsd:
             raise ValueError(f"parallelism must be >= 1, got {parallelism}")
         self.sim = sim
         self.name = name
-        self.units = Resource(sim, capacity=parallelism, name=f"{name}.units")
-        self.queue = Resource(sim, capacity=8, name=f"{name}.queue")
+        self.units = Pool(sim, capacity=parallelism, name=f"{name}.units")
+        self.queue = Pool(sim, capacity=8, name=f"{name}.queue")
         self.energy = energy
         self._storage: typing.Dict[int, bytes] = {}  # chunk id -> 32 B
         self._written: typing.Set[int] = set()
@@ -57,25 +57,41 @@ class PramSsd:
         """Read ``size`` bytes; chunk reads fan out over the units."""
         yield from self._command_overhead()
         chunks = list(self._chunks_of(address, size))
-        pending = [self.sim.process(self._read_chunk(c)) for c, _, _ in chunks]
-        results = yield self.sim.all_of(pending)
+        yield self._chunk_holds(len(chunks), PRAM_SSD_READ_NS)
         out = bytearray()
-        for (chunk, offset, span), proc in zip(chunks, pending):
-            out += results[proc][offset:offset + span]
+        for chunk, offset, span in chunks:
+            self.chunks_read += 1
+            if self.energy is not None:
+                self.energy.charge_bytes(
+                    "storage", self.energy.model.pram_read_pj_per_byte,
+                    CHUNK_BYTES)
+            data = self._storage.get(chunk, bytes(CHUNK_BYTES))
+            out += data[offset:offset + span]
         return bytes(out)
 
     def write(self, address: int, data: bytes) -> typing.Generator:
-        """Write ``data``; each 32-byte chunk is a separate program."""
+        """Write ``data``; each 32-byte chunk is a separate program.
+
+        The SSD's translation layer is log-structured: writes remap to
+        pre-RESET locations, so the SET-only latency applies; the RESET
+        pass happens in background wear management.  (Kept as a
+        parameter path: pass through PRAM_WRITE_OVERWRITE_NS in studies
+        of in-place devices.)
+        """
         yield from self._command_overhead()
         chunks = list(self._chunks_of(address, len(data)))
+        yield self._chunk_holds(len(chunks), PRAM_WRITE_PRISTINE_NS)
         cursor = 0
-        pending = []
         for chunk, offset, span in chunks:
-            payload = data[cursor:cursor + span]
-            pending.append(self.sim.process(
-                self._write_chunk(chunk, offset, payload)))
+            existing = bytearray(self._storage.get(chunk, bytes(CHUNK_BYTES)))
+            existing[offset:offset + span] = data[cursor:cursor + span]
+            self._storage[chunk] = bytes(existing)
+            self._written.add(chunk)
+            self.chunks_written += 1
+            if self.energy is not None:
+                self.energy.charge_bytes(
+                    "storage", self.energy.model.pram_set_pj_per_byte, span)
             cursor += span
-        yield self.sim.all_of(pending)
 
     def flush(self) -> typing.Generator:
         """No internal volatile cache: flush is instantaneous."""
@@ -122,42 +138,23 @@ class PramSsd:
             remaining -= span
 
     def _command_overhead(self) -> typing.Generator:
-        grant = self.queue.request()
-        yield grant
-        try:
-            yield self.sim.timeout(SSD_COMMAND_NS)
-            self.commands += 1
-            if self.energy is not None:
-                self.energy.charge_power(
-                    "storage", self.energy.model.ssd_controller_w,
-                    SSD_COMMAND_NS)
-        finally:
-            self.queue.release(grant)
-
-    def _read_chunk(self, chunk: int) -> typing.Generator:
-        yield self.sim.process(self.units.use(PRAM_SSD_READ_NS))
-        self.chunks_read += 1
+        yield from self.queue.hold(SSD_COMMAND_NS)
+        self.commands += 1
         if self.energy is not None:
-            self.energy.charge_bytes(
-                "storage", self.energy.model.pram_read_pj_per_byte,
-                CHUNK_BYTES)
-        return self._storage.get(chunk, bytes(CHUNK_BYTES))
+            self.energy.charge_power(
+                "storage", self.energy.model.ssd_controller_w,
+                SSD_COMMAND_NS)
 
-    def _write_chunk(self, chunk: int, offset: int,
-                     payload: bytes) -> typing.Generator:
-        # The SSD's translation layer is log-structured: writes remap
-        # to pre-RESET locations, so the SET-only latency applies; the
-        # RESET pass happens in background wear management.  (Kept as a
-        # parameter path: pass through PRAM_WRITE_OVERWRITE_NS in
-        # studies of in-place devices.)
-        duration = PRAM_WRITE_PRISTINE_NS
-        yield self.sim.process(self.units.use(duration))
-        existing = bytearray(self._storage.get(chunk, bytes(CHUNK_BYTES)))
-        existing[offset:offset + len(payload)] = payload
-        self._storage[chunk] = bytes(existing)
-        self._written.add(chunk)
-        self.chunks_written += 1
-        if self.energy is not None:
-            self.energy.charge_bytes(
-                "storage", self.energy.model.pram_set_pj_per_byte,
-                len(payload))
+    def _chunk_holds(self, count: int, duration: float) -> Timeout:
+        """One wake-up for ``count`` chunk operations of ``duration`` ns.
+
+        The chunks reserve units in chunk order, the order in which
+        per-chunk claims would reach the units, and the command wakes
+        once, when the last of them finishes.  The caller then applies
+        each chunk's effects in chunk order.
+        """
+        units = self.units
+        finish = self.sim.now
+        for _ in range(count):
+            finish = max(finish, units.reserve(duration))
+        return self.sim.deadline(finish)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import typing
 
 from repro.energy import EnergyAccount
-from repro.sim import Resource, Simulator
+from repro.sim import Pool, Resource, Simulator
 from repro.storage.dram import DramBuffer
 from repro.storage.flash import PAGE_BYTES, PAGES_PER_BLOCK, FlashCellType, NandFlash
 
@@ -38,7 +38,7 @@ class EmulatedSsd:
                                name=f"{name}.flash")
         self.buffer = DramBuffer(sim, buffer_bytes, PAGE_BYTES,
                                  name=f"{name}.buffer")
-        self.queue = Resource(sim, capacity=8, name=f"{name}.queue")
+        self.queue = Pool(sim, capacity=8, name=f"{name}.queue")
         self.energy = energy
         # Per-page write locks: the sub-page read-modify-write sequence
         # spans simulation yields, so concurrent writers to one page
@@ -160,17 +160,12 @@ class EmulatedSsd:
             remaining -= chunk
 
     def _command_overhead(self) -> typing.Generator:
-        grant = self.queue.request()
-        yield grant
-        try:
-            yield self.sim.timeout(SSD_COMMAND_NS)
-            self.commands += 1
-            if self.energy is not None:
-                self.energy.charge_power(
-                    "storage", self.energy.model.ssd_controller_w,
-                    SSD_COMMAND_NS)
-        finally:
-            self.queue.release(grant)
+        yield from self.queue.hold(SSD_COMMAND_NS)
+        self.commands += 1
+        if self.energy is not None:
+            self.energy.charge_power(
+                "storage", self.energy.model.ssd_controller_w,
+                SSD_COMMAND_NS)
 
     def _read_page(self, page: int) -> typing.Generator:
         yield from self._command_overhead()

@@ -6,7 +6,7 @@ import typing
 
 from repro.controller import PramSubsystem
 from repro.energy import EnergyAccount
-from repro.sim import Resource, Simulator
+from repro.sim import Pool, Simulator
 from repro.storage.dram import DramBuffer
 from repro.storage.nor_pram import NorPram
 from repro.storage.ssd import SSD_COMMAND_NS
@@ -263,7 +263,7 @@ class PageBufferBackend:
         self.energy = energy
         self.buffer = DramBuffer(sim, buffer_bytes, self.PAGE_BYTES,
                                  name="pagebuf.dram")
-        self.port = Resource(sim, capacity=1, name="pagebuf.port")
+        self.port = Pool(sim, capacity=1, name="pagebuf.port")
         self.read_chunk_ns = read_chunk_ns
         self.write_chunk_ns = write_chunk_ns
         self._data: typing.Dict[int, bytes] = {}   # page -> payload
@@ -355,7 +355,7 @@ class PageBufferBackend:
 
     def _fetch_page(self, page: int) -> typing.Generator:
         duration = self._page_read_ns()
-        yield self.sim.process(self.port.use(duration))
+        yield from self.port.hold(duration)
         self.pages_read += 1
         self.energy.charge_bytes(
             "pram", self.energy.model.pram_read_pj_per_byte,
@@ -367,7 +367,7 @@ class PageBufferBackend:
 
     def _program_page(self, page: int) -> typing.Generator:
         duration = self._page_write_ns()
-        yield self.sim.process(self.port.use(duration))
+        yield from self.port.hold(duration)
         self.pages_written += 1
         self.energy.charge_bytes(
             "pram", self.energy.model.pram_set_pj_per_byte,

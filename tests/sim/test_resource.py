@@ -1,8 +1,10 @@
-"""Tests for Resource / Store / Channel contention primitives."""
+"""Tests for Resource / Pool / Store / Channel contention primitives."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.sim import Channel, Resource, Simulator, Store
+from repro.sim import Channel, Pool, Resource, Simulator, Store
 
 
 def test_resource_grants_up_to_capacity_immediately():
@@ -191,6 +193,20 @@ def test_channel_rejects_bad_parameters():
         Channel(sim, bandwidth_bytes_per_ns=1.0, latency_ns=-1.0)
 
 
+def test_channel_rejects_nan_size():
+    sim = Simulator()
+    link = Channel(sim, bandwidth_bytes_per_ns=1.0)
+
+    def sender():
+        with pytest.raises(ValueError):
+            yield sim.process(link.transfer(float("nan")))
+        return "ok"
+
+    proc = sim.process(sender())
+    sim.run()
+    assert proc.value == "ok"
+
+
 def test_channel_rejects_negative_size():
     sim = Simulator()
     link = Channel(sim, bandwidth_bytes_per_ns=1.0)
@@ -213,3 +229,121 @@ def test_resource_grant_of_a_triggered_waiter_rejected():
     waiter.succeed()
     with pytest.raises(RuntimeError, match="already been triggered"):
         res.release(holder)
+
+
+# ----------------------------------------------------------------------
+# Pool: fixed-length holds priced when claimed
+# ----------------------------------------------------------------------
+def test_pool_capacity_must_be_positive():
+    with pytest.raises(ValueError, match="capacity"):
+        Pool(Simulator(), capacity=0)
+
+
+@pytest.mark.parametrize("duration", [-1.0, -1e-300, float("nan")])
+def test_pool_rejects_negative_and_nan_lengths(duration):
+    pool = Pool(Simulator(), capacity=2, name="units")
+    with pytest.raises(ValueError, match="units: hold length"):
+        pool.reserve(duration)
+    # A rejected claim takes no slot.
+    assert pool.reserve(5.0) == 5.0
+    assert pool.reserve(5.0) == 5.0
+
+
+def test_pool_reserve_takes_the_earliest_free_slot():
+    sim = Simulator()
+    pool = Pool(sim, capacity=2)
+    assert [pool.reserve(d) for d in (10.0, 4.0, 1.0, 0.0)] == [
+        10.0, 4.0, 5.0, 5.0]
+
+
+def test_pool_hold_wakes_once_at_the_finish():
+    sim = Simulator()
+    pool = Pool(sim)
+    woke = []
+
+    def holder(tag):
+        yield from pool.hold(10.0)
+        woke.append((tag, sim.now))
+
+    sim.process(holder("a"))
+    sim.process(holder("b"))
+    sim.run()
+    assert woke == [("a", 10.0), ("b", 20.0)]
+
+
+def _wake_instants(capacity, claimants, pooled):
+    """Instant each claimant's hold ends, claimant by claimant.
+
+    ``pooled`` holds on a :class:`Pool`; otherwise every hold is the
+    reference: a ``Resource`` slot held by ``sim.process(res.use(d))``.
+    """
+    sim = Simulator()
+    pool = Pool(sim, capacity)
+    res = Resource(sim, capacity)
+    woke = [None] * len(claimants)
+
+    def claimant(index, arrival, duration):
+        yield sim.timeout(arrival)
+        if pooled:
+            yield from pool.hold(duration)
+        else:
+            yield sim.process(res.use(duration))
+        woke[index] = sim.now
+
+    for index, (arrival, duration) in enumerate(claimants):
+        sim.process(claimant(index, arrival, duration))
+    sim.run()
+    return woke
+
+
+# Few distinct values, so arrivals and finishes tie often; the
+# fractions make start + duration round.
+_INSTANTS = st.sampled_from([0.0, 0.1, 0.3, 1.0, 1.1, 2.5, 3.0, 7.7])
+_LENGTHS = st.one_of(
+    st.sampled_from([0.0, 0.1, 0.2, 1.0, 2.5, 3.0, 1e-9]),
+    st.floats(min_value=0.0, max_value=10.0, allow_nan=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(capacity=st.integers(min_value=1, max_value=4),
+       claimants=st.lists(st.tuples(_INSTANTS, _LENGTHS),
+                          min_size=1, max_size=16))
+def test_pool_hold_wakes_when_resource_use_would(capacity, claimants):
+    # One hold per claimant.  A pooled holder wakes at another point
+    # of its finish instant than the reference does, so a claimant
+    # that claimed again at once could overtake a claim made at the
+    # same instant; the device models keep their outputs, which
+    # DESIGN §6.1 gates, but that order is not the same.
+    assert (_wake_instants(capacity, claimants, pooled=True)
+            == _wake_instants(capacity, claimants, pooled=False))
+
+
+def test_pool_reclaim_at_the_finish_instant_can_overtake():
+    # The counterexample to back-to-back holds: B's hold ends at 1.0
+    # when A's timeout fires.  Under Resource, A's claim goes first;
+    # the pooled B wakes first and claims again first.
+    # Each claimant: (gap before the hold, hold length), in turn.
+    claimants = [[(0.0, 0.0), (1.0, 0.1)], [(0.0, 1.0), (0.0, 0.0)]]
+
+    def run(pooled):
+        sim = Simulator()
+        pool, res = Pool(sim), Resource(sim)
+        woke = [[] for _ in claimants]
+
+        def claimant(index, holds):
+            for gap, duration in holds:
+                if gap:
+                    yield sim.timeout(gap)
+                if pooled:
+                    yield from pool.hold(duration)
+                else:
+                    yield sim.process(res.use(duration))
+                woke[index].append(sim.now)
+
+        for index, holds in enumerate(claimants):
+            sim.process(claimant(index, holds))
+        sim.run()
+        return woke
+
+    assert run(pooled=False) == [[0.0, 1.1], [1.0, 1.1]]
+    assert run(pooled=True) == [[0.0, 1.1], [1.0, 1.0]]

@@ -1,11 +1,16 @@
 """PRAM SSD and NOR-interface PRAM tests."""
 
+import functools
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.determinism import trace_of
 from repro.energy import EnergyAccount
-from repro.sim import Simulator
+from repro.pram.constants import PRAM_WRITE_PRISTINE_NS
+from repro.sim import Resource, Simulator
 from repro.storage import NorPram, PramSsd
 from repro.storage.nor_pram import (
     NOR_READ_32B_NS,
@@ -13,7 +18,8 @@ from repro.storage.nor_pram import (
     PAGE_BYTES,
     WORD_BYTES,
 )
-from repro.storage.optane import PRAM_SSD_READ_NS
+from repro.storage.optane import CHUNK_BYTES, PRAM_SSD_READ_NS
+from repro.storage.ssd import SSD_COMMAND_NS
 
 
 def run(sim, generator):
@@ -38,8 +44,6 @@ class TestPramSsd:
         assert run(sim, driver()) == payload
 
     def test_reads_fan_out_over_units(self):
-        from repro.storage.ssd import SSD_COMMAND_NS
-
         sim = Simulator()
         ssd = PramSsd(sim, parallelism=8)
 
@@ -99,6 +103,184 @@ class TestPramSsd:
 
         run(sim, driver())
         assert energy.by_category()["storage"] > 0
+
+
+class PerChunkPramSsd(PramSsd):
+    """The reference model: one process and one Resource hold per chunk.
+
+    Its command queue and units are ``Resource`` slots, each chunk runs
+    as its own process holding a unit through ``sim.process(
+    units.use(d))``, and each chunk's counter, storage and energy
+    effects apply when that chunk finishes.
+    """
+
+    def __init__(self, sim, parallelism, energy):
+        super().__init__(sim, parallelism=parallelism, energy=energy)
+        self.units = Resource(sim, capacity=parallelism)
+        self.queue = Resource(sim, capacity=8)
+
+    def read(self, address, size):
+        yield from self._command_overhead()
+        chunks = list(self._chunks_of(address, size))
+        pending = [self.sim.process(self._read_chunk(c)) for c, _, _ in chunks]
+        results = yield self.sim.all_of(pending)
+        out = bytearray()
+        for (_chunk, offset, span), proc in zip(chunks, pending):
+            out += results[proc][offset:offset + span]
+        return bytes(out)
+
+    def write(self, address, data):
+        yield from self._command_overhead()
+        chunks = list(self._chunks_of(address, len(data)))
+        cursor = 0
+        pending = []
+        for chunk, offset, span in chunks:
+            payload = data[cursor:cursor + span]
+            pending.append(self.sim.process(
+                self._write_chunk(chunk, offset, payload)))
+            cursor += span
+        yield self.sim.all_of(pending)
+
+    def _command_overhead(self):
+        grant = self.queue.request()
+        yield grant
+        try:
+            yield self.sim.timeout(SSD_COMMAND_NS)
+            self.commands += 1
+            self.energy.charge_power(
+                "storage", self.energy.model.ssd_controller_w,
+                SSD_COMMAND_NS)
+        finally:
+            self.queue.release(grant)
+
+    def _read_chunk(self, chunk):
+        yield self.sim.process(self.units.use(PRAM_SSD_READ_NS))
+        self.chunks_read += 1
+        self.energy.charge_bytes(
+            "storage", self.energy.model.pram_read_pj_per_byte, CHUNK_BYTES)
+        return self._storage.get(chunk, bytes(CHUNK_BYTES))
+
+    def _write_chunk(self, chunk, offset, payload):
+        yield self.sim.process(self.units.use(PRAM_WRITE_PRISTINE_NS))
+        existing = bytearray(self._storage.get(chunk, bytes(CHUNK_BYTES)))
+        existing[offset:offset + len(payload)] = payload
+        self._storage[chunk] = bytes(existing)
+        self._written.add(chunk)
+        self.chunks_written += 1
+        self.energy.charge_bytes(
+            "storage", self.energy.model.pram_set_pj_per_byte, len(payload))
+
+
+#: Region the random commands touch: eight chunks, so they share some.
+SSD_REGION = 8 * CHUNK_BYTES
+
+#: ``(arrival, write?, address, size)``; few arrivals, so they tie.
+SSD_COMMANDS = st.lists(
+    st.tuples(st.sampled_from([0.0, 0.0, 100.0, 8_000.0, 8_100.0,
+                               18_000.0, 30_000.0]),
+              st.booleans(),
+              st.integers(0, SSD_REGION - 1),
+              st.integers(1, 3 * CHUNK_BYTES)),
+    min_size=1, max_size=12)
+
+
+def _drive_ssd(model, parallelism, commands):
+    """Run every command in its own process; per command, its
+    ``(issue, completion, data read)``, then the device and energy."""
+    sim = Simulator()
+    energy = EnergyAccount()
+    ssd = model(sim, parallelism=parallelism, energy=energy)
+    ssd.preload(0, bytes(i % 251 + 1 for i in range(SSD_REGION)))
+    log = [None] * len(commands)
+
+    def command(index, arrival, write, address, size):
+        yield sim.timeout(arrival)
+        issued = sim.now
+        data = None
+        if write:
+            yield from ssd.write(address, bytes([index + 101]) * size)
+        else:
+            data = yield from ssd.read(address, size)
+        log[index] = (issued, sim.now, data)
+
+    for index, spec in enumerate(commands):
+        sim.process(command(index, *spec))
+    sim.run()
+    return log, ssd, energy
+
+
+def _chunk_span(address, size):
+    return set(range(address // CHUNK_BYTES,
+                     (address + size - 1) // CHUNK_BYTES + 1))
+
+
+def _overlap(first, second):
+    return first[0] <= second[1] and second[0] <= first[1]
+
+
+class TestPramSsdAgainstPerChunkModel:
+    @settings(max_examples=200, deadline=None)
+    @given(parallelism=st.integers(1, 4), commands=SSD_COMMANDS)
+    def test_same_instants_counters_data_and_energy(self, parallelism,
+                                                    commands):
+        ref_log, ref, ref_energy = _drive_ssd(PerChunkPramSsd, parallelism,
+                                              commands)
+        log, ssd, energy = _drive_ssd(PramSsd, parallelism, commands)
+        # Every command is issued and completes at the same instants.
+        assert [entry[:2] for entry in log] == [
+            entry[:2] for entry in ref_log]
+        assert (ssd.chunks_read, ssd.chunks_written, ssd.commands) == (
+            ref.chunks_read, ref.chunks_written, ref.commands)
+        # A chunk's data now lands when its command completes, so a
+        # read overlapping a write of the same chunk may see either
+        # version, and so may two overlapping writes of one chunk.
+        chunks = [_chunk_span(address, size)
+                  for _, _, address, size in commands]
+        writes = [index for index, spec in enumerate(commands) if spec[1]]
+
+        def contended(index, others):
+            return any(other != index and chunks[index] & chunks[other]
+                       and _overlap(log[index], log[other])
+                       for other in others)
+
+        for index, (_, write, _, _) in enumerate(commands):
+            if not write and not contended(index, writes):
+                assert log[index][2] == ref_log[index][2]
+        if not any(contended(index, writes) for index in writes):
+            assert (ssd.inspect(0, SSD_REGION)
+                    == ref.inspect(0, SSD_REGION))
+        # Energy adds the same terms in the same order unless commands
+        # overlap in time; then their adds may interleave differently.
+        expected = ref_energy.by_category()
+        if not any(_overlap(log[first], log[second])
+                   for second in range(len(commands))
+                   for first in range(second)):
+            assert energy.by_category() == expected
+        else:
+            measured = energy.by_category()
+            assert measured.keys() == expected.keys()
+            for category, value in expected.items():
+                assert math.isclose(measured[category], value,
+                                    rel_tol=1e-12)
+
+    @pytest.mark.parametrize("write", [False, True])
+    def test_dispatches_do_not_grow_with_the_chunk_count(self, write):
+        def command(chunks):
+            sim = Simulator()
+            ssd = PramSsd(sim, parallelism=4)
+
+            def driver():
+                if write:
+                    yield from ssd.write(16, bytes(chunks * CHUNK_BYTES))
+                else:
+                    yield from ssd.read(16, chunks * CHUNK_BYTES)
+
+            sim.process(driver())
+            sim.run()
+
+        counts = {chunks: len(trace_of(functools.partial(command, chunks)))
+                  for chunks in (1, 2, 7, 33)}
+        assert len(set(counts.values())) == 1, counts
 
 
 class TestNorPram:
