@@ -1,16 +1,18 @@
 """Disabled-layer overhead guard.
 
-Five optional layers thread hooks through the kernel and the request
-path: fault plans, the race sanitizer, windowed sampling, the host
-profiler and the service front end.  Switched off — every production
-run — each must cost (almost) nothing.  Every case pairs the stock
-program with a *seed replica*: the same program with that layer's
+Optional layers thread hooks through the kernel and the request path:
+fault plans, the kernel observers (race sanitizer, windowed sampler,
+host profiler, tracer) and the service front end.  Switched off — every
+production run — each must cost (almost) nothing.  Every case pairs the
+stock program with a *seed replica*: the same program with that layer's
 hooks removed, swapped in by monkeypatching (or, for fault plans, the
-same drive with no plan at all).  The host profiler has no case of its
-own: switched off, it costs only ``run()``'s choice among the drains,
-which the sanitizer case's replica removes as well, and
-``tests/sim/test_hot_path.py`` checks that a profiled run dispatches
-the same schedule as an unprofiled one.
+same drive with no plan at all).  The observers share one seam
+(:mod:`repro.sim.observer`), so one case, the sanitizer's, covers
+them: switched off, an observer costs only ``run()``'s choice between
+its two drains, and the case's replicas pin the per-instance routes
+(triggers, bootstraps, resource claims) and the process wake-up
+hook-free.  ``tests/sim/test_hot_path.py`` checks that a profiled run
+dispatches the same schedule as an unprofiled one.
 
 Per case, one identity check and one timing check:
 
@@ -136,7 +138,8 @@ def _seed_process_init(self, sim, generator, name=""):
 
 
 def _seed_process_resume(self, event):
-    """``Process._resume`` without the sanitizer's guarded load."""
+    """``Process._resume`` as it stands: equal to stock, it pins the
+    wake-up path hook-free."""
     self._waiting_on = None
     sim = self.sim
     try:
@@ -321,12 +324,12 @@ CASES = (
     # A plan whose probabilities are all zero against no plan: the
     # module and channel paths check `faults is not None` per access.
     Case("faults", writes=True, faults=FaultConfig(seed=9)),
-    # The sanitizer's guarded load per process wake-up and run()'s
-    # choice among the drains (a disabled host profiler's one cost,
-    # too).  Triggers, resource claims and process bootstraps take
-    # routes the simulator binds per instance; their replicas pin them
-    # hook-free.  Per-event costs, so the bound is tighter than the
-    # default.
+    # The kernel observers: run()'s choice between its two drains,
+    # the one cost a disabled observer has left.  Triggers, resource
+    # claims and process bootstraps take routes the simulator binds
+    # per instance; their replicas, and the wake-up replica, which
+    # equals stock, pin them hook-free.  Per-event paths, so the bound
+    # is tighter than the default.
     Case("sanitizer", bound=1.02, patches=(
         (Event, "succeed", _seed_succeed),
         (Event, "fail", _seed_fail),

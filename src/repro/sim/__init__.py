@@ -12,6 +12,8 @@ The engine is a small, from-scratch, simpy-style coroutine kernel:
   :class:`~repro.sim.resource.Store` and :class:`~repro.sim.resource.Channel`
   model contended hardware (ports, buses, buffers); a ``Pool`` serves
   holds whose length is known when they are claimed.
+* :class:`~repro.sim.observer.KernelObserver` is the one seam every
+  tool that watches the kernel goes through.
 * :mod:`~repro.sim.stats` collects counters, time-weighted series and
   category breakdowns used to regenerate the paper's figures.
 """
@@ -32,6 +34,7 @@ from repro.sim.hostprof import (
     current_hostprof,
     use_hostprof,
 )
+from repro.sim.observer import KernelObserver, KernelScope
 from repro.sim.process import Process
 from repro.sim.resource import Channel, Pool, Resource, Store
 from repro.sim.sampling import SamplerHook, current_sampling, use_sampling
@@ -65,7 +68,9 @@ __all__ = [
     "Histogram",
     "HostProfilerHook",
     "Interrupt",
+    "KernelObserver",
     "KernelSanitizer",
+    "KernelScope",
     "LatencySketch",
     "Pool",
     "Process",

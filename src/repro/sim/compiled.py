@@ -18,10 +18,11 @@ metrics series, BENCH aggregates — exactly as the interpreted engine
 would have.  That is only possible because the schedule of an eligible
 configuration is provably deterministic and tie-break independent
 (PR 6's ``certify_tiebreak_independence`` oracle is the semantic
-precondition); anything outside the certified envelope — sanitizer,
-host profiler, tracer, sampler, non-certified schedulers, fault plans,
-heterogeneous streams — falls back to the interpreted engine with a
-recorded :class:`BackendDecision` naming every reason.
+precondition); anything outside the certified envelope — a kernel
+observer (tracer, sanitizer, sampler, host profiler) or tie-break seed,
+non-certified schedulers, fault plans, heterogeneous streams — falls
+back to the interpreted engine with a recorded
+:class:`BackendDecision` naming every reason.
 
 Float discipline: the kernel replicates the interpreted engine's
 *exact* arithmetic expressions, not mathematically equivalent ones.
@@ -160,16 +161,10 @@ def subsystem_fallback_reasons(
         reasons.append("wear leveling enabled")
     if channel.write_pausing:
         reasons.append("write pausing enabled")
-    if sim.tracer.enabled:
-        reasons.append("tracer attached")
-    if sim._sanitizer is not None:
-        reasons.append("kernel sanitizer attached")
-    if sim._tiebreak_rng is not None:
-        reasons.append("tie-break shuffle seed set")
-    if sim.sampler is not None:
-        reasons.append("sampler attached")
-    if sim.hostprof is not None:
-        reasons.append("host profiler attached")
+    # Tracer, sanitizer, sampler, host profiler or tie-break seed: the
+    # kernel then drains through its observed drain.
+    if sim._observer is not None:
+        reasons.append("kernel observer attached")
     return reasons
 
 

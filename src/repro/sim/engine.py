@@ -10,8 +10,8 @@ the result cache and the compiled backend reproduce results
 byte-for-byte only because this order is deterministic.
 :mod:`repro.analysis.racecheck` certifies which workloads are
 *independent* of it (and would therefore survive a kernel that
-reorders within an instant); the seeded ``tiebreak_seed`` debug mode
-below is the mechanism it uses.
+reorders within an instant); the seeded tie-break shuffle
+(:func:`repro.sim.use_tiebreak`) is the mechanism it uses.
 
 Two structures hold pending events:
 
@@ -38,6 +38,7 @@ exactly where a heap push at ``now`` would have sorted.
 from __future__ import annotations
 
 import collections
+import functools
 import heapq
 import itertools
 import math
@@ -45,14 +46,15 @@ import random
 import typing
 
 from repro.sim.event import AllOf, AnyOf, Event, Timeout
-from repro.sim.hostprof import HostProfilerHook, current_hostprof
-from repro.sim.process import Process
-from repro.sim.sampling import SamplerHook, current_sampling
-from repro.sim.sanitizer import (
-    KernelSanitizer,
-    current_sanitizer,
-    current_tiebreak_seed,
+from repro.sim.observer import (
+    CompositeObserver,
+    KernelObserver,
+    KernelScope,
+    TraceFeed,
+    current_scope,
 )
+from repro.sim.process import Process
+from repro.sim.sampling import SamplerHook
 from repro.telemetry.tracer import Tracer, combine, current_tracer
 
 GeneratorType = typing.Generator
@@ -82,95 +84,69 @@ class Simulator:
         proc = sim.process(worker())
         sim.run()
         assert sim.now == 10.0
+
+    Observers (:mod:`repro.sim.observer`) attach at construction: the
+    tracer (explicit ``tracer`` and the ambient one, combined), then
+    what ``scope`` names — by default the ambient
+    :class:`~repro.sim.observer.KernelScope` that ``use_sanitizer``,
+    ``use_tiebreak``, ``use_sampling`` and ``use_hostprof`` set.
     """
 
     def __init__(self, tracer: Tracer | None = None,
-                 sanitizer: KernelSanitizer | None = None,
-                 tiebreak_seed: int | None = None,
-                 sampler: SamplerHook | None = None,
-                 hostprof: HostProfilerHook | None = None) -> None:
+                 scope: KernelScope | None = None) -> None:
         self._now = 0.0
         self._heap: typing.List[HeapEntry] = []
         # Events due at the current instant, in schedule order.
         self._ready: typing.Deque[Event] = collections.deque()
         self._counter = itertools.count()
-        # Race-sanitizer hooks (repro.analysis.racecheck).  Explicit
-        # argument wins over the ambient slot; with neither, every
-        # guarded hook site sees None and the scheduling fast path is
-        # left untouched (no per-schedule guard at all — the sanitized
-        # variant is swapped in as an instance attribute only when a
-        # sanitizer is installed).
-        self._sanitizer: KernelSanitizer | None = (
-            sanitizer if sanitizer is not None else current_sanitizer())
-        self._sanitizing = self._sanitizer is not None
-        if self._sanitizing:
-            self._schedule = (  # type: ignore[method-assign]
-                self._schedule_sanitized)
-        # Tie-break shuffle debug mode: with a seed, run() drains each
-        # same-timestamp batch in a seeded random permutation instead
-        # of FIFO order (the shuffle oracle's lever).  None = FIFO.
-        seed = (tiebreak_seed if tiebreak_seed is not None
-                else current_tiebreak_seed())
-        self._tiebreak_rng = (random.Random(seed) if seed is not None
-                              else None)
-        # Windowed time-series sampling (repro.telemetry.timeseries).
-        # Explicit hook wins; otherwise the ambient provider (if any)
-        # mints one per simulator.  Sampled runs drain through the
-        # per-event branch of run() — the batched fast drain stays
-        # untouched, so a disabled sampler costs nothing.
-        if sampler is None:
-            provider = current_sampling()
-            if provider is not None:
-                sampler = provider.create_sampler()
-        self.sampler: SamplerHook | None = sampler
-        self._sampling = sampler is not None
-        # Host wall-clock profiling (repro.telemetry.hostprof).  Explicit
-        # hook wins; otherwise the ambient provider (if any) supplies
-        # one.  Profiled runs drain through _run_profiled — the run()
-        # mode choice pays one extra elif, and the batched fast drain
-        # stays untouched, so a disabled profiler costs nothing per
-        # event.  The schedule-census variant of _schedule is swapped in
-        # as an instance attribute (same trick as the sanitizer) so the
-        # uninstrumented scheduling fast path keeps its guard-free body.
-        if hostprof is None:
-            hostprof_provider = current_hostprof()
-            if hostprof_provider is not None:
-                hostprof = hostprof_provider.create_hostprof()
-        self.hostprof: HostProfilerHook | None = hostprof
-        self._hostprofiling = hostprof is not None
-        if self._hostprofiling:
-            self._schedule = (  # type: ignore[method-assign]
-                self._schedule_profiled_sanitized if self._sanitizing
-                else self._schedule_profiled)
+        if scope is None:
+            scope = current_scope()
+        # Explicit tracer and the ambient one (use_tracer) both observe
+        # this kernel; with neither active this collapses to the null
+        # tracer.  Device models emit their spans through it.
+        self.tracer: Tracer = combine(tracer, current_tracer())
+        # The sampler stays reachable: device models track() into it.
+        self.sampler: SamplerHook | None = (
+            scope.sampling.create_sampler()
+            if scope.sampling is not None else None)
+        hostprof = (scope.hostprof.create_hostprof()
+                    if scope.hostprof is not None else None)
+        # Attach order is hook order: the sanitizer opens a task and
+        # the tracer logs it before the profiler starts its clock.
+        observers: typing.List[KernelObserver] = [
+            observer for observer in (
+                scope.sanitizer,
+                TraceFeed(self.tracer) if self.tracer.enabled else None,
+                self.sampler, hostprof)
+            if observer is not None]
+        # Tie-break shuffle: with a seed, run() permutes each
+        # same-instant wave (the shuffle oracle's lever).
+        self._shuffle: typing.Callable[[typing.Deque[Event]], None] | None = (
+            random.Random(scope.tiebreak_seed).shuffle
+            if scope.tiebreak_seed is not None else None)
+        # None exactly when run() takes the bare fast drain.
+        self._observer: CompositeObserver | None = (
+            CompositeObserver(observers)
+            if observers or self._shuffle is not None else None)
         # Zero-delay routes: triggers (Event.succeed/fail, resource
         # grants, process completions) and process bootstraps.  A zero
         # delay always lands on the current instant, so unobserved they
         # append straight to the ready queue, exactly where
-        # _schedule(0.0, event) puts it; with either hook bound they
-        # take the hooked route through _schedule instead.
+        # _schedule(0.0, event) puts it.  Hooked variants are bound per
+        # instance, only for the hooks an observer overrides.
         self._trigger: typing.Callable[[Event], None]
         self._spawn: typing.Callable[[Event], None]
-        if self._sanitizing or self._hostprofiling:
-            self._trigger = self._trigger_observed
-            self._spawn = self._spawn_observed
+        self._trigger = self._spawn = self._ready.append
+        hooks = self._observer.hooks if self._observer else frozenset()
+        if "on_schedule" in hooks:
+            self._schedule = (  # type: ignore[method-assign]
+                self._schedule_observed)
             self._schedule_at = (  # type: ignore[method-assign]
                 self._schedule_at_observed)
-        else:
-            self._trigger = self._spawn = self._ready.append
-        # Explicit tracer and the ambient one (use_tracer) both observe
-        # this kernel; with neither active this collapses to the null
-        # tracer and step() pays one attribute load.  Binding happens at
-        # construction so harnesses (determinism capture, experiment
-        # tracing) observe every simulator built inside their scope.
-        self.tracer: Tracer = combine(tracer, current_tracer())
-        # The tracer is bound for the simulator's lifetime, so run()
-        # branches once on this flag and unreached paths pay nothing:
-        # untraced drains skip label construction and span bookkeeping
-        # entirely.
-        self._tracing = self.tracer.enabled
-        # Kernel-event count for traced runs; counted only inside the
-        # tracer.enabled branch of step() so untraced runs pay nothing.
-        self.events_processed = 0
+            self._trigger = self._spawn = functools.partial(
+                self._schedule_observed, 0.0)
+        if "on_trigger" in hooks:
+            self._trigger = self._trigger_observed
 
     @property
     def now(self) -> float:
@@ -255,64 +231,22 @@ class Simulator:
         else:
             heapq.heappush(self._heap, (when, next(self._counter), event))
 
+    # The hooked routes, bound per instance in __init__ only for the
+    # hooks an observer overrides.  The schedule hook fires only for
+    # an admitted event.
+    def _schedule_observed(self, delay: float, event: Event) -> None:
+        Simulator._schedule(self, delay, event)
+        self._observer.on_schedule(event)  # type: ignore[union-attr]
+
     def _schedule_at_observed(self, when: float, event: Event) -> None:
-        # Bound as _schedule_at when a sanitizer or a host profiler is
-        # bound, with the hooks in _schedule_profiled_sanitized's order.
         Simulator._schedule_at(self, when, event)
-        sanitizer = self._sanitizer
-        if sanitizer is not None:
-            sanitizer.on_schedule(event)
-        hook = self.hostprof
-        if hook is not None:
-            hook.on_schedule(event)
-
-    def _schedule_sanitized(self, delay: float, event: Event) -> None:
-        # Installed over _schedule (instance attribute) only when a
-        # sanitizer is bound, so the uninstrumented fast path keeps its
-        # guard-free body.  The happens-before edge (scheduling task ->
-        # event) is recorded only for successfully admitted delays.
-        Simulator._schedule(self, delay, event)
-        sanitizer = self._sanitizer
-        if sanitizer is not None:
-            sanitizer.on_schedule(event)
-
-    def _schedule_profiled(self, delay: float, event: Event) -> None:
-        # Swapped in over _schedule only when a host profiler is bound:
-        # the schedule census (schedules per event kind) has to see the
-        # `_schedule` fast path too, and a permanent guard there would
-        # tax every uninstrumented run.
-        Simulator._schedule(self, delay, event)
-        hook = self.hostprof
-        if hook is not None:
-            hook.on_schedule(event)
-
-    def _schedule_profiled_sanitized(self, delay: float,
-                                     event: Event) -> None:
-        # Profiler + sanitizer both bound: keep the sanitizer's hook
-        # order (admit, then happens-before edge) and append the census.
-        Simulator._schedule(self, delay, event)
-        sanitizer = self._sanitizer
-        if sanitizer is not None:
-            sanitizer.on_schedule(event)
-        hook = self.hostprof
-        if hook is not None:
-            hook.on_schedule(event)
+        self._observer.on_schedule(event)  # type: ignore[union-attr]
 
     def _trigger_observed(self, event: Event) -> None:
-        # Bound as _trigger when a sanitizer or a host profiler is
-        # bound.  The sanitizer labels the upcoming schedule edge as a
-        # trigger (succeed -> wait causality) before the hooked
-        # _schedule records it; the profiler's schedule census counts
-        # it there.
-        sanitizer = self._sanitizer
-        if sanitizer is not None:
-            sanitizer.on_trigger(event, event._ok)
-        self._schedule(0.0, event)
-
-    def _spawn_observed(self, event: Event) -> None:
-        # Bound as _spawn when a sanitizer or a host profiler is bound:
-        # a process bootstrap is an ordinary zero-delay schedule, so
-        # the hooks see it as one.
+        # The trigger hook labels the schedule edge (succeed -> wait
+        # causality) before the schedule hook, if bound, records it.
+        self._observer.on_trigger(  # type: ignore[union-attr]
+            event, event._ok)
         self._schedule(0.0, event)
 
     def peek(self) -> float:
@@ -342,30 +276,13 @@ class Simulator:
                 f"{self._now} ns")
         self._now = now
 
-    def _event_label(self, event: Event) -> str:
-        """Human-readable label for a processed event.
-
-        Named events keep their name.  Anonymous events (timeouts,
-        resource grants) are labeled ``ClassName:owner`` where the owner
-        is the process waiting on them — without this, traces degrade
-        to a wall of bare ``Timeout``/``Event`` entries.
-        """
-        name = event.name
-        if name:
-            return name
-        label = type(event).__name__
-        for callback in event.callbacks:
-            owner = getattr(callback, "__self__", None)
-            if isinstance(owner, Process) and owner.name:
-                return f"{label}:{owner.name}"
-        return label
-
     def step(self) -> None:
         """Process exactly one event: the next in dispatch order.
 
         Heap entries due at the current instant go first (they were
         scheduled at an earlier one), then the ready queue; the clock
         moves to the heap's next timestamp only once both are spent.
+        Observers see a step as a run of one dispatch.
         """
         heap = self._heap
         ready = self._ready
@@ -377,17 +294,17 @@ class Simulator:
             self._now = when
         else:
             event = ready.popleft()
-        sanitizer = self._sanitizer
-        if sanitizer is not None:
-            sanitizer.begin_task(event, when, self._event_label(event))
-        tracer = self.tracer
-        if tracer.enabled:
-            self.events_processed += 1
-            tracer.kernel_event(when, self._event_label(event))
+        observer = self._observer
+        if observer is not None:
+            observer.begin_run()
+            observer.begin_dispatch(event, when)
         callbacks, event.callbacks = event.callbacks, []
         event._processed = True
         for callback in callbacks:
             callback(event)
+        if observer is not None:
+            observer.end_dispatch(event, callbacks)
+            observer.end_run()
 
     def run(self, until: float | None = None) -> None:
         """Drain pending events, optionally stopping at time ``until``.
@@ -404,10 +321,11 @@ class Simulator:
         (serial-vs-sharded merge, the result cache, determinism-marked
         tests, the compiled backend) inherits this invariant, and
         ``tests/sim/test_ready_queue.py`` checks it against a single
-        ``(timestamp, counter)`` reference heap.  ``tiebreak_seed`` is
+        ``(timestamp, counter)`` reference heap.  The tie-break seed is
         the one sanctioned way to deviate from it, and exists precisely
         so :mod:`repro.analysis.racecheck` can measure which workloads
-        depend on it.
+        depend on it.  With no observer and no seed, ``run()`` takes
+        the bare fast drain below, otherwise :meth:`_run_observed`.
         """
         if until is not None and math.isnan(until):
             raise ValueError("cannot run until NaN")
@@ -415,32 +333,15 @@ class Simulator:
             raise ValueError(
                 f"cannot run until {until} ns: clock already at {self._now} ns"
             )
-        sampler = self.sampler
-        if self._tiebreak_rng is not None:
-            # The shuffle oracle's debug drain wins over profiling:
-            # host timing under a randomized dispatch order is not
-            # attributable to anything reproducible.
-            self._run_shuffled(until)
-        elif self._hostprofiling:
-            self._run_profiled(until)
-        elif self._tracing or self._sanitizing or self._sampling:
-            while self._ready or self._heap:
-                when = self.peek()
-                if until is not None and when > until:
-                    break
-                # Windows close *before* the events at `when` run, so a
-                # sample written at exactly a boundary instant belongs
-                # to the window that starts there.
-                if sampler is not None:
-                    sampler.advance(when)
-                self.step()
+        if self._observer is not None:
+            self._run_observed(until)
         else:
-            # Untraced fast drain: inline step() minus the tracer
-            # branch, one instant at a time, so the clock is written
-            # (and the stop condition tested) once per instant rather
-            # than once per event.  Each instant drains the heap's
-            # entries due now, then the ready queue, which also takes
-            # whatever the callbacks schedule at this instant.
+            # Fast drain: inline step() minus the observer, one instant
+            # at a time, so the clock is written (and the stop
+            # condition tested) once per instant rather than once per
+            # event.  Each instant drains the heap's entries due now,
+            # then the ready queue, which also takes whatever the
+            # callbacks schedule at this instant.
             heap = self._heap
             ready = self._ready
             pop = heapq.heappop
@@ -466,119 +367,70 @@ class Simulator:
                     break
                 self._now = when
         if until is not None:
-            # Close windows up to the stop time so a run that idles out
-            # to `until` still materializes its trailing windows.
-            if sampler is not None and until > self._now:
-                sampler.advance(until)
             self._now = max(self._now, until)
 
-    def _run_shuffled(self, until: float | None) -> None:
-        """Debug drain: seeded permutation of each same-instant batch.
+    def _run_observed(self, until: float | None) -> None:
+        """The observed drain: the fast drain's order, in waves.
 
-        Collects every event already queued for the current instant,
-        shuffles the batch with the simulator's tie-break RNG, and
-        processes it.  Events a callback schedules *at the same
-        instant* form the next batch (shuffled separately), so
-        causality is preserved: nothing runs before the task that
-        scheduled it.  Each distinct seed explores one alternative
-        tie-break order; FIFO is the identity the shuffle oracle diffs
-        against.
+        A wave is the heap's entries due now, then everything queued:
+        what a single ``(timestamp, counter)`` heap holds due now.  The
+        heap's entries join the front of the ready queue, which then
+        holds exactly the wave; what its callbacks queue forms the next
+        wave (the heap gains no entry due now).  In order, waves are
+        the fast drain's order.  A tie-break seed shuffles each wave,
+        and nothing runs before the task that scheduled it.  Only the
+        hooks an observer overrides are called.
         """
-        rng = self._tiebreak_rng
-        assert rng is not None
-        heap = self._heap
-        ready = self._ready
-        tracer = self.tracer if self._tracing else None
-        sanitizer = self._sanitizer
-        sampler = self.sampler
-        batch: typing.List[Event] = []
-        when = self._now
-        while ready or heap:
-            if not ready and heap[0][0] != when:
-                when = heap[0][0]
-                if until is not None and when > until:
-                    break
-            if sampler is not None:
-                sampler.advance(when)
-            self._now = when
-            # One wave: the heap's entries due now, then everything
-            # queued so far — the set (and the pre-shuffle order) a
-            # single (timestamp, counter) heap would hold due now.
-            # After the first wave of an instant the heap holds none,
-            # so each later wave is one generation of queued events.
-            del batch[:]
-            while heap and heap[0][0] == when:
-                batch.append(heapq.heappop(heap)[2])
-            batch.extend(ready)
-            ready.clear()
-            if len(batch) > 1:
-                rng.shuffle(batch)
-            for event in batch:
-                if sanitizer is not None:
-                    sanitizer.begin_task(event, when,
-                                         self._event_label(event))
-                if tracer is not None:
-                    self.events_processed += 1
-                    tracer.kernel_event(when, self._event_label(event))
-                callbacks, event.callbacks = event.callbacks, []
-                event._processed = True
-                for callback in callbacks:
-                    callback(event)
-
-    def _run_profiled(self, until: float | None) -> None:
-        """Host-profiled drain: batched like the fast drain, timed per
-        dispatch.
-
-        Composes with every other hook (tracer, sanitizer, sampler), so
-        a profiled run observes exactly what an unprofiled run would.
-        The hook's clock is read once before and once after each
-        event's callbacks; together with :meth:`HostProfilerHook.
-        begin_run`/``end_run`` the segments tile the drain's wall clock
-        — the gap between one dispatch's end and the next one's start
-        is the kernel's own queue work, so a collector that accounts the
-        gaps attributes ~100% of measured ``run()`` time.
-        """
-        hook = self.hostprof
-        assert hook is not None
-        clock = hook.clock
+        observer = self._observer
+        assert observer is not None
+        hooks = observer.hooks
+        advance = observer.advance if "advance" in hooks else None
+        begin = (observer.begin_dispatch if "begin_dispatch" in hooks
+                 else None)
+        end = observer.end_dispatch if "end_dispatch" in hooks else None
+        on_batch = observer.on_batch if "on_batch" in hooks else None
+        shuffle = self._shuffle
         heap = self._heap
         ready = self._ready
         pop = heapq.heappop
-        tracer = self.tracer if self._tracing else None
-        sanitizer = self._sanitizer
-        sampler = self.sampler
-        hook.begin_run(clock())
+        popleft = ready.popleft
+        observer.begin_run()
         when = self._now
         while ready or heap:
             if not ready and heap[0][0] != when:
                 when = heap[0][0]
                 if until is not None and when > until:
                     break
-            if sampler is not None:
-                sampler.advance(when)
+            # Windows close *before* the events at `when` run, so a
+            # sample written at exactly a boundary instant belongs to
+            # the window that starts there.
+            if advance is not None:
+                advance(when)
             self._now = when
-            # One batch is everything dispatched at this instant: the
-            # heap's entries due now, then the ready queue until empty.
-            batch_size = 0
-            while True:
-                if heap and heap[0][0] == when:
-                    event = pop(heap)[2]
-                elif ready:
-                    event = ready.popleft()
-                else:
-                    break
-                batch_size += 1
-                if sanitizer is not None:
-                    sanitizer.begin_task(event, when,
-                                         self._event_label(event))
-                if tracer is not None:
-                    self.events_processed += 1
-                    tracer.kernel_event(when, self._event_label(event))
-                callbacks, event.callbacks = event.callbacks, []
-                event._processed = True
-                start = clock()
-                for callback in callbacks:
-                    callback(event)
-                hook.on_dispatch(event, callbacks, start, clock())
-            hook.on_batch(batch_size)
-        hook.end_run(clock())
+            due = []
+            while heap and heap[0][0] == when:
+                due.append(pop(heap)[2])
+            ready.extendleft(reversed(due))
+            size = 0
+            while ready:
+                wave = len(ready)
+                if shuffle is not None and wave > 1:
+                    shuffle(ready)
+                size += wave
+                for _ in range(wave):
+                    event = popleft()
+                    if begin is not None:
+                        begin(event, when)
+                    callbacks, event.callbacks = event.callbacks, []
+                    event._processed = True
+                    for callback in callbacks:
+                        callback(event)
+                    if end is not None:
+                        end(event, callbacks)
+            if on_batch is not None:
+                on_batch(size)
+        observer.end_run()
+        # Close windows up to the stop time so a run that idles out to
+        # `until` still materializes its trailing windows.
+        if advance is not None and until is not None and until > self._now:
+            advance(until)

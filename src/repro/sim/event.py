@@ -84,9 +84,9 @@ class Event:
         self._ok = True
         self._value = value
         self._triggered = True
-        # Zero delay: straight onto the ready queue.  A sanitizer or a
-        # host profiler swaps its hooked variant in per simulator (see
-        # Simulator._trigger), so an uninstrumented trigger pays none.
+        # Zero delay: straight onto the ready queue.  An observer of
+        # triggers or schedules swaps a hooked variant in per simulator
+        # (see Simulator._trigger), so an unobserved trigger pays none.
         self.sim._trigger(self)
         return self
 

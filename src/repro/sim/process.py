@@ -92,16 +92,11 @@ class Process(Event):
     # ------------------------------------------------------------------
     # _resume runs once per process wake-up: it steps the generator
     # itself and reads the event slots directly rather than through the
-    # public properties.
+    # public properties.  It calls no observer hook: the race sanitizer
+    # names a task's actors when the task is dispatched.
     def _resume(self, event: Event) -> None:
         self._waiting_on = None
         sim = self.sim
-        # Sanitizer actor attribution: the happens-before report names
-        # the process whose segment performed each watched access, not
-        # just the anonymous event that resumed it.
-        sanitizer = sim._sanitizer
-        if sanitizer is not None:
-            sanitizer.on_actor(self)
         try:
             if event._ok:
                 target = self._generator.send(event._value)

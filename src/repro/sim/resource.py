@@ -57,14 +57,17 @@ class Resource:
         self.capacity = capacity
         self._users: typing.Set[Request] = set()
         self._queue: typing.Deque[Request] = collections.deque()
-        # The sanitizer's slot hooks live in separate methods, bound
-        # over request/release per instance (as Simulator does with
-        # _schedule), so unsanitized claims pay nothing for them.
-        if sim._sanitizing:
+        # The slot hooks live in separate methods, bound over
+        # request/release per instance only for the hooks an observer
+        # overrides (as Simulator does with _schedule), so other claims
+        # pay nothing for them.
+        hooks = sim._observer.hooks if sim._observer is not None else ()
+        if "on_acquire" in hooks:
             self.request = (  # type: ignore[method-assign]
-                self._request_sanitized)
+                self._request_observed)
+        if "on_release" in hooks or "on_grant" in hooks:
             self.release = (  # type: ignore[method-assign]
-                self._release_sanitized)
+                self._release_observed)
 
     @property
     def count(self) -> int:
@@ -114,27 +117,26 @@ class Resource:
             waiter._triggered = True
             self.sim._trigger(waiter)
 
-    # request() and release() with the sanitizer's hooks.  Each hook
-    # fires before the grant's succeed(), so the sanitizer labels that
+    # request() and release() with the slot hooks.  Each hook fires
+    # before the grant's succeed(), so the race sanitizer labels that
     # schedule edge "acquire" or "grant" rather than "trigger".
-    def _request_sanitized(self) -> Request:
-        sanitizer = self.sim._sanitizer
-        assert sanitizer is not None
+    def _request_observed(self) -> Request:
         req = Request(self)
         if len(self._users) < self.capacity:
             self._users.add(req)
-            sanitizer.on_acquire(self, req)
+            self.sim._observer.on_acquire(  # type: ignore[union-attr]
+                self, req)
             req.succeed()
         else:
             self._queue.append(req)
         return req
 
-    def _release_sanitized(self, request: Request) -> None:
-        sanitizer = self.sim._sanitizer
-        assert sanitizer is not None
+    def _release_observed(self, request: Request) -> None:
+        observer = self.sim._observer
+        assert observer is not None
         if request in self._users:
             self._users.remove(request)
-            sanitizer.on_release(self, request)
+            observer.on_release(self, request)
         elif request in self._queue:
             self._queue.remove(request)
             return
@@ -143,7 +145,7 @@ class Resource:
         while self._queue and len(self._users) < self.capacity:
             waiter = self._queue.popleft()
             self._users.add(waiter)
-            sanitizer.on_grant(self, waiter)
+            observer.on_grant(self, waiter)
             waiter.succeed()
 
     def use(self, duration: float) -> typing.Generator:

@@ -2,32 +2,33 @@
 
 This module is the engine-side half of windowed time-series telemetry
 (the registry-facing half lives in :mod:`repro.telemetry.timeseries`).
-It deliberately imports **nothing from repro** — like
-:mod:`repro.sim.sanitizer`, it must be importable from the engine
-without creating a cycle with the telemetry layer.
+Like :mod:`repro.sim.sanitizer`, it imports nothing from the telemetry
+layer, so the engine can import it without a cycle.
 
 The contract mirrors the tracer/metrics ambients:
 
 * a *provider* (any object with ``create_sampler()``) is installed with
   :func:`use_sampling`; :func:`current_sampling` reads it back.
 * each :class:`~repro.sim.engine.Simulator` asks the provider for a
-  fresh :class:`SamplerHook` at construction.  A provider may return
-  ``None`` (e.g. when metrics are disabled), in which case the engine
-  keeps its untouched zero-overhead fast drain.
-* the engine calls :meth:`SamplerHook.advance` with each event
-  timestamp *before* dispatching the events at that instant, and once
-  more with the final ``until`` time, so the hook can close every
-  simulated-time window boundary it crossed.
+  fresh :class:`SamplerHook` at construction, attaches it as a kernel
+  observer and exposes it as ``sim.sampler`` for the device models to
+  ``track()`` into.  A provider may return ``None`` (e.g. when metrics
+  are disabled), in which case nothing is attached.
+* the engine calls :meth:`SamplerHook.advance` once per instant,
+  *before* dispatching that instant's events, and once more with the
+  final ``until`` time, so the hook can close every simulated-time
+  window boundary it crossed.
 """
 from __future__ import annotations
 
 import contextlib
-import contextvars
 import typing
 
+from repro.sim.observer import KernelObserver, current_scope, scoped
 
-class SamplerHook:
-    """Duck-type base for engine-driven samplers.
+
+class SamplerHook(KernelObserver):
+    """Base of engine-driven samplers.
 
     Subclasses override :meth:`advance`; the base implementation is a
     no-op so a bare hook is harmless.
@@ -49,13 +50,9 @@ class SamplingProvider(typing.Protocol):
         ...
 
 
-_ambient_sampling: "contextvars.ContextVar[typing.Optional[SamplingProvider]]" = (
-    contextvars.ContextVar("repro_sampling", default=None))
-
-
 def current_sampling() -> typing.Optional[SamplingProvider]:
     """The ambient sampling provider, or ``None`` when sampling is off."""
-    return _ambient_sampling.get()
+    return current_scope().sampling
 
 
 @contextlib.contextmanager
@@ -67,8 +64,5 @@ def use_sampling(
     Simulators constructed inside the ``with`` block ask it for a
     sampler hook; ``None`` restores the disabled default.
     """
-    token = _ambient_sampling.set(provider)
-    try:
+    with scoped(sampling=provider):
         yield provider
-    finally:
-        _ambient_sampling.reset(token)

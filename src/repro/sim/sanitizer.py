@@ -1,110 +1,77 @@
 """Kernel-side hooks for the race sanitizer and the tie-break oracle.
 
-This module is the *engine half* of :mod:`repro.analysis.racecheck`:
-it defines the hook interface the kernel calls into and the ambient
-installation slots, with no dependency on the analysis package (the
-analysis package imports :mod:`repro.sim`, so the dependency must point
-this way to avoid a cycle).
+This module is the *engine half* of :mod:`repro.analysis.racecheck`,
+with no dependency on the analysis package (which imports
+:mod:`repro.sim`, so the dependency must point this way):
 
-Two debug facilities share this module:
-
-* :class:`KernelSanitizer` — the observation interface.  The kernel,
-  events, processes and resources call these hooks *only when a
-  sanitizer is installed*.  Scheduling, triggers and resource claims
-  (``Simulator._schedule``/``_trigger``/``_spawn``,
-  ``Resource.request``/``release``) swap their hooked variants in at
-  construction time, so an uninstrumented run pays nothing there; the
-  one remaining site, ``Process._resume``, is guarded by an
-  ``is not None`` test on the simulator's resolved sanitizer (one
-  attribute load per process wake-up).
-* The **tie-break shuffle seed** — an ambient knob that makes
-  :meth:`repro.sim.engine.Simulator.run` drain same-timestamp events in
-  a seeded random permutation instead of FIFO order.  The shuffle
+* :class:`KernelSanitizer` — a kernel observer
+  (:mod:`repro.sim.observer`) that adds the task view the
+  happens-before graph needs.
+* The **tie-break shuffle seed** — makes
+  :meth:`repro.sim.engine.Simulator.run` drain each same-instant wave
+  in a seeded random permutation instead of FIFO order.  The shuffle
   oracle (:func:`repro.analysis.racecheck.certify_tiebreak_independence`)
   uses it to test whether a workload's final stats depend on the
   kernel's tie-break policy.
 
-Both slots are :class:`contextvars.ContextVar`\\ s, mirroring the
-ambient tracer: simulators resolve them at construction, so harnesses
-wrap workloads without threading arguments through every constructor,
-and nested/concurrent uses never clobber each other.
+Both ride in the ambient :class:`~repro.sim.observer.KernelScope`:
+simulators resolve it at construction, so harnesses wrap workloads
+without threading arguments through every constructor.
 """
 
 from __future__ import annotations
 
 import contextlib
-import contextvars
 import typing
+
+from repro.sim.observer import (
+    KernelObserver,
+    current_scope,
+    event_label,
+    scoped,
+)
+from repro.sim.process import Process
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.event import Event
-    from repro.sim.process import Process
-    from repro.sim.resource import Request, Resource
 
 
-class KernelSanitizer:
-    """Observation interface for kernel causality and task boundaries.
+class KernelSanitizer(KernelObserver):
+    """Observer of kernel causality and task boundaries.
 
-    All hooks are no-ops; :class:`repro.analysis.racecheck.RaceSanitizer`
-    overrides them to build the happens-before graph.  Hook timing
-    contract (what the kernel guarantees):
-
-    * :meth:`begin_task` — an event was taken off the heap or the ready
-      queue; everything until the next ``begin_task`` (its callbacks,
-      including process segments they resume) executes inside this
-      task.
-    * :meth:`on_schedule` — an event was scheduled from the currently
-      running task (or from outside ``run()``, the root task).
-    * :meth:`on_trigger` — an event is about to be scheduled as
-      triggered (:meth:`Event.succeed` / :meth:`Event.fail`, a resource
-      grant or a process completion); fires *before* ``on_schedule``
-      for the same event so the edge can be labeled.
-    * :meth:`on_acquire` / :meth:`on_grant` / :meth:`on_release` —
-      :class:`~repro.sim.resource.Resource` slot lifecycle; ``on_grant``
-      fires for queue hand-offs (inside the releasing task) just before
-      the grant event is triggered.
-    * :meth:`on_actor` — a :class:`~repro.sim.process.Process` is being
-      stepped inside the current task (actor attribution for reports).
+    :class:`repro.analysis.racecheck.RaceSanitizer` overrides the
+    scheduling, trigger and resource hooks of
+    :class:`~repro.sim.observer.KernelObserver` plus the two task hooks
+    here to build the happens-before graph.
     """
 
+    def begin_dispatch(self, event: "Event", now: float) -> None:
+        self.begin_task(event, now, event_label(event))
+        # Actor attribution happens here, not in Process._resume, so
+        # the wake-up path carries no hook: a process resumes inside a
+        # task as one of its event's callbacks (only an interrupt() from
+        # a non-process callback resumes one otherwise).
+        for callback in event.callbacks:
+            owner = getattr(callback, "__self__", None)
+            if isinstance(owner, Process):
+                self.on_actor(owner)
+
     def begin_task(self, event: "Event", ts_ns: float, label: str) -> None:
-        """A new atomic task started: ``event`` popped at ``ts_ns``."""
-
-    def on_schedule(self, event: "Event") -> None:
-        """``event`` was scheduled by the currently running task."""
-
-    def on_trigger(self, event: "Event", ok: bool) -> None:
-        """``event`` is being triggered (succeed/fail, a resource grant
-        or a process completion) right now."""
+        """A new atomic task started: ``event`` popped at ``ts_ns``;
+        everything until the next ``begin_task`` (its callbacks, and
+        the process segments they resume) runs inside it."""
 
     def on_actor(self, process: "Process") -> None:
-        """``process`` is executing inside the current task."""
+        """``process`` is resumed inside the current task (called in
+        callback order)."""
 
-    def on_acquire(self, resource: "Resource", request: "Request") -> None:
-        """``request`` was granted a free ``resource`` slot immediately."""
-
-    def on_grant(self, resource: "Resource", request: "Request") -> None:
-        """A queued ``request`` is being handed a released slot."""
-
-    def on_release(self, resource: "Resource", request: "Request") -> None:
-        """``request`` returned its ``resource`` slot."""
-
-
-# ----------------------------------------------------------------------
-# Ambient installation slots
-# ----------------------------------------------------------------------
-_SANITIZER: contextvars.ContextVar[typing.Optional[KernelSanitizer]] = (
-    contextvars.ContextVar("repro_sim_sanitizer", default=None))
-
-_TIEBREAK_SEED: contextvars.ContextVar[typing.Optional[int]] = (
-    contextvars.ContextVar("repro_sim_tiebreak_seed", default=None))
 
 _SanitizerT = typing.TypeVar("_SanitizerT", bound=KernelSanitizer)
 
 
 def current_sanitizer() -> typing.Optional[KernelSanitizer]:
     """The context's ambient sanitizer (``None`` = uninstrumented)."""
-    return _SANITIZER.get()
+    return current_scope().sanitizer
 
 
 @contextlib.contextmanager
@@ -114,32 +81,25 @@ def use_sanitizer(
 
     Simulators constructed inside the body bind to it at construction
     (the same convention as :func:`repro.telemetry.tracer.use_tracer`).
-    Token-based restoration keeps nested uses independent.
     """
-    token = _SANITIZER.set(sanitizer)
-    try:
+    with scoped(sanitizer=sanitizer):
         yield sanitizer
-    finally:
-        _SANITIZER.reset(token)
 
 
 def current_tiebreak_seed() -> typing.Optional[int]:
     """Ambient tie-break shuffle seed (``None`` = FIFO drain)."""
-    return _TIEBREAK_SEED.get()
+    return current_scope().tiebreak_seed
 
 
 @contextlib.contextmanager
 def use_tiebreak(seed: int) -> typing.Iterator[int]:
-    """Shuffle same-timestamp drains of simulators built in the body.
+    """Shuffle same-instant drains of simulators built in the body.
 
     Every :class:`~repro.sim.engine.Simulator` constructed inside the
-    ``with`` block drains equal-timestamp event batches in a seeded
-    random permutation instead of FIFO schedule order.  Used by the
-    shuffle oracle to certify (or refute) tie-break independence;
-    production runs never set this.
+    ``with`` block drains each same-instant wave in a seeded random
+    permutation instead of FIFO schedule order.  Used by the shuffle
+    oracle to certify (or refute) tie-break independence; production
+    runs never set this.
     """
-    token = _TIEBREAK_SEED.set(seed)
-    try:
+    with scoped(tiebreak_seed=seed):
         yield seed
-    finally:
-        _TIEBREAK_SEED.reset(token)

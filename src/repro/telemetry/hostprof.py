@@ -1,7 +1,7 @@
 """Host wall-clock profiler: bucket attribution, census, flamegraphs.
 
-The engine half lives in :mod:`repro.sim.hostprof` (hook interface +
-ambient slot); this module is the collector and its exporters:
+The engine half lives in :mod:`repro.sim.hostprof` (observer base +
+ambient helpers); this module is the collector and its exporters:
 
 * :class:`HostProfiler` — a :class:`~repro.sim.hostprof.
   HostProfilerHook` that attributes every dispatch's host nanoseconds
@@ -25,9 +25,10 @@ ambient slot); this module is the collector and its exporters:
 
 Attribution model
 -----------------
-The engine's profiled drain brackets each ``run()`` with
-``begin_run``/``end_run`` and times each dispatch ``[start, end)``.
-The collector keeps a cursor on that timeline: the gap before a
+The collector reads its clock when the engine's observed drain opens
+and closes each ``run()`` (``begin_run``/``end_run``) and around each
+dispatch (``begin_dispatch``/``end_dispatch``), timing the dispatch
+``[start, end)``.  It keeps a cursor on that timeline: the gap before a
 dispatch accrues to the kernel's own bucket (queue pops, clock writes —
 :data:`KERNEL_BUCKET`), the dispatch itself to the event's bucket, so
 the buckets *tile* the drain and their sum tracks end-to-end ``run()``
@@ -139,13 +140,14 @@ class HostProfiler(HostProfilerHook):
         self.run_ns = 0
         self._run_start = 0
         self._cursor = 0
+        self._start = 0
 
-    # -- engine hook ----------------------------------------------------
-    def begin_run(self, host_ns: int) -> None:
-        self._run_start = host_ns
-        self._cursor = host_ns
+    # -- kernel observer ------------------------------------------------
+    def begin_run(self) -> None:
+        self._run_start = self._cursor = self.clock()
 
-    def end_run(self, host_ns: int) -> None:
+    def end_run(self) -> None:
+        host_ns = self.clock()
         tail = host_ns - self._cursor
         if tail > 0:
             self.buckets[KERNEL_BUCKET] = (
@@ -154,9 +156,14 @@ class HostProfiler(HostProfilerHook):
         self.run_ns += host_ns - self._run_start
         self._cursor = host_ns
 
-    def on_dispatch(self, event: "Event",
-                    callbacks: typing.Sequence[typing.Callable[..., None]],
-                    start_ns: int, end_ns: int) -> None:
+    def begin_dispatch(self, event: "Event", now: float) -> None:
+        self._start = self.clock()
+
+    def end_dispatch(self, event: "Event",
+                     callbacks: typing.Sequence[typing.Callable[..., None]]
+                     ) -> None:
+        end_ns = self.clock()
+        start_ns = self._start
         gap = start_ns - self._cursor
         if gap > 0:
             self.buckets[KERNEL_BUCKET] = (

@@ -14,8 +14,10 @@ Two obligations gate the second execution backend:
   Covered per reason, subsystem-level and stream-level.
 """
 
+import contextlib
 import os
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -31,6 +33,7 @@ from repro.controller.request import reset_request_ids
 from repro.faults.plan import FaultConfig
 from repro.sim import (
     KernelSanitizer,
+    KernelScope,
     Simulator,
     backend_decisions,
     clear_backend_decisions,
@@ -199,31 +202,29 @@ def test_fallback_write_pausing():
     _expect_subsystem_reason(subsystem, "write pausing enabled")
 
 
-def test_fallback_tracer():
-    subsystem = PramSubsystem(Simulator(tracer=RecordingTracer()))
-    _expect_subsystem_reason(subsystem, "tracer attached")
+#: The five ways to attach a kernel observer: each builds a simulator.
+OBSERVED_SIMULATORS = {
+    "tracer": lambda: Simulator(tracer=RecordingTracer()),
+    "sanitizer": lambda: Simulator(
+        scope=KernelScope(sanitizer=KernelSanitizer())),
+    "tiebreak": lambda: Simulator(scope=KernelScope(tiebreak_seed=7)),
+    "sampler": lambda: _built_under(
+        use_metrics(MetricsRegistry()), use_sampling(SamplingConfig())),
+    "hostprof": lambda: _built_under(use_hostprof(HostProfiler())),
+}
 
 
-def test_fallback_sanitizer():
-    subsystem = PramSubsystem(Simulator(sanitizer=KernelSanitizer()))
-    _expect_subsystem_reason(subsystem, "sanitizer attached")
+def _built_under(*scopes):
+    with contextlib.ExitStack() as stack:
+        for scope in scopes:
+            stack.enter_context(scope)
+        return Simulator()
 
 
-def test_fallback_tiebreak_seed():
-    subsystem = PramSubsystem(Simulator(tiebreak_seed=7))
-    _expect_subsystem_reason(subsystem, "tie-break shuffle seed set")
-
-
-def test_fallback_sampler():
-    with use_metrics(MetricsRegistry()), use_sampling(SamplingConfig()):
-        subsystem = PramSubsystem(Simulator())
-    _expect_subsystem_reason(subsystem, "sampler attached")
-
-
-def test_fallback_host_profiler():
-    with use_hostprof(HostProfiler()):
-        subsystem = PramSubsystem(Simulator())
-    _expect_subsystem_reason(subsystem, "host profiler attached")
+@pytest.mark.parametrize("observer", sorted(OBSERVED_SIMULATORS))
+def test_fallback_kernel_observer(observer):
+    subsystem = PramSubsystem(OBSERVED_SIMULATORS[observer]())
+    _expect_subsystem_reason(subsystem, "kernel observer attached")
 
 
 def test_frozen_default_config_has_no_subsystem_reasons():

@@ -5,8 +5,8 @@ the heap for a FIFO ready queue.  The property tests compare the
 kernel against a reference that keeps one ``(timestamp, counter)``
 heap, the order the kernel promises: random programs of zero and positive
 delays, callbacks that schedule more events, ``run(until=...)`` and
-interleaved ``step()``, the shuffled drain's waves and the profiled
-drain's batches.
+interleaved ``step()``, the observed drain's shuffled waves and its
+per-instant batches, shuffled or not.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Simulator
+from repro.sim import KernelScope, Simulator
 from repro.telemetry.hostprof import HostProfiler
 
 #: Start instants: the origin, and one where every delay below 2**13
@@ -188,7 +188,7 @@ def test_dispatch_order_matches_the_single_heap(program):
 @given(programs(), st.integers(0, 2**32 - 1))
 def test_shuffled_waves_match_the_single_heap(program, seed):
     expected = dispatch_order(ReferenceHeap(random.Random(seed)), program)
-    shuffled = SimulatorKernel(tiebreak_seed=seed)
+    shuffled = SimulatorKernel(scope=KernelScope(tiebreak_seed=seed))
     assert dispatch_order(shuffled, program) == expected
 
 
@@ -196,12 +196,28 @@ def test_shuffled_waves_match_the_single_heap(program, seed):
 @given(programs(actions=False))
 def test_profiled_batches_are_the_instants_of_the_single_heap(program):
     profiler = HostProfiler()
-    kernel = SimulatorKernel(hostprof=profiler)
+    kernel = SimulatorKernel(scope=KernelScope(hostprof=profiler))
     order, _ = dispatch_order(kernel, program)
     assert order == dispatch_order(ReferenceHeap(), program)[0]
     assert profiler.census()["batch_sizes"] == [
         len(list(group))
         for _, group in itertools.groupby(when for when, _ in order)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(programs(actions=False), st.integers(0, 2**32 - 1))
+def test_profiled_shuffled_batches_are_the_shuffled_instants(program, seed):
+    # A shuffled run is profiled like any other: one batch per instant.
+    profiler = HostProfiler()
+    kernel = SimulatorKernel(
+        scope=KernelScope(tiebreak_seed=seed, hostprof=profiler))
+    order, _ = dispatch_order(kernel, program)
+    expected, _ = dispatch_order(ReferenceHeap(random.Random(seed)),
+                                 program)
+    assert order == expected
+    assert profiler.census()["batch_sizes"] == [
+        len(list(group))
+        for _, group in itertools.groupby(when for when, _ in expected)]
 
 
 def test_a_delay_that_rounds_to_now_queues_in_schedule_order():

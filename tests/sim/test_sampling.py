@@ -1,8 +1,10 @@
 """Engine-driven window sampling: hook wiring and window semantics."""
 
+import types
+
 import pytest
 
-from repro.sim import Simulator, use_sampling
+from repro.sim import KernelScope, Simulator, use_sampling
 from repro.sim.sampling import SamplerHook, current_sampling
 from repro.telemetry.metrics import MetricsRegistry, use_metrics
 from repro.telemetry.timeseries import Sampler, SamplingConfig
@@ -11,6 +13,12 @@ from repro.telemetry.timeseries import Sampler, SamplingConfig
 def _sampler(window_ns=10.0, retention=None):
     registry = MetricsRegistry()
     return Sampler(registry, window_ns, retention), registry
+
+
+def _sampled(sampler, **scope):
+    """A simulator whose scope hands it ``sampler``."""
+    provider = types.SimpleNamespace(create_sampler=lambda: sampler)
+    return Simulator(scope=KernelScope(sampling=provider, **scope))
 
 
 class TestAmbientProvider:
@@ -40,7 +48,7 @@ class TestAmbientProvider:
     def test_explicit_sampler_wins_over_ambient(self):
         sampler, _ = _sampler()
         with use_metrics(MetricsRegistry()), use_sampling(SamplingConfig()):
-            assert Simulator(sampler=sampler).sampler is sampler
+            assert _sampled(sampler).sampler is sampler
 
     def test_base_hook_advance_is_a_no_op(self):
         SamplerHook().advance(123.0)  # must not raise
@@ -62,7 +70,7 @@ class TestWindowSemantics:
     def test_duty_cycle_means(self):
         # Level 1 for 7 ns then 0 for 3 ns, each 10 ns window -> 0.7.
         sampler, registry = _sampler(window_ns=10.0)
-        sim = Simulator(sampler=sampler)
+        sim = _sampled(sampler)
         tracker = sampler.track("q.depth")
 
         def duty():
@@ -84,7 +92,7 @@ class TestWindowSemantics:
         # run, so a level change at exactly t=10 cannot leak into the
         # [0, 10) window.
         sampler, registry = _sampler(window_ns=10.0)
-        sim = Simulator(sampler=sampler)
+        sim = _sampled(sampler)
         tracker = sampler.track("q.depth")
 
         def jump():
@@ -100,7 +108,7 @@ class TestWindowSemantics:
 
     def test_partial_final_window_is_dropped(self):
         sampler, registry = _sampler(window_ns=10.0)
-        sim = Simulator(sampler=sampler)
+        sim = _sampled(sampler)
         tracker = sampler.track("q.depth")
 
         def run():
@@ -114,7 +122,7 @@ class TestWindowSemantics:
 
     def test_run_until_flushes_trailing_windows(self):
         sampler, registry = _sampler(window_ns=10.0)
-        sim = Simulator(sampler=sampler)
+        sim = _sampled(sampler)
         tracker = sampler.track("q.depth")
 
         def run():
@@ -129,7 +137,7 @@ class TestWindowSemantics:
 
     def test_watch_gauge_samples_at_boundaries(self):
         sampler, registry = _sampler(window_ns=10.0)
-        sim = Simulator(sampler=sampler)
+        sim = _sampled(sampler)
         depth = {"value": 0.0}
         sampler.watch_gauge("hints", lambda: depth["value"])
 
@@ -147,7 +155,7 @@ class TestWindowSemantics:
 
     def test_retention_keeps_only_the_most_recent_windows(self):
         sampler, registry = _sampler(window_ns=10.0, retention=3)
-        sim = Simulator(sampler=sampler)
+        sim = _sampled(sampler)
         tracker = sampler.track("q.depth")
 
         def run():
@@ -166,7 +174,7 @@ class TestWindowSemantics:
         # Boundaries come from an integer index, not repeated addition:
         # after 10k windows of 0.1 ns the boundary is still exact.
         sampler, registry = _sampler(window_ns=0.1)
-        sim = Simulator(sampler=sampler)
+        sim = _sampled(sampler)
         sampler.track("q.depth")
 
         def run():
@@ -180,8 +188,7 @@ class TestWindowSemantics:
     def test_shuffled_drain_samples_identically(self):
         def trace(tiebreak_seed):
             sampler, registry = _sampler(window_ns=10.0)
-            sim = Simulator(sampler=sampler,
-                            tiebreak_seed=tiebreak_seed)
+            sim = _sampled(sampler, tiebreak_seed=tiebreak_seed)
             tracker = sampler.track("q.depth")
 
             def agent(delay):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import KernelSanitizer, Simulator, use_tiebreak
+from repro.sim import KernelSanitizer, KernelScope, Simulator, use_tiebreak
 
 
 def _record_order(sim, order, count, delay=10.0):
@@ -24,9 +24,9 @@ def test_fast_drain_preserves_fifo_schedule_order():
 
 
 def test_step_loop_matches_fast_drain_order():
-    # The instrumented (sanitized) path uses step(); same-timestamp
-    # ordering must be identical to the batched fast drain.
-    sim = Simulator(sanitizer=KernelSanitizer())
+    # The instrumented (sanitized) path takes the observed drain;
+    # same-timestamp ordering must be identical to the fast drain.
+    sim = Simulator(scope=KernelScope(sanitizer=KernelSanitizer()))
     order = []
     _record_order(sim, order, 8)
     sim.run()
@@ -61,7 +61,7 @@ def test_events_scheduled_mid_batch_stay_fifo():
 
 def test_shuffled_drain_is_deterministic_per_seed():
     def run(seed):
-        sim = Simulator(tiebreak_seed=seed)
+        sim = Simulator(scope=KernelScope(tiebreak_seed=seed))
         order = []
         _record_order(sim, order, 8)
         sim.run()
@@ -73,7 +73,7 @@ def test_shuffled_drain_is_deterministic_per_seed():
 
 def test_some_seed_permutes_the_batch():
     def run(seed):
-        sim = Simulator(tiebreak_seed=seed)
+        sim = Simulator(scope=KernelScope(tiebreak_seed=seed))
         order = []
         _record_order(sim, order, 8)
         sim.run()
@@ -85,7 +85,7 @@ def test_some_seed_permutes_the_batch():
 
 
 def test_shuffle_respects_timestamp_ordering():
-    sim = Simulator(tiebreak_seed=1)
+    sim = Simulator(scope=KernelScope(tiebreak_seed=1))
     order = []
 
     def body(index, delay):
@@ -103,7 +103,7 @@ def test_shuffle_respects_timestamp_ordering():
 
 
 def test_shuffled_run_honours_until():
-    sim = Simulator(tiebreak_seed=2)
+    sim = Simulator(scope=KernelScope(tiebreak_seed=2))
     order = []
 
     def body(index, delay):
@@ -139,9 +139,10 @@ def test_explicit_seed_wins_over_ambient():
         sim.run()
         return order
 
+    seeded = KernelScope(tiebreak_seed=9)
     with use_tiebreak(4):
-        explicit = run(tiebreak_seed=9)
-    assert explicit == run(tiebreak_seed=9)
+        explicit = run(scope=seeded)
+    assert explicit == run(scope=seeded)
 
 
 @pytest.mark.tiebreak_shuffle(runs=3)

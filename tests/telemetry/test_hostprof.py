@@ -8,7 +8,7 @@ import pytest
 from repro.experiments import cli
 from repro.experiments.parallel import run_experiments_parallel
 from repro.experiments.runner import ExperimentConfig
-from repro.sim import Simulator
+from repro.sim import KernelScope, Simulator
 from repro.sim.hostprof import current_hostprof, use_hostprof
 from repro.telemetry.__main__ import main as telemetry_main
 from repro.telemetry.bench import (
@@ -111,6 +111,18 @@ class TestAttribution:
                                     sort_keys=True)))
         assert runs[0] == runs[1]
 
+    def test_steps_are_profiled_as_runs_of_one_dispatch(self):
+        profiler = HostProfiler(clock=_stub_clock())
+        with use_hostprof(profiler):
+            sim = Simulator()
+            sim.process(_module_worker(sim), name="solo")
+            sim.step()
+            sim.step()
+        assert profiler.runs == 2
+        assert profiler.total_ns() == profiler.run_ns
+        assert profiler.census()["dispatches"] == {"Timeout": 1,
+                                                   "bootstrap": 1}
+
     def test_explicit_constructor_hook_wins_over_ambient(self):
         explicit = HostProfiler(clock=_stub_clock())
         ambient = HostProfiler(clock=_stub_clock())
@@ -119,7 +131,7 @@ class TestAttribution:
             yield env.timeout(1)
 
         with use_hostprof(ambient):
-            sim = Simulator(hostprof=explicit)
+            sim = Simulator(scope=KernelScope(hostprof=explicit))
             sim.process(noop(sim), name="noop")
             sim.run()
         assert explicit.runs == 1
@@ -128,7 +140,7 @@ class TestAttribution:
     def test_no_profiler_means_no_hook(self):
         assert current_hostprof() is None
         sim = Simulator()
-        assert sim.hostprof is None
+        assert sim._observer is None
 
 
 class TestCensus:
