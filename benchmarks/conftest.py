@@ -3,8 +3,9 @@
 Every benchmark runs its experiment exactly once (pedantic, one round)
 and writes its text report to ``results/`` under a provenance header,
 so a checked-in result is attributable to the commit, scale, and seed
-that produced it.  Figures 15-17 share the expensive full system x
-workload matrix through a session fixture.
+that produced it.  Figures 15-17 are views of one set of cells, the
+expensive full system x workload matrix, run once by a session
+fixture through the cell runner.
 
 Benchmarks also feed scalar metrics into a session-wide
 ``BENCH_<git-sha>.json`` trajectory file (see
@@ -19,9 +20,10 @@ import pathlib
 
 import pytest
 
-from repro.experiments.runner import ExperimentConfig, run_matrix
+from repro.experiments import fig15_bandwidth, fig16_exec_time, fig17_energy
+from repro.experiments.parallel import run_cells
+from repro.experiments.runner import ExperimentConfig
 from repro.sim.stats import DEFAULT_SKETCH_LAYOUT
-from repro.systems import SYSTEM_NAMES
 from repro.telemetry.timeseries import DEFAULT_WINDOW_NS
 from repro.telemetry.bench import (
     BenchMetric,
@@ -67,17 +69,21 @@ def bench_config():
 
 @pytest.fixture(scope="session")
 def full_matrix(bench_config):
-    """The 15-workload x 11-system execution matrix (run once).
+    """Cell results of the 15-workload x 11-system matrix (run once),
+    the cells Figures 15-17 are views of.
 
     ``REPRO_BENCH_JOBS=N`` shards the matrix cells across N worker
     processes and ``REPRO_BENCH_CACHE=DIR`` replays unchanged cells
     from the content-addressed result cache; both merge back
-    deterministically, so the matrix is identical to a serial run's.
+    deterministically, so the results are identical to a serial run's.
     """
     jobs = int(os.environ.get("REPRO_BENCH_JOBS", "1"))
     cache_dir = os.environ.get("REPRO_BENCH_CACHE") or None
-    return run_matrix(bench_config, list(SYSTEM_NAMES),
-                      jobs=jobs, cache_dir=cache_dir)
+    cells = [cell for figure in (fig15_bandwidth, fig16_exec_time,
+                                 fig17_energy)
+             for cell in figure.cells(bench_config)]
+    return run_cells({"": cells}, bench_config, jobs=jobs,
+                     cache_dir=cache_dir).results
 
 
 @pytest.fixture(scope="session")

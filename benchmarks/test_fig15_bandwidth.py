@@ -7,8 +7,7 @@ from repro.experiments import fig15_bandwidth
 def test_fig15_bandwidth(benchmark, bench_config, full_matrix,
                          results_dir, bench_record):
     result = benchmark.pedantic(
-        fig15_bandwidth.run,
-        kwargs={"config": bench_config, "matrix": full_matrix},
+        fig15_bandwidth.view, args=(bench_config, full_matrix),
         rounds=1, iterations=1)
 
     write_report(results_dir, "fig15_bandwidth",

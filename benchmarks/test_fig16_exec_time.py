@@ -7,8 +7,7 @@ from repro.experiments import fig16_exec_time
 def test_fig16_exec_time(benchmark, bench_config, full_matrix,
                          results_dir, bench_record):
     result = benchmark.pedantic(
-        fig16_exec_time.run,
-        kwargs={"config": bench_config, "matrix": full_matrix},
+        fig16_exec_time.view, args=(bench_config, full_matrix),
         rounds=1, iterations=1)
 
     write_report(results_dir, "fig16_exec_time",

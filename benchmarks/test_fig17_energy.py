@@ -7,8 +7,7 @@ from repro.experiments import fig17_energy
 def test_fig17_energy(benchmark, bench_config, full_matrix, results_dir,
                       bench_record):
     result = benchmark.pedantic(
-        fig17_energy.run,
-        kwargs={"config": bench_config, "matrix": full_matrix},
+        fig17_energy.view, args=(bench_config, full_matrix),
         rounds=1, iterations=1)
 
     write_report(results_dir, "fig17_energy", fig17_energy.report(result))

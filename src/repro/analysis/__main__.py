@@ -90,6 +90,7 @@ def _run_shuffle(subjects: typing.Sequence[str], runs: int, seed: int,
     # Imported lazily: the lint/conformance paths must not pay for the
     # full experiments stack (engine, devices, workloads).
     from repro.analysis.racecheck import certify_tiebreak_independence
+    from repro.controller.request import reset_request_ids
     from repro.experiments import cli as experiments_cli
     from repro.experiments.runner import ExperimentConfig
     from repro.telemetry.bench import stamp_provenance
@@ -104,9 +105,9 @@ def _run_shuffle(subjects: typing.Sequence[str], runs: int, seed: int,
 
     def make_workload(name: str) -> typing.Callable[[], str]:
         def workload() -> str:
-            # Same reset the experiments CLI performs between figures:
-            # request ids restart so report text is position-independent.
-            experiments_cli.reset_request_ids()
+            # Same reset the cell runner performs at every cell: request
+            # ids restart so report text is position-independent.
+            reset_request_ids()
             _, figure_fn = experiments_cli.EXPERIMENTS[name]
             config = ExperimentConfig(scale=0.05, seed=7, agents=3,
                                       workloads=("gemver", "doitg"))

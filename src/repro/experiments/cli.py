@@ -14,11 +14,11 @@ subcommand is treated as an experiment id (or a comma-separated list,
 benchmarks write to ``results/``; ``--results DIR`` also writes the
 reports there under the benchmarks' provenance header.
 
-``--jobs N`` shards the chosen experiments across worker processes and
-merges reports and telemetry back in experiment order, so the output
-is identical to a serial run.  ``--cache [DIR]`` replays unchanged
-experiments from the content-addressed result cache (default
-``.repro-cache/``) instead of re-simulating them.
+The union of the chosen experiments' cells is simulated once (so
+``fig15,fig16,fig17`` share one system matrix): ``--jobs N`` shards
+the cells across worker processes, ``--cache [DIR]`` replays unchanged
+ones from the result cache (default ``.repro-cache/``), and the output
+is identical to a serial run either way.
 
 Telemetry flags (``--trace``, ``--spans``, ``--metrics``) install an
 ambient tracer/metrics registry around the chosen experiments and
@@ -42,12 +42,12 @@ import contextlib
 import sys
 import typing
 
-from repro.controller.request import reset_request_ids
 from repro.experiments import parallel, runner
-from repro.sim import BACKENDS, use_backend
+from repro.sim import BACKENDS
 from repro.sim.hostprof import use_hostprof
 from repro.telemetry import (
     DEFAULT_WINDOW_NS,
+    ExperimentProfile,
     HostProfiler,
     SamplingConfig,
     Telemetry,
@@ -127,6 +127,36 @@ EXPERIMENTS: typing.Dict[str, typing.Tuple[str, typing.Callable]] = {
                              service_sweeps.run_isolation(config))),
 }
 
+#: Experiments that are views over cells other experiments may share
+#: (the system matrix, fig13's replays); every other experiment is one
+#: ``experiment/<name>`` cell whose payload is its report.
+_VIEWS: typing.Dict[str, typing.Any] = {
+    "fig01": fig01_motivation, "fig07": fig07_firmware,
+    "fig13": fig13_schedulers, "fig15": fig15_bandwidth,
+    "fig16": fig16_exec_time, "fig17": fig17_energy}
+
+
+def run_alone(config: runner.ExperimentConfig, name: str) -> str:
+    """The ``experiment/<name>`` cell (module-level, so it pickles)."""
+    return EXPERIMENTS[name][1](config)
+
+
+def experiment_cells(name: str, config: runner.ExperimentConfig
+                     ) -> typing.List[runner.Cell]:
+    """The cells experiment ``name`` declares, in order."""
+    if name in _VIEWS:
+        return _VIEWS[name].cells(config)
+    return [runner.Cell(f"experiment/{name}", run_alone, (name,))]
+
+
+def render(name: str, config: runner.ExperimentConfig,
+           results: typing.Mapping[str, typing.Any]) -> str:
+    """Experiment ``name``'s report, a pure view of its cell results."""
+    if name in _VIEWS:
+        module = _VIEWS[name]
+        return module.report(module.view(config, results))
+    return results[f"experiment/{name}"]
+
 
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument schema."""
@@ -165,11 +195,12 @@ def build_parser() -> argparse.ArgumentParser:
                                  "deadline=40000'); default: built-in "
                                  "plan")
     run_parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                            help="shard the chosen experiments across N "
-                                 "worker processes (default 1: serial)")
+                            help="shard the chosen experiments' cells "
+                                 "across N worker processes (default 1: "
+                                 "serial)")
     run_parser.add_argument("--cache", nargs="?", metavar="DIR",
                             default=None, const=parallel.DEFAULT_CACHE_DIR,
-                            help="replay unchanged experiments from the "
+                            help="replay unchanged cells from the "
                                  "content-addressed result cache "
                                  f"(default dir {parallel.DEFAULT_CACHE_DIR})")
     run_parser.add_argument("--results", metavar="DIR", default=None,
@@ -237,41 +268,21 @@ def config_from_args(args: argparse.Namespace) -> runner.ExperimentConfig:
                                    service=service)
 
 
-def _run_sharded(chosen: typing.List[str],
-                 config: runner.ExperimentConfig,
-                 args: argparse.Namespace,
-                 telemetry: typing.Optional[Telemetry],
-                 want_spans: bool,
-                 profiles: typing.List[typing.Any]
-                 ) -> typing.Dict[str, str]:
-    """The ``--jobs``/``--cache`` path: shard experiments, merge back.
+#: The shared counter every profile's attribution invariant checks.
+OVERLAP_COUNTER = "sched.interleave.overlap_ns"
 
-    Fragments merge into the session telemetry one experiment at a
-    time, in experiment order, so per-experiment profiles and the
-    merged trace match a serial run.
-    """
-    if telemetry is None:
-        run = parallel.run_experiments_parallel(
-            chosen, config, jobs=args.jobs, cache_dir=args.cache)
-        return run.reports
-    with telemetry.activate():
-        run = parallel.run_experiments_parallel(
-            chosen, config, jobs=args.jobs, cache_dir=args.cache,
-            merge_into_ambient=False)
-    for name in chosen:
-        outcome = run.outcomes[name]
-        mark = len(telemetry.tracer.spans)
-        overlap_counter = telemetry.metrics.counter(
-            "sched.interleave.overlap_ns")
-        overlap_before = overlap_counter.value
-        parallel.merge_outcome(outcome, telemetry.metrics,
-                               telemetry.tracer)
-        if want_spans:
-            profiles.append(build_profile(
-                name, telemetry.tracer.spans[mark:],
-                overlap_total_ns=(overlap_counter.value
-                                  - overlap_before)))
-    return run.reports
+
+def experiment_profile(name: str, cells: typing.Sequence[runner.Cell],
+                       run: parallel.CellRun) -> ExperimentProfile:
+    """``name``'s profile: the spans of the cells it declares, wherever
+    they were recorded, checked against their overlap counters."""
+    keys = [cell.key for cell in cells]
+    fragments = [run.metrics[key] for key in keys]
+    return build_profile(
+        name, [span for key in keys for span in run.spans[key]],
+        overlap_total_ns=sum(fragment.counter(OVERLAP_COUNTER)
+                             for fragment in fragments
+                             if fragment is not None))
 
 
 def main(argv: typing.Sequence[str] | None = None) -> int:
@@ -324,49 +335,26 @@ def main(argv: typing.Sequence[str] | None = None) -> int:
     telemetry = (Telemetry(record_spans=want_spans, timeseries=sampling)
                  if want_spans or args.metrics or sampling is not None
                  else None)
-    # The profiler is both collector and ambient provider: serial runs
-    # feed it directly via the hook; sharded runs capture per-worker
-    # fragments and merge_outcome folds them into this same instance.
+    # The profiler is both collector and ambient provider: each cell
+    # captures a fragment and the runner folds it into this instance.
     hostprof = HostProfiler() if args.hostprof is not None else None
-    profiles = []
-    reports: typing.Dict[str, str] = {}
-    with (use_hostprof(hostprof) if hostprof is not None
-          else contextlib.nullcontext()):
-        if args.jobs != 1 or args.cache is not None:
-            reports = _run_sharded(chosen, config, args, telemetry,
-                                   want_spans, profiles)
-            for name in chosen:
-                print(reports[name])
-                print()
-        else:
-            for name in chosen:
-                _, run_fn = EXPERIMENTS[name]
-                # Same cell boundary as the sharded workers: request ids
-                # restart per experiment (and per matrix cell within it).
-                reset_request_ids()
-                if telemetry is not None:
-                    mark = len(telemetry.tracer.spans)
-                    overlap_counter = telemetry.metrics.counter(
-                        "sched.interleave.overlap_ns")
-                    overlap_before = overlap_counter.value
-                    with telemetry.activate(), \
-                            telemetry.tracer.scope(name), \
-                            use_backend(config.backend):
-                        report = run_fn(config)
-                    if want_spans:
-                        # The counter is cumulative across experiments;
-                        # the profile wants this experiment's
-                        # contribution only.
-                        profiles.append(build_profile(
-                            name, telemetry.tracer.spans[mark:],
-                            overlap_total_ns=(overlap_counter.value
-                                              - overlap_before)))
-                else:
-                    with use_backend(config.backend):
-                        report = run_fn(config)
-                reports[name] = report
-                print(report)
-                print()
+    plan = {name: experiment_cells(name, config) for name in chosen}
+    with contextlib.ExitStack() as stack:
+        if hostprof is not None:
+            stack.enter_context(use_hostprof(hostprof))
+        if telemetry is not None:
+            stack.enter_context(telemetry.activate())
+            # The summary lists the counter the profiles check even when
+            # no cell wrote to it.
+            telemetry.metrics.counter(OVERLAP_COUNTER)
+        run = parallel.run_cells(plan, config, jobs=args.jobs,
+                                 cache_dir=args.cache)
+    reports = {name: render(name, config, run.results) for name in chosen}
+    for name in chosen:
+        print(reports[name])
+        print()
+    profiles = ([experiment_profile(name, plan[name], run)
+                 for name in chosen] if want_spans else [])
     if args.results is not None:
         for name in chosen:
             parallel.write_result(

@@ -9,25 +9,34 @@ from __future__ import annotations
 
 import typing
 
+from repro.experiments import parallel
 from repro.experiments.runner import (
+    Cell,
     ExperimentConfig,
     format_table,
     geometric_mean,
-    run_matrix,
+    matrix_cells,
+    matrix_of,
 )
 
+#: The idealized environment is "Ideal-resident": the same hardware
+#: with enough accelerator memory for all data, staged once.
+SYSTEMS = ("Ideal-resident", "Hetero")
 
-def run(config: ExperimentConfig = ExperimentConfig()) -> typing.Dict:
-    """Returns per-workload normalized performance and energy ratios.
 
-    The idealized environment is "Ideal-resident": the same hardware
-    with enough accelerator memory for all data, staged once.
-    """
-    matrix = run_matrix(config, ["Ideal-resident", "Hetero"])
+def cells(config: ExperimentConfig) -> typing.List[Cell]:
+    """The system-matrix cells the figure reads."""
+    return matrix_cells(config.workloads, SYSTEMS)
+
+
+def view(config: ExperimentConfig,
+         results: typing.Mapping[str, typing.Any]) -> typing.Dict:
+    """Returns per-workload normalized performance and energy ratios."""
+    matrix = matrix_of(results, config.workloads, SYSTEMS)
     rows = []
-    for name, results in matrix.items():
-        ideal = results["Ideal-resident"]
-        hetero = results["Hetero"]
+    for name, runs in matrix.items():
+        ideal = runs["Ideal-resident"]
+        hetero = runs["Hetero"]
         rows.append({
             "workload": name,
             "normalized_performance":
@@ -42,6 +51,11 @@ def run(config: ExperimentConfig = ExperimentConfig()) -> typing.Dict:
         "mean_degradation": 1.0 - geometric_mean(perf),
         "mean_energy_ratio": geometric_mean(energy),
     }
+
+
+def run(config: ExperimentConfig = ExperimentConfig()) -> typing.Dict:
+    """:func:`view` over the figure's cells, run in-process."""
+    return view(config, parallel.cell_results(cells(config), config))
 
 
 def report(result: typing.Dict) -> str:

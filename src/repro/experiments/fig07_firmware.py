@@ -10,31 +10,43 @@ from __future__ import annotations
 
 import typing
 
+from repro.experiments import parallel
 from repro.experiments.runner import (
+    Cell,
     ExperimentConfig,
     format_table,
     geometric_mean,
-    run_matrix,
+    matrix_cells,
 )
+from repro.systems.base import ExecutionResult
+from repro.systems.pram_accel import DramlessSystem
 
 
-def run(config: ExperimentConfig = ExperimentConfig()) -> typing.Dict:
-    """Returns per-workload firmware-induced degradation.
+def run_firmware(config: ExperimentConfig,
+                 workload_name: str) -> ExecutionResult:
+    """The ``fig07/<workload>/firmware`` cell: a pessimistic firmware
+    that admits requests *serially* (one stream), unlike the 3-core
+    firmware of the DRAM-less (firmware) system baseline."""
+    return DramlessSystem(
+        config.system_config(), firmware=True, firmware_cores=1,
+        firmware_instructions=5_000).run(config.bundle(workload_name))
 
-    Figure 7's "conventional firmware" is pessimistic: requests are
-    *serially* processed (one admission stream), unlike the 3-core
-    firmware of the DRAM-less (firmware) system baseline.
-    """
-    from repro.systems.pram_accel import DramlessSystem
 
-    system_config = config.system_config()
+def cells(config: ExperimentConfig) -> typing.List[Cell]:
+    """Per workload, the oracle (the system matrix's DRAM-less cell)
+    and the firmware run."""
+    return [cell for name in config.workloads for cell in (
+        *matrix_cells([name], ["DRAM-less"]),
+        Cell(f"fig07/{name}/firmware", run_firmware, (name,)))]
+
+
+def view(config: ExperimentConfig,
+         results: typing.Mapping[str, typing.Any]) -> typing.Dict:
+    """Returns per-workload firmware-induced degradation."""
     rows = []
     for name in config.workloads:
-        bundle = config.bundle(name)
-        oracle = DramlessSystem(system_config).run(bundle)
-        firmware = DramlessSystem(
-            system_config, firmware=True, firmware_cores=1,
-            firmware_instructions=5_000).run(bundle)
+        oracle = results[f"matrix/{name}/DRAM-less"]
+        firmware = results[f"fig07/{name}/firmware"]
         rows.append({
             "workload": name,
             "normalized_performance":
@@ -46,6 +58,11 @@ def run(config: ExperimentConfig = ExperimentConfig()) -> typing.Dict:
         "max_degradation": 1.0 - min(performance),
         "mean_degradation": 1.0 - geometric_mean(performance),
     }
+
+
+def run(config: ExperimentConfig = ExperimentConfig()) -> typing.Dict:
+    """:func:`view` over the figure's cells, run in-process."""
+    return view(config, parallel.cell_results(cells(config), config))
 
 
 def report(result: typing.Dict) -> str:

@@ -15,14 +15,17 @@ import dataclasses
 import typing
 
 from repro.accel.isa import LoadOp, StoreOp
-from repro.controller import MemoryRequest, Op, PramSubsystem, SchedulerPolicy
+from repro.controller import PramSubsystem, SchedulerPolicy
+from repro.experiments import parallel
 from repro.experiments.runner import (
+    Cell,
     ExperimentConfig,
     format_table,
     geometric_mean,
 )
 from repro.sim import LatencySketch, Simulator
 from repro.systems.base import input_pattern
+from repro.telemetry.tracer import current_tracer
 from repro.workloads import workload
 from repro.workloads.trace import BLOCK_BYTES, TraceBundle
 
@@ -87,13 +90,22 @@ def subsystem_run(bundle: TraceBundle,
     )
 
 
-def subsystem_bandwidth(bundle: TraceBundle,
-                        policy: SchedulerPolicy) -> float:
-    """Replay ``bundle``'s request streams; returns MB/s."""
-    return subsystem_run(bundle, policy).mbps
+def run_replay(config: ExperimentConfig, workload_name: str,
+               policy: SchedulerPolicy) -> SubsystemRun:
+    """The ``fig13/<workload>/<policy>`` cell, in a scope of its own:
+    request ids restart per cell and attribution keys on (scope, req)."""
+    with current_tracer().scope(f"{workload_name}:{policy.value}"):
+        return subsystem_run(config.bundle(workload_name), policy)
 
 
-def run(config: ExperimentConfig = ExperimentConfig()) -> typing.Dict:
+def cells(config: ExperimentConfig) -> typing.List[Cell]:
+    """One replay per (workload, policy), workload-major."""
+    return [Cell(f"fig13/{name}/{policy.value}", run_replay, (name, policy))
+            for name in config.workloads for policy in POLICIES]
+
+
+def view(config: ExperimentConfig,
+         results: typing.Mapping[str, typing.Any]) -> typing.Dict:
     """Returns normalized bandwidth per (workload, policy)."""
     rows = []
     # One sketch per policy, merged across workloads — the tail-latency
@@ -102,11 +114,8 @@ def run(config: ExperimentConfig = ExperimentConfig()) -> typing.Dict:
     merged = {policy.value: LatencySketch(f"fig13.{policy.value}")
               for policy in POLICIES}
     for name in config.workloads:
-        bundle = config.bundle(name)
-        runs = {
-            policy.value: subsystem_run(bundle, policy)
-            for policy in POLICIES
-        }
+        runs = {policy.value: results[f"fig13/{name}/{policy.value}"]
+                for policy in POLICIES}
         for policy in POLICIES:
             merged[policy.value].merge(runs[policy.value].sketch)
         baseline = runs[SchedulerPolicy.BARE_METAL.value].mbps
@@ -130,6 +139,11 @@ def run(config: ExperimentConfig = ExperimentConfig()) -> typing.Dict:
         "latency_p99": final.percentile(0.99),
         "latency_p999": final.percentile(0.999),
     }
+
+
+def run(config: ExperimentConfig = ExperimentConfig()) -> typing.Dict:
+    """:func:`view` over the figure's cells, run in-process."""
+    return view(config, parallel.cell_results(cells(config), config))
 
 
 def report(result: typing.Dict) -> str:

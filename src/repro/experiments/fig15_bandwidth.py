@@ -11,31 +11,34 @@ from __future__ import annotations
 
 import typing
 
+from repro.experiments import parallel
 from repro.experiments.runner import (
+    Cell,
     ExperimentConfig,
     format_table,
     geometric_mean,
-    run_matrix,
+    matrix_cells,
+    matrix_of,
 )
 from repro.systems import SYSTEM_NAMES
 
 
-def run(config: ExperimentConfig = ExperimentConfig(),
-        systems: typing.Sequence[str] = SYSTEM_NAMES,
-        matrix: typing.Dict | None = None) -> typing.Dict:
-    """Returns the normalized-bandwidth matrix and headline means.
+def cells(config: ExperimentConfig,
+          systems: typing.Sequence[str] = SYSTEM_NAMES) -> typing.List[Cell]:
+    """The system-matrix cells the figure reads."""
+    return matrix_cells(config.workloads, systems)
 
-    Pass ``matrix`` (from :func:`run_matrix`) to reuse executions
-    shared with Figures 16/17.
-    """
-    if matrix is None:
-        matrix = run_matrix(config, list(systems))
+
+def view(config: ExperimentConfig, results: typing.Mapping[str, typing.Any],
+         systems: typing.Sequence[str] = SYSTEM_NAMES) -> typing.Dict:
+    """Returns the normalized-bandwidth matrix and headline means."""
+    matrix = matrix_of(results, config.workloads, systems)
     rows = []
-    for workload_name, results in matrix.items():
-        baseline = results["Hetero"].bandwidth_mb_s
+    for workload_name, runs in matrix.items():
+        baseline = runs["Hetero"].bandwidth_mb_s
         rows.append({
             "workload": workload_name,
-            **{name: results[name].bandwidth_mb_s / baseline
+            **{name: runs[name].bandwidth_mb_s / baseline
                for name in systems},
         })
     means = {name: geometric_mean([row[name] for row in rows], key=name)
@@ -51,6 +54,13 @@ def run(config: ExperimentConfig = ExperimentConfig(),
             means["DRAM-less"] / means["DRAM-less (firmware)"] - 1.0,
         "heterodirect_vs_hetero": means["Heterodirect"] - 1.0,
     }
+
+
+def run(config: ExperimentConfig = ExperimentConfig(),
+        systems: typing.Sequence[str] = SYSTEM_NAMES) -> typing.Dict:
+    """:func:`view` over the figure's cells, run in-process."""
+    return view(config, parallel.cell_results(cells(config, systems),
+                                              config), systems)
 
 
 def report(result: typing.Dict) -> str:

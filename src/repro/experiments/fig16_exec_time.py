@@ -10,10 +10,13 @@ from __future__ import annotations
 
 import typing
 
+from repro.experiments import parallel
 from repro.experiments.runner import (
+    Cell,
     ExperimentConfig,
     format_table,
-    run_matrix,
+    matrix_cells,
+    matrix_of,
 )
 from repro.systems import SYSTEM_NAMES
 
@@ -21,21 +24,25 @@ CATEGORIES = ("data_preparation", "kernel_offload", "computation",
               "memory_stall", "store_stall", "output_writeback")
 
 
-def run(config: ExperimentConfig = ExperimentConfig(),
-        systems: typing.Sequence[str] = SYSTEM_NAMES,
-        matrix: typing.Dict | None = None) -> typing.Dict:
+def cells(config: ExperimentConfig,
+          systems: typing.Sequence[str] = SYSTEM_NAMES) -> typing.List[Cell]:
+    """The system-matrix cells the figure reads."""
+    return matrix_cells(config.workloads, systems)
+
+
+def view(config: ExperimentConfig, results: typing.Mapping[str, typing.Any],
+         systems: typing.Sequence[str] = SYSTEM_NAMES) -> typing.Dict:
     """Returns mean per-category time fractions per system."""
-    if matrix is None:
-        matrix = run_matrix(config, list(systems))
+    matrix = matrix_of(results, config.workloads, systems)
     fractions: typing.Dict[str, typing.Dict[str, float]] = {
         name: {category: 0.0 for category in CATEGORIES}
         for name in systems
     }
     per_workload = {}
-    for workload_name, results in matrix.items():
+    for workload_name, runs in matrix.items():
         per_workload[workload_name] = {}
         for name in systems:
-            shares = results[name].time_breakdown.fractions()
+            shares = runs[name].time_breakdown.fractions()
             per_workload[workload_name][name] = shares
             for category in CATEGORIES:
                 fractions[name][category] += shares.get(category, 0.0)
@@ -48,6 +55,13 @@ def run(config: ExperimentConfig = ExperimentConfig(),
         "mean_fractions": fractions,
         "per_workload": per_workload,
     }
+
+
+def run(config: ExperimentConfig = ExperimentConfig(),
+        systems: typing.Sequence[str] = SYSTEM_NAMES) -> typing.Dict:
+    """:func:`view` over the figure's cells, run in-process."""
+    return view(config, parallel.cell_results(cells(config, systems),
+                                              config), systems)
 
 
 def report(result: typing.Dict) -> str:

@@ -9,11 +9,14 @@ from __future__ import annotations
 
 import typing
 
+from repro.experiments import parallel
 from repro.experiments.runner import (
+    Cell,
     ExperimentConfig,
     format_table,
     geometric_mean,
-    run_matrix,
+    matrix_cells,
+    matrix_of,
 )
 from repro.systems import SYSTEM_NAMES
 
@@ -21,12 +24,16 @@ CATEGORIES = ("host", "host_dram", "pcie", "dram", "storage", "pram",
               "controller", "pe_compute", "pe_idle")
 
 
-def run(config: ExperimentConfig = ExperimentConfig(),
-        systems: typing.Sequence[str] = SYSTEM_NAMES,
-        matrix: typing.Dict | None = None) -> typing.Dict:
+def cells(config: ExperimentConfig,
+          systems: typing.Sequence[str] = SYSTEM_NAMES) -> typing.List[Cell]:
+    """The system-matrix cells the figure reads."""
+    return matrix_cells(config.workloads, systems)
+
+
+def view(config: ExperimentConfig, results: typing.Mapping[str, typing.Any],
+         systems: typing.Sequence[str] = SYSTEM_NAMES) -> typing.Dict:
     """Returns per-system energy (mJ) and category decompositions."""
-    if matrix is None:
-        matrix = run_matrix(config, list(systems))
+    matrix = matrix_of(results, config.workloads, systems)
     totals: typing.Dict[str, typing.List[float]] = {
         name: [] for name in systems}
     categories: typing.Dict[str, typing.Dict[str, float]] = {
@@ -34,10 +41,10 @@ def run(config: ExperimentConfig = ExperimentConfig(),
         for name in systems
     }
     rows = []
-    for workload_name, results in matrix.items():
+    for workload_name, runs in matrix.items():
         row = {"workload": workload_name}
         for name in systems:
-            energy = results[name].energy
+            energy = runs[name].energy
             row[name] = energy.total_mj
             totals[name].append(energy.total_mj)
             for category, nanojoules in energy.by_category().items():
@@ -59,6 +66,13 @@ def run(config: ExperimentConfig = ExperimentConfig(),
         result["dramless_fraction_of_pagebuffer"] = (
             mean_mj["DRAM-less"] / mean_mj["PAGE-buffer"])
     return result
+
+
+def run(config: ExperimentConfig = ExperimentConfig(),
+        systems: typing.Sequence[str] = SYSTEM_NAMES) -> typing.Dict:
+    """:func:`view` over the figure's cells, run in-process."""
+    return view(config, parallel.cell_results(cells(config, systems),
+                                              config), systems)
 
 
 def report(result: typing.Dict) -> str:

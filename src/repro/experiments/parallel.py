@@ -1,30 +1,21 @@
-"""Process-parallel experiment execution with content-addressed caching.
+"""The cell runner: every simulation the chosen experiments need, once.
 
-The paper's evaluation is a wide sweep — Figs. 12-21 and Table 1
-across schedulers, backends, and fifteen polybench workloads — and the
-serial ``run_matrix`` pays for every cell on every run.  This module
-shards that work:
+Several figures are views of the same simulations — Figs. 15/16/17 of
+one system matrix, and Fig. 7's oracle and Fig. 1's runs are cells of
+it too — so the unit of work is the *cell*
+(:class:`repro.experiments.runner.Cell`), not the experiment.
+:func:`run_cells` simulates each distinct cell once, in-process at
+``jobs=1`` or in a ``ProcessPoolExecutor`` otherwise, and merges
+results and telemetry **in declaration order**: serial and sharded
+runs take one path, so they are byte-identical by construction.
+Telemetry crosses the cell boundary as *fragments*
+(:mod:`repro.telemetry.fragments`) captured under a fresh
+tracer/registry/host profiler per cell.
 
-* :func:`run_matrix_parallel` — executes each (workload, system) cell
-  of the execution matrix in a ``ProcessPoolExecutor`` worker and
-  merges results **deterministically**: cells are merged in cell-key
-  order (workload-major, the serial iteration order), never completion
-  order, so the merged matrix, metrics registry, and span stream are
-  identical to a serial run's.
-* :func:`run_experiments_parallel` — same sharding at experiment
-  granularity for ``python -m repro.experiments all --jobs N``.
-* :class:`ResultCache` — a content-addressed cache under
-  ``.repro-cache/`` keyed by (experiment id, config hash, source-tree
-  hash of ``src/repro``).  A cell whose inputs have not changed is
-  replayed from the cache — zero simulations — and any source edit
-  invalidates everything, so the cache can never serve stale physics.
-
-Telemetry crosses the process boundary as *fragments*
-(:mod:`repro.telemetry.fragments`): each worker runs under a fresh
-tracer/registry, captures the record, and the parent replays the
-fragments into its ambient telemetry in cell-key order — reproducing
-the serial run's ``#N`` prefix assignments and shared-counter totals
-exactly.
+:class:`ResultCache` keys cells by (cell id, config hash, source-tree
+hash of ``src/repro``): an unchanged cell is replayed, zero
+simulations, and any source edit invalidates everything, so the cache
+can never serve stale physics.
 """
 
 from __future__ import annotations
@@ -45,8 +36,6 @@ from repro.experiments import runner
 from repro.sim.compiled import use_backend
 from repro.sim.hostprof import current_hostprof, use_hostprof
 from repro.sim.sampling import current_sampling, use_sampling
-from repro.systems import build_system
-from repro.systems.base import ExecutionResult
 from repro.telemetry.bench import collect_provenance
 from repro.telemetry.fragments import (
     HostProfFragment,
@@ -68,6 +57,7 @@ from repro.telemetry.metrics import (
 from repro.telemetry.timeseries import SamplingConfig
 from repro.telemetry.tracer import (
     RecordingTracer,
+    Span,
     current_tracer,
     use_tracer,
 )
@@ -75,7 +65,9 @@ from repro.telemetry.tracer import (
 #: Bumped whenever the cached payload layout changes; part of every key.
 #: 2: capture tuple gained the time-series sampling spec.
 #: 3: capture tuple + CellOutcome gained the host-profiling fragment.
-CACHE_SCHEMA = 3
+#: 4: a fragment's spans no longer carry the experiment scope (the
+#:    merge applies it), and fig13's replays are cells of their own.
+CACHE_SCHEMA = 4
 
 #: What telemetry a cell must capture: ``(metrics, spans, sampling,
 #: hostprof)`` where sampling is ``None`` or ``(window_ns, retention)``.
@@ -152,13 +144,13 @@ def _config_payload(config: runner.ExperimentConfig
 def cell_key(experiment: str, config: runner.ExperimentConfig,
              capture: CaptureSpec,
              tree_digest: typing.Union[str, None] = None) -> str:
-    """Content-addressed key for one experiment cell.
+    """Content-addressed key for one cell.
 
-    ``experiment`` is the cell id (``"matrix/<workload>/<system>"`` or
-    a figure id); ``capture`` records whether metrics/span fragments
-    were requested plus the time-series sampling spec, so a
-    telemetry-bearing (or sampled) rerun never reuses an entry captured
-    under different instrumentation.
+    ``experiment`` is the cell id (``"matrix/<workload>/<system>"``,
+    ``"experiment/<id>"``, ...); ``capture`` records whether
+    metrics/span fragments were requested plus the time-series sampling
+    spec, so a telemetry-bearing (or sampled) rerun never reuses an
+    entry captured under different instrumentation.
     """
     payload = {
         "schema": CACHE_SCHEMA,
@@ -211,24 +203,23 @@ class ResultCache:
 
 
 # ----------------------------------------------------------------------
-# Cell execution (worker side)
+# Cell execution (in-process or in a pool worker)
 # ----------------------------------------------------------------------
 @dataclasses.dataclass
 class CellOutcome:
     """Everything one cell produced, picklable across processes."""
 
-    payload: typing.Any  # ExecutionResult (matrix) or report str
+    payload: typing.Any  # what the cell function returned
     metrics: typing.Union[MetricsFragment, None]
     tracer: typing.Union[TracerFragment, None]
     hostprof: typing.Union[HostProfFragment, None] = None
 
 
-@contextlib.contextmanager
-def _fresh_telemetry(capture: CaptureSpec) -> typing.Iterator[
-        typing.Tuple[typing.Union[MetricsRegistry, None],
-                     typing.Union[RecordingTracer, None],
-                     typing.Union[HostProfiler, None]]]:
-    """Fresh ambient registry/tracer/host profiler for one cell."""
+def _run_cell(cell: runner.Cell, config: runner.ExperimentConfig,
+              capture: CaptureSpec) -> CellOutcome:
+    """One cell under fresh telemetry (what ``capture`` asks for), its
+    backend and fresh request ids (DESIGN §11.1); in-process or in a
+    pool worker alike."""
     want_metrics, want_spans, sampling, want_hostprof = capture
     registry = MetricsRegistry() if want_metrics else None
     tracer = RecordingTracer() if want_spans else None
@@ -240,18 +231,13 @@ def _fresh_telemetry(capture: CaptureSpec) -> typing.Iterator[
             stack.enter_context(use_metrics(registry))
             if sampling is not None:
                 # Same window/retention the parent sampled with, so the
-                # worker's windowed series merge byte-identically.
+                # cell's windowed series merge byte-identically.
                 stack.enter_context(use_sampling(SamplingConfig(*sampling)))
         if profiler is not None:
             stack.enter_context(use_hostprof(profiler))
-        yield registry, tracer, profiler
-
-
-def _finish_cell(payload: typing.Any,
-                 registry: typing.Union[MetricsRegistry, None],
-                 tracer: typing.Union[RecordingTracer, None],
-                 profiler: typing.Union[HostProfiler, None] = None
-                 ) -> CellOutcome:
+        stack.enter_context(use_backend(config.backend))
+        reset_request_ids()
+        payload = cell.function(config, *cell.args)
     return CellOutcome(
         payload=payload,
         metrics=capture_metrics(registry) if registry is not None else None,
@@ -260,141 +246,73 @@ def _finish_cell(payload: typing.Any,
                   if profiler is not None else None))
 
 
-def _run_matrix_cell(config: runner.ExperimentConfig, workload: str,
-                     system: str,
-                     capture: CaptureSpec) -> CellOutcome:
-    """Worker: one (workload, system) cell under fresh telemetry."""
-    with _fresh_telemetry(capture) as (registry, tracer, profiler):
-        reset_request_ids()
-        bundle = config.bundle(workload)
-        with use_backend(config.backend):
-            result = build_system(system,
-                                  config.system_config()).run(bundle)
-    return _finish_cell(result, registry, tracer, profiler)
-
-
-def _run_experiment_cell(name: str, config: runner.ExperimentConfig,
-                         capture: CaptureSpec) -> CellOutcome:
-    """Worker: one whole experiment under fresh telemetry.
-
-    The experiment registry lives in the CLI module; importing it here
-    (not at module scope) keeps the worker picklable and avoids an
-    import cycle.
-    """
-    from repro.experiments.cli import EXPERIMENTS
-    _, run_fn = EXPERIMENTS[name]
-    with _fresh_telemetry(capture) as (registry, tracer, profiler):
-        reset_request_ids()
-        with use_backend(config.backend):
-            if tracer is not None:
-                with tracer.scope(name):
-                    report = run_fn(config)
-            else:
-                report = run_fn(config)
-    return _finish_cell(report, registry, tracer, profiler)
-
-
 # ----------------------------------------------------------------------
-# Sharded execution (parent side)
+# The runner (parent side)
 # ----------------------------------------------------------------------
 @dataclasses.dataclass
 class RunStats:
-    """How a sharded run's cells were satisfied."""
+    """How a run's cells were satisfied."""
 
     simulated: int = 0
     cached: int = 0
 
-    @property
-    def total(self) -> int:
-        """All cells the run covered."""
-        return self.simulated + self.cached
-
 
 @dataclasses.dataclass
-class MatrixRun:
-    """A merged matrix plus the stats of the run that produced it."""
+class CellRun:
+    """What :func:`run_cells` hands back, keyed by cell id in
+    first-declaration order."""
 
-    matrix: typing.Dict[str, typing.Dict[str, ExecutionResult]]
+    #: cell id -> payload (an ExecutionResult, a report string, ...).
+    results: typing.Dict[str, typing.Any]
+    #: cell id -> its metrics fragment (None unless metrics are on).
+    metrics: typing.Dict[str, typing.Union[MetricsFragment, None]]
+    #: cell id -> the spans its merge added to the ambient tracer
+    #: (empty unless a recording tracer is ambient).
+    spans: typing.Dict[str, typing.List[Span]]
     stats: RunStats
 
 
-@dataclasses.dataclass
-class ExperimentRun:
-    """Ordered experiment reports plus run stats."""
+def _outcomes(cells: typing.Sequence[runner.Cell],
+              config: runner.ExperimentConfig, jobs: int,
+              cache: typing.Union[ResultCache, None],
+              capture: CaptureSpec,
+              stats: RunStats) -> typing.Iterator[CellOutcome]:
+    """Each cell's outcome **in cell order**, whatever the completion
+    order: cached ones replayed, the rest simulated (and cached).
 
-    reports: "typing.Dict[str, str]"  # experiment id -> report text
-    stats: RunStats
-    #: Per-experiment raw outcomes (reports + telemetry fragments), in
-    #: experiment order — for callers doing their own staged merge.
-    outcomes: "typing.Dict[str, CellOutcome]" = dataclasses.field(
-        default_factory=dict)
-
-
-def _execute_cells(
-        cells: typing.Sequence[typing.Tuple[str, typing.Any]],
-        worker: typing.Callable[..., CellOutcome],
-        jobs: int,
-        cache: typing.Union[ResultCache, None],
-        keys: typing.Union[typing.Sequence[str], None],
-        capture: CaptureSpec,
-) -> typing.Tuple[typing.List[CellOutcome], RunStats]:
-    """Run ``cells`` (id, worker-args) and return outcomes **in cell
-    order** regardless of completion order; cache when enabled.
-
-    This is the determinism pivot: submission fans out, but merging
+    This is the determinism pivot: submission fans out, but the merge
     walks ``cells`` front to back, so telemetry replay and result
-    assembly see the serial order.
+    assembly see one order at any ``jobs``.  Yielding one outcome at a
+    time lets each fragment go once merged.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    stats = RunStats()
-    outcomes: typing.List[typing.Union[CellOutcome, None]] = [None] * len(
-        cells)
-    pending: typing.List[int] = []
-    for index in range(len(cells)):
-        cached = (cache.get(keys[index])
-                  if cache is not None and keys is not None else None)
-        if cached is not None:
-            outcomes[index] = cached
-            stats.cached += 1
-        else:
-            pending.append(index)
-    if pending:
-        stats.simulated += len(pending)
-        if jobs > 1:
-            with concurrent.futures.ProcessPoolExecutor(
-                    max_workers=min(jobs, len(pending))) as pool:
-                futures = {
-                    index: pool.submit(worker, *cells[index][1],
-                                       capture)
-                    for index in pending
-                }
-                for index, future in futures.items():
-                    outcomes[index] = future.result()
-        else:
-            for index in pending:
-                outcomes[index] = worker(*cells[index][1], capture)
-        if cache is not None and keys is not None:
-            for index in pending:
-                cache.put(keys[index],
-                          typing.cast(CellOutcome, outcomes[index]))
-    return [typing.cast(CellOutcome, outcome)
-            for outcome in outcomes], stats
-
-
-def merge_outcome(outcome: CellOutcome,
-                  registry: MetricsRegistry,
-                  tracer: "typing.Any") -> None:
-    """Replay one cell's telemetry fragments into the ambient sinks."""
-    if outcome.metrics is not None and registry.enabled:
-        merge_metrics(registry, outcome.metrics)
-    if outcome.tracer is not None and getattr(tracer, "enabled", False):
-        if isinstance(tracer, RecordingTracer):
-            merge_tracer(tracer, outcome.tracer)
-    if outcome.hostprof is not None:
-        ambient = current_hostprof()
-        if isinstance(ambient, HostProfiler):
-            merge_hostprof(ambient, outcome.hostprof)
+    keys: typing.List[str] = []
+    if cache is not None:
+        tree = source_tree_digest()
+        keys = [cell_key(cell.key, config, capture, tree) for cell in cells]
+    cached: typing.List[typing.Union[CellOutcome, None]] = (
+        [cache.get(key) for key in keys] if cache is not None
+        else [None] * len(cells))
+    pending = [index for index, outcome in enumerate(cached)
+               if outcome is None]
+    stats.simulated = len(pending)
+    stats.cached = len(cells) - len(pending)
+    with contextlib.ExitStack() as stack:
+        futures: typing.Dict[int, concurrent.futures.Future[CellOutcome]] = {}
+        if jobs > 1 and pending:
+            pool = stack.enter_context(concurrent.futures.ProcessPoolExecutor(
+                max_workers=min(jobs, len(pending))))
+            futures = {index: pool.submit(_run_cell, cells[index], config,
+                                          capture)
+                       for index in pending}
+        for index, cell in enumerate(cells):
+            outcome = cached[index]
+            if outcome is None:
+                outcome = (futures.pop(index).result() if futures
+                           else _run_cell(cell, config, capture))
+                if cache is not None:
+                    cache.put(keys[index], outcome)
+            cached[index] = None
+            yield outcome
 
 
 def _ambient_capture() -> CaptureSpec:
@@ -407,82 +325,61 @@ def _ambient_capture() -> CaptureSpec:
             current_hostprof() is not None)
 
 
-def run_matrix_parallel(
-        config: runner.ExperimentConfig,
-        systems: typing.Sequence[str],
-        workloads: typing.Sequence[str] | None = None,
-        *,
-        jobs: int = 1,
-        cache_dir: typing.Union[str, os.PathLike[str], None] = None,
-) -> MatrixRun:
-    """Sharded, cached equivalent of :func:`repro.experiments.runner.
-    run_matrix`.
-
-    Returns the same ``matrix[workload][system]`` mapping (inside a
-    :class:`MatrixRun` carrying cache stats).  The merged matrix,
-    ambient metrics registry, and ambient span stream are identical to
-    a serial run's: cells merge in workload-major cell-key order.
-    """
-    chosen = tuple(workloads) if workloads is not None else config.workloads
-    runner.require_cells(chosen, systems)
-    capture = _ambient_capture()
-    cache = ResultCache(cache_dir) if cache_dir is not None else None
-    cells = [(f"matrix/{workload}/{system}", (config, workload, system))
-             for workload in chosen for system in systems]
-    keys = None
-    if cache is not None:
-        tree = source_tree_digest()
-        keys = [cell_key(cell_id, config, capture, tree)
-                for cell_id, _ in cells]
-    outcomes, stats = _execute_cells(
-        cells, _run_matrix_cell, jobs, cache, keys, capture)
-    registry = current_metrics()
-    tracer = current_tracer()
-    matrix: typing.Dict[str, typing.Dict[str, ExecutionResult]] = {}
-    for (_, (_, workload, system)), outcome in zip(cells, outcomes):
-        merge_outcome(outcome, registry, tracer)
-        matrix.setdefault(workload, {})[system] = typing.cast(
-            ExecutionResult, outcome.payload)
-    return MatrixRun(matrix=matrix, stats=stats)
-
-
-def run_experiments_parallel(
-        names: typing.Sequence[str],
+def run_cells(
+        plan: typing.Mapping[str, typing.Sequence[runner.Cell]],
         config: runner.ExperimentConfig,
         *,
         jobs: int = 1,
         cache_dir: typing.Union[str, os.PathLike[str], None] = None,
-        merge_into_ambient: bool = True,
-) -> ExperimentRun:
-    """Run whole experiments as shards (the CLI's ``all --jobs N``).
+) -> CellRun:
+    """Simulate the union of ``plan``'s cells once; merge in order.
 
-    Reports come back keyed by experiment id in the order given;
-    telemetry fragments merge into the ambient tracer/registry per
-    experiment, in experiment order, so ``--metrics``/``--trace``
-    output matches a serial ``all`` run.
+    ``plan`` maps a tracer scope label (an experiment id, or ``""`` for
+    none) to the cells declared under it.  A key declared twice runs
+    once: the first declaration wins, and its fragments merge under
+    that declaration's scope, nested in whatever scope is current.
+    Every cell runs under fresh telemetry that captures what is ambient
+    — in-process at ``jobs=1``, in a pool of ``jobs`` processes
+    otherwise — and ``cache_dir`` replays unchanged cells from the
+    :class:`ResultCache` instead.
     """
-    if not names:
-        raise ValueError("run_experiments_parallel: empty experiment list")
-    capture = _ambient_capture()
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    declared: typing.Dict[str, typing.Tuple[str, runner.Cell]] = {}
+    for scope, cells in plan.items():
+        for cell in cells:
+            declared.setdefault(cell.key, (scope, cell))
     cache = ResultCache(cache_dir) if cache_dir is not None else None
-    cells = [(f"experiment/{name}", (name, config)) for name in names]
-    keys = None
-    if cache is not None:
-        tree = source_tree_digest()
-        keys = [cell_key(cell_id, config, capture, tree)
-                for cell_id, _ in cells]
-    outcomes, stats = _execute_cells(
-        cells, _run_experiment_cell, jobs, cache, keys, capture)
+    run = CellRun(results={}, metrics={}, spans={}, stats=RunStats())
+    outcomes = _outcomes([cell for _, cell in declared.values()], config,
+                         jobs, cache, _ambient_capture(), run.stats)
     registry = current_metrics()
     tracer = current_tracer()
-    reports: typing.Dict[str, str] = {}
-    raw: typing.Dict[str, CellOutcome] = {}
-    for (_, (name, _)), outcome in zip(cells, outcomes):
-        if merge_into_ambient:
-            merge_outcome(outcome, registry, tracer)
-        reports[name] = typing.cast(str, outcome.payload)
-        raw[name] = outcome
-    return ExperimentRun(reports=reports, stats=stats, outcomes=raw)
+    profiler = current_hostprof()
+    for outcome, (key, (scope, _)) in zip(outcomes, declared.items()):
+        if outcome.metrics is not None:
+            merge_metrics(registry, outcome.metrics)
+        if outcome.hostprof is not None and isinstance(profiler,
+                                                       HostProfiler):
+            merge_hostprof(profiler, outcome.hostprof)
+        run.results[key] = outcome.payload
+        run.metrics[key] = outcome.metrics
+        run.spans[key] = []
+        if outcome.tracer is not None and isinstance(tracer,
+                                                     RecordingTracer):
+            mark = len(tracer.spans)
+            with (tracer.scope(scope) if scope
+                  else contextlib.nullcontext()):
+                merge_tracer(tracer, outcome.tracer)
+            run.spans[key] = tracer.spans[mark:]
+    return run
+
+
+def cell_results(cells: typing.Sequence[runner.Cell],
+                 config: runner.ExperimentConfig
+                 ) -> typing.Dict[str, typing.Any]:
+    """``key -> payload`` of ``cells``, run in-process with no cache."""
+    return run_cells({"": cells}, config).results
 
 
 # ----------------------------------------------------------------------

@@ -13,8 +13,6 @@ import os
 import typing
 
 from repro.accel import AcceleratorConfig
-from repro.controller.request import reset_request_ids
-from repro.sim import use_backend
 from repro.systems import SystemConfig, build_system
 from repro.systems.base import ExecutionResult
 from repro.workloads import all_workloads, generate_traces, workload
@@ -116,6 +114,42 @@ def require_cells(workloads: typing.Sequence[str],
             "nothing to run")
 
 
+@dataclasses.dataclass(frozen=True)
+class Cell:
+    """One unit of simulation, ``function(config, *args)``, named ``key``
+    (:func:`repro.experiments.parallel.run_cells` runs each key once).
+    ``function`` is module-level, so a cell pickles for a worker."""
+
+    key: str
+    function: typing.Callable[..., typing.Any]
+    args: typing.Tuple[typing.Any, ...] = ()
+
+
+def run_system(config: ExperimentConfig, workload_name: str,
+               system_name: str) -> ExecutionResult:
+    """The ``matrix/<workload>/<system>`` cell: one system, one workload."""
+    return build_system(system_name, config.system_config()).run(
+        config.bundle(workload_name))
+
+
+def matrix_cells(workloads: typing.Sequence[str],
+                 systems: typing.Sequence[str]) -> typing.List[Cell]:
+    """The (workload, system) cells, workload-major."""
+    return [Cell(f"matrix/{workload_name}/{system_name}", run_system,
+                 (workload_name, system_name))
+            for workload_name in workloads for system_name in systems]
+
+
+def matrix_of(results: typing.Mapping[str, typing.Any],
+              workloads: typing.Sequence[str],
+              systems: typing.Sequence[str]
+              ) -> typing.Dict[str, typing.Dict[str, ExecutionResult]]:
+    """``matrix[workload][system]`` view of matrix cell results."""
+    return {workload_name: {
+        system_name: results[f"matrix/{workload_name}/{system_name}"]
+        for system_name in systems} for workload_name in workloads}
+
+
 def run_matrix(config: ExperimentConfig,
                systems: typing.Sequence[str],
                workloads: typing.Sequence[str] | None = None,
@@ -125,35 +159,18 @@ def run_matrix(config: ExperimentConfig,
                ) -> typing.Dict[str, typing.Dict[str, ExecutionResult]]:
     """Run every (workload, system) pair.
 
-    Returns ``matrix[workload][system] -> ExecutionResult``.
-
-    ``jobs`` > 1 shards the cells across a process pool and merges the
-    per-cell results and telemetry deterministically (cell-key order,
-    so the output is identical to a serial run); ``cache_dir`` enables
-    the content-addressed result cache so unchanged cells are replayed
-    instead of re-simulated.  Both paths live in
-    :mod:`repro.experiments.parallel`.
+    Returns ``matrix[workload][system] -> ExecutionResult``.  The cells
+    go through :func:`repro.experiments.parallel.run_cells`: ``jobs`` > 1
+    shards them across a process pool, ``cache_dir`` replays unchanged
+    ones from the content-addressed result cache, and either way
+    results and telemetry merge in cell order.
     """
+    from repro.experiments import parallel
     chosen = tuple(workloads) if workloads is not None else config.workloads
     require_cells(chosen, systems)
-    if jobs != 1 or cache_dir is not None:
-        from repro.experiments import parallel
-        return parallel.run_matrix_parallel(
-            config, systems, chosen, jobs=jobs, cache_dir=cache_dir).matrix
-    system_config = config.system_config()
-    matrix: typing.Dict[str, typing.Dict[str, ExecutionResult]] = {}
-    with use_backend(config.backend):
-        for workload_name in chosen:
-            bundle = config.bundle(workload_name)
-            row = {}
-            for system_name in systems:
-                # Cell-local request numbering: parallel workers reset at
-                # the same boundary, so span ``req`` tags match exactly.
-                reset_request_ids()
-                system = build_system(system_name, system_config)
-                row[system_name] = system.run(bundle)
-            matrix[workload_name] = row
-    return matrix
+    run = parallel.run_cells({"": matrix_cells(chosen, systems)}, config,
+                             jobs=jobs, cache_dir=cache_dir)
+    return matrix_of(run.results, chosen, systems)
 
 
 def format_table(headers: typing.Sequence[str],

@@ -1,12 +1,12 @@
 """Serializable telemetry fragments for process-parallel runs.
 
-The parallel experiment runner (:mod:`repro.experiments.parallel`)
-executes each cell of the evaluation matrix in a worker process with a
-*fresh* tracer and metrics registry.  This module is the bridge back:
-it captures a worker's telemetry as a picklable **fragment** and merges
-fragments into the parent's ambient tracer/registry **deterministically**
-— always in cell-key order, never completion order — so a parallel run
-reproduces the serial run's registry contents and span stream exactly.
+The cell runner (:mod:`repro.experiments.parallel`) executes each
+cell, in-process or in a worker process, with a *fresh* tracer and
+metrics registry.  This module is the bridge back: it captures a
+cell's telemetry as a picklable **fragment** and merges fragments into
+the ambient tracer/registry **deterministically** — always in cell
+order, never completion order — so a sharded run reproduces a single
+recording's registry contents and span stream exactly.
 
 Two invariants make the merge parity-exact with a serial run:
 
@@ -73,6 +73,13 @@ class MetricsFragment:
 
     def __len__(self) -> int:
         return len(self.containers) + len(self.gauges)
+
+    def counter(self, path: str) -> float:
+        """Value of the counter at ``path`` (0.0 when none was made)."""
+        for entry_path, kind, payload in self.containers:
+            if entry_path == path and kind == "counter":
+                return float(payload[0])
+        return 0.0
 
 
 @dataclasses.dataclass
@@ -212,15 +219,17 @@ def merge_tracer(target: RecordingTracer,
     Worker ids are contiguous from 1 across spans *and* instants (they
     share one counter), so shifting every id by the target's consumed
     count reproduces the id stream a serial run would have assigned —
-    including the span/instant interleaving.
+    including the span/instant interleaving.  Scopes nest under the
+    target's current scope, as if the cell had recorded inside it.
     """
     base = len(target.spans) + len(target.instants)
-    for span in fragment.spans:
-        target.spans.append(dataclasses.replace(
-            span, span_id=base + span.span_id))
-    for instant in fragment.instants:
-        target.instants.append(dataclasses.replace(
-            instant, span_id=base + instant.span_id))
+    outer = target._current_scope()
+    for records, sink in ((fragment.spans, target.spans),
+                          (fragment.instants, target.instants)):
+        sink.extend(dataclasses.replace(
+            span, span_id=base + span.span_id,
+            scope="/".join(filter(None, (outer, span.scope))))
+            for span in records)
     target.commands.extend(fragment.commands)
     target.kernel_events.extend(fragment.kernel_events)
     # Re-seat the target's counter past the ids just claimed.

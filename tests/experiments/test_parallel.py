@@ -1,4 +1,4 @@
-"""Tests for the process-parallel experiment runner and result cache."""
+"""Tests for the cell runner (in-process and sharded) and result cache."""
 
 import dataclasses
 import json
@@ -7,6 +7,7 @@ import pytest
 
 from repro.experiments import parallel, runner
 from repro.experiments.cli import main
+from repro.systems.base import AcceleratedSystem
 from repro.telemetry import SamplingConfig, Telemetry
 
 #: Two workloads x two systems: enough cells for a jobs=4 sharding.
@@ -35,9 +36,11 @@ def _canon(obj):
 class TestParallelEquivalence:
     @pytest.mark.determinism
     def test_matrix_results_metrics_and_spans_match_serial(self):
+        # Both sides run inside an enclosing scope: the merge must nest
+        # every cell's spans under it, whichever process recorded them.
         def snapshot(jobs):
             telemetry = Telemetry(record_spans=True)
-            with telemetry.activate():
+            with telemetry.activate(), telemetry.tracer.scope("fig15"):
                 matrix = runner.run_matrix(runner.QUICK, SYSTEMS, jobs=jobs)
             spans = [dataclasses.astuple(span)
                      for span in telemetry.tracer.spans]
@@ -47,6 +50,9 @@ class TestParallelEquivalence:
         sharded_matrix, sharded_summary, sharded_spans = snapshot(4)
         assert sharded_summary == serial_summary
         assert sharded_spans == serial_spans
+        assert {span[4] for span in serial_spans} == {
+            f"fig15/{system}:{workload}" for system in SYSTEMS
+            for workload in runner.QUICK.workloads}
         for workload in serial_matrix:
             for system in serial_matrix[workload]:
                 assert (_canon(sharded_matrix[workload][system])
@@ -90,22 +96,26 @@ class TestParallelEquivalence:
                     == (serial_dir / name).read_bytes())
 
 
+def _matrix_plan(systems=SYSTEMS, workloads=runner.QUICK.workloads):
+    return {"": runner.matrix_cells(workloads, systems)}
+
+
 class TestResultCache:
     def test_second_run_performs_zero_simulations(self, tmp_path):
         cache_dir = tmp_path / "cache"
-        first = parallel.run_matrix_parallel(
-            runner.QUICK, SYSTEMS, jobs=1, cache_dir=cache_dir)
+        first = parallel.run_cells(
+            _matrix_plan(), runner.QUICK, jobs=1, cache_dir=cache_dir)
         assert first.stats.simulated == len(runner.QUICK.workloads) * len(
             SYSTEMS)
         assert first.stats.cached == 0
-        second = parallel.run_matrix_parallel(
-            runner.QUICK, SYSTEMS, jobs=1, cache_dir=cache_dir)
+        second = parallel.run_cells(
+            _matrix_plan(), runner.QUICK, jobs=1, cache_dir=cache_dir)
         assert second.stats.simulated == 0
         assert second.stats.cached == first.stats.simulated
-        for workload in first.matrix:
-            for system in first.matrix[workload]:
-                assert (_canon(second.matrix[workload][system])
-                        == _canon(first.matrix[workload][system]))
+        assert list(second.results) == list(first.results)
+        for key in first.results:
+            assert (_canon(second.results[key])
+                    == _canon(first.results[key]))
 
     def test_key_depends_on_config(self):
         tree = "t" * 64
@@ -167,8 +177,8 @@ class TestResultCache:
         def summary(cache_dir):
             telemetry = Telemetry()
             with telemetry.activate():
-                run = parallel.run_matrix_parallel(
-                    runner.QUICK, SYSTEMS[:1], workloads=("gemver",),
+                run = parallel.run_cells(
+                    _matrix_plan(SYSTEMS[:1], ("gemver",)), runner.QUICK,
                     jobs=1, cache_dir=cache_dir)
             return telemetry.summary(), run.stats
         first_summary, first_stats = summary(tmp_path / "cache")
@@ -176,6 +186,69 @@ class TestResultCache:
         assert first_stats.simulated == 1
         assert second_stats.cached == 1
         assert second_summary == first_summary
+
+
+#: The experiments that read the system matrix.
+MATRIX_FIGURES = ("fig01", "fig07", "fig15", "fig16", "fig17")
+
+
+def _count_system_runs(monkeypatch):
+    """Record every in-process ``AcceleratedSystem.run`` from now on."""
+    calls = []
+    original = AcceleratedSystem.run
+
+    def counting(self, bundle):
+        calls.append((self.name, bundle.spec.name))
+        return original(self, bundle)
+
+    monkeypatch.setattr(AcceleratedSystem, "run", counting)
+    return calls
+
+
+class TestSharedCells:
+    def test_each_cell_is_simulated_once(self, tmp_path, monkeypatch,
+                                         capsys):
+        monkeypatch.setenv("REPRO_GIT_SHA", "0000test")
+        monkeypatch.setenv("REPRO_TIMESTAMP", "2026-01-01T00:00:00")
+        calls = _count_system_runs(monkeypatch)
+        assert main([",".join(MATRIX_FIGURES), "--quick",
+                     "--results", str(tmp_path / "shared")]) == 0
+        # 2 workloads x (11 Table I systems + Ideal-resident), plus
+        # fig07's two one-core firmware runs.
+        assert len(calls) == 26
+        assert len(set(calls)) == 24
+        for name in MATRIX_FIGURES:
+            assert main([name, "--quick",
+                         "--results", str(tmp_path / "alone")]) == 0
+        assert main([",".join(MATRIX_FIGURES), "--quick", "--jobs", "2",
+                     "--results", str(tmp_path / "sharded")]) == 0
+        capsys.readouterr()
+        alone = sorted(path.name for path in (tmp_path / "alone").iterdir())
+        assert len(alone) == len(MATRIX_FIGURES)
+        for tree in ("shared", "sharded"):
+            assert sorted(path.name
+                          for path in (tmp_path / tree).iterdir()) == alone
+            for name in alone:
+                assert ((tmp_path / tree / name).read_bytes()
+                        == (tmp_path / "alone" / name).read_bytes())
+
+    def test_cached_cells_serve_other_figures(self, tmp_path, monkeypatch,
+                                              capsys):
+        cache = str(tmp_path / "cache")
+        assert main(["fig15", "--quick", "--cache", cache]) == 0
+        calls = _count_system_runs(monkeypatch)
+        assert main(["fig16", "--quick", "--cache", cache]) == 0
+        assert calls == []
+        assert "Figure 16" in capsys.readouterr().out
+
+    def test_fig13_attribution_survives_per_cell_request_ids(self, capsys):
+        # Request ids restart at every replay cell; each replay's own
+        # scope keeps (scope, req) unique, so attribution still holds.
+        assert main(["fig13", "--quick", "--profile"]) == 0
+        out = capsys.readouterr().out
+        profile = out[out.index("profile: fig13"):]
+        assert "496 requests, mean latency 7.970 us" in profile
+        assert "attribution invariant: holds" in profile
 
 
 class TestValidation:

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.experiments import cli
-from repro.experiments.parallel import run_experiments_parallel
+from repro.experiments.parallel import run_cells
 from repro.experiments.runner import ExperimentConfig
 from repro.sim import KernelScope, Simulator
 from repro.sim.hostprof import current_hostprof, use_hostprof
@@ -221,7 +221,8 @@ class TestMergeAndFragments:
         for jobs in (1, 2):
             profiler = HostProfiler()
             with use_hostprof(profiler):
-                run_experiments_parallel(["fig12"], config, jobs=jobs)
+                run_cells({"fig12": cli.experiment_cells("fig12", config)},
+                          config, jobs=jobs)
             censuses.append(profiler.census())
         assert censuses[0] == censuses[1]
 
