@@ -54,7 +54,6 @@ def _provenance():
     # diff reports whose stamps disagree.
     provenance["sketch"] = DEFAULT_SKETCH_LAYOUT.spec()
     provenance["timeseries_window_ns"] = DEFAULT_WINDOW_NS
-    provenance["backend"] = BENCH_CONFIG.backend
     # Service-layer plan (and its seed) behind any service.* metrics:
     # SLO numbers from different traffic plans are different
     # measurements, so compare refuses to diff them.

@@ -45,7 +45,6 @@ from repro.controller.request import RequestStatus
 from repro.faults.plan import FaultConfig
 from repro.pram.errors import PramError
 from repro.sim import LatencySketch, Simulator
-from repro.sim.compiled import BackendDecision, record_decision
 from repro.sim.event import Event
 from repro.sim.process import Process
 from repro.sim.resource import Request, Resource
@@ -215,12 +214,6 @@ def _seed_submit(self, request):
     ``fault_permanent`` flag is never set; the rest is the current
     body.
     """
-    if self._backend_note_pending:
-        self._backend_note_pending = False
-        record_decision(BackendDecision(
-            "compiled", "interpreted",
-            ("per-request submit() path (the compiled kernel "
-             "batches through run_stream)",)))
     request.submit_time = self.sim.now
     if self._metrics_on:
         self._inflight += 1

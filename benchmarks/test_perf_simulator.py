@@ -4,11 +4,10 @@ These measure the discrete-event kernel itself — useful for spotting
 regressions in the engine that every experiment's runtime depends on.
 """
 
-import gc
 import time
 
 from repro.controller import MemoryRequest, Op, PramSubsystem
-from repro.sim import Simulator, backend_decisions, clear_backend_decisions
+from repro.sim import Simulator
 from repro.sim.hostprof import use_hostprof
 from repro.telemetry.hostprof import (
     HostProfiler,
@@ -17,8 +16,7 @@ from repro.telemetry.hostprof import (
 )
 
 
-def drive_read_stream(requests: int = 512,
-                      backend: "str | None" = None) -> float:
+def drive_read_stream(requests: int = 512) -> float:
     """Simulate a closed read stream; returns the simulated end time."""
     sim = Simulator()
     subsystem = PramSubsystem(sim)
@@ -26,7 +24,7 @@ def drive_read_stream(requests: int = 512,
         MemoryRequest(Op.READ, (index * 512) % (1 << 20), 512)
         for index in range(requests)
     ]
-    subsystem.run_stream(stream, mode="closed", backend=backend)
+    subsystem.run_stream(stream, mode="closed")
     return sim.now
 
 
@@ -38,80 +36,6 @@ def test_perf_subsystem_read_stream(benchmark, bench_record):
     # subsystem, not host noise.
     bench_record("perf.read_stream_simulated_ns", simulated_ns,
                  better="lower", unit="ns")
-
-
-#: Gate on interpreted / compiled time.  Speeding up the interpreter
-#: shrinks the ratio; at 2x or less the compiled backend is due for
-#: deletion (see ROADMAP), so the gate sits above that line.
-MIN_COMPILED_SPEEDUP = 2.5
-
-
-def test_perf_compiled_speedup(bench_record):
-    """The compiled backend must beat the interpreter by >= 2.5x.
-
-    The stream is the kernel's best case on purpose — the gate measures
-    the compiled path's headroom, not average-case gains: 4 KiB closed
-    reads decompose into row-wide chunk waves that vectorize across a
-    whole channel, while the interpreted engine pays a heap event per
-    phase of every chunk.  Wall clock is noisy on shared CI hosts, so
-    the measurement is an interleaved min-of-N of ``process_time`` with
-    the collector parked; the ratio (not the absolute times) is the
-    gated quantity.  Both sides' times go into BENCH as advisory
-    metrics, so the trajectory shows which side moved the ratio.
-    """
-    requests = 64
-
-    def run(backend: str) -> float:
-        sim = Simulator()
-        subsystem = PramSubsystem(sim)
-        stream = [
-            MemoryRequest(Op.READ, (index * 4096) % (1 << 20), 4096)
-            for index in range(requests)
-        ]
-        subsystem.run_stream(stream, mode="closed", backend=backend)
-        return sim.now
-
-    # Warm-up runs double as the identity + engagement check: identical
-    # simulated end times, and the compiled kernel actually ran (a
-    # silent fallback would "pass" the ratio at 1x otherwise).
-    clear_backend_decisions()
-    interpreted_now = run("interpreted")
-    compiled_now = run("compiled")
-    assert interpreted_now == compiled_now
-    decision = backend_decisions()[-1]
-    assert decision.used == "compiled", decision.reasons
-
-    def timed(backend: str) -> float:
-        gc.collect()
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            start = time.process_time()
-            run(backend)
-            return time.process_time() - start
-        finally:
-            if enabled:
-                gc.enable()
-
-    # Interleaved pairs: a host slowdown mid-test hits both backends
-    # instead of biasing whichever ran last.
-    interpreted_times = []
-    compiled_times = []
-    for _ in range(5):
-        interpreted_times.append(timed("interpreted"))
-        compiled_times.append(timed("compiled"))
-    interpreted_ms = min(interpreted_times) * 1e3
-    compiled_ms = min(compiled_times) * 1e3
-    bench_record("perf.compiled_stream.interpreted_ms", interpreted_ms,
-                 unit="ms")
-    bench_record("perf.compiled_stream.compiled_ms", compiled_ms, unit="ms")
-    speedup = interpreted_ms / compiled_ms
-    assert speedup >= MIN_COMPILED_SPEEDUP, (
-        f"compiled backend only {speedup:.2f}x faster "
-        f"(interpreted {interpreted_ms:.1f} ms, "
-        f"compiled {compiled_ms:.1f} ms)")
-    bench_record("perf.compiled_speedup", speedup, better="higher",
-                 unit="ratio")
 
 
 def test_perf_hostprof_attribution(bench_record):

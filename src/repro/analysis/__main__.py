@@ -1,6 +1,6 @@
 """Command-line front end: ``python -m repro.analysis``.
 
-Four modes:
+Three modes:
 
 * ``python -m repro.analysis [PATH ...]`` — run the SIM lint rules over
   files/directories (default: ``src/repro``).  Exits 1 if any
@@ -15,12 +15,6 @@ Four modes:
   same-timestamp permutations; any byte-level divergence of the report
   fails the check.  ``--attest BENCH.json`` stamps the resulting
   ``tiebreak_independent`` certificate into an existing BENCH artifact.
-* ``python -m repro.analysis --backend-equivalence EXPERIMENT[,...]`` —
-  run named experiments (quick config) once per execution backend and
-  byte-diff the canonical report fingerprints; any divergence fails,
-  and so does a run where the compiled kernel never engaged.
-  ``--format github`` renders a per-cell match table suitable for
-  ``$GITHUB_STEP_SUMMARY``.
 
 Lint and conformance support ``--format json``; lint additionally
 supports ``--format github`` (workflow error annotations) and
@@ -135,108 +129,6 @@ def _run_shuffle(subjects: typing.Sequence[str], runs: int, seed: int,
     return 0 if independent else 1
 
 
-def _run_backend_equivalence(subjects: typing.Sequence[str],
-                             output: str) -> int:
-    """Backend equivalence gate: compiled must byte-match interpreted.
-
-    Each experiment runs twice under the quick config — once per
-    execution backend — and the canonical report fingerprints are
-    byte-diffed.  Any divergence fails, and so does a run in which the
-    compiled kernel never engaged at all: a gate that only ever
-    exercises the fallback path certifies nothing.
-    """
-    # Lazy imports for the same reason as _run_shuffle: lint and
-    # conformance must not pay for the experiments stack.
-    import hashlib
-
-    from repro.controller.request import reset_request_ids
-    from repro.experiments import cli as experiments_cli
-    from repro.experiments.runner import ExperimentConfig
-    from repro.sim import (
-        backend_decisions,
-        clear_backend_decisions,
-        use_backend,
-    )
-
-    unknown = [name for name in subjects
-               if name not in experiments_cli.EXPERIMENTS]
-    if unknown:
-        known = ", ".join(sorted(experiments_cli.EXPERIMENTS))
-        print(f"unknown experiment(s): {', '.join(unknown)} "
-              f"(known: {known})", file=sys.stderr)
-        return 2
-
-    def run_one(name: str, backend: str) -> typing.Tuple[str, int, int]:
-        """(report digest, compiled engagements, fallbacks)."""
-        reset_request_ids()
-        clear_backend_decisions()
-        _, figure_fn = experiments_cli.EXPERIMENTS[name]
-        config = ExperimentConfig(scale=0.05, seed=7, agents=3,
-                                  workloads=("gemver", "doitg"),
-                                  backend=backend)
-        with use_backend(backend):
-            report = figure_fn(config)
-        decisions = backend_decisions()
-        engaged = sum(1 for decision in decisions if decision.compiled)
-        fallbacks = sum(1 for decision in decisions
-                        if decision.requested == "compiled"
-                        and not decision.compiled)
-        digest = hashlib.sha256(report.encode()).hexdigest()
-        return digest, engaged, fallbacks
-
-    rows = []
-    all_match = True
-    total_engaged = 0
-    for name in subjects:
-        interpreted_digest, _, _ = run_one(name, "interpreted")
-        compiled_digest, engaged, fallbacks = run_one(name, "compiled")
-        match = interpreted_digest == compiled_digest
-        all_match = all_match and match
-        total_engaged += engaged
-        rows.append((name, interpreted_digest, compiled_digest, match,
-                     engaged, fallbacks))
-    passed = all_match and total_engaged > 0
-    if output == "json":
-        print(json.dumps({
-            "pass": passed,
-            "compiled_engagements": total_engaged,
-            "cells": [
-                {"experiment": name, "interpreted_sha256": base,
-                 "compiled_sha256": cand, "match": match,
-                 "compiled_streams": engaged, "fallbacks": fallbacks}
-                for name, base, cand, match, engaged, fallbacks in rows
-            ]}, indent=2))
-    elif output == "github":
-        # Markdown for $GITHUB_STEP_SUMMARY: one row per cell.
-        print("## Backend equivalence (compiled vs interpreted)")
-        print()
-        print("| experiment | interpreted | compiled | match | "
-              "compiled streams | fallbacks |")
-        print("| --- | --- | --- | --- | --- | --- |")
-        for name, base, cand, match, engaged, fallbacks in rows:
-            icon = ":white_check_mark:" if match else ":x:"
-            print(f"| {name} | `{base[:12]}` | `{cand[:12]}` | {icon} "
-                  f"| {engaged} | {fallbacks} |")
-        print()
-        verdict = ("**PASS**" if passed else
-                   "**FAIL**" if not all_match else
-                   "**FAIL** (compiled kernel never engaged)")
-        print(f"{verdict} — {total_engaged} compiled stream(s) across "
-              f"{len(rows)} experiment(s)")
-    else:
-        for name, base, cand, match, engaged, fallbacks in rows:
-            status = "match " if match else "DIVERGE"
-            print(f"{status} {name}: interpreted {base[:12]} vs "
-                  f"compiled {cand[:12]} ({engaged} compiled "
-                  f"stream(s), {fallbacks} fallback(s))")
-        if total_engaged == 0:
-            print("FAIL: the compiled kernel never engaged — the gate "
-                  "exercised only the fallback path")
-        print(f"{'PASS' if passed else 'FAIL'}: {len(rows)} "
-              f"experiment(s), {total_engaged} compiled stream(s)")
-    return 0 if passed else 1
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
@@ -255,12 +147,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--shuffle", metavar="EXPERIMENT[,...]", default=None,
         help="certify tie-break independence of named experiments "
              "(quick config) via seeded same-timestamp shuffles")
-    parser.add_argument(
-        "--backend-equivalence", metavar="EXPERIMENT[,...]", default=None,
-        help="run named experiments (quick config) once per execution "
-             "backend and byte-diff the report fingerprints; fails on "
-             "any divergence or if the compiled kernel never engaged "
-             "(--format github renders a step-summary table)")
     parser.add_argument(
         "--runs", type=int, default=5,
         help="shuffled runs per experiment for --shuffle (default: 5)")
@@ -283,16 +169,13 @@ def main(argv: typing.Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
 
     if args.shuffle is not None:
+        if args.runs < 1:
+            print(f"--runs must be >= 1, got {args.runs}", file=sys.stderr)
+            return 2
         subjects = [name.strip() for name in args.shuffle.split(",")
                     if name.strip()]
         return _run_shuffle(subjects, args.runs, args.seed, args.attest,
                             args.format)
-
-    if args.backend_equivalence is not None:
-        subjects = [name.strip()
-                    for name in args.backend_equivalence.split(",")
-                    if name.strip()]
-        return _run_backend_equivalence(subjects, args.format)
 
     if args.trace is not None:
         violations = check_trace(load_trace(args.trace))

@@ -12,9 +12,9 @@ Registered from the repository-root ``conftest.py``.  Provides:
   again under seeded random permutations of every same-timestamp event
   batch (``tiebreak_shuffle(runs=N, seed=S)``; default 3 runs).  A
   test that passes under FIFO order but fails under a shuffle depends
-  on the kernel tie-break — exactly the dependence the compiled/
-  parallel backends are not allowed to see.  Like ``determinism``,
-  the body must build its own simulator.
+  on the kernel tie-break — exactly the dependence a kernel that
+  reorders within an instant is not allowed to see.  Like
+  ``determinism``, the body must build its own simulator.
 * ``protocol_monitor`` fixture — a recording
   :class:`~repro.analysis.conformance.ProtocolChecker` that fails the
   test at teardown if any observed command violated the three-phase

@@ -23,15 +23,6 @@ from repro.pram.constants import PramGeometry, PramTimingParams
 from repro.pram.errors import PramError
 from repro.pram.module import PramModule
 from repro.sim import Simulator
-from repro.sim.compiled import (
-    BACKENDS,
-    BackendDecision,
-    CompiledKernel,
-    current_backend,
-    record_decision,
-    stream_fallback_reasons,
-    subsystem_fallback_reasons,
-)
 from repro.sim.stats import LatencySketch
 from repro.telemetry.metrics import current_metrics
 from repro.telemetry.timeseries import Sampler, TimeWeightedTracker
@@ -99,11 +90,6 @@ class PramSubsystem:
             Op.READ.value: LatencySketch("subsys.sketch.read"),
             Op.WRITE.value: LatencySketch("subsys.sketch.write"),
         }
-        # A subsystem constructed under an ambient compiled backend but
-        # driven through the per-request submit() path (the system
-        # models) cannot batch; the first submit records the fallback
-        # so equivalence tooling sees *why* nothing compiled.
-        self._backend_note_pending = current_backend() == "compiled"
         self._inflight_tracker: TimeWeightedTracker | None = None
         metrics = current_metrics()
         self._metrics = metrics
@@ -135,12 +121,6 @@ class PramSubsystem:
         Returns the read data (b"" for writes).  Chunks are fanned out
         to their channels; channels proceed independently.
         """
-        if self._backend_note_pending:
-            self._backend_note_pending = False
-            record_decision(BackendDecision(
-                "compiled", "interpreted",
-                ("per-request submit() path (the compiled kernel "
-                 "batches through run_stream)",)))
         request.submit_time = self.sim.now
         self._inflight += 1
         if self._metrics_on:
@@ -243,49 +223,17 @@ class PramSubsystem:
         yield self.sim.process(self.submit(request))
 
     def run_stream(self, requests: typing.Sequence[MemoryRequest], *,
-                   mode: str = "open",
-                   backend: str | None = None) -> BackendDecision:
-        """Service a request batch to completion on the chosen backend.
+                   mode: str = "open") -> None:
+        """Service a request batch to completion.
 
         ``mode="open"`` submits every request at the current instant
         and lets them overlap; ``mode="closed"`` keeps exactly one in
         flight, submitting the next at the previous completion.  The
-        backend defaults to the ambient :func:`use_backend` selection;
-        configurations or streams outside the compiled kernel's
-        certified envelope fall back to the interpreted engine with the
-        reasons recorded on the returned :class:`BackendDecision`.
-        Either way the call drains the simulator: on return ``sim.now``
-        is the last completion time.
+        call drains the simulator: on return ``sim.now`` is the last
+        completion time.
         """
         if mode not in ("open", "closed"):
             raise ValueError(f"unknown stream mode {mode!r}")
-        requested = backend if backend is not None else current_backend()
-        if requested not in BACKENDS:
-            raise ValueError(
-                f"unknown backend {requested!r}; expected one of "
-                f"{BACKENDS}")
-        # This entry point *is* the batch path: any pending per-request
-        # fallback note no longer applies.
-        self._backend_note_pending = False
-        if not requests:
-            decision = BackendDecision(requested, requested, ())
-            record_decision(decision)
-            return decision
-        if requested == "compiled":
-            reasons = tuple(subsystem_fallback_reasons(self)
-                            + stream_fallback_reasons(self, requests,
-                                                      mode))
-            if not reasons:
-                decision = BackendDecision("compiled", "compiled", ())
-                record_decision(decision)
-                CompiledKernel(self).run(requests, mode)
-                return decision
-            decision = BackendDecision("compiled", "interpreted",
-                                       reasons)
-        else:
-            decision = BackendDecision("interpreted", "interpreted", ())
-        record_decision(decision)
-
         if mode == "open":
             def driver() -> typing.Generator:
                 pending = [self.sim.process(self.submit(request))
@@ -298,7 +246,6 @@ class PramSubsystem:
 
         self.sim.process(driver())
         self.sim.run()
-        return decision
 
     @property
     def inflight(self) -> int:

@@ -39,11 +39,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
+import os
 import sys
 import typing
 
 from repro.experiments import parallel, runner
-from repro.sim import BACKENDS
 from repro.sim.hostprof import use_hostprof
 from repro.telemetry import (
     DEFAULT_WINDOW_NS,
@@ -174,13 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="trace seed (default 1)")
     run_parser.add_argument("--quick", action="store_true",
                             help="tiny two-workload configuration")
-    run_parser.add_argument("--backend", choices=list(BACKENDS),
-                            default="interpreted",
-                            help="execution backend: 'compiled' runs "
-                                 "eligible request streams through the "
-                                 "flat-loop kernel (byte-identical "
-                                 "results, recorded fallbacks); default "
-                                 "'interpreted'")
     run_parser.add_argument("--faults", metavar="PLAN", default=None,
                             help="seeded fault-injection plan as "
                                  "key=value,... (e.g. 'seed=7,"
@@ -256,16 +250,39 @@ def normalize_argv(
 
 def config_from_args(args: argparse.Namespace) -> runner.ExperimentConfig:
     """Translate CLI flags into an ExperimentConfig."""
-    backend = getattr(args, "backend", "interpreted")
     service = getattr(args, "service", None)
     if args.quick:
         return runner.ExperimentConfig(
             scale=0.05, seed=args.seed, agents=3,
             workloads=("gemver", "doitg"), faults=args.faults,
-            backend=backend, service=service)
+            service=service)
     return runner.ExperimentConfig(scale=args.scale, seed=args.seed,
-                                   faults=args.faults, backend=backend,
-                                   service=service)
+                                   faults=args.faults, service=service)
+
+
+def destination_error(args: argparse.Namespace) -> str | None:
+    """Why an output flag names a place the run cannot write, if so.
+
+    Checked before any cell runs, so a typo fails in milliseconds
+    rather than after the whole run: the directory flags must not name
+    an existing non-directory, and each file's parent must exist.
+    """
+    for flag, path in (("--results", args.results), ("--cache", args.cache)):
+        if (path is not None and os.path.exists(path)
+                and not os.path.isdir(path)):
+            return f"{flag} {path}: exists and is not a directory"
+    for flag, path in (("--trace", args.trace), ("--spans", args.spans),
+                       ("--timeseries", args.timeseries),
+                       ("--report", args.report),
+                       ("--hostprof", args.hostprof)):
+        if path is None:
+            continue
+        if os.path.isdir(path):
+            return f"{flag} {path}: is a directory"
+        parent = os.path.dirname(path) or "."
+        if not os.path.isdir(parent):
+            return f"{flag} {path}: no directory {parent}"
+    return None
 
 
 #: The shared counter every profile's attribution invariant checks.
@@ -304,6 +321,14 @@ def main(argv: typing.Sequence[str] | None = None) -> int:
     if args.jobs < 1:
         print(f"--jobs must be >= 1, got {args.jobs}", file=sys.stderr)
         return 2
+    if not (math.isfinite(args.scale) and args.scale > 0):
+        print(f"--scale must be finite and > 0, got {args.scale}",
+              file=sys.stderr)
+        return 2
+    problem = destination_error(args)
+    if problem is not None:
+        print(problem, file=sys.stderr)
+        return 2
     config = config_from_args(args)
     if config.faults is not None:
         # Validate the plan up front so a typo fails in milliseconds,
@@ -321,8 +346,11 @@ def main(argv: typing.Sequence[str] | None = None) -> int:
         except ValueError as exc:
             print(f"invalid --service plan: {exc}", file=sys.stderr)
             return 2
-    if args.timeseries is not None and not args.window > 0:
-        print(f"--window must be > 0, got {args.window}", file=sys.stderr)
+    try:
+        sampling = (SamplingConfig(window_ns=args.window)
+                    if args.timeseries is not None else None)
+    except ValueError as exc:
+        print(f"invalid --window: {exc}", file=sys.stderr)
         return 2
     # --metrics alone keeps the null-tracer fast path (record_spans
     # False leaves the ambient tracer null); any span consumer turns
@@ -330,8 +358,6 @@ def main(argv: typing.Sequence[str] | None = None) -> int:
     # land in registry series), so it implies telemetry too.
     want_spans = bool(args.trace or args.spans or args.profile
                       or args.report)
-    sampling = (SamplingConfig(window_ns=args.window)
-                if args.timeseries is not None else None)
     telemetry = (Telemetry(record_spans=want_spans, timeseries=sampling)
                  if want_spans or args.metrics or sampling is not None
                  else None)

@@ -33,7 +33,6 @@ import typing
 
 from repro.controller.request import reset_request_ids
 from repro.experiments import runner
-from repro.sim.compiled import use_backend
 from repro.sim.hostprof import current_hostprof, use_hostprof
 from repro.sim.sampling import current_sampling, use_sampling
 from repro.telemetry.bench import collect_provenance
@@ -217,9 +216,9 @@ class CellOutcome:
 
 def _run_cell(cell: runner.Cell, config: runner.ExperimentConfig,
               capture: CaptureSpec) -> CellOutcome:
-    """One cell under fresh telemetry (what ``capture`` asks for), its
-    backend and fresh request ids (DESIGN §11.1); in-process or in a
-    pool worker alike."""
+    """One cell under fresh telemetry (what ``capture`` asks for) and
+    fresh request ids (DESIGN §11.1); in-process or in a pool worker
+    alike."""
     want_metrics, want_spans, sampling, want_hostprof = capture
     registry = MetricsRegistry() if want_metrics else None
     tracer = RecordingTracer() if want_spans else None
@@ -235,7 +234,6 @@ def _run_cell(cell: runner.Cell, config: runner.ExperimentConfig,
                 stack.enter_context(use_sampling(SamplingConfig(*sampling)))
         if profiler is not None:
             stack.enter_context(use_hostprof(profiler))
-        stack.enter_context(use_backend(config.backend))
         reset_request_ids()
         payload = cell.function(config, *cell.args)
     return CellOutcome(

@@ -47,12 +47,6 @@ class ExperimentConfig:
     #: fault-free.  Kept as the raw string so the config stays
     #: trivially hashable for the parallel runner's cache key.
     faults: typing.Optional[str] = None
-    #: Execution backend every cell runs under ("interpreted" or
-    #: "compiled").  Part of the config, so it enters the parallel
-    #: runner's content-addressed cache key: a compiled rerun never
-    #: replays an interpreted entry (and vice versa), even though the
-    #: two are byte-identical by contract.
-    backend: str = "interpreted"
     #: Optional ``--service`` plan spec (``key=value,...``); None lets
     #: the service experiments use their built-in default plan.  Kept
     #: as the raw string (like ``faults``) so the config stays

@@ -188,66 +188,6 @@ class PramModule:
         return finish, data
 
     # ------------------------------------------------------------------
-    # Compiled-backend state halves (repro.sim.compiled)
-    # ------------------------------------------------------------------
-    # The compiled kernel computes the read-phase *schedule* in batch
-    # (phase arithmetic, no per-event dispatch) and then applies the same
-    # device-state transitions the timed entry points above would have
-    # made, in the same order.  Each method below is the state half of
-    # exactly one timed operation; validation and counters match so a
-    # compiled run leaves the module byte-identical to an interpreted
-    # one.
-
-    def latch_rab(self, buffer_id: int, upper_row: int) -> None:
-        """State half of :meth:`pre_active`."""
-        if upper_row < 0 or upper_row >= (
-                1 << max(1, self.geometry.upper_row_bits)):
-            raise AddressError(f"upper row {upper_row} out of range")
-        self.buffers.load_rab(buffer_id, upper_row)
-
-    def latch_rdb(self, buffer_id: int, partition: int, lower_row: int,
-                  busy_until: float) -> None:
-        """State half of :meth:`activate`.
-
-        The caller supplies the precomputed partition-busy horizon
-        (``max(start, partition_ready_at) + tRCD``) instead of going
-        through :meth:`_occupy`; injected stalls are a fallback
-        condition for the compiled backend, never priced here.
-        """
-        self._check_partition(partition)
-        buffers = self.buffers
-        pair = buffers.pair(buffer_id)
-        if not pair.rab_valid:
-            raise ProtocolError(
-                f"activate on buffer {buffer_id} before any pre-active"
-            )
-        row = self._compose_row(pair.upper_row, lower_row)
-        self._partition_busy_until[partition] = busy_until
-        # load_rdb() unrolled onto the pair we already fetched; the
-        # length check is vacuous here because _read_row always
-        # returns exactly one row.
-        pair.partition = partition
-        pair.row = row
-        pair.data = self._read_row(partition, row)
-        pair.rdb_valid = True
-        buffers._touch(pair)
-
-    def stream_rdb(self, buffer_id: int, column: int, size: int) -> bytes:
-        """State half of :meth:`read_burst` (fault-free configurations)."""
-        pair = self.buffers.pair(buffer_id)
-        if not pair.rdb_valid or pair.data is None:
-            raise BufferMissError(
-                f"read burst on buffer {buffer_id} with no valid RDB"
-            )
-        if column < 0 or column + size > self.geometry.row_bytes:
-            raise AddressError(
-                f"burst [{column}, {column + size}) exceeds the "
-                f"{self.geometry.row_bytes}-byte row buffer"
-            )
-        self.reads += 1
-        return pair.data[column:column + size]
-
-    # ------------------------------------------------------------------
     # Write path: overlay window + program buffer
     # ------------------------------------------------------------------
     def stage_program(self, now: float, partition: int, row: int,

@@ -18,15 +18,6 @@ The engine is a small, from-scratch, simpy-style coroutine kernel:
   category breakdowns used to regenerate the paper's figures.
 """
 
-from repro.sim.compiled import (
-    BACKENDS,
-    BackendDecision,
-    CompiledKernel,
-    backend_decisions,
-    clear_backend_decisions,
-    current_backend,
-    use_backend,
-)
 from repro.sim.engine import Simulator
 from repro.sim.event import AllOf, AnyOf, Event, Interrupt, Timeout
 from repro.sim.hostprof import (
@@ -58,11 +49,8 @@ from repro.sim.stats import (
 __all__ = [
     "AllOf",
     "AnyOf",
-    "BACKENDS",
-    "BackendDecision",
     "Breakdown",
     "Channel",
-    "CompiledKernel",
     "Counter",
     "Event",
     "Histogram",
@@ -82,14 +70,10 @@ __all__ = [
     "Store",
     "TimeSeries",
     "Timeout",
-    "backend_decisions",
-    "clear_backend_decisions",
-    "current_backend",
     "current_hostprof",
     "current_sampling",
     "current_sanitizer",
     "current_tiebreak_seed",
-    "use_backend",
     "use_hostprof",
     "use_sampling",
     "use_sanitizer",

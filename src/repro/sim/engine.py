@@ -5,12 +5,11 @@ Ordering contract
 Events dispatch in ``(timestamp, schedule order)`` order: **events that
 land on the same simulated instant drain in FIFO schedule order**, and
 events scheduled *by a callback at the current instant* run after
-everything already due at that instant.  The sharded parallel merge,
-the result cache and the compiled backend reproduce results
-byte-for-byte only because this order is deterministic.
-:mod:`repro.analysis.racecheck` certifies which workloads are
-*independent* of it (and would therefore survive a kernel that
-reorders within an instant); the seeded tie-break shuffle
+everything already due at that instant.  The sharded parallel merge
+and the result cache reproduce results byte-for-byte only because this
+order is deterministic.  :mod:`repro.analysis.racecheck` certifies
+which workloads are *independent* of it (and would therefore survive a
+kernel that reorders within an instant); the seeded tie-break shuffle
 (:func:`repro.sim.use_tiebreak`) is the mechanism it uses.
 
 Two structures hold pending events:
@@ -255,27 +254,6 @@ class Simulator:
             return self._now
         return self._heap[0][0] if self._heap else float("inf")
 
-    def fast_forward(self, now: float) -> None:
-        """Advance the clock to ``now`` without processing any events.
-
-        The compiled backend (:mod:`repro.sim.compiled`) computes a
-        request batch's completion times arithmetically and then moves
-        the clock here, so interleaved interpreted phases (a later
-        ``run()``) resume from the same instant they would have reached
-        event by event.  Refuses to skip pending events or rewind:
-        both would silently desynchronize the two backends.
-        """
-        pending = len(self._heap) + len(self._ready)
-        if pending:
-            raise RuntimeError(
-                f"fast_forward({now}) with {pending} events "
-                "still pending — drain them with run() first")
-        if math.isnan(now) or now < self._now:
-            raise ValueError(
-                f"cannot fast-forward to {now} ns: clock already at "
-                f"{self._now} ns")
-        self._now = now
-
     def step(self) -> None:
         """Process exactly one event: the next in dispatch order.
 
@@ -319,7 +297,7 @@ class Simulator:
         that is exactly ``(timestamp, counter)`` order).  Everything
         downstream that promises byte-identical results
         (serial-vs-sharded merge, the result cache, determinism-marked
-        tests, the compiled backend) inherits this invariant, and
+        tests) inherits this invariant, and
         ``tests/sim/test_ready_queue.py`` checks it against a single
         ``(timestamp, counter)`` reference heap.  The tie-break seed is
         the one sanctioned way to deviate from it, and exists precisely

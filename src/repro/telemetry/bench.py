@@ -294,11 +294,10 @@ def merge_reports(fragments: typing.Sequence[BenchReport],
 #: Provenance keys that describe *how* latency metrics were measured.
 #: Two reports disagreeing on any of these measured different things —
 #: a p99 over 16 sub-buckets is not comparable to one over 4, window
-#: means change with the window, and a report measured under the
-#: compiled execution backend carries wall-clock metrics (e.g.
-#: ``perf.compiled_speedup``) whose meaning depends on which engine ran
-#: — so `compare` refuses to diff them rather than report a phantom
-#: regression.
+#: means change with the window, and older committed reports stamp the
+#: execution backend they ran on, whose wall-clock metrics do not
+#: compare across engines — so `compare` refuses to diff them rather
+#: than report a phantom regression.
 MEASUREMENT_KEYS: typing.Tuple[str, ...] = (
     "sketch", "timeseries_window_ns", "backend", "service")
 

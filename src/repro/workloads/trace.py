@@ -14,6 +14,7 @@ All randomness flows through one seeded ``random.Random``, so a
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
 import typing
 
@@ -93,8 +94,8 @@ def generate_traces(spec: WorkloadSpec, agents: int = 7,
     """
     if agents < 1:
         raise ValueError(f"need at least one agent, got {agents}")
-    if scale <= 0:
-        raise ValueError(f"scale must be positive, got {scale}")
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValueError(f"scale must be finite and positive, got {scale}")
     round_count = spec.kernel_rounds if rounds is None else rounds
     if round_count < 1:
         raise ValueError(f"need >= 1 round, got {round_count}")

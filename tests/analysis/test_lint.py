@@ -241,3 +241,9 @@ def test_cli_shuffle_rejects_unknown_experiment(capsys):
     assert analysis_main.main(["--shuffle", "not_a_figure"]) == 2
     err = capsys.readouterr().err
     assert "unknown experiment(s): not_a_figure" in err
+
+
+@pytest.mark.parametrize("runs", ["0", "-1"])
+def test_cli_shuffle_rejects_non_positive_runs(runs, capsys):
+    assert analysis_main.main(["--shuffle", "fig12", "--runs", runs]) == 2
+    assert "--runs" in capsys.readouterr().err

@@ -320,3 +320,41 @@ class TestStatistics:
     def test_boot_latency_positive(self):
         _, subsystem = make_subsystem()
         assert subsystem.boot_latency_ns > 0
+
+
+class TestRunStream:
+    """``run_stream`` on a default subsystem: four 512 B reads."""
+
+    def _stream(self, mode):
+        sim = Simulator()
+        subsystem = PramSubsystem(sim)
+        requests = [MemoryRequest(Op.READ, address, 512)
+                    for address in (0, 512, 1024, 1536)]
+        subsystem.run_stream(requests, mode=mode)
+        return sim, requests
+
+    def test_closed_submits_at_the_previous_completion(self):
+        sim, requests = self._stream("closed")
+        assert [(r.submit_time, r.complete_time) for r in requests] == [
+            (0.0, 1012.5), (1012.5, 2025.0), (2025.0, 3027.5),
+            (3027.5, 4030.0)]
+        assert sim.now == 4030.0
+
+    def test_open_submits_everything_at_once(self):
+        sim, requests = self._stream("open")
+        assert [r.submit_time for r in requests] == [0.0] * 4
+        assert [r.complete_time for r in requests] == [
+            1080.0, 1080.0, 2000.0, 2000.0]
+        assert sim.now == 2000.0
+
+    def test_empty_stream_completes_nothing(self):
+        sim = Simulator()
+        subsystem = PramSubsystem(sim)
+        subsystem.run_stream([])
+        assert subsystem.requests_completed == 0
+        assert sim.now == 0.0
+
+    def test_unknown_mode_rejected(self):
+        sim = Simulator()
+        with pytest.raises(ValueError, match="bogus"):
+            PramSubsystem(sim).run_stream([], mode="bogus")

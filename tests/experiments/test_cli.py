@@ -29,25 +29,6 @@ class TestParser:
         assert config.scale == 0.1
         assert config.seed == 9
 
-    def test_backend_flag(self):
-        args = cli.build_parser().parse_args(
-            ["run", "fig12", "--backend", "compiled"])
-        config = cli.config_from_args(args)
-        assert config.backend == "compiled"
-        # Quick configs carry the knob too.
-        args = cli.build_parser().parse_args(
-            ["run", "fig12", "--quick", "--backend", "compiled"])
-        assert cli.config_from_args(args).backend == "compiled"
-
-    def test_backend_defaults_to_interpreted(self):
-        args = cli.build_parser().parse_args(["run", "fig12"])
-        assert cli.config_from_args(args).backend == "interpreted"
-
-    def test_backend_rejects_unknown(self, capsys):
-        with pytest.raises(SystemExit):
-            cli.build_parser().parse_args(
-                ["run", "fig12", "--backend", "jit"])
-
     def test_telemetry_flags(self):
         args = cli.build_parser().parse_args(
             ["run", "fig12", "--trace", "t.json", "--spans", "s.jsonl",
@@ -110,6 +91,35 @@ class TestMain:
         assert cli.main(["fig12"]) == 0
         assert "interleaving" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf"])
+    def test_bad_scale_rejected(self, scale, capsys):
+        assert cli.main(["fig01", "--scale", scale]) == 2
+        captured = capsys.readouterr()
+        assert "--scale" in captured.err
+        assert captured.out == ""
+
+
+class TestDestinationFlags:
+    """Unwritable outputs fail before any cell is simulated."""
+
+    @pytest.mark.parametrize("flag, kind", [
+        ("--results", "file"), ("--cache", "file"),
+        ("--trace", "missing"), ("--spans", "missing"),
+        ("--timeseries", "missing"), ("--report", "missing"),
+        ("--hostprof", "missing"), ("--trace", "directory"),
+    ])
+    def test_bad_destination_rejected(self, flag, kind, tmp_path, capsys):
+        existing = tmp_path / "file"
+        existing.write_text("")
+        target = {"file": existing,
+                  "missing": tmp_path / "missing" / "out",
+                  "directory": tmp_path}[kind]
+        assert cli.main(["tables", flag, str(target)]) == 2
+        captured = capsys.readouterr()
+        assert flag in captured.err
+        assert captured.out == ""
+        assert existing.read_text() == ""
+
 
 class TestTelemetryFlags:
     def test_trace_and_spans_written_and_valid(self, tmp_path, capsys):
@@ -153,9 +163,10 @@ class TestTimeseriesFlags:
         assert cli.build_parser().parse_args(
             ["run", "fig12"]).timeseries is None
 
-    def test_bad_window_rejected(self, capsys):
+    @pytest.mark.parametrize("window", ["0", "-1", "nan", "inf"])
+    def test_bad_window_rejected(self, window, capsys):
         assert cli.main(["fig12", "--quick", "--timeseries", "x.json",
-                         "--window", "0"]) == 2
+                         "--window", window]) == 2
         assert "--window" in capsys.readouterr().err
 
     def test_timeseries_written_and_valid(self, tmp_path, capsys):

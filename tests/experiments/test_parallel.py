@@ -127,20 +127,6 @@ class TestResultCache:
         assert parallel.cell_key("matrix/gemver/DRAM-less", runner.QUICK,
                                  (False, False, None), tree) != quick
 
-    def test_key_depends_on_backend(self):
-        # Compiled and interpreted results are byte-identical by
-        # contract, but a cache hit across backends would silently
-        # stop exercising the compiled path — keep the keys distinct.
-        tree = "t" * 64
-        interpreted = parallel.cell_key(
-            "matrix/gemver/Hetero", runner.QUICK,
-            (False, False, None), tree)
-        compiled = parallel.cell_key(
-            "matrix/gemver/Hetero",
-            dataclasses.replace(runner.QUICK, backend="compiled"),
-            (False, False, None), tree)
-        assert interpreted != compiled
-
     def test_key_depends_on_sampling_spec(self):
         # A sampled rerun must never replay a cell cached without
         # sampling (its fragments would carry no windowed series).

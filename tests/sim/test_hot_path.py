@@ -60,7 +60,7 @@ def _mixed_stream():
 def _mixed_subsystem():
     reset_request_ids()
     subsystem = PramSubsystem(Simulator())
-    subsystem.run_stream(_mixed_stream(), mode="open", backend="interpreted")
+    subsystem.run_stream(_mixed_stream(), mode="open")
     return subsystem
 
 
@@ -192,7 +192,7 @@ def test_device_error_mid_read_releases_bus_and_pair(monkeypatch, phase):
     sim = Simulator()
     subsystem = PramSubsystem(sim)
     broken = MemoryRequest(Op.READ, 0, 256)
-    subsystem.run_stream([broken], backend="interpreted")
+    subsystem.run_stream([broken])
     assert failed
     assert broken.status is RequestStatus.FAILED
     for channel in subsystem.channels:
@@ -202,5 +202,5 @@ def test_device_error_mid_read_releases_bus_and_pair(monkeypatch, phase):
         assert all(not busy for busy in channel._busy_pairs)
     # The released bus and pair serve the next read of the same row.
     retry = MemoryRequest(Op.READ, 0, 256)
-    subsystem.run_stream([retry], backend="interpreted")
+    subsystem.run_stream([retry])
     assert retry.status is RequestStatus.OK

@@ -18,7 +18,6 @@ import itertools
 import random
 import typing
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -258,11 +257,3 @@ class TestOnlyQueuedEventsRemain:
         assert sim.peek() == 7.0
         sim.timeout(3.0)  # a later heap entry does not hide the queue
         assert sim.peek() == 7.0
-
-    def test_fast_forward_refuses(self):
-        sim = self._sim()
-        with pytest.raises(RuntimeError, match="1 events still pending"):
-            sim.fast_forward(10.0)
-        sim.run()
-        sim.fast_forward(10.0)
-        assert sim.now == 10.0

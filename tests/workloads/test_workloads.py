@@ -175,6 +175,11 @@ class TestTraceGeneration:
         with pytest.raises(ValueError):
             generate_traces(spec, scale=0.0)
 
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf")])
+    def test_non_finite_scale_rejected(self, scale):
+        with pytest.raises(ValueError, match="scale must be finite"):
+            generate_traces(workload("gemver"), scale=scale)
+
     @given(st.sampled_from(sorted(POLYBENCH)),
            st.integers(min_value=1, max_value=7))
     @settings(max_examples=30, deadline=None)
