@@ -110,7 +110,7 @@ def _seed_fail(self, exception):
     return self
 
 
-def _seed_process_init(self, sim, generator, name=""):
+def _seed_process_init(self, sim, generator, name="", *, join=None):
     if type(generator) is not types.GeneratorType and (
             not hasattr(generator, "send")
             or not hasattr(generator, "throw")):
@@ -125,6 +125,10 @@ def _seed_process_init(self, sim, generator, name=""):
     self._processed = False
     self._generator = generator
     self._waiting_on = None
+    if join is not None:
+        self._finish = join._child_done
+        return
+    self._finish = sim._trigger
     bootstrap = Event.__new__(Event)
     bootstrap.sim = sim
     bootstrap._name = self._bootstrap_label
@@ -151,10 +155,15 @@ def _seed_process_resume(self, event):
             raise RuntimeError(f"{self!r} has already been triggered")
         self._value = stop.value
         self._triggered = True
-        sim._trigger(self)
+        self._finish(self)
         return
     except BaseException as exc:
-        self.fail(exc)
+        if self._triggered:
+            raise RuntimeError(f"{self!r} has already been triggered")
+        self._ok = False
+        self._value = exc
+        self._triggered = True
+        self._finish(self)
         return
     if not isinstance(target, Event):
         self._throw(TypeError(
@@ -175,12 +184,16 @@ def _seed_process_resume(self, event):
         self._waiting_on = target
 
 
-def _seed_request(self):
-    req = Request(self)
+def _seed_request(self, hold=None):
+    req = Request(self, hold)
     if len(self._users) < self.capacity:
         self._users.add(req)
         req._triggered = True
-        self.sim._trigger(req)
+        if hold is None:
+            self.sim._trigger(req)
+        else:
+            req.start = self.sim._now
+            self.sim._schedule(hold, req)
     else:
         self._queue.append(req)
     return req
@@ -200,7 +213,11 @@ def _seed_release(self, request):
         if waiter._triggered:
             raise RuntimeError(f"{waiter!r} has already been triggered")
         waiter._triggered = True
-        self.sim._trigger(waiter)
+        if waiter.hold is None:
+            self.sim._trigger(waiter)
+        else:
+            waiter.start = self.sim._now
+            self.sim._schedule(waiter.hold, waiter)
 
 
 def _seed_sketch_add(self, value):
@@ -223,14 +240,12 @@ def _seed_submit(self, request):
     if self.firmware is not None:
         yield self.sim.process(self.firmware.admit())
     by_channel = self.planner.chunks_by_channel(request)
-    pending = [
-        self.sim.process(self.channels[ch].execute_chunks(chunks))
-        for ch, chunks in sorted(by_channel.items())
-    ]
     failure = None
-    results: typing.Dict[typing.Any, typing.Any] = {}
+    results: typing.List[typing.Any] = []
     try:
-        results = yield self.sim.all_of(pending)
+        results = yield self.sim.fork_join([
+            self.channels[ch].execute_chunks(chunks)
+            for ch, chunks in sorted(by_channel.items())])
     except PramError as exc:
         failure = exc
     request.complete_time = self.sim.now
@@ -278,7 +293,7 @@ def _seed_submit(self, request):
         request.result = (bytes(request.size)
                           if request.op is Op.READ else b"")
     else:
-        pieces = [piece for proc in pending for piece in results[proc]]
+        pieces = [piece for result in results for piece in result]
         pieces.sort(key=lambda piece: piece[0])
         request.result = b"".join(data for _, data in pieces)
     self.requests_completed += 1

@@ -193,8 +193,8 @@ def _check_sim001(tree: ast.Module, out: _Collector) -> None:
 #: Kernel factory methods whose results are Events; a generator that
 #: yields one of these calls is (heuristically) a process body.
 _EVENT_FACTORIES = frozenset({
-    "timeout", "process", "all_of", "any_of", "event", "request",
-    "put", "get",
+    "timeout", "process", "fork_join", "all_of", "any_of", "event",
+    "request", "put", "get",
 })
 
 

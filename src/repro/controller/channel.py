@@ -40,8 +40,8 @@ from repro.pram.overlay_window import CMD_RETRY_PROGRAM, CMD_SELECTIVE_ERASE
 from repro.sim import (
     Counter,
     Histogram,
+    Join,
     LatencySketch,
-    Process,
     Resource,
     Simulator,
 )
@@ -214,9 +214,7 @@ class ChannelController:
         order.
         """
         if self.policy.interleaves:
-            done = self._start_chunks(chunks)
-            results = yield self.sim.all_of(done)
-            ordered = [results[proc] for proc in done]
+            ordered = yield self._start_chunks(chunks)
         else:
             # Noop scheduling: one request owns the channel at a time.
             # Within the request, chunks still fan out across modules —
@@ -225,20 +223,18 @@ class ChannelController:
             lock = self._serial_lock.request()
             yield lock
             try:
-                done = self._start_chunks(chunks)
-                results = yield self.sim.all_of(done)
-                ordered = [results[proc] for proc in done]
+                ordered = yield self._start_chunks(chunks)
             finally:
                 self._serial_lock.release(lock)
         return ordered
 
-    def _start_chunks(self, chunks: typing.Sequence[ChunkPlan]
-                      ) -> typing.List[Process]:
-        """One process per chunk, in chunk order."""
-        process = self.sim.process
-        return [process(self._write_chunk(chunk) if chunk.is_write
-                        else self._read_chunk(chunk))
-                for chunk in chunks]
+    def _start_chunks(self, chunks: typing.Sequence[ChunkPlan]) -> Join:
+        """One child process per chunk, started in chunk order in this
+        step; the join yields their results in chunk order."""
+        return self.sim.fork_join([
+            self._write_chunk(chunk) if chunk.is_write
+            else self._read_chunk(chunk)
+            for chunk in chunks])
 
     def prefetch_hints(self) -> typing.Generator:
         """Process body: drain the write-hint store by pre-RESETting.
@@ -282,10 +278,10 @@ class ChannelController:
     # ------------------------------------------------------------------
     # Each chunk runs as one flat generator.  Every resume of a chunk
     # costs one frame, not one per helper layer, so the bus holds are
-    # written out in place: request the bus, sleep for the hold, then
-    # hand the grant to _release_bus, which does the accounting and the
-    # release.  Only the fault and wear-leveling paths, which few
-    # chunks take, delegate to sub-generators.
+    # written out in place: claim the bus for the hold's length, wake
+    # once at its end, then hand the claim to _release_bus, which does
+    # the accounting and the release.  Only the fault and wear-leveling
+    # paths, which few chunks take, delegate to sub-generators.
     def _read_chunk(self, chunk: ChunkPlan) -> typing.Generator:
         """Process body: one read chunk, pair probe to data burst."""
         sim = self.sim
@@ -336,15 +332,13 @@ class ChannelController:
                     1 if need_activate else 0)
                 duration = self.phy.command_cost(packets)
                 if duration > 0:
-                    grant = self.bus.request()
-                    yield grant
-                    held = sim.now
+                    grant = self.bus.request(hold=duration)
                     try:
-                        yield sim.timeout(duration)
+                        yield grant
                     except BaseException:
                         self.bus.release(grant)
                         raise
-                    self._release_bus(grant, held, duration, "cmd", req=req)
+                    self._release_bus(grant, "cmd", req=req)
                 now = sim.now
                 if need_pre_active:
                     if observing:
@@ -396,15 +390,13 @@ class ChannelController:
                           if self.faults is not None else ())
             duration = finish - sim.now
             if duration > 0:
-                grant = self.bus.request()
-                yield grant
-                held = sim.now
+                grant = self.bus.request(hold=duration)
                 try:
-                    yield sim.timeout(duration)
+                    yield grant
                 except BaseException:
                     self.bus.release(grant)
                     raise
-                self._release_bus(grant, held, duration, "read_burst",
+                self._release_bus(grant, "read_burst",
                                   array_key=(index, partition),
                                   module=index, partition=partition,
                                   row=row, req=req)
@@ -470,15 +462,13 @@ class ChannelController:
                 sim.now, partition, row, address.column, payload)
             duration = stage_finish - sim.now
             if duration > 0:
-                grant = self.bus.request()
-                yield grant
-                held = sim.now
+                grant = self.bus.request(hold=duration)
                 try:
-                    yield sim.timeout(duration)
+                    yield grant
                 except BaseException:
                     self.bus.release(grant)
                     raise
-                self._release_bus(grant, held, duration, "stage_program",
+                self._release_bus(grant, "stage_program",
                                   module=index, partition=partition,
                                   req=req)
             # The array program frees the bus but occupies the partition
@@ -565,15 +555,13 @@ class ChannelController:
                 address.column, bytes(size), command=CMD_SELECTIVE_ERASE)
             duration = stage_finish - sim.now
             if duration > 0:
-                grant = self.bus.request()
-                yield grant
-                held = sim.now
+                grant = self.bus.request(hold=duration)
                 try:
-                    yield sim.timeout(duration)
+                    yield grant
                 except BaseException:
                     self.bus.release(grant)
                     raise
-                self._release_bus(grant, held, duration, "stage_reset",
+                self._release_bus(grant, "stage_reset",
                                   module=address.module,
                                   partition=address.partition)
             self._observe(Command.EXECUTE_PROGRAM, address.module,
@@ -638,15 +626,13 @@ class ChannelController:
                 retry_payload, command=CMD_RETRY_PROGRAM)
             duration = stage_finish - self.sim.now
             if duration > 0:
-                grant = self.bus.request()
-                yield grant
-                held = self.sim.now
+                grant = self.bus.request(hold=duration)
                 try:
-                    yield self.sim.timeout(duration)
+                    yield grant
                 except BaseException:
                     self.bus.release(grant)
                     raise
-                self._release_bus(grant, held, duration, "stage_program",
+                self._release_bus(grant, "stage_program",
                                   module=index, partition=partition,
                                   req=req)
             self._observe(Command.EXECUTE_PROGRAM, index,
@@ -703,15 +689,13 @@ class ChannelController:
             self.sim.now, partition, spare, 0, bytes(row_data))
         duration = stage_finish - self.sim.now
         if duration > 0:
-            grant = self.bus.request()
-            yield grant
-            held = self.sim.now
+            grant = self.bus.request(hold=duration)
             try:
-                yield self.sim.timeout(duration)
+                yield grant
             except BaseException:
                 self.bus.release(grant)
                 raise
-            self._release_bus(grant, held, duration, "stage_program",
+            self._release_bus(grant, "stage_program",
                               module=index, partition=partition,
                               req=req)
         self._observe(Command.EXECUTE_PROGRAM, index,
@@ -835,15 +819,13 @@ class ChannelController:
             self.sim.now, partition, move.destination, 0, data)
         duration = stage_finish - self.sim.now
         if duration > 0:
-            grant = self.bus.request()
-            yield grant
-            held = self.sim.now
+            grant = self.bus.request(hold=duration)
             try:
-                yield self.sim.timeout(duration)
+                yield grant
             except BaseException:
                 self.bus.release(grant)
                 raise
-            self._release_bus(grant, held, duration)
+            self._release_bus(grant)
         self._observe(Command.EXECUTE_PROGRAM, module_index,
                       partition=partition, row=move.destination)
         finish = module.execute_program(self.sim.now)
@@ -913,8 +895,7 @@ class ChannelController:
         total += merged_end - merged_start
         return total
 
-    def _release_bus(self, grant: Request, start: float, duration: float,
-                     span_name: str | None = None,
+    def _release_bus(self, grant: Request, span_name: str | None = None,
                      array_key: typing.Tuple[int, int] | None = None,
                      module: int | None = None,
                      partition: int | None = None,
@@ -922,13 +903,16 @@ class ChannelController:
                      req: int | None = None) -> None:
         """Account one finished bus hold, then release the bus.
 
-        Every bus holder calls this right after its ``duration``-ns
-        hold that began at ``start``.  ``span_name`` labels the hold on
-        the bus trace track (None: no span); ``array_key`` marks a read
-        burst whose overlap with other partitions' array windows is
-        accounted (Figure 12).  The non-None span fields become the
+        Every bus holder calls this when its hold claim ``grant``
+        fires: the hold of ``grant.hold`` ns that began at
+        ``grant.start`` has just ended.  ``span_name`` labels the hold
+        on the bus trace track (None: no span); ``array_key`` marks a
+        read burst whose overlap with other partitions' array windows
+        is accounted (Figure 12).  The non-None span fields become the
         span's arguments, in the order of the parameters.
         """
+        start, duration = grant.start, grant.hold
+        assert start is not None and duration is not None  # a hold claim
         try:
             self.bus_busy_ns += duration
             if self._bus_counter is not None:

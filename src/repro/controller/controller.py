@@ -130,18 +130,18 @@ class PramSubsystem:
         if self.firmware is not None:
             yield self.sim.process(self.firmware.admit())
         by_channel = self.planner.chunks_by_channel(request)
-        pending = [
-            self.sim.process(self.channels[ch].execute_chunks(chunks))
-            for ch, chunks in sorted(by_channel.items())
-        ]
+        # Each channel's chunks start in this step, channel by channel;
+        # the join yields each channel's results in channel order.
         # Device-model errors (protocol violations, address faults) are
         # contained here: the request completes FAILED instead of the
         # exception tearing through the event loop and killing
         # unrelated in-flight processes.
         failure: PramError | None = None
-        results: typing.Dict[typing.Any, typing.Any] = {}
+        results: typing.List[typing.Any] = []
         try:
-            results = yield self.sim.all_of(pending)
+            results = yield self.sim.fork_join([
+                self.channels[ch].execute_chunks(chunks)
+                for ch, chunks in sorted(by_channel.items())])
         except PramError as exc:
             failure = exc
         request.complete_time = self.sim.now
@@ -203,7 +203,7 @@ class PramSubsystem:
             # in address order — a request larger than one stripe
             # interleaves back and forth across channels, so
             # channel-major concatenation would misorder it.
-            pieces = [piece for proc in pending for piece in results[proc]]
+            pieces = [piece for result in results for piece in result]
             pieces.sort(key=lambda piece: piece[0])
             request.result = b"".join(data for _, data in pieces)
         self.requests_completed += 1
@@ -214,13 +214,12 @@ class PramSubsystem:
     def read(self, address: int, size: int) -> typing.Generator:
         """Process body: convenience read returning the data."""
         request = MemoryRequest(Op.READ, address, size)
-        data = yield self.sim.process(self.submit(request))
-        return data
+        return (yield from self.submit(request))
 
     def write(self, address: int, data: bytes) -> typing.Generator:
         """Process body: convenience write."""
         request = MemoryRequest(Op.WRITE, address, len(data), data=data)
-        yield self.sim.process(self.submit(request))
+        yield from self.submit(request)
 
     def run_stream(self, requests: typing.Sequence[MemoryRequest], *,
                    mode: str = "open") -> None:

@@ -8,6 +8,8 @@ The engine is a small, from-scratch, simpy-style coroutine kernel:
   the primitive wait objects.
 * :class:`~repro.sim.process.Process` drives a generator; processes
   ``yield`` events, timeouts, other processes, or condition combinators.
+  A :class:`~repro.sim.process.Join` starts child processes in place
+  and joins on their results.
 * :class:`~repro.sim.resource.Resource`, :class:`~repro.sim.resource.Pool`,
   :class:`~repro.sim.resource.Store` and :class:`~repro.sim.resource.Channel`
   model contended hardware (ports, buses, buffers); a ``Pool`` serves
@@ -26,7 +28,7 @@ from repro.sim.hostprof import (
     use_hostprof,
 )
 from repro.sim.observer import KernelObserver, KernelScope
-from repro.sim.process import Process
+from repro.sim.process import Join, Process
 from repro.sim.resource import Channel, Pool, Resource, Store
 from repro.sim.sampling import SamplerHook, current_sampling, use_sampling
 from repro.sim.sanitizer import (
@@ -56,6 +58,7 @@ __all__ = [
     "Histogram",
     "HostProfilerHook",
     "Interrupt",
+    "Join",
     "KernelObserver",
     "KernelSanitizer",
     "KernelScope",

@@ -18,9 +18,9 @@ Two structures hold pending events:
   ``(timestamp, tie-break counter)``; the counter increments per heap
   push, so equal timestamps pop in push order;
 * the **ready queue** (a FIFO deque) holds events whose computed
-  timestamp equals the clock.  Most events are scheduled at zero delay
-  (resource grants, process bootstraps and completions, ``AllOf``), and
-  these skip the heap.
+  timestamp equals the clock.  Events scheduled at zero delay (plain
+  resource grants, process bootstraps and completions, joins,
+  ``AllOf``) skip the heap.
 
 Draining the heap's entries due at ``now`` first, then the ready queue
 in FIFO order, is exactly ``(timestamp, counter)`` order over one
@@ -52,7 +52,7 @@ from repro.sim.observer import (
     TraceFeed,
     current_scope,
 )
-from repro.sim.process import Process
+from repro.sim.process import Join, Process
 from repro.sim.sampling import SamplerHook
 from repro.telemetry.tracer import Tracer, combine, current_tracer
 
@@ -187,6 +187,12 @@ class Simulator:
     def process(self, generator: GeneratorType, name: str = "") -> Process:
         """Register a generator as a runnable process."""
         return Process(self, generator, name)
+
+    def fork_join(self, generators: typing.Iterable[GeneratorType]) -> Join:
+        """Start each generator as a child process in this step; the
+        returned event triggers with their return values, in order,
+        once every child has finished (see :class:`Join`)."""
+        return Join(self, generators)
 
     def all_of(self, events: typing.Sequence[Event]) -> AllOf:
         """Event that triggers once all ``events`` have triggered."""

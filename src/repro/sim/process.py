@@ -26,21 +26,25 @@ class Process(Event):
       event's value at the resumption point;
     * nothing else — yielding any other object raises ``TypeError``
       inside the generator, per "errors should never pass silently".
+
+    A :class:`Join` makes its children with ``join`` set: such a
+    process has no bootstrap, and it finishes into the join rather than
+    triggering as an event of its own.
     """
 
-    __slots__ = ("_generator", "_waiting_on")
+    __slots__ = ("_generator", "_waiting_on", "_finish")
 
     def __init__(self, sim: "Simulator", generator: typing.Generator,
-                 name: str = "") -> None:
+                 name: str = "", *, join: "Join | None" = None) -> None:
         if type(generator) is not GeneratorType and (
                 not hasattr(generator, "send")
                 or not hasattr(generator, "throw")):
             raise TypeError(
                 f"Process requires a generator, got {type(generator).__name__}"
             )
-        # One process per chunk: the fields of the process and of its
-        # bootstrap event are set here rather than through
-        # Event.__init__, as in Timeout, to save two calls per spawn.
+        # The fields of the process and of its bootstrap event are set
+        # here rather than through Event.__init__, as in Timeout, to
+        # save two calls per spawn.
         self.sim = sim
         self._name = name or getattr(generator, "__name__", "process")
         self.callbacks = []
@@ -50,6 +54,13 @@ class Process(Event):
         self._processed = False
         self._generator = generator
         self._waiting_on: Event | None = None
+        if join is not None:
+            # A child of a Join: the join runs its first step and takes
+            # its completion, so it has no bootstrap and no completion
+            # event.
+            self._finish: typing.Callable[[Event], None] = join._child_done
+            return
+        self._finish = sim._trigger
         # Kick off on the next kernel step so creation order does not
         # matter within a single simulated instant.
         bootstrap = Event.__new__(Event)
@@ -105,15 +116,21 @@ class Process(Event):
                     typing.cast(BaseException, event._value))
         except StopIteration as stop:
             # Event.succeed() written out: the process triggers with the
-            # generator's return value.
+            # generator's return value, to its waiters or its join.
             if self._triggered:
                 raise RuntimeError(f"{self!r} has already been triggered")
             self._value = stop.value
             self._triggered = True
-            sim._trigger(self)
+            self._finish(self)
             return
         except BaseException as exc:
-            self.fail(exc)
+            # Event.fail() written out, finishing the same way.
+            if self._triggered:
+                raise RuntimeError(f"{self!r} has already been triggered")
+            self._ok = False
+            self._value = exc
+            self._triggered = True
+            self._finish(self)
             return
         if not isinstance(target, Event):
             self._throw(TypeError(
@@ -134,3 +151,57 @@ class Process(Event):
         else:
             target.callbacks.append(self._resume)
             self._waiting_on = target
+
+
+#: What a join child's first step is sent: success, no value.  Never
+#: scheduled; it only carries ``_ok`` and ``_value`` into ``_resume``.
+_START = Event.__new__(Event)
+_START._ok = True
+_START._value = None
+
+
+class Join(Event):
+    """A fan-out of child processes and the join on their results.
+
+    Each generator runs as a :class:`Process` that starts at once: its
+    first step runs inside the step that creates the join, in order, so
+    no bootstrap is dispatched.  A child that finishes hands its result
+    to the join inside its own last step, so no completion is
+    dispatched either.  The join triggers with the children's return
+    values, in order, when the last one finishes, or fails with the
+    first child failure (children still running keep running, as
+    under :class:`~repro.sim.event.AllOf`).
+
+    ``sim.all_of([sim.process(g) for g in generators])`` waits for the
+    same results with a bootstrap and a completion per child, plus the
+    condition's own trigger.
+    """
+
+    __slots__ = ("_children", "_pending")
+
+    def __init__(self, sim: "Simulator",
+                 generators: typing.Iterable[typing.Generator]) -> None:
+        super().__init__(sim)
+        children = [Process(sim, generator, join=self)
+                    for generator in generators]
+        self._children = children
+        self._pending = len(children)
+        if not children:
+            self.succeed([])
+        for child in children:
+            child._resume(_START)
+
+    def _child_done(self, child: Event) -> None:
+        if self._triggered:
+            return  # an earlier child failed
+        # Each child finishes into this join, so the join lets go of
+        # its children once it triggers: the cycle would otherwise
+        # outlive the request until a cyclic collection.
+        if not child._ok:
+            self._children = []
+            self.fail(typing.cast(BaseException, child._value))
+            return
+        self._pending -= 1
+        if not self._pending:
+            children, self._children = self._children, []
+            self.succeed([done._value for done in children])

@@ -15,12 +15,21 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class Request(Event):
     """Pending claim on a :class:`Resource` slot.
 
+    A plain claim triggers when its slot is granted.  A hold claim
+    states its length (``hold``): granted, it is scheduled to fire
+    ``hold`` ns later, like a timeout, and ``start`` records the grant
+    instant.
+
     Reads as ``request(<resource name>)``.
     """
 
-    __slots__ = ("resource",)
+    __slots__ = ("resource", "hold", "start")
 
-    def __init__(self, resource: "Resource") -> None:
+    def __init__(self, resource: "Resource",
+                 hold: float | None = None) -> None:
+        if hold is not None and not hold >= 0:  # also rejects NaN
+            raise ValueError(
+                f"{resource.name}: hold length must be >= 0, got {hold}")
         # One request per bus or pair claim: fields are set inline, as
         # in Timeout, and the label is built only when read.
         self.sim = resource.sim
@@ -31,6 +40,8 @@ class Request(Event):
         self._triggered = False
         self._processed = False
         self.resource = resource
+        self.hold = hold
+        self.start: float | None = None
 
     @property
     def name(self) -> str:
@@ -45,6 +56,13 @@ class Resource:
         request = bus.request()
         yield request
         ...  # exclusive use of one slot
+        bus.release(request)
+
+    A hold whose length is known when it is claimed wakes its holder
+    once, at its end::
+
+        request = bus.request(hold=duration)
+        yield request  # resumes at request.start + duration
         bus.release(request)
     """
 
@@ -79,15 +97,28 @@ class Resource:
         """Number of requests waiting for a slot."""
         return len(self._queue)
 
-    def request(self) -> Request:
-        """Claim a slot; the returned event triggers when granted."""
-        req = Request(self)
+    def request(self, hold: float | None = None) -> Request:
+        """Claim a slot.
+
+        Plain, the returned event triggers when the slot is granted.
+        With ``hold`` (ns, not negative or NaN), the claim is a
+        fixed-length hold: the grant schedules the event to fire
+        ``hold`` ns later, so the holder wakes once, at the hold's end,
+        with the grant instant in ``start``.  The holder still releases
+        the slot.  The end is the float a ``timeout(hold)`` taken at
+        the grant would give.
+        """
+        req = Request(self, hold)
         if len(self._users) < self.capacity:
             self._users.add(req)
             # req.succeed() written out (the request is fresh, so it
             # cannot have been triggered): one frame fewer per grant.
             req._triggered = True
-            self.sim._trigger(req)
+            if hold is None:
+                self.sim._trigger(req)
+            else:
+                req.start = self.sim._now
+                self.sim._schedule(hold, req)
         else:
             self._queue.append(req)
         return req
@@ -115,18 +146,30 @@ class Resource:
             if waiter._triggered:
                 raise RuntimeError(f"{waiter!r} has already been triggered")
             waiter._triggered = True
-            self.sim._trigger(waiter)
+            if waiter.hold is None:
+                self.sim._trigger(waiter)
+            else:
+                # A hold claim is priced at its grant, here in the
+                # releasing task.
+                waiter.start = self.sim._now
+                self.sim._schedule(waiter.hold, waiter)
 
     # request() and release() with the slot hooks.  Each hook fires
-    # before the grant's succeed(), so the race sanitizer labels that
-    # schedule edge "acquire" or "grant" rather than "trigger".
-    def _request_observed(self) -> Request:
-        req = Request(self)
+    # before the grant schedules the claim, so the race sanitizer
+    # labels that schedule edge "acquire" or "grant" rather than
+    # "trigger"; a hold claim's delayed schedule takes the same label.
+    def _request_observed(self, hold: float | None = None) -> Request:
+        req = Request(self, hold)
         if len(self._users) < self.capacity:
             self._users.add(req)
             self.sim._observer.on_acquire(  # type: ignore[union-attr]
                 self, req)
-            req.succeed()
+            if hold is None:
+                req.succeed()
+            else:
+                req._triggered = True
+                req.start = self.sim._now
+                self.sim._schedule(hold, req)
         else:
             self._queue.append(req)
         return req
@@ -146,14 +189,21 @@ class Resource:
             waiter = self._queue.popleft()
             self._users.add(waiter)
             observer.on_grant(self, waiter)
-            waiter.succeed()
+            if waiter.hold is None:
+                waiter.succeed()
+            else:
+                if waiter._triggered:
+                    raise RuntimeError(
+                        f"{waiter!r} has already been triggered")
+                waiter._triggered = True
+                waiter.start = self.sim._now
+                self.sim._schedule(waiter.hold, waiter)
 
     def use(self, duration: float) -> typing.Generator:
         """Convenience process body: hold one slot for ``duration`` ns."""
-        req = self.request()
-        yield req
+        req = self.request(hold=duration)
         try:
-            yield self.sim.timeout(duration)
+            yield req
         finally:
             self.release(req)
 
@@ -167,7 +217,8 @@ class Pool:
     the finish instant ``start + duration``, where ``start`` is the
     current instant, or that slot's free instant if it is later.
     :meth:`hold` sleeps until that finish with one event, where
-    ``sim.process(resource.use(duration))`` dispatches four.
+    ``sim.process(resource.use(duration))`` dispatches three (the
+    bootstrap, the hold's end and the completion).
 
     Each claim gets the start and finish instants a FIFO ``Resource``
     would give it, as the same floats: FIFO order over identical slots

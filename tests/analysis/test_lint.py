@@ -43,6 +43,33 @@ def test_sim002_ignores_data_generators():
     assert lint_source(source) == []
 
 
+def test_sim002_fork_join_marks_a_process_body():
+    source = (
+        "def fan_out(sim, bodies):\n"
+        "    results = yield sim.fork_join(bodies)\n"
+        "    yield len(results) * 2\n"
+    )
+    assert [v.code for v in lint_source(source)] == ["SIM002"]
+
+
+def test_sim005_hold_claim_is_an_acquisition():
+    # A stale read-modify-write across a yield is flagged, unless the
+    # function holds a Resource slot, plain or as a fixed-length hold.
+    source = (
+        "class Device:\n"
+        "    def body(self, bus, duration):\n"
+        "        level = self.level\n"
+        "        grant = bus.request({claim})\n"
+        "        yield grant\n"
+        "        self.level = level + 1\n"
+        "        bus.release(grant)\n"
+    )
+    assert lint_source(source.format(claim="")) == []
+    assert lint_source(source.format(claim="hold=duration")) == []
+    unguarded = source.replace("bus.request({claim})", "self.sim.timeout(1)")
+    assert [v.code for v in lint_source(unguarded)] == ["SIM005"]
+
+
 def test_sim003_negative_and_non_numeric_latencies():
     violations = lint_file(FIXTURES / "bad_sim003_latency.py")
     assert [v.code for v in violations] == ["SIM003"] * 3

@@ -286,3 +286,111 @@ def test_completion_of_an_externally_triggered_process_rejected():
     proc.succeed("early")
     with pytest.raises(RuntimeError, match="already been triggered"):
         sim.run()
+
+
+# ----------------------------------------------------------------------
+# fork_join: children that start and finish in place
+# ----------------------------------------------------------------------
+def test_fork_join_starts_children_in_the_creating_step():
+    from repro.analysis.determinism import trace_of
+
+    log = []
+
+    def workload():
+        sim = Simulator()
+
+        def child(tag, delay):
+            log.append((tag, "start", sim.now))
+            yield sim.timeout(delay)
+            return tag
+
+        def parent():
+            join = sim.fork_join([child("a", 2.0), child("b", 1.0)])
+            # Both first steps ran before the parent yields the join.
+            log.append(("parent", "forked", sim.now))
+            results = yield join
+            log.append(("parent", results, sim.now))
+
+        sim.process(parent())
+        sim.run()
+
+    labels = [label for _, label in trace_of(workload)]
+    assert log[:3] == [("a", "start", 0.0), ("b", "start", 0.0),
+                       ("parent", "forked", 0.0)]
+    assert log[3] == ("parent", ["a", "b"], 2.0)
+    # No child bootstrap and no child completion: the parent's
+    # bootstrap, the two timeouts, the join and the parent's completion.
+    assert labels == ["parent.bootstrap", "Timeout(1.0)", "Timeout(2.0)",
+                      "Join:parent", "parent"]
+
+
+def test_fork_join_child_finishing_in_its_first_step():
+    sim = Simulator()
+
+    def instant(value):
+        return value
+        yield  # pragma: no cover - makes this a generator
+
+    def parent():
+        return (yield sim.fork_join([instant(1), instant(2)]))
+
+    proc = sim.process(parent())
+    sim.run()
+    assert proc.value == [1, 2]
+    assert sim.now == 0.0
+
+
+def test_fork_join_of_nothing_triggers_at_once():
+    sim = Simulator()
+
+    def parent():
+        return (yield sim.fork_join([]))
+
+    proc = sim.process(parent())
+    sim.run()
+    assert proc.value == []
+
+
+def test_fork_join_fails_with_the_first_child_failure():
+    sim = Simulator()
+    finished = []
+
+    def child(delay, fail):
+        yield sim.timeout(delay)
+        if fail:
+            raise RuntimeError(f"boom at {delay}")
+        finished.append(delay)
+
+    def parent():
+        with pytest.raises(RuntimeError, match="boom at 1.0"):
+            yield sim.fork_join([child(3.0, False), child(1.0, True),
+                                 child(2.0, True)])
+        finished.append(("caught", sim.now))
+
+    sim.process(parent())
+    sim.run()
+    # The other children run to their ends; the second failure is
+    # dropped, as under AllOf.
+    assert finished == [("caught", 1.0), 3.0]
+
+
+def test_fork_join_children_are_checked_processes():
+    sim = Simulator()
+    with pytest.raises(TypeError, match="requires a generator"):
+        sim.fork_join(["not a generator"])
+
+
+def test_fork_join_child_completion_keeps_the_double_trigger_check():
+    sim = Simulator()
+
+    def child():
+        yield sim.timeout(1.0)
+
+    def parent():
+        join = sim.fork_join([child()])
+        join._children[0].succeed("early")
+        yield join
+
+    sim.process(parent())
+    with pytest.raises(RuntimeError, match="already been triggered"):
+        sim.run()

@@ -8,6 +8,10 @@ adds, removes or reorders an event fails here on purpose.  Re-pin them only in a
 that means to move the schedule, and say so in its description.  The
 device-state digest pins what the stream leaves in the modules, so a
 change to how the device model stores its state must leave it alone.
+A second device-state pin runs the chunk paths that no report or
+benchmark workload reaches: wear-leveling gap moves, write pausing,
+program-and-verify retries and row retirement, each of which holds
+the bus.
 """
 
 import collections
@@ -19,6 +23,7 @@ import pytest
 from repro.analysis.determinism import trace_of
 from repro.controller import MemoryRequest, Op, PramSubsystem
 from repro.controller.request import RequestStatus, reset_request_ids
+from repro.faults.plan import FaultConfig
 from repro.pram.cell import CellState
 from repro.pram.errors import PramError
 from repro.pram.module import PramModule
@@ -27,17 +32,25 @@ from repro.sim.hostprof import use_hostprof
 from repro.telemetry.hostprof import HostProfiler
 
 #: Dispatches per event kind of :func:`_run_mixed_stream`.
-PINNED_DISPATCHES = {"AllOf": 27, "Process": 123, "Request": 256,
-                     "Timeout": 304, "bootstrap": 123}
+PINNED_DISPATCHES = {"AllOf": 1, "Join": 26, "Process": 13,
+                     "Request": 256, "Timeout": 144, "bootstrap": 13}
 #: SHA-256 of its ``"<time!r> <label>"`` kernel-event lines.
 PINNED_LABEL_DIGEST = (
-    "095001e27b9b9066696dd98382673b69548c5848270eb3bf5f0848c6380eabec")
+    "ea4c2e77f2993078d93aaff3a5b2daed19a53d97b67c64f14c5b6f187c4bfd38")
 #: Its profiled drain's batches: ``{batch size: number of batches}``.
-PINNED_BATCH_SIZES = {1: 64, 2: 125, 3: 61, 4: 9, 5: 1, 6: 7, 7: 4, 8: 1,
-                      217: 1}
+PINNED_BATCH_SIZES = {1: 222, 2: 38, 4: 11, 6: 1, 105: 1}
 #: SHA-256 of :func:`_device_state` after it.
 PINNED_DEVICE_DIGEST = (
     "d2effab76a4b83bee67f94b4436b1ab82d7a58a786f69b17ed5d1d6f8f76207f")
+#: SHA-256 of :func:`_device_state` after :func:`_rare_paths_subsystem`.
+PINNED_RARE_PATHS_DIGEST = (
+    "8863bdee9281e42946c6f360cde4d7ea5a0ed9089999e5545f06480351ced484")
+
+#: A fault plan that fails programs often, wears rows out after three
+#: programs and leaves two spares per partition.
+RARE_PATHS_FAULTS = FaultConfig(
+    seed=7, program_fail_probability=0.3, read_flip_probability=0.01,
+    endurance_budget=3, wear_fail_factor=0.5, spare_rows_per_partition=2)
 
 
 def _mixed_stream():
@@ -66,6 +79,18 @@ def _mixed_subsystem():
 
 def _run_mixed_stream():
     return _mixed_subsystem().sim.now
+
+
+def _rare_paths_subsystem():
+    """The mixed stream twice over with start-gap wear leveling (a gap
+    move every second write), write pausing and
+    :data:`RARE_PATHS_FAULTS`."""
+    reset_request_ids()
+    subsystem = PramSubsystem(Simulator(), wear_leveling=True,
+                              gap_write_interval=2, write_pausing=True,
+                              faults=RARE_PATHS_FAULTS)
+    subsystem.run_stream(_mixed_stream() + _mixed_stream(), mode="open")
+    return subsystem
 
 
 def _device_state(subsystem):
@@ -130,6 +155,17 @@ class TestPinnedSchedule:
         state = _device_state(_mixed_subsystem())
         digest = hashlib.sha256(state.encode()).hexdigest()
         assert digest == PINNED_DEVICE_DIGEST
+
+    def test_rare_chunk_paths_device_state(self):
+        subsystem = _rare_paths_subsystem()
+        counts = subsystem.fault_counts()
+        assert sum(ch.gap_moves for ch in subsystem.channels) == 32
+        assert sum(ch.pauses_issued for ch in subsystem.channels) == 8
+        assert counts["retry_programs"] == 188
+        assert counts["rows_retired"] == 62
+        state = _device_state(subsystem)
+        digest = hashlib.sha256(state.encode()).hexdigest()
+        assert digest == PINNED_RARE_PATHS_DIGEST
 
     def test_kernel_label_sequence(self):
         lines = [f"{ts!r} {label}" for ts, label

@@ -9,10 +9,11 @@ with each kernel observer attached alone, then with all four at once:
 * the sampler's 500 ns window series;
 * the host profiler's census, which carries no host time.
 
-Attaching the others must not change what any one of them records.
-The tracer, the sanitizer and the sampler are pinned under a tie-break
-shuffle as well, alone and together.  Every digest is a SHA-256 of the
-artifact's text, taken before the observers shared one seam.
+Attaching the others must not change what any one of them records,
+and no observer may change what the stream simulates: its end instant
+and the device state it leaves.  The tracer, the sanitizer and the
+sampler are pinned under a tie-break shuffle as well, alone and
+together.  Every digest is a SHA-256 of the artifact's text.
 """
 
 import contextlib
@@ -34,7 +35,7 @@ from repro.telemetry.hostprof import HostProfiler
 from repro.telemetry.metrics import MetricsRegistry, use_metrics
 from repro.telemetry.timeseries import SamplingConfig, export_document
 from repro.telemetry.tracer import KernelEventRecorder, use_tracer
-from tests.sim.test_hot_path import _mixed_subsystem
+from tests.sim.test_hot_path import _device_state, _mixed_subsystem
 
 #: Window of the sampler's series.
 WINDOW_NS = 500.0
@@ -45,23 +46,23 @@ TIEBREAK_SEED = 3
 #: Digest per observer, FIFO drain.
 PINS = {
     "tracer":
-        "095001e27b9b9066696dd98382673b69548c5848270eb3bf5f0848c6380eabec",
+        "ea4c2e77f2993078d93aaff3a5b2daed19a53d97b67c64f14c5b6f187c4bfd38",
     "sanitizer":
-        "eebb19055f601698a46067ea9250b821a9a152102d8bdfd235fe7ba53475c277",
+        "d7073841ed5d15ca92b50eb6322b5d158a857dacd52b025645a088ced4f6ff0b",
     "sampler":
         "a93e04b3f2d218ee74c14f9d235e18cd7525133d595c7211356da457ac35b5b1",
     "hostprof":
-        "ad1d93b85d90509d78c5f6ca94c15cefcf88143db8d572f598eada8d25b1c5a4",
+        "5401e92d8514e6f3b2c972a495f7ecc7d92e17db8610d3bb4f9bc7c531804082",
 }
 
 #: Digest per observer under ``use_tiebreak(TIEBREAK_SEED)``.
 SHUFFLED_PINS = {
     "tracer":
-        "e2fa6373c734e22a8ed2f6d56262d5894d836f98f5111430839219e7b3bc09ee",
+        "0742c69c7b75757900f9b313238319ed543abf23228f67c7c4377e418a1972a1",
     "sanitizer":
-        "25201cb2dab57af0089f75f9e1357861010f48fc9b6b40d7c6d718ab51439b3f",
+        "6231a7ddb3ad5d2addfdc8b83db280c804f9b6bc2951789d9fc06a99151e68dd",
     "sampler":
-        "581f2c04a413d515ffd4d438eac877ed467c4ee0825dfb1d0244a5ec2640d8aa",
+        "39f839384186a5fcc2db1af9c81cddca0170935616688c04f3c412910ee21f3b",
 }
 
 
@@ -69,9 +70,9 @@ def _sha256(lines):
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
-def _observe(observers, tiebreak=None):
-    """Run the mixed stream with ``observers`` attached; the digest of
-    each one's artifacts."""
+def _run_observed(observers, tiebreak=None):
+    """Run the mixed stream with ``observers`` attached; the subsystem,
+    and what the tracer, sanitizer, sampler and profiler recorded."""
     events = []
     sanitizer = RaceSanitizer()
     registry = MetricsRegistry()
@@ -88,7 +89,15 @@ def _observe(observers, tiebreak=None):
             stack.enter_context(use_hostprof(profiler))
         if tiebreak is not None:
             stack.enter_context(use_tiebreak(tiebreak))
-        _mixed_subsystem()
+        subsystem = _mixed_subsystem()
+    return subsystem, (events, sanitizer, registry, profiler)
+
+
+def _observe(observers, tiebreak=None):
+    """Run the mixed stream with ``observers`` attached; the digest of
+    each one's artifacts."""
+    _, (events, sanitizer, registry, profiler) = _run_observed(
+        observers, tiebreak)
     artifacts = {
         "tracer": [f"{ts!r} {label}" for ts, label in events],
         "sanitizer": (
@@ -105,6 +114,14 @@ def _observe(observers, tiebreak=None):
         "hostprof": [json.dumps(profiler.census(), sort_keys=True)],
     }
     return {name: _sha256(artifacts[name]) for name in observers}
+
+
+@pytest.mark.parametrize("observer", sorted(PINS))
+def test_observer_leaves_the_simulated_outputs(observer):
+    bare = _mixed_subsystem()
+    observed, _ = _run_observed([observer])
+    assert observed.sim.now == bare.sim.now
+    assert _device_state(observed) == _device_state(bare)
 
 
 @pytest.mark.parametrize("observer", sorted(PINS))

@@ -1,10 +1,22 @@
 """Tests for Resource / Pool / Store / Channel contention primitives."""
 
+import contextlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Channel, Pool, Resource, Simulator, Store
+from repro.analysis.determinism import trace_of
+from repro.analysis.racecheck import RaceSanitizer
+from repro.sim import (
+    Channel,
+    Interrupt,
+    Pool,
+    Resource,
+    Simulator,
+    Store,
+    use_sanitizer,
+)
 
 
 def test_resource_grants_up_to_capacity_immediately():
@@ -347,3 +359,141 @@ def test_pool_reclaim_at_the_finish_instant_can_overtake():
 
     assert run(pooled=False) == [[0.0, 1.1], [1.0, 1.1]]
     assert run(pooled=True) == [[0.0, 1.1], [1.0, 1.0]]
+
+
+# ----------------------------------------------------------------------
+# Resource hold claims: fixed-length holds priced when granted
+# ----------------------------------------------------------------------
+def _hold_spans(capacity, claimants, held, observed=False):
+    """``(start, finish)`` of each claimant's hold, claimant by claimant.
+
+    ``held`` holds with one ``request(hold=d)``; otherwise every hold
+    is the reference: ``request()``, then ``timeout(d)`` once granted,
+    then ``release``.  ``observed`` attaches a race sanitizer, so the
+    claims take the hooked request and release.
+    """
+    with (use_sanitizer(RaceSanitizer()) if observed
+          else contextlib.nullcontext()):
+        sim = Simulator()
+    res = Resource(sim, capacity)
+    spans = [None] * len(claimants)
+
+    def claimant(index, arrival, duration):
+        yield sim.timeout(arrival)
+        if held:
+            req = res.request(hold=duration)
+            yield req
+            spans[index] = (req.start, sim.now)
+        else:
+            req = res.request()
+            yield req
+            start = sim.now
+            yield sim.timeout(duration)
+            spans[index] = (start, sim.now)
+        res.release(req)
+
+    for index, (arrival, duration) in enumerate(claimants):
+        sim.process(claimant(index, arrival, duration))
+    sim.run()
+    return spans
+
+
+@settings(max_examples=300, deadline=None)
+@given(capacity=st.integers(min_value=1, max_value=4),
+       claimants=st.lists(st.tuples(_INSTANTS, _LENGTHS),
+                          min_size=1, max_size=16),
+       observed=st.booleans())
+def test_hold_claim_spans_equal_request_timeout_release(
+        capacity, claimants, observed):
+    assert (_hold_spans(capacity, claimants, held=True, observed=observed)
+            == _hold_spans(capacity, claimants, held=False))
+
+
+@pytest.mark.parametrize("observed", [False, True])
+def test_hold_claims_hand_off_in_fifo_order(observed):
+    spans = _hold_spans(1, [(0.0, 5.0), (0.0, 1.0), (0.0, 2.0),
+                            (1.0, 0.5)], held=True, observed=observed)
+    assert spans == [(0.0, 5.0), (5.0, 6.0), (6.0, 8.0), (8.0, 8.5)]
+
+
+def test_hold_claims_count_while_held_and_queued():
+    # A window lock's pre-RESET reads both to decide whether to skip.
+    sim = Simulator()
+    res = Resource(sim, capacity=2)
+    claims = [res.request(hold=d) for d in (4.0, 2.0, 1.0)]
+    assert (res.count, res.queue_length) == (2, 1)
+    assert [claim.start for claim in claims] == [0.0, 0.0, None]
+
+    def holder(claim):
+        yield claim
+        res.release(claim)
+
+    for claim in claims:
+        sim.process(holder(claim))
+    sim.run()
+    assert (res.count, res.queue_length) == (0, 0)
+    # The third claim took the slot the 2 ns hold freed.
+    assert (claims[2].start, sim.now) == (2.0, 4.0)
+
+
+def test_releasing_a_queued_hold_claim_drops_it():
+    sim = Simulator()
+    res = Resource(sim)
+    holder = res.request(hold=5.0)
+    queued = res.request(hold=1.0)
+    res.release(queued)
+    assert res.queue_length == 0
+    sim.run()
+    res.release(holder)
+    assert res.count == 0
+    assert not queued.triggered and queued.start is None
+
+
+def test_exception_in_a_holder_frees_the_slot():
+    sim = Simulator()
+    res = Resource(sim)
+    spans = []
+
+    def waiter():
+        req = res.request(hold=2.0)
+        yield req
+        spans.append((req.start, sim.now))
+        res.release(req)
+
+    def interrupter(target):
+        yield sim.timeout(3.0)
+        target.interrupt("abort")
+
+    holder = sim.process(res.use(10.0))
+    sim.process(waiter())
+    sim.process(interrupter(holder))
+    sim.run()
+    assert isinstance(holder.value, Interrupt)
+    # The slot went to the waiter at the interrupt, not at 10.0.
+    assert spans == [(3.0, 5.0)]
+    assert (res.count, res.queue_length) == (0, 0)
+
+
+@pytest.mark.parametrize("hold", [-1.0, -1e-300, float("nan")])
+def test_negative_and_nan_holds_rejected(hold):
+    res = Resource(Simulator(), name="bus")
+    with pytest.raises(ValueError, match="bus: hold length"):
+        res.request(hold=hold)
+    # A rejected claim takes no slot.
+    assert (res.count, res.queue_length) == (0, 0)
+
+
+def test_use_wakes_once_per_hold():
+    def workload():
+        sim = Simulator()
+        res = Resource(sim, name="core")
+        sim.process(res.use(5.0))
+        sim.process(res.use(5.0))
+        sim.run()
+        assert sim.now == 10.0
+
+    # Bootstrap, hold end and completion per hold: the second hold is
+    # granted inside the first's release, so it has no grant dispatch.
+    assert [label for _, label in trace_of(workload)] == [
+        "use.bootstrap", "use.bootstrap", "request(core)", "use",
+        "request(core)", "use"]
