@@ -69,7 +69,7 @@ def _bare_run(self, until=None):
     ready = self._ready
     pop = heapq.heappop
     popleft = ready.popleft
-    when = self._now
+    when = self.now
     while True:
         while heap and heap[0][0] == when:
             event = pop(heap)[2]
@@ -85,7 +85,7 @@ def _bare_run(self, until=None):
                 callback(event)
         if not heap:
             break
-        when = self._now = heap[0][0]
+        when = self.now = heap[0][0]
 
 
 def _seed_succeed(self, value=None):
@@ -192,7 +192,7 @@ def _seed_request(self, hold=None):
         if hold is None:
             self.sim._trigger(req)
         else:
-            req.start = self.sim._now
+            req.start = self.sim.now
             self.sim._schedule(hold, req)
     else:
         self._queue.append(req)
@@ -216,7 +216,7 @@ def _seed_release(self, request):
         if waiter.hold is None:
             self.sim._trigger(waiter)
         else:
-            waiter.start = self.sim._now
+            waiter.start = self.sim.now
             self.sim._schedule(waiter.hold, waiter)
 
 
@@ -347,7 +347,8 @@ CASES = (
         (Resource, "release", _seed_release),
         (Simulator, "run", _bare_run),
     ), enabled=sanitize),
-    # One always-on latency-sketch add per request completion.
+    # One always-on latency-sketch add per request completion (the
+    # channels feed their per-chunk sketches only under metrics).
     Case("sampler", patches=(
         (LatencySketch, "add", _seed_sketch_add),
     ), enabled=_live_sampling),

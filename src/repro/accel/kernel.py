@@ -121,4 +121,4 @@ def push_data(sim, link, image: bytes) -> typing.Generator:
     ``link`` is any object with a ``transfer(size)`` process method
     (e.g. :class:`repro.host.PcieLink`).
     """
-    yield sim.process(link.transfer(len(image)))
+    yield from link.transfer(len(image))

@@ -97,8 +97,7 @@ class ServerPe:
             raise ValueError(
                 f"{len(traces)} traces but only {len(self.agents)} agents"
             )
-        pending = [
-            self.sim.process(self.launch(i, image, segment_name, trace))
+        yield self.sim.fork_join([
+            self.launch(i, image, segment_name, trace)
             for i, trace in enumerate(traces)
-        ]
-        yield self.sim.all_of(pending)
+        ])

@@ -3,12 +3,12 @@
 Four pillars, each usable on its own:
 
 * :mod:`repro.analysis.lint` — an AST lint pass with simulator-specific
-  rules (``SIM001``–``SIM007``) that catch the cheap-to-ship,
+  rules (``SIM001``–``SIM008``) that catch the cheap-to-ship,
   expensive-to-debug bug classes of a hand-rolled discrete-event
   kernel: nondeterminism, illegal yields, negative latencies, shared
-  mutable defaults, and unguarded cross-``yield`` / same-timestamp
-  state mutation (including interprocedural races through helper
-  methods).
+  mutable defaults, unguarded cross-``yield`` / same-timestamp state
+  mutation (including interprocedural races through helper methods),
+  and processes spawned only to be waited on.
 * :mod:`repro.analysis.conformance` — an explicit state machine for the
   LPDDR2-NVM three-phase addressing protocol (pre-active → activate →
   read/write) that validates controller command sequences, including

@@ -69,6 +69,17 @@ relies on:
     segments race on the tie-break order.  Yielding inside the loop
     (staggered spawns) or guarding the writes exempts it.
 
+``SIM008``
+    A process spawned only to be waited on: ``yield <x>.process(<gen>)``,
+    or ``all_of`` over ``<x>.process(...)`` calls (a list display, a
+    comprehension, or a local bound to one and used only there).  Each
+    spawn dispatches a bootstrap and a completion, and the condition a
+    trigger of its own, for a body that runs alone in the meantime:
+    ``yield from <gen>`` runs it inline, and ``sim.fork_join([...])``
+    starts the children in place and joins them with one event.  A
+    spawn whose extra same-instant hops decide an order the outputs
+    depend on stays, marked ``# noqa: SIM008`` with the reason.
+
 A trailing ``# noqa: SIMxxx`` comment suppresses a rule on that line.
 The dynamic counterpart to SIM005–SIM007 is
 :mod:`repro.analysis.racecheck`, which observes actual kernel runs.
@@ -597,6 +608,56 @@ def _check_sim007(func: typing.Union[ast.FunctionDef, ast.AsyncFunctionDef],
             _scan(ast.walk(loop.elt))
 
 
+def _is_spawn(node: ast.AST) -> bool:
+    """Is ``node`` a ``<x>.process(...)`` call?"""
+    return (isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "process")
+
+
+def _is_spawn_list(node: ast.AST) -> bool:
+    """A list or tuple of spawns, or a comprehension that spawns."""
+    if isinstance(node, (ast.List, ast.Tuple)):
+        return bool(node.elts) and all(_is_spawn(elt) for elt in node.elts)
+    if isinstance(node, (ast.ListComp, ast.GeneratorExp)):
+        return _is_spawn(node.elt)
+    return False
+
+
+def _check_sim008(func: typing.Union[ast.FunctionDef, ast.AsyncFunctionDef],
+                  out: _Collector) -> None:
+    """Processes spawned only to be waited on."""
+    own = list(_own_nodes(func))
+    spawn_lists: typing.Set[str] = set()
+    loads: typing.Dict[str, int] = {}
+    for node in own:
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)
+                and _is_spawn_list(node.value)):
+            spawn_lists.add(node.targets[0].id)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            loads[node.id] = loads.get(node.id, 0) + 1
+    for node in own:
+        if isinstance(node, ast.Yield) and node.value is not None:
+            if _is_spawn(node.value):
+                out.add(node, "SIM008",
+                        "process spawned only to be waited on: 'yield "
+                        "from' its generator runs it inline, with no "
+                        "bootstrap or completion event")
+        elif (isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "all_of" and node.args):
+            events = node.args[0]
+            if _is_spawn_list(events) or (
+                    isinstance(events, ast.Name)
+                    and events.id in spawn_lists
+                    and loads.get(events.id) == 1):
+                out.add(node, "SIM008",
+                        "processes spawned only to be joined: "
+                        "sim.fork_join(generators) starts them in place "
+                        "and joins them with one event")
+
+
 # ----------------------------------------------------------------------
 # Drivers
 # ----------------------------------------------------------------------
@@ -624,6 +685,7 @@ def lint_source(source: str, path: str = "<string>"
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             _check_sim004(node, out)
+            _check_sim008(node, out)
             if _is_generator(node):
                 summaries = method_summaries.get(id(node), {})
                 _check_sim002(node, out)

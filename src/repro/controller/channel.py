@@ -131,15 +131,16 @@ class ChannelController:
             if spares > 0:
                 self._retirement = RetirementMap(
                     geometry.rows_per_partition, spares)
+        # A logical row is its physical row unless start-gap rotation
+        # or bad-row retirement can remap it.
+        self._remaps_rows = wear_leveling or self._retirement is not None
         # Statistics
         self.read_latency = Histogram(f"ch{channel_id}.read_latency")
         self.write_latency = Histogram(f"ch{channel_id}.write_latency")
-        # Per-chunk tail-latency sketches stay always-on (integer
-        # bucket math only) so benchmark runs without a registry still
-        # have channel-level percentiles.
+        # Per-chunk tail-latency sketches: fed only while a metrics
+        # registry has them attached, since nothing else reads them.
         self.read_sketch = LatencySketch(f"ch{channel_id}.sketch.read")
         self.write_sketch = LatencySketch(f"ch{channel_id}.sketch.write")
-        self.bus_busy_ns = 0.0
         self.chunks_read = 0
         self.chunks_written = 0
         self.pre_resets_issued = 0
@@ -156,6 +157,7 @@ class ChannelController:
             typing.Tuple[float, float, typing.Tuple[int, int]]] = []
         metrics = current_metrics()
         self._metrics = metrics
+        self._metrics_on = metrics.enabled
         self._metrics_prefix = metrics.component_prefix(
             f"pram.ch{channel_id}")
         if metrics.enabled:
@@ -261,17 +263,19 @@ class ChannelController:
                     (pram_address, chunk_size, registered_at))
         if not per_module:
             return
-        workers = [self.sim.process(self._reset_worker(chunks))
-                   for chunks in per_module.values()]
-        yield self.sim.all_of(workers)
+        yield self.sim.fork_join([self._reset_worker(chunks)
+                                  for chunks in per_module.values()])
 
     def _reset_worker(self, chunks: typing.List[_HintChunk]
                       ) -> typing.Generator:
-        """Serially pre-reset one module's hinted chunks."""
+        """Serially pre-reset one module's hinted chunks.
+
+        Each pre-reset stays a process of its own: run inline, it
+        moves the endurance sweep's results (DESIGN §6.1).
+        """
         for pram_address, chunk_size, registered_at in chunks:
-            yield self.sim.process(self._pre_reset(pram_address,
-                                                   chunk_size,
-                                                   registered_at))
+            yield self.sim.process(  # noqa: SIM008 - order-bearing
+                self._pre_reset(pram_address, chunk_size, registered_at))
 
     # ------------------------------------------------------------------
     # Chunk state machines
@@ -279,9 +283,11 @@ class ChannelController:
     # Each chunk runs as one flat generator.  Every resume of a chunk
     # costs one frame, not one per helper layer, so the bus holds are
     # written out in place: claim the bus for the hold's length, wake
-    # once at its end, then hand the claim to _release_bus, which does
-    # the accounting and the release.  Only the fault and wear-leveling
-    # paths, which few chunks take, delegate to sub-generators.
+    # once at its end, then release it.  Observation work (the bus
+    # span, the burst overlap, the array windows, the per-chunk
+    # sketches) runs only under telemetry, so an untraced chunk pays
+    # for the model alone.  Only the fault and wear-leveling paths,
+    # which few chunks take, delegate to sub-generators.
     def _read_chunk(self, chunk: ChunkPlan) -> typing.Generator:
         """Process body: one read chunk, pair probe to data burst."""
         sim = self.sim
@@ -292,7 +298,9 @@ class ChannelController:
         index = address.module
         module = self.modules[index]
         partition = address.partition
-        row = self._physical_row(index, partition, address.row)
+        row = address.row
+        if self._remaps_rows:
+            row = self._physical_row(index, partition, row)
         upper, lower = self.address_map.split_row(row)
         req = chunk.request.request_id
 
@@ -338,7 +346,9 @@ class ChannelController:
                     except BaseException:
                         self.bus.release(grant)
                         raise
-                    self._release_bus(grant, "cmd", req=req)
+                    if self._telemetry_on:
+                        self._note_bus_hold(grant, "cmd", req=req)
+                    self.bus.release(grant)
                 now = sim.now
                 if need_pre_active:
                     if observing:
@@ -368,7 +378,8 @@ class ChannelController:
                 # Record the array-busy window before sleeping on it, so
                 # a concurrent burst on another partition can see the
                 # overlap.
-                self._note_array_window(index, partition, sim.now, now)
+                if self._telemetry_on:
+                    self._note_array_window(index, partition, sim.now, now)
                 if now > sim.now:
                     yield sim.timeout(now - sim.now)
             if paused:
@@ -396,10 +407,12 @@ class ChannelController:
                 except BaseException:
                     self.bus.release(grant)
                     raise
-                self._release_bus(grant, "read_burst",
-                                  array_key=(index, partition),
-                                  module=index, partition=partition,
-                                  row=row, req=req)
+                if self._telemetry_on:
+                    self._note_bus_hold(grant, "read_burst",
+                                        array_key=(index, partition),
+                                        module=index, partition=partition,
+                                        row=row, req=req)
+                self.bus.release(grant)
             if fault_bits and self.faults is not None:
                 decoded = secded_decode(data, fault_bits)
                 data = decoded.data
@@ -425,7 +438,8 @@ class ChannelController:
                 if self._pairs_tracker is not None:
                     self._pairs_tracker.adjust(sim.now, -1.0)
         self.read_latency.add(sim.now - start)
-        self.read_sketch.add(sim.now - start)
+        if self._metrics_on:
+            self.read_sketch.add(sim.now - start)
         self.chunks_read += 1
         if tracer.enabled:
             tracer.emit("read_chunk", f"ch{self.channel_id}.inflight",
@@ -446,7 +460,9 @@ class ChannelController:
         assert payload is not None  # guaranteed by MemoryRequest validation
 
         partition = address.partition
-        row = self._physical_row(index, partition, address.row)
+        row = address.row
+        if self._remaps_rows:
+            row = self._physical_row(index, partition, row)
         req = chunk.request.request_id
         lock = self._window_locks[index]
         window = lock.request()
@@ -468,9 +484,11 @@ class ChannelController:
                 except BaseException:
                     self.bus.release(grant)
                     raise
-                self._release_bus(grant, "stage_program",
-                                  module=index, partition=partition,
-                                  req=req)
+                if self._telemetry_on:
+                    self._note_bus_hold(grant, "stage_program",
+                                        module=index, partition=partition,
+                                        req=req)
+                self.bus.release(grant)
             # The array program frees the bus but occupies the partition
             # and the module's overlay window until completion.  The
             # wait re-checks the partition clock because write pausing
@@ -481,8 +499,9 @@ class ChannelController:
             module.execute_program(sim.now, req=req)
             failures = (module.take_program_failures()
                         if self.faults is not None else [])
-            self._note_array_window(index, partition, sim.now,
-                                    module.partition_ready_at(partition))
+            if self._telemetry_on:
+                self._note_array_window(index, partition, sim.now,
+                                        module.partition_ready_at(partition))
             while True:
                 ready = module.partition_ready_at(partition)
                 if ready <= sim.now:
@@ -506,7 +525,8 @@ class ChannelController:
         finally:
             lock.release(window)
         self.write_latency.add(sim.now - start)
-        self.write_sketch.add(sim.now - start)
+        if self._metrics_on:
+            self.write_sketch.add(sim.now - start)
         self.chunks_written += 1
         if tracer.enabled:
             tracer.emit("write_chunk", f"ch{self.channel_id}.inflight",
@@ -561,14 +581,17 @@ class ChannelController:
                 except BaseException:
                     self.bus.release(grant)
                     raise
-                self._release_bus(grant, "stage_reset",
-                                  module=address.module,
-                                  partition=address.partition)
+                if self._telemetry_on:
+                    self._note_bus_hold(grant, "stage_reset",
+                                        module=address.module,
+                                        partition=address.partition)
+                self.bus.release(grant)
             self._observe(Command.EXECUTE_PROGRAM, address.module,
                           partition=address.partition, row=address.row)
             finish = module.execute_program(sim.now)
-            self._note_array_window(address.module, address.partition,
-                                    sim.now, finish)
+            if self._telemetry_on:
+                self._note_array_window(address.module, address.partition,
+                                        sim.now, finish)
             yield sim.timeout(finish - sim.now)
             self.pre_resets_issued += 1
         finally:
@@ -632,9 +655,11 @@ class ChannelController:
                 except BaseException:
                     self.bus.release(grant)
                     raise
-                self._release_bus(grant, "stage_program",
-                                  module=index, partition=partition,
-                                  req=req)
+                if self._telemetry_on:
+                    self._note_bus_hold(grant, "stage_program",
+                                        module=index, partition=partition,
+                                        req=req)
+                self.bus.release(grant)
             self._observe(Command.EXECUTE_PROGRAM, index,
                           partition=partition, row=row)
             module.execute_program(self.sim.now, req=req)
@@ -695,9 +720,11 @@ class ChannelController:
             except BaseException:
                 self.bus.release(grant)
                 raise
-            self._release_bus(grant, "stage_program",
-                              module=index, partition=partition,
-                              req=req)
+            if self._telemetry_on:
+                self._note_bus_hold(grant, "stage_program",
+                                    module=index, partition=partition,
+                                    req=req)
+            self.bus.release(grant)
         self._observe(Command.EXECUTE_PROGRAM, index,
                       partition=partition, row=spare)
         module.execute_program(self.sim.now, req=req)
@@ -825,7 +852,9 @@ class ChannelController:
             except BaseException:
                 self.bus.release(grant)
                 raise
-            self._release_bus(grant)
+            if self._telemetry_on:
+                self._note_bus_hold(grant)
+            self.bus.release(grant)
         self._observe(Command.EXECUTE_PROGRAM, module_index,
                       partition=partition, row=move.destination)
         finish = module.execute_program(self.sim.now)
@@ -854,12 +883,12 @@ class ChannelController:
                            start: float, end: float) -> None:
         """Remember an array-busy window for burst-overlap accounting.
 
-        No-op unless telemetry is active.  Windows are pruned lazily
-        with a generous horizon (bursts last tens of ns, the horizon is
+        Called only under telemetry.  Windows are pruned lazily with a
+        generous horizon (bursts last tens of ns, the horizon is
         10 µs), so a burst already in flight never loses a window it
         still overlaps.
         """
-        if not self._telemetry_on or end <= start:
+        if end <= start:
             return
         windows = self._array_windows
         if len(windows) > 64:
@@ -895,51 +924,46 @@ class ChannelController:
         total += merged_end - merged_start
         return total
 
-    def _release_bus(self, grant: Request, span_name: str | None = None,
-                     array_key: typing.Tuple[int, int] | None = None,
-                     module: int | None = None,
-                     partition: int | None = None,
-                     row: int | None = None,
-                     req: int | None = None) -> None:
-        """Account one finished bus hold, then release the bus.
+    def _note_bus_hold(self, grant: Request, span_name: str | None = None,
+                       array_key: typing.Tuple[int, int] | None = None,
+                       module: int | None = None,
+                       partition: int | None = None,
+                       row: int | None = None,
+                       req: int | None = None) -> None:
+        """Account one finished bus hold; called only under telemetry.
 
         Every bus holder calls this when its hold claim ``grant``
-        fires: the hold of ``grant.hold`` ns that began at
-        ``grant.start`` has just ended.  ``span_name`` labels the hold
-        on the bus trace track (None: no span); ``array_key`` marks a
-        read burst whose overlap with other partitions' array windows
-        is accounted (Figure 12).  The non-None span fields become the
-        span's arguments, in the order of the parameters.
+        fires, before it releases the bus: the hold of ``grant.hold``
+        ns that began at ``grant.start`` has just ended.  ``span_name``
+        labels the hold on the bus trace track (None: no span);
+        ``array_key`` marks a read burst whose overlap with other
+        partitions' array windows is accounted (Figure 12).  The
+        non-None span fields become the span's arguments, in the order
+        of the parameters.
         """
         start, duration = grant.start, grant.hold
         assert start is not None and duration is not None  # a hold claim
-        try:
-            self.bus_busy_ns += duration
-            if self._bus_counter is not None:
-                self._bus_counter.add(duration)
-            if span_name is not None:
-                end = self.sim.now
-                # Overlap is computed before the span goes out so the
-                # burst span carries its own credit: per-request credits
-                # then sum to sched.interleave.overlap_ns by identity,
-                # not by re-derivation.
-                overlap = 0.0
-                if array_key is not None and self._telemetry_on:
-                    overlap = self._array_overlap(array_key, start, end)
-                    if overlap > 0.0:
-                        self.overlap_ns += overlap
-                        if self._overlap_counter is not None:
-                            self._overlap_counter.add(overlap)
-                tracer = self.sim.tracer
-                if tracer.enabled:
-                    fields = (("module", module), ("partition", partition),
-                              ("row", row), ("req", req))
-                    args: typing.Dict[str, typing.Any] = {
-                        key: value for key, value in fields
-                        if value is not None}
-                    if array_key is not None:
-                        args["overlap"] = overlap
-                    tracer.emit(span_name, self._bus_track, start, end,
-                                **args)
-        finally:
-            self.bus.release(grant)
+        if self._bus_counter is not None:
+            self._bus_counter.add(duration)
+        if span_name is None:
+            return
+        end = self.sim.now
+        # Overlap is computed before the span goes out so the burst
+        # span carries its own credit: per-request credits then sum to
+        # sched.interleave.overlap_ns by identity, not by re-derivation.
+        overlap = 0.0
+        if array_key is not None:
+            overlap = self._array_overlap(array_key, start, end)
+            if overlap > 0.0:
+                self.overlap_ns += overlap
+                if self._overlap_counter is not None:
+                    self._overlap_counter.add(overlap)
+        tracer = self.sim.tracer
+        if tracer.enabled:
+            fields = (("module", module), ("partition", partition),
+                      ("row", row), ("req", req))
+            args: typing.Dict[str, typing.Any] = {
+                key: value for key, value in fields if value is not None}
+            if array_key is not None:
+                args["overlap"] = overlap
+            tracer.emit(span_name, self._bus_track, start, end, **args)

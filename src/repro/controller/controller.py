@@ -128,7 +128,10 @@ class PramSubsystem:
             if self._inflight_tracker is not None:
                 self._inflight_tracker.adjust(self.sim.now, 1.0)
         if self.firmware is not None:
-            yield self.sim.process(self.firmware.admit())
+            # A process of its own: run inline, admission moves the
+            # firmware system's results (DESIGN §6.1).
+            yield self.sim.process(  # noqa: SIM008 - order-bearing
+                self.firmware.admit())
         by_channel = self.planner.chunks_by_channel(request)
         # Each channel's chunks start in this step, channel by channel;
         # the join yields each channel's results in channel order.
@@ -235,13 +238,12 @@ class PramSubsystem:
             raise ValueError(f"unknown stream mode {mode!r}")
         if mode == "open":
             def driver() -> typing.Generator:
-                pending = [self.sim.process(self.submit(request))
-                           for request in requests]
-                yield self.sim.all_of(pending)
+                yield self.sim.fork_join([self.submit(request)
+                                          for request in requests])
         else:
             def driver() -> typing.Generator:
                 for request in requests:
-                    yield self.sim.process(self.submit(request))
+                    yield from self.submit(request)
 
         self.sim.process(driver())
         self.sim.run()
@@ -293,9 +295,8 @@ class PramSubsystem:
 
     def drain_hints(self) -> typing.Generator:
         """Process body: run every channel's hint prefetcher to empty."""
-        pending = [self.sim.process(channel.prefetch_hints())
-                   for channel in self.channels]
-        yield self.sim.all_of(pending)
+        yield self.sim.fork_join([channel.prefetch_hints()
+                                  for channel in self.channels])
 
     def merged_latency_sketch(self) -> LatencySketch:
         """All request latencies (reads + writes) as one sketch.

@@ -59,12 +59,10 @@ def subsystem_run(bundle: TraceBundle,
                 if block in seen_blocks:
                     continue  # cache hit: no memory request
                 seen_blocks.add(block)
-                yield sim.process(subsystem.read(
-                    block * BLOCK_BYTES, BLOCK_BYTES))
+                yield from subsystem.read(block * BLOCK_BYTES, BLOCK_BYTES)
                 total_bytes += BLOCK_BYTES
             elif isinstance(op, StoreOp):
-                yield sim.process(subsystem.write(
-                    op.address, b"\x5A" * op.size))
+                yield from subsystem.write(op.address, b"\x5A" * op.size)
                 total_bytes += op.size
 
     def driver() -> typing.Generator:
@@ -75,10 +73,9 @@ def subsystem_run(bundle: TraceBundle,
             # counts against the policy.
             out_address, out_size = bundle.output_region
             subsystem.register_write_hint(out_address, out_size)
-            yield sim.process(subsystem.drain_hints())
-            agents = [sim.process(agent_stream(trace))
-                      for trace in round_traces]
-            yield sim.all_of(agents)
+            yield from subsystem.drain_hints()
+            yield sim.fork_join([agent_stream(trace)
+                                 for trace in round_traces])
 
     done = sim.process(driver())
     sim.run()

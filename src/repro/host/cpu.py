@@ -53,7 +53,10 @@ class HostCpu:
         """Occupy the core for ``duration`` ns and charge energy."""
         if duration < 0:
             raise ValueError(f"negative duration: {duration}")
-        yield self.sim.process(self.core.use(duration))
+        # The core hold stays a process of its own: a plain `yield
+        # from` moved durbin on Hetero at seed 1 (DESIGN §6.1).
+        yield self.sim.process(  # noqa: SIM008 - order-bearing
+            self.core.use(duration))
         self.busy_ns += duration
         if self.energy is not None:
             self.energy.charge_power(

@@ -51,7 +51,7 @@ class PcieLink:
         that request.
         """
         start = self.sim.now
-        yield self.sim.process(self.channel.transfer(size))
+        yield from self.channel.transfer(size)
         self.transfers += 1
         tracer = self.sim.tracer
         if tracer.enabled:

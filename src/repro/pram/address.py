@@ -123,19 +123,42 @@ class AddressMap:
 
         Requests larger than one 32-byte row are the norm (the server
         issues 512 B per channel); the controller turns each chunk into
-        one three-phase access.
+        one three-phase access.  Only the first chunk goes through
+        :meth:`decompose`; each later one advances the device
+        coordinates in stripe order (module, then channel, then
+        partition, then row), as
+        :meth:`~repro.controller.translator.AccessPlanner.plan` does.
         """
         if size < 0:
             raise AddressError(f"negative size: {size}")
+        if size == 0:
+            return
+        address = self.decompose(flat)
+        channel, module, partition, row, column = address
         row_bytes = self._row_bytes
-        cursor = flat
         produced = 0
-        while produced < size:
-            address = self.decompose(cursor)
-            chunk = min(row_bytes - address.column, size - produced)
+        while True:
+            chunk = min(row_bytes - column, size - produced)
             yield address, produced, chunk
             produced += chunk
-            cursor += chunk
+            if produced >= size:
+                return
+            module += 1
+            if module == self._modules:
+                module = 0
+                channel += 1
+                if channel == self._channels:
+                    channel = 0
+                    partition += 1
+                    if partition == self._partitions:
+                        partition = 0
+                        row += 1
+                        if row == self._rows:
+                            raise AddressError(
+                                f"address {flat + produced:#x} beyond "
+                                f"capacity {self._total_bytes:#x}")
+            column = 0
+            address = PramAddress(channel, module, partition, row, 0)
 
     def _validate(self, address: PramAddress) -> None:
         geo = self.geometry

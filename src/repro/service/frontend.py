@@ -434,7 +434,7 @@ class ServiceFrontend:
         self.inflight += 1
         while True:
             memory = self._memory_request(request)
-            yield self.sim.process(self.backend.submit(memory))
+            yield from self.backend.submit(memory)
             if memory.status is not RequestStatus.FAILED:
                 break
             # Retry only transient failures, within the composed

@@ -93,7 +93,10 @@ class Simulator:
 
     def __init__(self, tracer: Tracer | None = None,
                  scope: KernelScope | None = None) -> None:
-        self._now = 0.0
+        #: Current simulated time in nanoseconds.  A plain attribute:
+        #: the drains, step() and run(until=) write it; everything else
+        #: only reads it.
+        self.now = 0.0
         self._heap: typing.List[HeapEntry] = []
         # Events due at the current instant, in schedule order.
         self._ready: typing.Deque[Event] = collections.deque()
@@ -147,11 +150,6 @@ class Simulator:
         if "on_trigger" in hooks:
             self._trigger = self._trigger_observed
 
-    @property
-    def now(self) -> float:
-        """Current simulated time in nanoseconds."""
-        return self._now
-
     # ------------------------------------------------------------------
     # Factories
     # ------------------------------------------------------------------
@@ -178,10 +176,10 @@ class Simulator:
         """
         if math.isnan(at):
             raise ValueError("cannot schedule a deadline at NaN")
-        if at < self._now:
+        if at < self.now:
             raise ValueError(
                 f"cannot schedule a deadline at {at} ns: clock already "
-                f"at {self._now} ns")
+                f"at {self.now} ns")
         return Timeout.at(self, at, value)
 
     def process(self, generator: GeneratorType, name: str = "") -> Process:
@@ -213,7 +211,7 @@ class Simulator:
         # Route on the timestamp, not the delay: a delay that rounds to
         # the current instant queues where a heap push would sort.
         if delay >= 0:
-            now = self._now
+            now = self.now
             when = now + delay
             if when == now:
                 self._ready.append(event)
@@ -231,7 +229,7 @@ class Simulator:
         # The absolute-instant route (deadline()): the same two queues
         # as _schedule, keyed by the instant itself.  Callers have
         # checked that `when` is not NaN and not in the past.
-        if when == self._now:
+        if when == self.now:
             self._ready.append(event)
         else:
             heapq.heappush(self._heap, (when, next(self._counter), event))
@@ -257,7 +255,7 @@ class Simulator:
     def peek(self) -> float:
         """Timestamp of the next scheduled event, or ``inf`` if none."""
         if self._ready:
-            return self._now
+            return self.now
         return self._heap[0][0] if self._heap else float("inf")
 
     def step(self) -> None:
@@ -270,12 +268,12 @@ class Simulator:
         """
         heap = self._heap
         ready = self._ready
-        when = self._now
+        when = self.now
         if heap and heap[0][0] == when or not ready:
             if not heap:
                 raise RuntimeError("step() on an empty event heap")
             when, _, event = heapq.heappop(heap)
-            self._now = when
+            self.now = when
         else:
             event = ready.popleft()
         observer = self._observer
@@ -313,9 +311,9 @@ class Simulator:
         """
         if until is not None and math.isnan(until):
             raise ValueError("cannot run until NaN")
-        if until is not None and until < self._now:
+        if until is not None and until < self.now:
             raise ValueError(
-                f"cannot run until {until} ns: clock already at {self._now} ns"
+                f"cannot run until {until} ns: clock already at {self.now} ns"
             )
         if self._observer is not None:
             self._run_observed(until)
@@ -330,7 +328,7 @@ class Simulator:
             ready = self._ready
             pop = heapq.heappop
             popleft = ready.popleft
-            when = self._now
+            when = self.now
             while True:
                 while heap and heap[0][0] == when:
                     event = pop(heap)[2]
@@ -349,9 +347,9 @@ class Simulator:
                 when = heap[0][0]
                 if until is not None and when > until:
                     break
-                self._now = when
+                self.now = when
         if until is not None:
-            self._now = max(self._now, until)
+            self.now = max(self.now, until)
 
     def _run_observed(self, until: float | None) -> None:
         """The observed drain: the fast drain's order, in waves.
@@ -379,7 +377,7 @@ class Simulator:
         pop = heapq.heappop
         popleft = ready.popleft
         observer.begin_run()
-        when = self._now
+        when = self.now
         while ready or heap:
             if not ready and heap[0][0] != when:
                 when = heap[0][0]
@@ -390,7 +388,7 @@ class Simulator:
             # the window that starts there.
             if advance is not None:
                 advance(when)
-            self._now = when
+            self.now = when
             due = []
             while heap and heap[0][0] == when:
                 due.append(pop(heap)[2])
@@ -416,5 +414,5 @@ class Simulator:
         observer.end_run()
         # Close windows up to the stop time so a run that idles out to
         # `until` still materializes its trailing windows.
-        if advance is not None and until is not None and until > self._now:
+        if advance is not None and until is not None and until > self.now:
             advance(until)

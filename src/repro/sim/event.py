@@ -153,7 +153,7 @@ class Timeout(Event):
         timeout._ok = True
         timeout._triggered = True
         timeout._processed = False
-        timeout._delay = when - sim._now
+        timeout._delay = when - sim.now
         sim._schedule_at(when, timeout)
         return timeout
 

@@ -117,7 +117,7 @@ class Resource:
             if hold is None:
                 self.sim._trigger(req)
             else:
-                req.start = self.sim._now
+                req.start = self.sim.now
                 self.sim._schedule(hold, req)
         else:
             self._queue.append(req)
@@ -151,7 +151,7 @@ class Resource:
             else:
                 # A hold claim is priced at its grant, here in the
                 # releasing task.
-                waiter.start = self.sim._now
+                waiter.start = self.sim.now
                 self.sim._schedule(waiter.hold, waiter)
 
     # request() and release() with the slot hooks.  Each hook fires
@@ -168,7 +168,7 @@ class Resource:
                 req.succeed()
             else:
                 req._triggered = True
-                req.start = self.sim._now
+                req.start = self.sim.now
                 self.sim._schedule(hold, req)
         else:
             self._queue.append(req)
@@ -196,7 +196,7 @@ class Resource:
                     raise RuntimeError(
                         f"{waiter!r} has already been triggered")
                 waiter._triggered = True
-                waiter.start = self.sim._now
+                waiter.start = self.sim.now
                 self.sim._schedule(waiter.hold, waiter)
 
     def use(self, duration: float) -> typing.Generator:

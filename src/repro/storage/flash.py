@@ -57,10 +57,13 @@ class NandFlash:
     # ------------------------------------------------------------------
     # Timed operations (process bodies)
     # ------------------------------------------------------------------
+    # Each plane hold stays a process of its own: a plain `yield from`
+    # moved fig15's jaco1D on Integrated-SLC at seed 2 (DESIGN §6.1).
     def read_page(self, page: int) -> typing.Generator:
         """Read one page; returns its bytes (zeros if never written)."""
         self._check_page(page)
-        yield self.sim.process(self.planes.use(self.cell_type.read_ns))
+        yield self.sim.process(  # noqa: SIM008 - order-bearing
+            self.planes.use(self.cell_type.read_ns))
         self.pages_read += 1
         return self._pages.get(page, bytes(PAGE_BYTES))
 
@@ -76,7 +79,8 @@ class NandFlash:
             raise ValueError(
                 f"page {page} already programmed; erase its block first"
             )
-        yield self.sim.process(self.planes.use(self.cell_type.program_ns))
+        yield self.sim.process(  # noqa: SIM008 - order-bearing
+            self.planes.use(self.cell_type.program_ns))
         self._pages[page] = bytes(data)
         self.pages_programmed += 1
 
@@ -84,7 +88,8 @@ class NandFlash:
         """Erase one block (all its pages return to unprogrammed)."""
         if block < 0:
             raise ValueError(f"negative block: {block}")
-        yield self.sim.process(self.planes.use(self.cell_type.erase_ns))
+        yield self.sim.process(  # noqa: SIM008 - order-bearing
+            self.planes.use(self.cell_type.erase_ns))
         first = block * PAGES_PER_BLOCK
         for page in range(first, first + PAGES_PER_BLOCK):
             self._pages.pop(page, None)

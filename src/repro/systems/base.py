@@ -195,8 +195,8 @@ class AcceleratedSystem(abc.ABC):
                     # Kernel offload over PCIe (Figure 9b step 2); the
                     # server-side image load is inside accel.execute.
                     mark = sim.now
-                    yield sim.process(offload_link.transfer(
-                        self.config.accelerator.image_bytes))
+                    yield from offload_link.transfer(
+                        self.config.accelerator.image_bytes)
                     add_phase("offload", sim.now - mark)
 
                 mark = sim.now

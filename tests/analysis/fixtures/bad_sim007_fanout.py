@@ -18,4 +18,4 @@ class Pool:
 
     def comprehension_boss(self):
         procs = [self.sim.process(self.worker(i)) for i in range(4)]
-        yield self.sim.all_of(procs)
+        yield self.sim.all_of(procs)  # noqa: SIM008

@@ -180,6 +180,28 @@ def test_sim007_quiet_when_loop_yields_between_spawns():
     assert lint_source(source) == []
 
 
+def test_sim008_spawn_only_waited_on():
+    violations = lint_file(FIXTURES / "bad_sim008_spawn_wait.py")
+    # a yielded spawn, all_of over a comprehension, all_of over a local
+    # bound to one; the fourth spawn carries a noqa
+    assert [v.code for v in violations] == ["SIM008"] * 3
+    assert "yield from" in violations[0].message
+    assert "fork_join" in violations[1].message
+
+
+def test_sim008_quiet_for_yield_from_fork_join_and_kept_spawns():
+    source = (
+        "def relay(sim, link, sizes):\n"
+        "    yield from link.transfer(sizes[0])\n"
+        "    yield sim.fork_join([link.transfer(s) for s in sizes])\n"
+        "    sim.process(link.transfer(1))\n"
+        "    pending = [sim.process(link.transfer(s)) for s in sizes]\n"
+        "    pending[0].interrupt()\n"
+        "    yield sim.all_of(pending)\n"
+    )
+    assert lint_source(source) == []
+
+
 def test_clean_fixture_is_clean():
     assert codes_in(FIXTURES / "clean_process.py") == []
 
@@ -201,7 +223,7 @@ def test_lint_paths_walks_directories():
     violations = lint_paths([FIXTURES])
     assert {v.code for v in violations} == {
         "SIM001", "SIM002", "SIM003", "SIM004", "SIM005",
-        "SIM006", "SIM007"}
+        "SIM006", "SIM007", "SIM008"}
 
 
 def test_repo_source_tree_is_self_clean():

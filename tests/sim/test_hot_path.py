@@ -32,13 +32,13 @@ from repro.sim.hostprof import use_hostprof
 from repro.telemetry.hostprof import HostProfiler
 
 #: Dispatches per event kind of :func:`_run_mixed_stream`.
-PINNED_DISPATCHES = {"AllOf": 1, "Join": 26, "Process": 13,
-                     "Request": 256, "Timeout": 144, "bootstrap": 13}
+PINNED_DISPATCHES = {"Join": 27, "Process": 1, "Request": 256,
+                     "Timeout": 144, "bootstrap": 1}
 #: SHA-256 of its ``"<time!r> <label>"`` kernel-event lines.
 PINNED_LABEL_DIGEST = (
-    "ea4c2e77f2993078d93aaff3a5b2daed19a53d97b67c64f14c5b6f187c4bfd38")
+    "55cd415c8456d496c2329c6616b5feff01415fa16ba17c68093ad83cbed7f36e")
 #: Its profiled drain's batches: ``{batch size: number of batches}``.
-PINNED_BATCH_SIZES = {1: 222, 2: 38, 4: 11, 6: 1, 105: 1}
+PINNED_BATCH_SIZES = {1: 222, 2: 38, 3: 11, 5: 1, 93: 1}
 #: SHA-256 of :func:`_device_state` after it.
 PINNED_DEVICE_DIGEST = (
     "d2effab76a4b83bee67f94b4436b1ab82d7a58a786f69b17ed5d1d6f8f76207f")

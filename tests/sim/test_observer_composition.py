@@ -46,23 +46,23 @@ TIEBREAK_SEED = 3
 #: Digest per observer, FIFO drain.
 PINS = {
     "tracer":
-        "ea4c2e77f2993078d93aaff3a5b2daed19a53d97b67c64f14c5b6f187c4bfd38",
+        "55cd415c8456d496c2329c6616b5feff01415fa16ba17c68093ad83cbed7f36e",
     "sanitizer":
-        "d7073841ed5d15ca92b50eb6322b5d158a857dacd52b025645a088ced4f6ff0b",
+        "d577c7667710281d67ee7a1c3b7dddd00066acaf42a7d33b6a638b005f496d6b",
     "sampler":
         "a93e04b3f2d218ee74c14f9d235e18cd7525133d595c7211356da457ac35b5b1",
     "hostprof":
-        "5401e92d8514e6f3b2c972a495f7ecc7d92e17db8610d3bb4f9bc7c531804082",
+        "f42508f16bf44918ec449b6bff368a0d9a7547058c8fd964e8c11c03c294d553",
 }
 
 #: Digest per observer under ``use_tiebreak(TIEBREAK_SEED)``.
 SHUFFLED_PINS = {
     "tracer":
-        "0742c69c7b75757900f9b313238319ed543abf23228f67c7c4377e418a1972a1",
+        "735ae652e9e4d11999d176911aae2b530fd15fb985d0dd322773f52df56a7aa9",
     "sanitizer":
-        "6231a7ddb3ad5d2addfdc8b83db280c804f9b6bc2951789d9fc06a99151e68dd",
+        "aa50608a510ac4c5cc7c76af775dc023ab387cc8fcdc21f2f2dbcd78e7b13ae4",
     "sampler":
-        "39f839384186a5fcc2db1af9c81cddca0170935616688c04f3c412910ee21f3b",
+        "3be589ea5cec3c8a88c52e42d63e1228769996c5435a527e58def30d13a44cf8",
 }
 
 

@@ -3,20 +3,24 @@
 A speed change may remove events only if every output stays
 byte-identical (DESIGN §6.1).  Removing the events of a hold keeps its
 start and finish instants but wakes the holder at another point of the
-finish instant, which can reorder same-instant side effects.  Two
+finish instant, which can reorder same-instant side effects.  Three
 cells at the default config are known to move when that happens:
 
 * durbin on Hetero at seed 1 moves when the host core's holds wake
   elsewhere in their instant;
-* jaco1D on Integrated-SLC at seed 2 moves when the flash planes' do.
+* jaco1D on Integrated-SLC at seed 2 moves when the flash planes' do;
+* floyd on DRAM-less at seed 1 moved when the PRAM channel's chunks and
+  bus holds lost their zero-delay relays (its total time by 40 ns in
+  1.59 ms, its energy in the fifth significant figure).
 
 At the ``--quick`` config the same changes moved nothing at seeds 1-5,
-so those two cells run at the default config.  Every system on gemver
-and doitg at ``QUICK`` covers the remaining devices.
+so those cells run at the default config.  Every system on gemver and
+doitg at ``QUICK`` covers the remaining devices.
 
-The digests were taken with every storage hold still on a
-``Resource``.  Re-pin them only in a change that means to move results,
-and say so in its description.
+The first two digests were taken with every storage hold still on a
+``Resource``, the floyd digest with the chunks already starting and
+finishing in place.  Re-pin them only in a change that means to move
+results, and say so in its description.
 """
 
 import dataclasses
@@ -32,6 +36,9 @@ PINNED_HOST_CORE_CELL = (
 #: SHA-256 of jaco1D on Integrated-SLC, default config, seed 2.
 PINNED_FLASH_PLANES_CELL = (
     "bad44df6d49929441d2fed0a4f52346274ddfe2d90240f5e4ee62ec638437e20")
+#: SHA-256 of floyd on DRAM-less, default config, seed 1.
+PINNED_PRAM_CHANNEL_CELL = (
+    "109d4be7541e7f2162e2b26ce5c1a1feb122b6a2531e039a7a7dcce4b2d1fd96")
 #: SHA-256 of every system on gemver and doitg at QUICK, seed 1.
 PINNED_QUICK_MATRIX = (
     "7a611b31101576ef6198395882b4dc32524c77d9273ac1307a1b4ed0137a8419")
@@ -77,6 +84,11 @@ def test_host_core_cell():
 def test_flash_planes_cell():
     cell = _run("Integrated-SLC", "jaco1D", ExperimentConfig(seed=2))
     assert _digest(cell) == PINNED_FLASH_PLANES_CELL
+
+
+def test_pram_channel_cell():
+    cell = _run("DRAM-less", "floyd", ExperimentConfig(seed=1))
+    assert _digest(cell) == PINNED_PRAM_CHANNEL_CELL
 
 
 def test_quick_matrix():
