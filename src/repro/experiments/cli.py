@@ -6,7 +6,7 @@ Usage::
     python -m repro.experiments run fig15 [--scale 0.25] [--quick]
     python -m repro.experiments run all --quick
     python -m repro.experiments all --jobs 4 --cache --results results
-    python -m repro.experiments fig12 --trace /tmp/fig12.json --metrics
+    python -m repro.experiments fig12 --observe /tmp/fig12
 
 The ``run`` keyword may be omitted: a first argument that is not a
 subcommand is treated as an experiment id (or a comma-separated list,
@@ -20,19 +20,23 @@ the cells across worker processes, ``--cache [DIR]`` replays unchanged
 ones from the result cache (default ``.repro-cache/``), and the output
 is identical to a serial run either way.
 
-Telemetry flags (``--trace``, ``--spans``, ``--metrics``) install an
-ambient tracer/metrics registry around the chosen experiments and
-export the capture afterwards: a Perfetto/Chrome JSON trace (load it
-at https://ui.perfetto.dev), a JSON-lines span log consumable by the
-``repro.analysis`` conformance checker, and a metrics summary table.
-``--timeseries OUT [--window NS]`` additionally samples queue depths
-and occupancies into fixed windows of simulated time and exports them
-(view with ``python -m repro.telemetry watch OUT``).
+``--observe DIR`` records the run on simulated time and writes what it
+saw to ``DIR``: a Perfetto/Chrome trace (``trace.json``, load it at
+https://ui.perfetto.dev), a JSON-lines span log for the
+``repro.analysis`` conformance checker (``spans.jsonl``), the metrics
+summary table (``metrics.txt``), queue depths and occupancies sampled
+into 1 µs windows (``timeseries.json``, view with ``python -m
+repro.telemetry watch``), a latency-attribution and utilization profile
+per experiment (``profile.txt``) and all of it as one self-contained
+HTML page (``dashboard.html``).
 ``--hostprof OUT`` attributes *host* wall-clock to (component, process,
 phase, event-kind) buckets at event-dispatch granularity and exports a
 flamegraph: speedscope JSON by default (load at https://speedscope.app
 or view with ``python -m repro.telemetry flame OUT``), collapsed-stack
-text when OUT ends in ``.collapsed``/``.txt``.
+text when OUT ends in ``.collapsed``/``.txt``.  It is a switch of its
+own because recording inflates the host time it measures, and it
+cannot be combined with ``--cache``: host time is measured in the run
+that reports it.
 """
 
 from __future__ import annotations
@@ -41,16 +45,16 @@ import argparse
 import contextlib
 import math
 import os
+import pathlib
 import sys
 import typing
 
 from repro.experiments import parallel, runner
 from repro.sim.hostprof import use_hostprof
+from repro.sim.stats import Counter
 from repro.telemetry import (
-    DEFAULT_WINDOW_NS,
     ExperimentProfile,
     HostProfiler,
-    SamplingConfig,
     Telemetry,
     build_profile,
     render_html,
@@ -200,30 +204,11 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--results", metavar="DIR", default=None,
                             help="also write each report to DIR/<name>.txt "
                                  "under a provenance header")
-    run_parser.add_argument("--trace", metavar="OUT.json", default=None,
-                            help="write a Perfetto/Chrome trace of the "
-                                 "run to this file")
-    run_parser.add_argument("--spans", metavar="OUT.jsonl", default=None,
-                            help="write a JSON-lines span log of the run "
-                                 "to this file")
-    run_parser.add_argument("--metrics", action="store_true",
-                            help="print the metrics summary table after "
-                                 "the reports")
-    run_parser.add_argument("--timeseries", metavar="OUT", default=None,
-                            help="sample windowed time series during the "
-                                 "run and export them to OUT (.json, or "
-                                 ".csv for long-format rows); view with "
-                                 "'python -m repro.telemetry watch OUT'")
-    run_parser.add_argument("--window", type=float, metavar="NS",
-                            default=DEFAULT_WINDOW_NS,
-                            help="sampling window width in simulated ns "
-                                 f"(default {DEFAULT_WINDOW_NS:g})")
-    run_parser.add_argument("--profile", action="store_true",
-                            help="print a latency-attribution and "
-                                 "utilization profile per experiment")
-    run_parser.add_argument("--report", metavar="OUT.html", default=None,
-                            help="write a self-contained HTML profile "
-                                 "dashboard to this file")
+    run_parser.add_argument("--observe", metavar="DIR", default=None,
+                            help="record the run on simulated time and "
+                                 "write trace.json, spans.jsonl, "
+                                 "metrics.txt, timeseries.json, "
+                                 "profile.txt and dashboard.html to DIR")
     run_parser.add_argument("--hostprof", metavar="OUT", default=None,
                             help="profile host wall-clock per (component, "
                                  "process, phase, event-kind) bucket and "
@@ -265,23 +250,19 @@ def destination_error(args: argparse.Namespace) -> str | None:
 
     Checked before any cell runs, so a typo fails in milliseconds
     rather than after the whole run: the directory flags must not name
-    an existing non-directory, and each file's parent must exist.
+    an existing non-directory, and the host profile's parent must exist.
     """
-    for flag, path in (("--results", args.results), ("--cache", args.cache)):
+    for flag, path in (("--results", args.results), ("--cache", args.cache),
+                       ("--observe", args.observe)):
         if (path is not None and os.path.exists(path)
                 and not os.path.isdir(path)):
             return f"{flag} {path}: exists and is not a directory"
-    for flag, path in (("--trace", args.trace), ("--spans", args.spans),
-                       ("--timeseries", args.timeseries),
-                       ("--report", args.report),
-                       ("--hostprof", args.hostprof)):
-        if path is None:
-            continue
-        if os.path.isdir(path):
-            return f"{flag} {path}: is a directory"
-        parent = os.path.dirname(path) or "."
+    if args.hostprof is not None:
+        if os.path.isdir(args.hostprof):
+            return f"--hostprof {args.hostprof}: is a directory"
+        parent = os.path.dirname(args.hostprof) or "."
         if not os.path.isdir(parent):
-            return f"{flag} {path}: no directory {parent}"
+            return f"--hostprof {args.hostprof}: no directory {parent}"
     return None
 
 
@@ -294,12 +275,34 @@ def experiment_profile(name: str, cells: typing.Sequence[runner.Cell],
     """``name``'s profile: the spans of the cells it declares, wherever
     they were recorded, checked against their overlap counters."""
     keys = [cell.key for cell in cells]
-    fragments = [run.metrics[key] for key in keys]
+    registries = [run.metrics[key] for key in keys]
+    counters = [registry.get(OVERLAP_COUNTER) for registry in registries
+                if registry is not None]
     return build_profile(
         name, [span for key in keys for span in run.spans[key]],
-        overlap_total_ns=sum(fragment.counter(OVERLAP_COUNTER)
-                             for fragment in fragments
-                             if fragment is not None))
+        overlap_total_ns=sum(
+            counter.value if isinstance(counter, Counter) else 0.0
+            for counter in counters))
+
+
+def write_observation(directory: str, telemetry: Telemetry,
+                      profiles: typing.Sequence[ExperimentProfile],
+                      hostprof: HostProfiler | None) -> None:
+    """Every artifact of an observed run, into ``directory``."""
+    path = pathlib.Path(directory)
+    path.mkdir(parents=True, exist_ok=True)
+    telemetry.write_trace(str(path / "trace.json"))
+    telemetry.write_spanlog(str(path / "spans.jsonl"))
+    (path / "metrics.txt").write_text(telemetry.summary() + "\n",
+                                      encoding="utf-8")
+    telemetry.write_timeseries(str(path / "timeseries.json"))
+    (path / "profile.txt").write_text(
+        "".join(render_text(profile) + "\n\n" for profile in profiles),
+        encoding="utf-8")
+    (path / "dashboard.html").write_text(render_html(
+        profiles, timeseries=telemetry.timeseries_document(),
+        hostprof=hostprof.to_payload() if hostprof is not None else None),
+        encoding="utf-8")
 
 
 def main(argv: typing.Sequence[str] | None = None) -> int:
@@ -329,6 +332,10 @@ def main(argv: typing.Sequence[str] | None = None) -> int:
     if problem is not None:
         print(problem, file=sys.stderr)
         return 2
+    if args.hostprof is not None and args.cache is not None:
+        print("--hostprof cannot be combined with --cache: host time must "
+              "be measured in the run that reports it", file=sys.stderr)
+        return 2
     config = config_from_args(args)
     if config.faults is not None:
         # Validate the plan up front so a typo fails in milliseconds,
@@ -346,23 +353,9 @@ def main(argv: typing.Sequence[str] | None = None) -> int:
         except ValueError as exc:
             print(f"invalid --service plan: {exc}", file=sys.stderr)
             return 2
-    try:
-        sampling = (SamplingConfig(window_ns=args.window)
-                    if args.timeseries is not None else None)
-    except ValueError as exc:
-        print(f"invalid --window: {exc}", file=sys.stderr)
-        return 2
-    # --metrics alone keeps the null-tracer fast path (record_spans
-    # False leaves the ambient tracer null); any span consumer turns
-    # recording on.  --timeseries needs the metrics registry (samples
-    # land in registry series), so it implies telemetry too.
-    want_spans = bool(args.trace or args.spans or args.profile
-                      or args.report)
-    telemetry = (Telemetry(record_spans=want_spans, timeseries=sampling)
-                 if want_spans or args.metrics or sampling is not None
-                 else None)
-    # The profiler is both collector and ambient provider: each cell
-    # captures a fragment and the runner folds it into this instance.
+    telemetry = Telemetry() if args.observe is not None else None
+    # The profiler is both collector and ambient provider: each cell is
+    # profiled by one of its own, folded into this instance.
     hostprof = HostProfiler() if args.hostprof is not None else None
     plan = {name: experiment_cells(name, config) for name in chosen}
     with contextlib.ExitStack() as stack:
@@ -379,8 +372,6 @@ def main(argv: typing.Sequence[str] | None = None) -> int:
     for name in chosen:
         print(reports[name])
         print()
-    profiles = ([experiment_profile(name, plan[name], run)
-                 for name in chosen] if want_spans else [])
     if args.results is not None:
         for name in chosen:
             parallel.write_result(
@@ -388,32 +379,11 @@ def main(argv: typing.Sequence[str] | None = None) -> int:
                 reports[name], config)
         print(f"reports written to {args.results}")
     if telemetry is not None:
-        if args.trace:
-            telemetry.write_trace(args.trace)
-            print(f"perfetto trace written to {args.trace}")
-        if args.spans:
-            telemetry.write_spanlog(args.spans)
-            print(f"span log written to {args.spans}")
-        if args.timeseries:
-            telemetry.write_timeseries(args.timeseries)
-            print(f"time series written to {args.timeseries}")
-        if args.profile:
-            for profile in profiles:
-                print(render_text(profile))
-                print()
-        if args.report:
-            timeseries_doc = (telemetry.timeseries_document()
-                              if sampling is not None else None)
-            hostprof_doc = (hostprof.to_payload()
-                            if hostprof is not None else None)
-            with open(args.report, "w", encoding="utf-8") as handle:
-                handle.write(render_html(profiles,
-                                         timeseries=timeseries_doc,
-                                         hostprof=hostprof_doc))
-            print(f"profile dashboard written to {args.report}")
-        if args.metrics:
-            print("metrics summary")
-            print(telemetry.summary())
+        write_observation(
+            args.observe, telemetry,
+            [experiment_profile(name, plan[name], run) for name in chosen],
+            hostprof)
+        print(f"observation written to {args.observe}")
     if hostprof is not None:
         kind = write_hostprof(hostprof, args.hostprof)
         print(f"host profile ({kind}) written to {args.hostprof}")

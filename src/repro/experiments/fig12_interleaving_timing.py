@@ -46,8 +46,8 @@ def _measured() -> typing.Iterator[None]:
     active.  Overlap *is* Figure 12's quantity, so when no ambient
     tracer or metrics registry is installed (plain text runs), a
     throwaway local registry turns the accounting on.  An ambient one
-    (``--trace``/``--metrics``) is left in place so its summary sees
-    this experiment's counters.
+    (``--observe``) is left in place so its summary sees this
+    experiment's counters.
     """
     if current_metrics().enabled or current_tracer().enabled:
         yield

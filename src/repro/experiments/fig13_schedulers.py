@@ -41,11 +41,16 @@ class SubsystemRun:
     sketch: LatencySketch
 
 
-def subsystem_run(bundle: TraceBundle,
-                  policy: SchedulerPolicy) -> SubsystemRun:
-    """Replay ``bundle``'s request streams under ``policy``."""
-    sim = Simulator()
-    subsystem = PramSubsystem(sim, policy=policy)
+def replay_rounds(subsystem: PramSubsystem, bundle: TraceBundle) -> int:
+    """Replay ``bundle`` against ``subsystem`` until its simulator
+    drains; returns the bytes the agents moved.
+
+    The input region is preloaded; then, per round, the output region's
+    pre-RESET hints are drained and the round's agent streams fan out.
+    Fig. 13 and the endurance sweep (:mod:`repro.experiments.
+    reliability`) both replay through here.
+    """
+    sim = subsystem.sim
     address, size = bundle.input_region
     subsystem.preload(address, input_pattern(address, size))
     total_bytes = 0
@@ -81,6 +86,15 @@ def subsystem_run(bundle: TraceBundle,
     sim.run()
     if not done.ok:
         raise typing.cast(BaseException, done.value)
+    return total_bytes
+
+
+def subsystem_run(bundle: TraceBundle,
+                  policy: SchedulerPolicy) -> SubsystemRun:
+    """Replay ``bundle``'s request streams under ``policy``."""
+    sim = Simulator()
+    subsystem = PramSubsystem(sim, policy=policy)
+    total_bytes = replay_rounds(subsystem, bundle)
     return SubsystemRun(
         mbps=total_bytes / sim.now * 1e3,  # bytes/ns -> MB/s
         sketch=subsystem.merged_latency_sketch(),

@@ -8,9 +8,11 @@ it too — so the unit of work is the *cell*
 ``jobs=1`` or in a ``ProcessPoolExecutor`` otherwise, and merges
 results and telemetry **in declaration order**: serial and sharded
 runs take one path, so they are byte-identical by construction.
-Telemetry crosses the cell boundary as *fragments*
-(:mod:`repro.telemetry.fragments`) captured under a fresh
-tracer/registry/host profiler per cell.
+In an observed run each cell records into a session of its own
+(:class:`~repro.telemetry.session.Telemetry`), and under an ambient
+host profiler into a :class:`~repro.telemetry.hostprof.HostProfiler`
+of its own; both cross the process boundary pickled as they are, and
+the parent folds them in with their ``merge`` methods.
 
 :class:`ResultCache` keys cells by (cell id, config hash, source-tree
 hash of ``src/repro``): an unchanged cell is replayed, zero
@@ -34,48 +36,20 @@ import typing
 from repro.controller.request import reset_request_ids
 from repro.experiments import runner
 from repro.sim.hostprof import current_hostprof, use_hostprof
-from repro.sim.sampling import current_sampling, use_sampling
 from repro.telemetry.bench import collect_provenance
-from repro.telemetry.fragments import (
-    HostProfFragment,
-    MetricsFragment,
-    TracerFragment,
-    capture_hostprof,
-    capture_metrics,
-    capture_tracer,
-    merge_hostprof,
-    merge_metrics,
-    merge_tracer,
-)
 from repro.telemetry.hostprof import HostProfiler
-from repro.telemetry.metrics import (
-    MetricsRegistry,
-    current_metrics,
-    use_metrics,
-)
-from repro.telemetry.timeseries import SamplingConfig
-from repro.telemetry.tracer import (
-    RecordingTracer,
-    Span,
-    current_tracer,
-    use_tracer,
-)
+from repro.telemetry.metrics import MetricsRegistry, current_metrics
+from repro.telemetry.session import Telemetry
+from repro.telemetry.tracer import RecordingTracer, Span, current_tracer
 
 #: Bumped whenever the cached payload layout changes; part of every key.
 #: 2: capture tuple gained the time-series sampling spec.
 #: 3: capture tuple + CellOutcome gained the host-profiling fragment.
 #: 4: a fragment's spans no longer carry the experiment scope (the
 #:    merge applies it), and fig13's replays are cells of their own.
-CACHE_SCHEMA = 4
-
-#: What telemetry a cell must capture: ``(metrics, spans, sampling,
-#: hostprof)`` where sampling is ``None`` or ``(window_ns, retention)``.
-#: Part of the cache key — a sampled (or host-profiled) rerun never
-#: reuses an entry captured under different instrumentation.
-CaptureSpec = typing.Tuple[
-    bool, bool,
-    typing.Optional[typing.Tuple[float, typing.Optional[int]]],
-    bool]
+#: 5: one "observed" flag replaces the capture tuple; an outcome holds
+#:    the cell's whole session, and host profiles are never cached.
+CACHE_SCHEMA = 5
 
 #: Default cache location (relative to the working directory).
 DEFAULT_CACHE_DIR = ".repro-cache"
@@ -141,21 +115,20 @@ def _config_payload(config: runner.ExperimentConfig
 
 
 def cell_key(experiment: str, config: runner.ExperimentConfig,
-             capture: CaptureSpec,
+             observed: bool,
              tree_digest: typing.Union[str, None] = None) -> str:
     """Content-addressed key for one cell.
 
     ``experiment`` is the cell id (``"matrix/<workload>/<system>"``,
-    ``"experiment/<id>"``, ...); ``capture`` records whether
-    metrics/span fragments were requested plus the time-series sampling
-    spec, so a telemetry-bearing (or sampled) rerun never reuses an
-    entry captured under different instrumentation.
+    ``"experiment/<id>"``, ...); ``observed`` records whether the cell
+    ran under a session of its own, so an observed rerun never replays
+    an entry that holds none.
     """
     payload = {
         "schema": CACHE_SCHEMA,
         "experiment": experiment,
         "config": _config_payload(config),
-        "capture": list(capture),
+        "observed": observed,
         "tree": tree_digest if tree_digest is not None
         else source_tree_digest(),
         "python": platform.python_version(),
@@ -209,39 +182,28 @@ class CellOutcome:
     """Everything one cell produced, picklable across processes."""
 
     payload: typing.Any  # what the cell function returned
-    metrics: typing.Union[MetricsFragment, None]
-    tracer: typing.Union[TracerFragment, None]
-    hostprof: typing.Union[HostProfFragment, None] = None
+    #: the cell's own session (None unless the run is observed).
+    telemetry: typing.Union[Telemetry, None]
+    #: the cell's own host profiler (None unless one is ambient).
+    hostprof: typing.Union[HostProfiler, None] = None
 
 
 def _run_cell(cell: runner.Cell, config: runner.ExperimentConfig,
-              capture: CaptureSpec) -> CellOutcome:
-    """One cell under fresh telemetry (what ``capture`` asks for) and
+              observed: bool, profiled: bool) -> CellOutcome:
+    """One cell under a fresh session and host profiler (as asked) and
     fresh request ids (DESIGN §11.1); in-process or in a pool worker
     alike."""
-    want_metrics, want_spans, sampling, want_hostprof = capture
-    registry = MetricsRegistry() if want_metrics else None
-    tracer = RecordingTracer() if want_spans else None
-    profiler = HostProfiler() if want_hostprof else None
+    telemetry = Telemetry() if observed else None
+    profiler = HostProfiler() if profiled else None
     with contextlib.ExitStack() as stack:
-        if tracer is not None:
-            stack.enter_context(use_tracer(tracer))
-        if registry is not None:
-            stack.enter_context(use_metrics(registry))
-            if sampling is not None:
-                # Same window/retention the parent sampled with, so the
-                # cell's windowed series merge byte-identically.
-                stack.enter_context(use_sampling(SamplingConfig(*sampling)))
+        if telemetry is not None:
+            stack.enter_context(telemetry.activate())
         if profiler is not None:
             stack.enter_context(use_hostprof(profiler))
         reset_request_ids()
         payload = cell.function(config, *cell.args)
-    return CellOutcome(
-        payload=payload,
-        metrics=capture_metrics(registry) if registry is not None else None,
-        tracer=capture_tracer(tracer) if tracer is not None else None,
-        hostprof=(capture_hostprof(profiler)
-                  if profiler is not None else None))
+    return CellOutcome(payload=payload, telemetry=telemetry,
+                       hostprof=profiler)
 
 
 # ----------------------------------------------------------------------
@@ -262,8 +224,8 @@ class CellRun:
 
     #: cell id -> payload (an ExecutionResult, a report string, ...).
     results: typing.Dict[str, typing.Any]
-    #: cell id -> its metrics fragment (None unless metrics are on).
-    metrics: typing.Dict[str, typing.Union[MetricsFragment, None]]
+    #: cell id -> the cell's own registry (None unless observed).
+    metrics: typing.Dict[str, typing.Union[MetricsRegistry, None]]
     #: cell id -> the spans its merge added to the ambient tracer
     #: (empty unless a recording tracer is ambient).
     spans: typing.Dict[str, typing.List[Span]]
@@ -273,7 +235,7 @@ class CellRun:
 def _outcomes(cells: typing.Sequence[runner.Cell],
               config: runner.ExperimentConfig, jobs: int,
               cache: typing.Union[ResultCache, None],
-              capture: CaptureSpec,
+              observed: bool, profiled: bool,
               stats: RunStats) -> typing.Iterator[CellOutcome]:
     """Each cell's outcome **in cell order**, whatever the completion
     order: cached ones replayed, the rest simulated (and cached).
@@ -281,12 +243,13 @@ def _outcomes(cells: typing.Sequence[runner.Cell],
     This is the determinism pivot: submission fans out, but the merge
     walks ``cells`` front to back, so telemetry replay and result
     assembly see one order at any ``jobs``.  Yielding one outcome at a
-    time lets each fragment go once merged.
+    time lets each cell's session go once merged.
     """
     keys: typing.List[str] = []
     if cache is not None:
         tree = source_tree_digest()
-        keys = [cell_key(cell.key, config, capture, tree) for cell in cells]
+        keys = [cell_key(cell.key, config, observed, tree)
+                for cell in cells]
     cached: typing.List[typing.Union[CellOutcome, None]] = (
         [cache.get(key) for key in keys] if cache is not None
         else [None] * len(cells))
@@ -300,27 +263,17 @@ def _outcomes(cells: typing.Sequence[runner.Cell],
             pool = stack.enter_context(concurrent.futures.ProcessPoolExecutor(
                 max_workers=min(jobs, len(pending))))
             futures = {index: pool.submit(_run_cell, cells[index], config,
-                                          capture)
+                                          observed, profiled)
                        for index in pending}
         for index, cell in enumerate(cells):
             outcome = cached[index]
             if outcome is None:
                 outcome = (futures.pop(index).result() if futures
-                           else _run_cell(cell, config, capture))
+                           else _run_cell(cell, config, observed, profiled))
                 if cache is not None:
                     cache.put(keys[index], outcome)
             cached[index] = None
             yield outcome
-
-
-def _ambient_capture() -> CaptureSpec:
-    provider = current_sampling()
-    sampling = (provider.spec()
-                if isinstance(provider, SamplingConfig) else None)
-    return (current_metrics().enabled,
-            isinstance(current_tracer(), RecordingTracer),
-            sampling,
-            current_hostprof() is not None)
 
 
 def run_cells(
@@ -334,42 +287,51 @@ def run_cells(
 
     ``plan`` maps a tracer scope label (an experiment id, or ``""`` for
     none) to the cells declared under it.  A key declared twice runs
-    once: the first declaration wins, and its fragments merge under
-    that declaration's scope, nested in whatever scope is current.
-    Every cell runs under fresh telemetry that captures what is ambient
-    — in-process at ``jobs=1``, in a pool of ``jobs`` processes
-    otherwise — and ``cache_dir`` replays unchanged cells from the
-    :class:`ResultCache` instead.
+    once: the first declaration wins, and its spans merge under that
+    declaration's scope, nested in whatever scope is current.  With a
+    metrics registry ambient the run is *observed*: every cell records
+    into a session of its own, whose registry and spans fold into the
+    ambient registry and recording tracer.  With a host profiler
+    ambient, every cell is profiled by one of its own, folded into it.
+    Cells run in-process at ``jobs=1`` and in a pool of ``jobs``
+    processes otherwise; ``cache_dir`` replays unchanged cells from the
+    :class:`ResultCache` instead, which a host-profiled run cannot use:
+    host time must be measured in the run that reports it.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    profiler = current_hostprof()
+    if profiler is not None and cache_dir is not None:
+        raise ValueError("a host-profiled run cannot replay cells from "
+                         "the result cache: host time must be measured "
+                         "in the run that reports it")
     declared: typing.Dict[str, typing.Tuple[str, runner.Cell]] = {}
     for scope, cells in plan.items():
         for cell in cells:
             declared.setdefault(cell.key, (scope, cell))
     cache = ResultCache(cache_dir) if cache_dir is not None else None
     run = CellRun(results={}, metrics={}, spans={}, stats=RunStats())
-    outcomes = _outcomes([cell for _, cell in declared.values()], config,
-                         jobs, cache, _ambient_capture(), run.stats)
     registry = current_metrics()
     tracer = current_tracer()
-    profiler = current_hostprof()
+    outcomes = _outcomes([cell for _, cell in declared.values()], config,
+                         jobs, cache, registry.enabled,
+                         profiler is not None, run.stats)
     for outcome, (key, (scope, _)) in zip(outcomes, declared.items()):
-        if outcome.metrics is not None:
-            merge_metrics(registry, outcome.metrics)
+        run.results[key] = outcome.payload
+        run.metrics[key] = None
+        run.spans[key] = []
+        if outcome.telemetry is not None:
+            run.metrics[key] = outcome.telemetry.metrics
+            registry.merge(outcome.telemetry.metrics)
+            if isinstance(tracer, RecordingTracer):
+                mark = len(tracer.spans)
+                with (tracer.scope(scope) if scope
+                      else contextlib.nullcontext()):
+                    tracer.merge(outcome.telemetry.tracer)
+                run.spans[key] = tracer.spans[mark:]
         if outcome.hostprof is not None and isinstance(profiler,
                                                        HostProfiler):
-            merge_hostprof(profiler, outcome.hostprof)
-        run.results[key] = outcome.payload
-        run.metrics[key] = outcome.metrics
-        run.spans[key] = []
-        if outcome.tracer is not None and isinstance(tracer,
-                                                     RecordingTracer):
-            mark = len(tracer.spans)
-            with (tracer.scope(scope) if scope
-                  else contextlib.nullcontext()):
-                merge_tracer(tracer, outcome.tracer)
-            run.spans[key] = tracer.spans[mark:]
+            profiler.merge(outcome.hostprof)
     return run
 
 

@@ -11,7 +11,8 @@ achieved subsystem bandwidth, retry/retirement activity, and the
 unrecoverable-request rate.
 
 The sweep replays one workload's block request stream against the
-subsystem (the Figure 13 harness) under the FINAL policy, once per
+subsystem (the Figure 13 harness, :func:`~repro.experiments.
+fig13_schedulers.replay_rounds`) under the FINAL policy, once per
 endurance point, with every other fault knob held fixed.  Faults are
 drawn from a seeded, site-keyed hash, so the whole sweep is
 reproducible bit-for-bit — serially, across repeats, and under the
@@ -23,14 +24,13 @@ from __future__ import annotations
 import dataclasses
 import typing
 
-from repro.accel.isa import LoadOp, StoreOp
 from repro.controller import PramSubsystem, SchedulerPolicy
+from repro.experiments.fig13_schedulers import replay_rounds
 from repro.experiments.runner import ExperimentConfig, format_table
 from repro.faults.plan import FaultConfig
 from repro.service.summary import outcome_summary
 from repro.sim import Simulator
-from repro.systems.base import input_pattern
-from repro.workloads.trace import BLOCK_BYTES, TraceBundle
+from repro.workloads.trace import TraceBundle
 
 #: Endurance budgets swept, most durable first.  None = wear-free
 #: (only the baseline transient fault rates apply).
@@ -64,37 +64,7 @@ def replay(bundle: TraceBundle,
     sim = Simulator()
     subsystem = PramSubsystem(sim, policy=SchedulerPolicy.FINAL,
                               faults=faults)
-    address, size = bundle.input_region
-    subsystem.preload(address, input_pattern(address, size))
-    total_bytes = 0
-
-    def agent_stream(trace) -> typing.Generator:
-        nonlocal total_bytes
-        seen_blocks: typing.Set[int] = set()
-        for op in trace:
-            if isinstance(op, LoadOp):
-                block = op.address // BLOCK_BYTES
-                if block in seen_blocks:
-                    continue  # cache hit: no memory request
-                seen_blocks.add(block)
-                yield from subsystem.read(block * BLOCK_BYTES, BLOCK_BYTES)
-                total_bytes += BLOCK_BYTES
-            elif isinstance(op, StoreOp):
-                yield from subsystem.write(op.address, b"\x5A" * op.size)
-                total_bytes += op.size
-
-    def driver() -> typing.Generator:
-        for round_traces in bundle.rounds:
-            out_address, out_size = bundle.output_region
-            subsystem.register_write_hint(out_address, out_size)
-            yield from subsystem.drain_hints()
-            yield sim.fork_join([agent_stream(trace)
-                                 for trace in round_traces])
-
-    done = sim.process(driver())
-    sim.run()
-    if not done.ok:
-        raise typing.cast(BaseException, done.value)
+    total_bytes = replay_rounds(subsystem, bundle)
     counts = subsystem.fault_counts()
     completed = max(1.0, float(subsystem.requests_completed))
     max_wear = max(

@@ -1,8 +1,8 @@
 """Shared experiment configuration and execution matrix.
 
 Telemetry is ambient: run any of this (``run_matrix`` included) inside
-``Telemetry().activate()`` — or pass ``--trace``/``--metrics`` to the
-CLI — and every simulator, channel, PE and link built during the runs
+``Telemetry().activate()`` — or pass ``--observe DIR`` to the CLI —
+and every simulator, channel, PE and link built during the runs
 records into the active tracer/registry; no extra plumbing here.
 """
 

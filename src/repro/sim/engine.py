@@ -54,7 +54,7 @@ from repro.sim.observer import (
 )
 from repro.sim.process import Join, Process
 from repro.sim.sampling import SamplerHook
-from repro.telemetry.tracer import Tracer, combine, current_tracer
+from repro.telemetry.tracer import Tracer, current_tracer
 
 GeneratorType = typing.Generator
 
@@ -85,14 +85,13 @@ class Simulator:
         assert sim.now == 10.0
 
     Observers (:mod:`repro.sim.observer`) attach at construction: the
-    tracer (explicit ``tracer`` and the ambient one, combined), then
-    what ``scope`` names — by default the ambient
+    ambient tracer's kernel-event feed, then what ``scope`` names — by
+    default the ambient
     :class:`~repro.sim.observer.KernelScope` that ``use_sanitizer``,
     ``use_tiebreak``, ``use_sampling`` and ``use_hostprof`` set.
     """
 
-    def __init__(self, tracer: Tracer | None = None,
-                 scope: KernelScope | None = None) -> None:
+    def __init__(self, scope: KernelScope | None = None) -> None:
         #: Current simulated time in nanoseconds.  A plain attribute:
         #: the drains, step() and run(until=) write it; everything else
         #: only reads it.
@@ -103,10 +102,9 @@ class Simulator:
         self._counter = itertools.count()
         if scope is None:
             scope = current_scope()
-        # Explicit tracer and the ambient one (use_tracer) both observe
-        # this kernel; with neither active this collapses to the null
-        # tracer.  Device models emit their spans through it.
-        self.tracer: Tracer = combine(tracer, current_tracer())
+        # The ambient tracer (use_tracer; the null tracer by default).
+        # Device models emit their spans through it.
+        self.tracer: Tracer = current_tracer()
         # The sampler stays reachable: device models track() into it.
         self.sampler: SamplerHook | None = (
             scope.sampling.create_sampler()
@@ -114,12 +112,15 @@ class Simulator:
         hostprof = (scope.hostprof.create_hostprof()
                     if scope.hostprof is not None else None)
         # Attach order is hook order: the sanitizer opens a task and
-        # the tracer logs it before the profiler starts its clock.
+        # the tracer logs it before the profiler starts its clock.  Only
+        # a tracer that takes kernel events gets a feed: a span recorder
+        # would pay for a label per dispatch and drop it.
+        feed = (TraceFeed(self.tracer)
+                if type(self.tracer).kernel_event is not Tracer.kernel_event
+                else None)
         observers: typing.List[KernelObserver] = [
             observer for observer in (
-                scope.sanitizer,
-                TraceFeed(self.tracer) if self.tracer.enabled else None,
-                self.sampler, hostprof)
+                scope.sanitizer, feed, self.sampler, hostprof)
             if observer is not None]
         # Tie-break shuffle: with a seed, run() permutes each
         # same-instant wave (the shuffle oracle's lever).

@@ -136,7 +136,12 @@ def event_label(event: "Event") -> str:
 
 
 class TraceFeed(KernelObserver):
-    """The tracer's kernel-event stream: one line per dispatch."""
+    """The tracer's kernel-event stream: one line per dispatch.
+
+    Attached only for a tracer that overrides ``kernel_event`` (a
+    :class:`~repro.telemetry.tracer.KernelEventRecorder`, or a
+    ``MultiTracer`` fan-out), so a span-only recorder builds no labels.
+    """
 
     def __init__(self, tracer: "Tracer") -> None:
         self.tracer = tracer

@@ -48,6 +48,11 @@ class Counter:
         self.value = 0.0
         self.events = 0
 
+    def merge(self, other: "Counter") -> None:
+        """Fold another counter's total and event count into this one."""
+        self.value += other.value
+        self.events += other.events
+
     @property
     def mean(self) -> float:
         """Average amount per recorded event (0 when empty)."""
@@ -144,6 +149,11 @@ class TimeSeries:
         self.times.clear()
         self.values.clear()
 
+    def merge(self, other: "TimeSeries") -> None:
+        """Append another series' samples (a later cell's, in order)."""
+        self.times.extend(other.times)
+        self.values.extend(other.values)
+
     def value_at(self, time: float) -> float:
         """Step-function lookup: last recorded value at or before ``time``."""
         index = bisect.bisect_right(self.times, time) - 1
@@ -212,6 +222,11 @@ class Histogram:
         """Drop all samples for a fresh telemetry epoch."""
         self.samples.clear()
         self._sorted = True
+
+    def merge(self, other: "Histogram") -> None:
+        """Pool another histogram's samples into this one."""
+        for sample in other.samples:
+            self.add(sample)
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -337,8 +352,9 @@ class SketchLayout:
 #: minutes, 6.25% worst-case relative error).
 DEFAULT_SKETCH_LAYOUT = SketchLayout()
 
-#: Serialized sketch state (layout triple, sparse buckets, count,
-#: clamped count, min, max) — the fragments payload.
+#: Canonical sketch state (layout triple, sorted sparse buckets, count,
+#: clamped count, min, max): two sketches hold the same samples' buckets
+#: exactly when their payloads are equal.
 SketchPayload = typing.Tuple[
     typing.Tuple[int, int, int],
     typing.List[typing.Tuple[int, int]],
@@ -350,8 +366,8 @@ class LatencySketch:
 
     The sketch state is **integers only** (sparse bucket counts) plus
     exact float ``min``/``max``, so :meth:`merge` is associative,
-    commutative, and byte-deterministic: folding sharded fragments in
-    any grouping reproduces the serial sketch bit-for-bit.  Quantiles
+    commutative, and byte-deterministic: folding sharded cells' sketches
+    in any grouping reproduces the serial sketch bit-for-bit.  Quantiles
     use the module-level nearest-rank definition over bucket
     populations; the returned value is the containing bucket's upper
     bound (clamped into ``[min, max]``), so it is within one bucket's
@@ -455,7 +471,7 @@ class LatencySketch:
         """Fold ``other`` into this sketch (associative, commutative).
 
         Layouts must be equal — except that a pristine (never-written)
-        sketch adopts the incoming layout, so fragment replay can merge
+        sketch adopts the incoming layout, so a cell's sketch can merge
         into a freshly created default container.
         """
         if other.layout != self.layout:
@@ -480,21 +496,6 @@ class LatencySketch:
                  self.layout.subbuckets),
                 sorted(self._counts.items()),
                 self.count, self.clamped, self.min_value, self.max_value)
-
-    @classmethod
-    def from_payload(cls, name: str,
-                     payload: SketchPayload) -> "LatencySketch":
-        """Rebuild a sketch from :meth:`to_payload` state."""
-        (min_exp, max_exp, subbuckets), buckets, count, clamped, \
-            minimum, maximum = payload
-        sketch = cls(name, SketchLayout(min_exp, max_exp, subbuckets))
-        sketch._counts = {int(index): int(value)
-                          for index, value in buckets}
-        sketch.count = count
-        sketch.clamped = clamped
-        sketch.min_value = minimum
-        sketch.max_value = maximum
-        return sketch
 
     def __repr__(self) -> str:
         return (f"<LatencySketch {self.name} {self.layout.spec()} "

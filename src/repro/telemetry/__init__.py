@@ -10,7 +10,9 @@ Three layers, all ambient-by-default and zero-overhead when disabled:
 * :mod:`repro.telemetry.export` — Perfetto/Chrome JSON, a JSON-lines
   span log shared with ``repro.analysis``, and a terminal summary.
 
-:class:`Telemetry` bundles all three for the experiments CLI.
+:class:`Telemetry` is one observation session — a recording tracer, a
+registry and a windowed sampler together — for the experiments CLI's
+``--observe`` and the cell runner.
 
 NOTE: ``tracer`` must stay import-light (stdlib only) — the simulator
 kernel imports it, so anything heavier would cycle.  Keep the ``tracer``
@@ -102,18 +104,6 @@ from repro.telemetry.bench import (  # noqa: E402
     write_bench,
 )
 
-from repro.telemetry.fragments import (  # noqa: E402
-    HostProfFragment,
-    MetricsFragment,
-    TracerFragment,
-    capture_hostprof,
-    capture_metrics,
-    capture_tracer,
-    merge_hostprof,
-    merge_metrics,
-    merge_tracer,
-)
-
 from repro.telemetry.hostprof import (  # noqa: E402
     HostProfiler,
     classify_event,
@@ -143,13 +133,11 @@ __all__ = [
     "CompareResult",
     "DEFAULT_WINDOW_NS",
     "ExperimentProfile",
-    "HostProfFragment",
     "HostProfiler",
     "IntervalGauge",
     "KernelEventRecorder",
     "LittlesLawCheck",
     "MetricDelta",
-    "MetricsFragment",
     "MetricsRegistry",
     "MultiTracer",
     "NULL_METRICS",
@@ -164,14 +152,10 @@ __all__ = [
     "Telemetry",
     "TimeWeightedTracker",
     "Tracer",
-    "TracerFragment",
     "TrackUtilization",
     "attribute_requests",
     "bench_filename",
     "build_profile",
-    "capture_hostprof",
-    "capture_metrics",
-    "capture_tracer",
     "capture_window",
     "classify_event",
     "clear_attestations",
@@ -187,10 +171,7 @@ __all__ = [
     "load_spanlog",
     "load_speedscope",
     "load_timeseries",
-    "merge_hostprof",
-    "merge_metrics",
     "merge_reports",
-    "merge_tracer",
     "parse_collapsed",
     "perfetto_document",
     "perfetto_events",

@@ -15,9 +15,9 @@ per-shard BENCH fragments (parallel sweeps, split benchmark jobs) into
 one report; conflicting duplicate metrics are an error.
 
 ``python -m repro.telemetry watch RESULTS.json`` renders an exported
-time-series document (``--timeseries`` on the experiments CLI) as
-terminal sparklines plus a latency-sketch quantile table; invalid
-documents exit 1.
+time-series document (``timeseries.json`` from ``--observe DIR`` on the
+experiments CLI) as terminal sparklines plus a latency-sketch quantile
+table; invalid documents exit 1.
 
 ``python -m repro.telemetry flame PROFILE.json`` renders a speedscope
 host-profile export (``--hostprof`` on the experiments CLI) as a
@@ -114,7 +114,8 @@ def build_parser() -> argparse.ArgumentParser:
     watch = sub.add_parser(
         "watch",
         help="render an exported time-series document in the terminal")
-    watch.add_argument("results", help="time-series JSON from --timeseries")
+    watch.add_argument("results",
+                       help="timeseries.json written by --observe")
     watch.add_argument("--width", type=int, default=60,
                        help="sparkline width in cells (default 60)")
     watch.add_argument("--heat", action="store_true",

@@ -3,10 +3,11 @@
 :func:`build_profile` folds one experiment's span capture through the
 attribution pass (:mod:`repro.telemetry.profile`) and the utilization
 gauges (:mod:`repro.telemetry.gauges`) into a single
-:class:`ExperimentProfile`; :func:`render_text` prints it for
-``repro-experiments --profile`` and :func:`render_html` writes the
-``--report`` dashboard — a single self-contained file (inline CSS, no
-external assets) that CI can upload as an artifact.
+:class:`ExperimentProfile`; :func:`render_text` renders it for the
+``profile.txt`` of ``repro-experiments --observe DIR`` and
+:func:`render_html` writes its ``dashboard.html`` — a single
+self-contained file (inline CSS, no external assets) that CI can upload
+as an artifact.
 """
 
 from __future__ import annotations

@@ -235,11 +235,14 @@ class HostProfiler(HostProfilerHook):
                 value=float(ns), better="neutral", unit="ns")
         return metrics
 
-    # -- merge / payload (fragments bridge) -----------------------------
+    # -- merge / payload ------------------------------------------------
     def merge(self, other: "HostProfiler") -> None:
-        """Fold ``other`` into this collector (associative: sums and
-        sample-list concatenation only, so any merge grouping of
-        fragments produces the same totals)."""
+        """Fold ``other`` (one cell's profiler) into this collector.
+
+        Associative: sums and sample-list concatenation only, so any
+        merge grouping produces the same totals, and merged in cell
+        order it reproduces a serial run's census exactly.
+        """
         for key, ns in other.buckets.items():
             self.buckets[key] = self.buckets.get(key, 0) + ns
         for key, count in other.bucket_counts.items():
@@ -255,7 +258,8 @@ class HostProfiler(HostProfilerHook):
         self.run_ns += other.run_ns
 
     def to_payload(self) -> typing.Dict[str, typing.Any]:
-        """Picklable/JSON-able snapshot (sorted, reproducible order)."""
+        """JSON-able snapshot (sorted, reproducible order), as the
+        dashboard embeds it."""
         return {
             "runs": self.runs,
             "run_ns": self.run_ns,
@@ -268,27 +272,6 @@ class HostProfiler(HostProfilerHook):
             "callbacks": dict(sorted(self.callbacks.items())),
             "batch_sizes": list(self.batch_sizes.samples),
         }
-
-    @classmethod
-    def from_payload(cls, payload: typing.Dict[str, typing.Any]
-                     ) -> "HostProfiler":
-        """Rebuild a collector from :meth:`to_payload`."""
-        profiler = cls()
-        profiler.runs = int(payload.get("runs", 0))
-        profiler.run_ns = int(payload.get("run_ns", 0))
-        for raw_key, ns in payload.get("buckets", []):
-            profiler.buckets[_bucket_key(raw_key)] = int(ns)
-        for raw_key, count in payload.get("bucket_counts", []):
-            profiler.bucket_counts[_bucket_key(raw_key)] = int(count)
-        profiler.dispatches = {str(k): int(v) for k, v
-                               in payload.get("dispatches", {}).items()}
-        profiler.schedules = {str(k): int(v) for k, v
-                              in payload.get("schedules", {}).items()}
-        profiler.callbacks = {str(k): int(v) for k, v
-                              in payload.get("callbacks", {}).items()}
-        for sample in payload.get("batch_sizes", []):
-            profiler.batch_sizes.add(sample)
-        return profiler
 
 
 def _bucket_key(raw: typing.Sequence[typing.Any]) -> BucketKey:

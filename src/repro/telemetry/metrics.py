@@ -60,14 +60,14 @@ class MetricsRegistry:
         self._containers: typing.Dict[str, Container] = {}
         self._gauges: typing.Dict[str, float] = {}
         # assigned prefix -> the base it was reserved under, in
-        # reservation order — fragment merge (repro.telemetry.fragments)
-        # replays reservations to keep ``#N`` suffixes deterministic.
+        # reservation order — merge() replays reservations to keep
+        # ``#N`` suffixes deterministic.
         self._prefixes: typing.Dict[str, str] = {}
         # base -> most recently assigned prefix for it (see
         # latest_prefix).
         self._latest_prefix: typing.Dict[str, str] = {}
         # Paths whose last write came through gauge_max (peak semantics);
-        # fragment merge folds these with max() instead of overwrite.
+        # merge() folds these with max() instead of overwrite.
         self._gauge_max_paths: typing.Set[str] = set()
         # path -> "file:line" of the registration site, recorded only at
         # registration time so collisions can name both parties.
@@ -181,6 +181,45 @@ class MetricsRegistry:
                 f"{type(container).__name__}, not {kind.__name__}"
             )
         return container
+
+    # -- merge ----------------------------------------------------------
+    def merge(self, other: "MetricsRegistry") -> None:
+        """Fold another registry (one cell's) into this one.
+
+        Call in cell order: ``other``'s prefix reservations are replayed
+        here, so a cell's ``subsys`` lands as ``subsys#2`` when this
+        registry already holds one, as in a serial run.  Paths outside
+        every reservation are shared and accumulate through each
+        container's own ``merge``.  Plain gauges overwrite (the last
+        cell wins); ``gauge_max`` peaks fold with ``max``.  ``other``
+        is only read: its containers are never adopted, so it stays the
+        cell's own record.
+        """
+        if not self.enabled:
+            return
+        remap = {assigned: self.component_prefix(base)
+                 for assigned, base in other._prefixes.items()}
+
+        def rewrite(path: str) -> str:
+            best = ""
+            for assigned in remap:
+                if ((path == assigned or path.startswith(assigned + "."))
+                        and len(assigned) > len(best)):
+                    best = assigned
+            if not best:
+                return path
+            return remap[best] + path[len(best):]
+
+        for path, container in other._containers.items():
+            # Any: each container's merge takes only its own kind, and
+            # _get_or_create raises if the target holds another kind.
+            kind: typing.Any = type(container)
+            self._get_or_create(rewrite(path), kind).merge(container)
+        for path, value in other._gauges.items():
+            if path in other._gauge_max_paths:
+                self.gauge_max(rewrite(path), value)
+            else:
+                self.gauge(rewrite(path), value)
 
     # -- inspection -----------------------------------------------------
     def paths(self, pattern: str = "*") -> typing.List[str]:

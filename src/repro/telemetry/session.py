@@ -1,7 +1,7 @@
-"""One-stop telemetry session: tracer + metrics + export in one object.
+"""One simulated-time observation session: spans, metrics, time series.
 
-The experiments CLI and the examples use this instead of wiring the
-pieces by hand::
+The experiments CLI (``--observe DIR``), the cell runner and the
+examples use this instead of wiring the pieces by hand::
 
     telemetry = Telemetry()
     with telemetry.activate():
@@ -9,6 +9,12 @@ pieces by hand::
     telemetry.write_trace("trace.json")     # open in ui.perfetto.dev
     telemetry.write_spanlog("spans.jsonl")  # feed to repro.analysis
     print(telemetry.summary())              # terminal metrics table
+
+A session always holds all three: a recording tracer, a metrics
+registry and a sampler that closes :data:`DEFAULT_WINDOW_NS` windows
+into the registry.  The cell runner gives each cell a session of its
+own and folds it into the ambient tracer and registry with their
+``merge`` methods.
 """
 
 from __future__ import annotations
@@ -28,33 +34,21 @@ from repro.telemetry.tracer import RecordingTracer, use_tracer
 
 
 class Telemetry:
-    """A recording tracer and a metrics registry, activated together."""
+    """A recording tracer, a metrics registry and a sampler, activated
+    together."""
 
-    def __init__(self, record_kernel_events: bool = False,
-                 record_spans: bool = True,
-                 timeseries: typing.Optional[SamplingConfig] = None) -> None:
-        self.record_spans = record_spans
-        self.tracer = RecordingTracer(
-            record_kernel_events=record_kernel_events)
+    def __init__(self) -> None:
+        self.tracer = RecordingTracer()
         self.metrics = MetricsRegistry()
-        self.timeseries = timeseries
+        self.sampling = SamplingConfig()
 
     @contextlib.contextmanager
     def activate(self) -> typing.Iterator["Telemetry"]:
-        """Install both as the ambient tracer/registry for the body.
-
-        With ``record_spans=False`` only the metrics registry is
-        installed — the ambient tracer stays null, so metrics-only runs
-        keep the zero-overhead tracing path.  With a ``timeseries``
-        sampling config, simulators built inside the body sample
-        windowed series into the registry.
-        """
-        with contextlib.ExitStack() as stack:
-            if self.record_spans:
-                stack.enter_context(use_tracer(self.tracer))
-            stack.enter_context(use_metrics(self.metrics))
-            if self.timeseries is not None:
-                stack.enter_context(use_sampling(self.timeseries))
+        """Install all three as the ambient tracer, registry and
+        sampling provider for the body: simulators built inside it
+        record spans and sample windowed series into the registry."""
+        with use_tracer(self.tracer), use_metrics(self.metrics), \
+                use_sampling(self.sampling):
             yield self
 
     # -- export ---------------------------------------------------------
@@ -68,12 +62,10 @@ class Telemetry:
 
     def timeseries_document(self) -> typing.Dict[str, typing.Any]:
         """The registry's series/sketches as an exportable document."""
-        config = self.timeseries if self.timeseries is not None \
-            else SamplingConfig()
-        return export_document(self.metrics, config.window_ns)
+        return export_document(self.metrics, self.sampling.window_ns)
 
     def write_timeseries(self, path: str) -> None:
-        """Export sampled series + sketches (JSON, or CSV by suffix)."""
+        """Export sampled series + sketches as JSON."""
         write_timeseries(path, self.timeseries_document())
 
     def summary(self, pattern: str = "*") -> str:

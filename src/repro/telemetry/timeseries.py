@@ -13,7 +13,8 @@ burst absorption — was invisible.  This module adds the time axis:
   engine advances and records one sample per window per instrument
   into ordinary registry :class:`~repro.sim.stats.TimeSeries`
   containers — so sharded runs merge byte-identically through
-  :mod:`repro.telemetry.fragments` with no extra machinery.
+  :meth:`~repro.telemetry.metrics.MetricsRegistry.merge` with no extra
+  machinery.
 * :class:`TimeWeightedTracker` turns instantaneous level changes
   (queue depth, pairs in use, awake PEs) into per-window time-weighted
   means.
@@ -38,7 +39,6 @@ everything.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -105,7 +105,7 @@ class Sampler(SamplerHook):
     Instruments register through :meth:`track` (time-weighted levels)
     and :meth:`watch_gauge` (boundary-sampled callables).  Samples land
     in registry series at the supplied dotted paths, so everything
-    downstream — snapshots, fragments merge, export — sees them as
+    downstream — snapshots, the cell merge, export — sees them as
     ordinary metrics.
     """
 
@@ -191,7 +191,7 @@ class SamplingConfig:
         return Sampler(registry, self.window_ns, self.retention)
 
     def spec(self) -> typing.Tuple[float, typing.Optional[int]]:
-        """Hashable identity for cache keys and provenance."""
+        """Hashable identity of the policy: ``(window_ns, retention)``."""
         return (self.window_ns, self.retention)
 
 
@@ -235,26 +235,8 @@ def export_document(registry: MetricsRegistry,
 
 def write_timeseries(path: str, document: typing.Dict[str, typing.Any]
                      ) -> None:
-    """Write an exported document as JSON, or CSV for ``.csv`` paths.
-
-    The CSV form is long-format ``series,t,v`` rows (sketch quantiles
-    become ``<path>.pNN`` rows at ``t = -1``) for spreadsheet import;
-    JSON is the lossless round-trippable form.
-    """
-    if path.endswith(".csv"):
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["series", "t", "v"])
-            for name in sorted(document["series"]):
-                entry = document["series"][name]
-                for t, v in zip(entry["t"], entry["v"]):
-                    writer.writerow([name, t, v])
-            for name in sorted(document["sketches"]):
-                quantiles = document["sketches"][name]["quantiles"]
-                for quantile_name in sorted(quantiles):
-                    writer.writerow([f"{name}.{quantile_name}", -1,
-                                     quantiles[quantile_name]])
-        return
+    """Write an exported document as JSON (sorted keys, so reruns
+    compare byte for byte)."""
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(document, handle, indent=2, sort_keys=True)
         handle.write("\n")

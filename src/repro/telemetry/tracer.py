@@ -33,7 +33,6 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import dataclasses
-import itertools
 import typing
 
 
@@ -140,45 +139,38 @@ class RecordingTracer(Tracer):
 
     Purely observational: recording mutates only the tracer's own
     lists, so enabling it cannot change simulated timing or ordering
-    (the determinism harness verifies this).
-
-    Parameters
-    ----------
-    record_kernel_events:
-        Also keep every DES kernel event (one entry per processed
-        event — large; off by default).
+    (the determinism harness verifies this).  It keeps no kernel-event
+    stream, so a simulator attaches no kernel-event feed for it.
     """
 
     enabled = True
 
-    def __init__(self, record_kernel_events: bool = False) -> None:
+    def __init__(self) -> None:
         self.spans: typing.List[Span] = []
         self.instants: typing.List[Span] = []
-        self.kernel_events: typing.List[typing.Tuple[float, str]] = []
         self.commands: typing.List[typing.Any] = []
-        self._record_kernel = record_kernel_events
-        self._ids = itertools.count(1)
+        # The last span/instant id handed out; spans and instants share
+        # one sequence.  A plain int, so the tracer pickles as it is.
+        self._last_id = 0
         self._scopes: typing.List[str] = []
 
     # ------------------------------------------------------------------
     def emit(self, name: str, track: str, start_ns: float, end_ns: float,
              asynchronous: bool = False,
              **args: typing.Any) -> None:
+        self._last_id += 1
         self.spans.append(Span(
             name=name, track=track, start_ns=start_ns, end_ns=end_ns,
             scope=self._current_scope(), asynchronous=asynchronous,
-            span_id=next(self._ids), args=args))
+            span_id=self._last_id, args=args))
 
     def instant(self, name: str, track: str, ts_ns: float,
                 **args: typing.Any) -> None:
+        self._last_id += 1
         self.instants.append(Span(
             name=name, track=track, start_ns=ts_ns, end_ns=ts_ns,
-            scope=self._current_scope(), span_id=next(self._ids),
+            scope=self._current_scope(), span_id=self._last_id,
             args=args))
-
-    def kernel_event(self, ts_ns: float, label: str) -> None:
-        if self._record_kernel:
-            self.kernel_events.append((ts_ns, label))
 
     def command(self, record: typing.Any) -> None:
         self.commands.append(record)
@@ -196,6 +188,27 @@ class RecordingTracer(Tracer):
         finally:
             self._scopes.pop()
 
+    def merge(self, other: "RecordingTracer") -> None:
+        """Append another tracer's record (one cell's, in cell order).
+
+        ``other``'s ids shift past the ids this tracer has handed out,
+        so the merged stream carries the ids a serial run would have
+        assigned, span/instant interleaving included, and this tracer's
+        next id follows the last one claimed.  Scopes nest under the
+        current scope, as if ``other`` had recorded inside it.  Spans
+        are copied; ``other`` is left as it was.
+        """
+        base = self._last_id
+        outer = self._current_scope()
+        for records, sink in ((other.spans, self.spans),
+                              (other.instants, self.instants)):
+            sink.extend(dataclasses.replace(
+                span, span_id=base + span.span_id,
+                scope="/".join(filter(None, (outer, span.scope))))
+                for span in records)
+        self.commands.extend(other.commands)
+        self._last_id = base + other._last_id
+
     # ------------------------------------------------------------------
     def _current_scope(self) -> str:
         return "/".join(self._scopes)
@@ -211,7 +224,7 @@ class MultiTracer(Tracer):
         self.tracers = tuple(tracers)
         # A fan-out of disabled children must look disabled itself, or
         # instrumentation guarded by `tracer.enabled` pays the full
-        # recording cost on --metrics-only runs.
+        # recording cost on untraced runs.
         self.enabled = any(tracer.enabled for tracer in self.tracers)
 
     def emit(self, name: str, track: str, start_ns: float, end_ns: float,

@@ -1,5 +1,8 @@
 """CLI runner tests."""
 
+import argparse
+import json
+
 import pytest
 
 from repro.experiments import cli
@@ -31,17 +34,25 @@ class TestParser:
 
     def test_telemetry_flags(self):
         args = cli.build_parser().parse_args(
-            ["run", "fig12", "--trace", "t.json", "--spans", "s.jsonl",
-             "--metrics"])
-        assert args.trace == "t.json"
-        assert args.spans == "s.jsonl"
-        assert args.metrics
+            ["run", "fig12", "--observe", "obs", "--hostprof", "p.json"])
+        assert args.observe == "obs"
+        assert args.hostprof == "p.json"
 
     def test_telemetry_flags_default_off(self):
         args = cli.build_parser().parse_args(["run", "fig12"])
-        assert args.trace is None
-        assert args.spans is None
-        assert not args.metrics
+        assert args.observe is None
+        assert args.hostprof is None
+
+    def test_run_takes_ten_settable_values(self):
+        parser = cli.build_parser()
+        run = next(action for action in parser._actions
+                   if isinstance(action, argparse._SubParsersAction)
+                   ).choices["run"]
+        flags = [action.option_strings[0] for action in run._actions
+                 if action.option_strings and action.dest != "help"]
+        assert flags == ["--scale", "--seed", "--quick", "--faults",
+                         "--service", "--jobs", "--cache", "--results",
+                         "--observe", "--hostprof"]
 
 
 class TestNormalizeArgv:
@@ -103,10 +114,8 @@ class TestDestinationFlags:
     """Unwritable outputs fail before any cell is simulated."""
 
     @pytest.mark.parametrize("flag, kind", [
-        ("--results", "file"), ("--cache", "file"),
-        ("--trace", "missing"), ("--spans", "missing"),
-        ("--timeseries", "missing"), ("--report", "missing"),
-        ("--hostprof", "missing"), ("--trace", "directory"),
+        ("--results", "file"), ("--cache", "file"), ("--observe", "file"),
+        ("--hostprof", "missing"), ("--hostprof", "directory"),
     ])
     def test_bad_destination_rejected(self, flag, kind, tmp_path, capsys):
         existing = tmp_path / "file"
@@ -121,30 +130,62 @@ class TestDestinationFlags:
         assert existing.read_text() == ""
 
 
+class TestRemovedFlags:
+    """``--observe DIR`` replaced the seven observation flags."""
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--trace", "t.json"), ("--spans", "s.jsonl"), ("--metrics", None),
+        ("--timeseries", "ts.json"), ("--window", "500"),
+        ("--profile", None), ("--report", "r.html"),
+    ])
+    def test_removed_flag_exits_2(self, flag, value, capsys):
+        argv = ["tables", flag, *([] if value is None else [value])]
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert flag in captured.err
+        assert captured.out == ""
+
+
+def _observe(tmp_path, argv, name="observed"):
+    """Run ``argv`` with ``--observe``; the directory it wrote."""
+    directory = tmp_path / name
+    assert cli.main([*argv, "--observe", str(directory)]) == 0
+    return directory
+
+
 class TestTelemetryFlags:
     def test_trace_and_spans_written_and_valid(self, tmp_path, capsys):
         from repro.telemetry import validate_perfetto
         from repro.telemetry.export import load_spanlog
-        import json
 
-        trace = tmp_path / "fig12.json"
-        spans = tmp_path / "fig12.jsonl"
-        assert cli.main(["fig12", "--trace", str(trace),
-                         "--spans", str(spans)]) == 0
+        directory = _observe(tmp_path, ["fig12"])
         out = capsys.readouterr().out
-        assert str(trace) in out
-        document = json.loads(trace.read_text())
+        assert f"observation written to {directory}" in out
+        document = json.loads((directory / "trace.json").read_text())
         assert validate_perfetto(document) == []
-        lines = load_spanlog(str(spans))
+        lines = load_spanlog(str(directory / "spans.jsonl"))
         assert any(line["type"] == "span" for line in lines)
         assert any(line["type"] == "command" for line in lines)
 
-    def test_metrics_flag_prints_summary(self, capsys):
-        assert cli.main(["run", "fig12", "--metrics"]) == 0
-        out = capsys.readouterr().out
-        assert "metrics summary" in out
-        assert "sched.interleave.overlap_ns" in out
-        assert "phase_skip" in out
+    def test_observe_writes_metrics_summary(self, tmp_path, capsys):
+        directory = _observe(tmp_path, ["run", "fig12"])
+        summary = (directory / "metrics.txt").read_text()
+        assert "sched.interleave.overlap_ns" in summary
+        assert "phase_skip" in summary
+        assert "metrics summary" not in capsys.readouterr().out
+
+    def test_observed_stdout_is_unobserved_stdout_plus_one_line(
+            self, tmp_path, capsys):
+        assert cli.main(["fig12", "--quick"]) == 0
+        plain = capsys.readouterr().out
+        directory = _observe(tmp_path, ["fig12", "--quick"])
+        assert (capsys.readouterr().out
+                == plain + f"observation written to {directory}\n")
+        assert sorted(path.name for path in directory.iterdir()) == [
+            "dashboard.html", "metrics.txt", "profile.txt", "spans.jsonl",
+            "timeseries.json", "trace.json"]
 
     def test_untraced_run_leaves_no_ambient_telemetry(self):
         from repro.telemetry import current_metrics, current_tracer
@@ -155,47 +196,41 @@ class TestTelemetryFlags:
 
 class TestTimeseriesFlags:
     def test_flags_parse_with_defaults(self):
-        from repro.telemetry import DEFAULT_WINDOW_NS
+        # The window is not settable: an observed run samples at the
+        # default width.
+        from repro.telemetry import DEFAULT_WINDOW_NS, Telemetry
         args = cli.build_parser().parse_args(
-            ["run", "fig12", "--timeseries", "ts.json"])
-        assert args.timeseries == "ts.json"
-        assert args.window == DEFAULT_WINDOW_NS
-        assert cli.build_parser().parse_args(
-            ["run", "fig12"]).timeseries is None
+            ["run", "fig12", "--observe", "obs"])
+        assert args.observe == "obs"
+        assert not hasattr(args, "window")
+        assert Telemetry().sampling.window_ns == DEFAULT_WINDOW_NS
 
     @pytest.mark.parametrize("window", ["0", "-1", "nan", "inf"])
-    def test_bad_window_rejected(self, window, capsys):
-        assert cli.main(["fig12", "--quick", "--timeseries", "x.json",
-                         "--window", window]) == 2
-        assert "--window" in capsys.readouterr().err
+    def test_bad_window_rejected(self, window):
+        from repro.telemetry import SamplingConfig
+        with pytest.raises(ValueError, match="window"):
+            SamplingConfig(window_ns=float(window))
 
     def test_timeseries_written_and_valid(self, tmp_path, capsys):
-        from repro.telemetry import load_timeseries, validate_timeseries
+        from repro.telemetry import (
+            DEFAULT_WINDOW_NS,
+            load_timeseries,
+            validate_timeseries,
+        )
 
-        out = tmp_path / "ts.json"
-        assert cli.main(["fig12", "--quick", "--timeseries", str(out),
-                         "--window", "500"]) == 0
-        assert str(out) in capsys.readouterr().out
-        document = load_timeseries(str(out))
+        # fig12's runs end inside the first 1 µs window; fig18's span
+        # many.
+        directory = _observe(tmp_path, ["fig18", "--quick"])
+        assert str(directory) in capsys.readouterr().out
+        document = load_timeseries(str(directory / "timeseries.json"))
         assert validate_timeseries(document) == []
-        assert document["window_ns"] == 500.0
+        assert document["window_ns"] == DEFAULT_WINDOW_NS
         assert any(".window." in name for name in document["series"])
 
-    def test_csv_export(self, tmp_path, capsys):
-        out = tmp_path / "ts.csv"
-        assert cli.main(["fig12", "--quick", "--timeseries", str(out),
-                         "--window", "500"]) == 0
-        capsys.readouterr()
-        assert out.read_text().startswith("series,t,v")
-
     def test_report_includes_timeseries_section(self, tmp_path, capsys):
-        report = tmp_path / "report.html"
-        ts = tmp_path / "ts.json"
-        assert cli.main(["fig12", "--quick", "--timeseries", str(ts),
-                         "--window", "500",
-                         "--report", str(report)]) == 0
+        directory = _observe(tmp_path, ["fig12", "--quick"])
         capsys.readouterr()
-        text = report.read_text()
+        text = (directory / "dashboard.html").read_text()
         assert "<h2>timeseries</h2>" in text
         assert "latency sketches" in text
         assert "spark" in text
@@ -203,11 +238,10 @@ class TestTimeseriesFlags:
     def test_watch_renders_exported_document(self, tmp_path, capsys):
         from repro.telemetry.__main__ import main as telemetry_main
 
-        out = tmp_path / "ts.json"
-        assert cli.main(["fig12", "--quick", "--timeseries", str(out),
-                         "--window", "500"]) == 0
+        directory = _observe(tmp_path, ["fig12", "--quick"])
         capsys.readouterr()
-        assert telemetry_main(["watch", str(out)]) == 0
+        assert telemetry_main(["watch",
+                               str(directory / "timeseries.json")]) == 0
         watched = capsys.readouterr().out
         assert "time series" in watched
         assert "p999" in watched

@@ -8,7 +8,13 @@ import pytest
 from repro.experiments import parallel, runner
 from repro.experiments.cli import main
 from repro.systems.base import AcceleratedSystem
-from repro.telemetry import SamplingConfig, Telemetry
+from repro.telemetry import (
+    Telemetry,
+    load_spanlog,
+    load_timeseries,
+    validate_perfetto,
+    validate_timeseries,
+)
 
 #: Two workloads x two systems: enough cells for a jobs=4 sharding.
 SYSTEMS = ("Hetero", "DRAM-less")
@@ -39,7 +45,7 @@ class TestParallelEquivalence:
         # Both sides run inside an enclosing scope: the merge must nest
         # every cell's spans under it, whichever process recorded them.
         def snapshot(jobs):
-            telemetry = Telemetry(record_spans=True)
+            telemetry = Telemetry()
             with telemetry.activate(), telemetry.tracer.scope("fig15"):
                 matrix = runner.run_matrix(runner.QUICK, SYSTEMS, jobs=jobs)
             spans = [dataclasses.astuple(span)
@@ -61,12 +67,10 @@ class TestParallelEquivalence:
     @pytest.mark.determinism
     def test_sampled_timeseries_match_serial_byte_for_byte(self):
         # Windowed samples land in ordinary registry series, so the
-        # fragments merge reassembles a sharded run's timeseries —
-        # and its sketches — bit-for-bit.
+        # registry merge reassembles a sharded run's timeseries — and
+        # its sketches — bit-for-bit.
         def document(jobs):
-            telemetry = Telemetry(
-                record_spans=False,
-                timeseries=SamplingConfig(window_ns=500.0))
+            telemetry = Telemetry()
             with telemetry.activate():
                 runner.run_matrix(runner.QUICK, SYSTEMS, jobs=jobs)
             return json.dumps(telemetry.timeseries_document(),
@@ -95,6 +99,33 @@ class TestParallelEquivalence:
             assert ((sharded_dir / name).read_bytes()
                     == (serial_dir / name).read_bytes())
 
+    @pytest.mark.determinism
+    def test_observed_directories_are_byte_identical(self, tmp_path,
+                                                     monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_GIT_SHA", "0000test")
+        monkeypatch.setenv("REPRO_TIMESTAMP", "2026-01-01T00:00:00")
+        serial = tmp_path / "serial"
+        sharded = tmp_path / "sharded"
+        assert main(["fig12,fig13", "--quick",
+                     "--observe", str(serial)]) == 0
+        assert main(["fig12,fig13", "--quick", "--jobs", "2",
+                     "--observe", str(sharded)]) == 0
+        capsys.readouterr()
+        names = sorted(path.name for path in serial.iterdir())
+        assert names == sorted(path.name for path in sharded.iterdir())
+        for name in names:
+            assert ((sharded / name).read_bytes()
+                    == (serial / name).read_bytes()), name
+        trace = json.loads((serial / "trace.json").read_text())
+        assert validate_perfetto(trace) == []
+        types = {line["type"]
+                 for line in load_spanlog(str(serial / "spans.jsonl"))}
+        assert {"span", "command"} <= types <= {"span", "instant", "command"}
+        assert validate_timeseries(
+            load_timeseries(str(serial / "timeseries.json"))) == []
+        profile = (serial / "profile.txt").read_text()
+        assert profile.count("attribution invariant: holds") == 2
+
 
 def _matrix_plan(systems=SYSTEMS, workloads=runner.QUICK.workloads):
     return {"": runner.matrix_cells(workloads, systems)}
@@ -120,25 +151,24 @@ class TestResultCache:
     def test_key_depends_on_config(self):
         tree = "t" * 64
         quick = parallel.cell_key("matrix/gemver/Hetero", runner.QUICK,
-                                  (False, False, None), tree)
+                                  False, tree)
         other = dataclasses.replace(runner.QUICK, seed=2)
         assert parallel.cell_key("matrix/gemver/Hetero", other,
-                                 (False, False, None), tree) != quick
+                                 False, tree) != quick
         assert parallel.cell_key("matrix/gemver/DRAM-less", runner.QUICK,
-                                 (False, False, None), tree) != quick
+                                 False, tree) != quick
 
     def test_key_depends_on_sampling_spec(self):
         # A sampled rerun must never replay a cell cached without
-        # sampling (its fragments would carry no windowed series).
+        # sampling.  Sampling is part of observation now (the window is
+        # fixed), so the key's one observed flag carries it: an observed
+        # cell's key differs from an unobserved one's.
         tree = "t" * 64
         plain = parallel.cell_key("matrix/gemver/Hetero", runner.QUICK,
-                                  (True, False, None), tree)
-        sampled = parallel.cell_key("matrix/gemver/Hetero", runner.QUICK,
-                                    (True, False, (500.0, None)), tree)
-        rewindowed = parallel.cell_key(
-            "matrix/gemver/Hetero", runner.QUICK,
-            (True, False, (250.0, None)), tree)
-        assert len({plain, sampled, rewindowed}) == 3
+                                  False, tree)
+        observed = parallel.cell_key("matrix/gemver/Hetero", runner.QUICK,
+                                     True, tree)
+        assert plain != observed
 
     def test_key_depends_on_source_tree(self, tmp_path):
         (tmp_path / "a.py").write_text("x = 1\n")
@@ -227,12 +257,15 @@ class TestSharedCells:
         assert calls == []
         assert "Figure 16" in capsys.readouterr().out
 
-    def test_fig13_attribution_survives_per_cell_request_ids(self, capsys):
+    def test_fig13_attribution_survives_per_cell_request_ids(
+            self, tmp_path, capsys):
         # Request ids restart at every replay cell; each replay's own
         # scope keeps (scope, req) unique, so attribution still holds.
-        assert main(["fig13", "--quick", "--profile"]) == 0
-        out = capsys.readouterr().out
-        profile = out[out.index("profile: fig13"):]
+        assert main(["fig13", "--quick",
+                     "--observe", str(tmp_path / "observed")]) == 0
+        capsys.readouterr()
+        profile = (tmp_path / "observed" / "profile.txt").read_text()
+        profile = profile[profile.index("profile: fig13"):]
         assert "496 requests, mean latency 7.970 us" in profile
         assert "attribution invariant: holds" in profile
 

@@ -1,6 +1,7 @@
 """Tests for the statistics containers."""
 
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -304,10 +305,13 @@ class TestLatencySketch:
         assert fresh.count == 1
 
     def test_payload_round_trip(self):
+        # A cell's sketch reaches the parent pickled, then merges into a
+        # fresh container of the run's registry.
         sketch = LatencySketch("lat")
         for v in (1.0, 17.0, 900.0):
             sketch.add(v)
-        rebuilt = LatencySketch.from_payload("lat", sketch.to_payload())
+        rebuilt = LatencySketch("lat")
+        rebuilt.merge(pickle.loads(pickle.dumps(sketch)))
         assert rebuilt.to_payload() == sketch.to_payload()
         assert rebuilt.quantiles() == sketch.quantiles()
 
@@ -407,3 +411,43 @@ class TestReset:
         # Time travel is legal again after a reset.
         ts.record(1.0, 2.0)
         assert ts.value_at(1.0) == 2.0
+
+
+class TestMerge:
+    """Each container folds another of its kind, as the cell runner
+    merges one cell's registry into the run's."""
+
+    def test_counter_adds_value_and_events(self):
+        total, part = Counter(), Counter()
+        total.add(2.0)
+        part.add(3.0)
+        part.add(1.0)
+        total.merge(part)
+        assert (total.value, total.events) == (6.0, 3)
+        assert (part.value, part.events) == (4.0, 2)
+
+    def test_histogram_pools_samples_in_order(self):
+        total, part = Histogram(), Histogram()
+        total.add(5.0)
+        part.add(1.0)
+        part.add(9.0)
+        total.merge(part)
+        assert total.samples == [5.0, 1.0, 9.0]
+        assert total.percentile(0.0) == 1.0
+        assert part.samples == [1.0, 9.0]
+
+    def test_time_series_concatenates(self):
+        total, part = TimeSeries(), TimeSeries()
+        total.record(10.0, 1.0)
+        part.record(0.0, 2.0)
+        total.merge(part)
+        assert total.times == [10.0, 0.0]
+        assert total.values == [1.0, 2.0]
+
+    def test_breakdown_adds_categories(self):
+        total, part = Breakdown(), Breakdown()
+        total.add("compute", 1.0)
+        part.add("compute", 2.0)
+        part.add("memory", 4.0)
+        total.merge(part)
+        assert total.as_dict() == {"compute": 3.0, "memory": 4.0}

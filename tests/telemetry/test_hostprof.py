@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import pickle
 
 import pytest
 
@@ -21,7 +22,6 @@ from repro.telemetry.bench import (
     write_bench,
 )
 from repro.telemetry.dashboard import render_html
-from repro.telemetry.fragments import capture_hostprof, merge_hostprof
 from repro.telemetry.hostprof import (
     KERNEL_BUCKET,
     HostProfiler,
@@ -183,35 +183,40 @@ class TestMergeAndFragments:
         for step in (100, 300, 900):
             profiler = HostProfiler(clock=_stub_clock(step))
             _drive(profiler)
-            parts.append(profiler.to_payload())
+            parts.append(profiler)
 
         def fold(order):
             target = HostProfiler()
-            for payload in order:
-                target.merge(HostProfiler.from_payload(payload))
+            for part in order:
+                target.merge(part)
             return target.to_payload()
 
         left = fold([parts[0], parts[1], parts[2]])
-        pre = HostProfiler.from_payload(parts[1])
-        pre.merge(HostProfiler.from_payload(parts[2]))
-        right = HostProfiler.from_payload(parts[0])
+        pre = HostProfiler()
+        pre.merge(parts[1])
+        pre.merge(parts[2])
+        right = HostProfiler()
+        right.merge(parts[0])
         right.merge(pre)
         assert left == right.to_payload()
 
     def test_payload_round_trip(self):
+        # A cell's profiler leaves its pool worker pickled as it is.
         profiler = HostProfiler(clock=_stub_clock())
         _drive(profiler)
-        clone = HostProfiler.from_payload(profiler.to_payload())
+        del profiler.clock  # stubbed clocks do not pickle
+        clone = pickle.loads(pickle.dumps(profiler))
         assert clone.to_payload() == profiler.to_payload()
         assert clone.census() == profiler.census()
 
     def test_fragment_capture_and_merge(self):
         profiler = HostProfiler(clock=_stub_clock())
         _drive(profiler)
-        fragment = capture_hostprof(profiler)
-        assert len(fragment) == len(profiler.buckets)
+        del profiler.clock  # stubbed clocks do not pickle
+        fragment = pickle.loads(pickle.dumps(profiler))
+        assert len(fragment.buckets) == len(profiler.buckets)
         target = HostProfiler()
-        merge_hostprof(target, fragment)
+        target.merge(fragment)
         assert target.census() == profiler.census()
 
     def test_serial_and_sharded_census_identical(self):
@@ -352,11 +357,36 @@ class TestExperimentsCli:
         assert document["profiles"][0]["weights"]
 
     def test_report_includes_hostprof_section(self, tmp_path, capsys):
-        report = tmp_path / "dash.html"
+        observed = tmp_path / "observed"
         prof = tmp_path / "flame.json"
-        assert cli.main(["fig12", "--quick", "--report", str(report),
+        assert cli.main(["fig12", "--quick", "--observe", str(observed),
                          "--hostprof", str(prof)]) == 0
-        assert "host profile" in report.read_text()
+        assert "host profile" in (observed / "dashboard.html").read_text()
+
+    def test_hostprof_with_cache_rejected_before_any_cell(
+            self, tmp_path, capsys, monkeypatch):
+        # A warm cache would replay cells simulated by another process,
+        # so their host time would not be this run's.
+        calls = []
+        monkeypatch.setattr(cli.parallel, "run_cells",
+                            lambda *args, **kwargs: calls.append(args))
+        assert cli.main(["fig12", "--quick", "--cache",
+                         str(tmp_path / "cache"), "--hostprof",
+                         str(tmp_path / "flame.json")]) == 2
+        captured = capsys.readouterr()
+        assert "--hostprof" in captured.err and "--cache" in captured.err
+        assert captured.out == ""
+        assert calls == []
+        assert not (tmp_path / "flame.json").exists()
+
+    def test_run_cells_refuses_a_cache_under_a_host_profiler(self, tmp_path):
+        config = ExperimentConfig(scale=0.05, seed=1, agents=3,
+                                  workloads=("gemver", "doitg"))
+        with use_hostprof(HostProfiler()), \
+                pytest.raises(ValueError, match="host"):
+            run_cells({"fig12": cli.experiment_cells("fig12", config)},
+                      config, cache_dir=tmp_path / "cache")
+        assert not (tmp_path / "cache").exists()
 
 
 class TestTelemetryCli:

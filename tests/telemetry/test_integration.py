@@ -165,21 +165,26 @@ class TestObservationalPurity:
 
 
 class TestMetricsOnlySession:
-    def test_record_spans_false_keeps_null_tracer(self):
-        from repro.telemetry import current_metrics, current_tracer
+    def test_use_metrics_alone_keeps_null_tracer(self):
+        from repro.telemetry import (
+            MetricsRegistry,
+            current_metrics,
+            current_tracer,
+            use_metrics,
+        )
         from repro.telemetry.tracer import NULL_TRACER
 
-        telemetry = Telemetry(record_spans=False)
-        with telemetry.activate():
+        registry = MetricsRegistry()
+        with use_metrics(registry):
             # The metrics-only path must keep the zero-overhead tracer
             # so hot emit sites stay behind `tracer.enabled`.
             assert current_tracer() is NULL_TRACER
-            assert current_metrics() is telemetry.metrics
+            assert current_metrics() is registry
             sim = Simulator()
             subsystem = PramSubsystem(sim, geometry=GEOMETRY)
             request = MemoryRequest(Op.READ, 0, GEOMETRY.row_bytes)
             sim.process(subsystem.submit(request))
             sim.run()
             assert not sim.tracer.enabled
-        assert telemetry.tracer.spans == []
-        assert telemetry.metrics.snapshot("pram.*")
+        assert sim.tracer is NULL_TRACER
+        assert registry.snapshot("pram.*")

@@ -9,6 +9,7 @@ from repro.sim import Simulator, TimeSeries, use_sampling
 from repro.telemetry.metrics import MetricsRegistry, use_metrics
 from repro.telemetry.session import Telemetry
 from repro.telemetry.timeseries import (
+    DEFAULT_WINDOW_NS,
     TIMESERIES_SCHEMA,
     Sampler,
     SamplingConfig,
@@ -116,16 +117,6 @@ class TestWriteAndLoad:
         with open(first, "rb") as a, open(second, "rb") as b:
             assert a.read() == b.read()
 
-    def test_csv_long_format(self, tmp_path):
-        document = export_document(_sampled_run(), window_ns=500.0)
-        path = str(tmp_path / "ts.csv")
-        write_timeseries(path, document)
-        with open(path, encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-        assert lines[0] == "series,t,v"
-        # Sketch quantiles ride along as <path>.pNN rows at t = -1.
-        assert any(".p99,-1," in line for line in lines)
-
     def test_load_rejects_non_document(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("[1, 2, 3]\n")
@@ -189,7 +180,7 @@ class TestRendering:
 
 class TestTelemetrySession:
     def test_timeseries_document_through_session(self, tmp_path):
-        telemetry = Telemetry(timeseries=SamplingConfig(window_ns=500.0))
+        telemetry = Telemetry()
         with telemetry.activate():
             sim = Simulator()
             subsystem = PramSubsystem(sim)
@@ -203,7 +194,7 @@ class TestTelemetrySession:
             sim.run()
         document = telemetry.timeseries_document()
         assert validate_timeseries(document) == []
-        assert document["window_ns"] == 500.0
+        assert document["window_ns"] == DEFAULT_WINDOW_NS
         path = str(tmp_path / "out.json")
         telemetry.write_timeseries(path)
         assert load_timeseries(path)["schema"] == TIMESERIES_SCHEMA

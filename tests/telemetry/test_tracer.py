@@ -78,12 +78,19 @@ class TestRecordingTracer:
             "outer", "outer/inner", "outer", ""]
 
     def test_kernel_events_off_by_default(self):
+        # A span recorder keeps no kernel events, so a simulator built
+        # under it attaches no kernel-event feed (KernelEventRecorder
+        # is the tracer that takes them).
         tracer = RecordingTracer()
         tracer.kernel_event(1.0, "Timeout")
-        assert tracer.kernel_events == []
-        keeper = RecordingTracer(record_kernel_events=True)
-        keeper.kernel_event(1.0, "Timeout")
-        assert keeper.kernel_events == [(1.0, "Timeout")]
+        assert not hasattr(tracer, "kernel_events")
+        with use_tracer(tracer):
+            sim = Simulator()
+        assert sim._observer is None
+        sink = []
+        with use_tracer(KernelEventRecorder(sink)):
+            fed = Simulator()
+        assert fed._observer is not None
 
     def test_len_counts_spans_and_instants(self):
         tracer = RecordingTracer()
@@ -189,17 +196,26 @@ class TestAmbientTracer:
         assert Simulator().tracer is NULL_TRACER
 
     def test_explicit_and_ambient_combine(self):
+        # A second tracer joins the ambient one by combining with it,
+        # as capture_trace does; the simulator reads the result.
         explicit, ambient = RecordingTracer(), RecordingTracer()
-        with use_tracer(ambient):
-            sim = Simulator(tracer=explicit)
+        with use_tracer(ambient), \
+                use_tracer(combine(explicit, current_tracer())):
+            sim = Simulator()
         assert isinstance(sim.tracer, MultiTracer)
         assert set(sim.tracer.tracers) == {explicit, ambient}
 
 
+def _recording_simulator():
+    """A simulator under a kernel-event recorder, and the recorder."""
+    recorder = KernelEventRecorder([])
+    with use_tracer(recorder):
+        return Simulator(), recorder
+
+
 class TestKernelEventLabels:
     def test_anonymous_event_labeled_with_owning_process(self):
-        tracer = RecordingTracer(record_kernel_events=True)
-        sim = Simulator(tracer=tracer)
+        sim, tracer = _recording_simulator()
         gate = sim.event()  # anonymous: label degrades to the waiter
 
         def opener():
@@ -212,12 +228,11 @@ class TestKernelEventLabels:
         sim.process(opener(), name="opener")
         sim.process(waiter(), name="waiter")
         sim.run()
-        labels = [label for _, label in tracer.kernel_events]
+        labels = [label for _, label in tracer.sink]
         assert "Event:waiter" in labels
 
     def test_named_events_keep_their_name(self):
-        tracer = RecordingTracer(record_kernel_events=True)
-        sim = Simulator(tracer=tracer)
+        sim, tracer = _recording_simulator()
         done = sim.event("custom.done")
 
         def worker():
@@ -230,12 +245,11 @@ class TestKernelEventLabels:
         sim.process(worker(), name="w")
         sim.process(waiter(), name="v")
         sim.run()
-        labels = [label for _, label in tracer.kernel_events]
+        labels = [label for _, label in tracer.sink]
         assert "custom.done" in labels
 
     def test_timestamps_match_simulated_time(self):
-        tracer = RecordingTracer(record_kernel_events=True)
-        sim = Simulator(tracer=tracer)
+        sim, tracer = _recording_simulator()
 
         def worker():
             yield sim.timeout(7.5)
@@ -243,4 +257,4 @@ class TestKernelEventLabels:
         sim.process(worker(), name="w")
         sim.run()
         assert any(ts == pytest.approx(7.5)
-                   for ts, _ in tracer.kernel_events)
+                   for ts, _ in tracer.sink)
