@@ -235,8 +235,6 @@ def _seed_submit(self, request):
     if self._metrics_on:
         self._inflight += 1
         self.queue_depth.record(self.sim.now, float(self._inflight))
-        if self._inflight_tracker is not None:
-            self._inflight_tracker.adjust(self.sim.now, 1.0)
     if self.firmware is not None:
         yield self.sim.process(self.firmware.admit())
     by_channel = self.planner.chunks_by_channel(request)
@@ -258,8 +256,6 @@ def _seed_submit(self, request):
     if self._metrics_on:
         self._inflight -= 1
         self.queue_depth.record(self.sim.now, float(self._inflight))
-        if self._inflight_tracker is not None:
-            self._inflight_tracker.adjust(self.sim.now, -1.0)
         self.request_latency.add(request.latency)
     status = request.status
     if status is not RequestStatus.OK:

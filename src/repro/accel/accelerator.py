@@ -147,7 +147,8 @@ class Accelerator:
         aggregate = _sum_series([pe.ipc_series for pe in self.agents],
                                 name="aggregate_ipc")
         residency = [
-            _state_residency(pe.activity, start, self.sim.now)
+            {STATE_SLEEP: 0.0, STATE_IDLE: 0.0, STATE_ACTIVE: 0.0,
+             **pe.activity.residency(start, self.sim.now)}
             for pe in self.pes
         ]
         return AcceleratorStats(
@@ -175,26 +176,6 @@ class Accelerator:
                 watts.record(time, _state_power(state, model))
             mapped.append(watts)
         return _sum_series(mapped, name="core_power_w")
-
-
-def _state_residency(activity: TimeSeries, start: float,
-                     end: float) -> typing.Dict[float, float]:
-    """Nanoseconds spent in each state code over [start, end)."""
-    residency = {STATE_SLEEP: 0.0, STATE_IDLE: 0.0, STATE_ACTIVE: 0.0}
-    if end <= start:
-        return residency
-    cursor = start
-    state = activity.value_at(start)
-    for time, value in zip(activity.times, activity.values):
-        if time <= start:
-            continue
-        if time >= end:
-            break
-        residency[state] = residency.get(state, 0.0) + (time - cursor)
-        cursor = time
-        state = value
-    residency[state] = residency.get(state, 0.0) + (end - cursor)
-    return residency
 
 
 def _state_power(state: float, model: EnergyModel) -> float:

@@ -19,7 +19,7 @@ from repro.accel.isa import ComputeOp, KernelOp, LoadOp, StoreOp
 from repro.accel.mcu import MemoryControllerUnit
 from repro.sim import Simulator, Store, TimeSeries
 from repro.telemetry.metrics import current_metrics
-from repro.telemetry.timeseries import Sampler, TimeWeightedTracker
+from repro.telemetry.timeseries import Sampler
 
 #: State codes recorded into the activity series.
 STATE_SLEEP = 0.0
@@ -76,19 +76,17 @@ class ProcessingElement:
         self.ipc_series = TimeSeries(f"pe{pe_id}.ipc")
         self._track = f"pe{pe_id}"
         metrics = current_metrics()
-        self._store_tracker: TimeWeightedTracker | None = None
         if metrics.enabled:
             prefix = metrics.component_prefix(f"pe.{pe_id}")
             metrics.attach(f"{prefix}.activity", self.activity)
             metrics.attach(f"{prefix}.ipc", self.ipc_series)
-            self._store_depth_series: TimeSeries | None = metrics.series(
-                f"{prefix}.store_queue_depth")
+            store_depth = metrics.series(f"{prefix}.store_queue_depth")
+            self._store_depth_series: TimeSeries | None = store_depth
             sampler = sim.sampler
             if isinstance(sampler, Sampler):
                 # Windowed write pressure: time-weighted mean of the
                 # store-buffer backlog per sampling window.
-                self._store_tracker = sampler.track(
-                    f"{prefix}.window.store_queue")
+                sampler.track(f"{prefix}.window.store_queue", store_depth)
         else:
             self._store_depth_series = None
         self._state = STATE_SLEEP
@@ -179,8 +177,6 @@ class ProcessingElement:
         if self._store_depth_series is not None:
             self._store_depth_series.record(
                 self.sim.now, float(self._outstanding_stores))
-        if self._store_tracker is not None:
-            self._store_tracker.adjust(self.sim.now, 1.0)
         yield self._store_queue.put((op.address, payload))
         waited = self.sim.now - start
         if waited > 0:  # buffer was full: a real write-pressure stall
@@ -200,8 +196,6 @@ class ProcessingElement:
             if self._store_depth_series is not None:
                 self._store_depth_series.record(
                     self.sim.now, float(self._outstanding_stores))
-            if self._store_tracker is not None:
-                self._store_tracker.adjust(self.sim.now, -1.0)
             if self._outstanding_stores == 0 and (
                     self._drained_event is not None):
                 self._drained_event.succeed()

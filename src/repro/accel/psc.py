@@ -13,7 +13,7 @@ import typing
 
 from repro.sim import Counter, Simulator, TimeSeries
 from repro.telemetry.metrics import current_metrics
-from repro.telemetry.timeseries import Sampler, TimeWeightedTracker
+from repro.telemetry.timeseries import Sampler
 
 #: State-transition latencies, ns (clock/power gating sequencing).
 SLEEP_TRANSITION_NS = 500.0
@@ -46,7 +46,8 @@ class PowerSleepController:
             {state: 0.0 for state in PeState} for _ in range(pe_count)
         ]
         self.transitions = 0
-        self._awake_tracker: TimeWeightedTracker | None = None
+        self._awake_pes = 0
+        self._awake_series: TimeSeries | None = None
         self._metrics = current_metrics()
         if self._metrics.enabled:
             prefix = self._metrics.component_prefix("psc")
@@ -54,8 +55,11 @@ class PowerSleepController:
             if isinstance(sampler, Sampler):
                 # Windowed power envelope: time-weighted count of PEs
                 # out of sleep (idle or active) per sampling window.
-                self._awake_tracker = sampler.track(
-                    f"{prefix}.window.awake_pes")
+                # No registry holds the count's own series, so it adds
+                # nothing to what a run exports.
+                self._awake_series = TimeSeries("psc.awake_pes")
+                sampler.track(f"{prefix}.window.awake_pes",
+                              self._awake_series)
             # Numeric state timeline per PE (0=sleep, 1=idle, 2=active):
             # the per-PE run/sleep timeline the profile dashboard shows.
             self._state_series: typing.List[TimeSeries] | None = [
@@ -84,12 +88,13 @@ class PowerSleepController:
             self.transitions += 1
             if self._transition_counter is not None:
                 self._transition_counter.add()
-            if self._awake_tracker is not None:
+            if self._awake_series is not None:
                 was_awake = self._state[pe_id] is not PeState.SLEEP
                 is_awake = state is not PeState.SLEEP
                 if is_awake != was_awake:
-                    self._awake_tracker.adjust(
-                        self.sim.now, 1.0 if is_awake else -1.0)
+                    self._awake_pes += 1 if is_awake else -1
+                    self._awake_series.record(self.sim.now,
+                                              float(self._awake_pes))
             if self._state_series is not None:
                 self._state_series[pe_id].record(
                     self.sim.now, float(_STATE_LEVEL[state]))

@@ -47,7 +47,7 @@ from repro.sim import (
 )
 from repro.sim.resource import Request
 from repro.telemetry.metrics import current_metrics
-from repro.telemetry.timeseries import Sampler, TimeWeightedTracker
+from repro.telemetry.timeseries import Sampler
 
 #: One hinted pre-reset target: (row address, chunk bytes, hint time).
 _HintChunk = typing.Tuple[PramAddress, int, float]
@@ -182,24 +182,22 @@ class ChannelController:
             # RAB/RDB pair occupancy across the channel's modules: the
             # time-weighted series is the "RDB occupancy" gauge, the
             # static gauge is its ceiling.
-            self._pairs_series = metrics.series(
-                f"{self._metrics_prefix}.pairs_in_use")
+            pairs = metrics.series(f"{self._metrics_prefix}.pairs_in_use")
+            self._pairs_series = pairs
             metrics.gauge(f"{self._metrics_prefix}.pair_capacity",
                           float(pair_count * len(self.modules)))
+            sampler = sim.sampler
+            if isinstance(sampler, Sampler):
+                # Windowed RAB/RDB pair occupancy: the time-weighted
+                # mean of the series above per sampling window.
+                sampler.track(f"{self._metrics_prefix}.window.pairs_in_use",
+                              pairs)
         else:
             self._overlap_counter = None
             self._skip_counters = None
             self._bus_counter = None
             self._pairs_series = None
         self._pairs_in_use = 0
-        # Windowed RAB/RDB pair occupancy (time-weighted mean per
-        # sampling window) — present only under an active sampler.
-        self._pairs_tracker: TimeWeightedTracker | None = None
-        if metrics.enabled:
-            sampler = sim.sampler
-            if isinstance(sampler, Sampler):
-                self._pairs_tracker = sampler.track(
-                    f"{self._metrics_prefix}.window.pairs_in_use")
         self._telemetry_on = metrics.enabled or sim.tracer.enabled
         self._bus_track = f"ch{channel_id}.bus"
 
@@ -314,8 +312,6 @@ class ChannelController:
         if self._pairs_series is not None:
             self._pairs_in_use += 1
             self._pairs_series.record(sim.now, float(self._pairs_in_use))
-            if self._pairs_tracker is not None:
-                self._pairs_tracker.adjust(sim.now, 1.0)
         busy = self._busy_pairs[index]
         # No yield between the grant above and the add below, so the
         # probe and the reservation are atomic under cooperative
@@ -435,8 +431,6 @@ class ChannelController:
                 self._pairs_in_use -= 1
                 self._pairs_series.record(sim.now,
                                           float(self._pairs_in_use))
-                if self._pairs_tracker is not None:
-                    self._pairs_tracker.adjust(sim.now, -1.0)
         self.read_latency.add(sim.now - start)
         if self._metrics_on:
             self.read_sketch.add(sim.now - start)

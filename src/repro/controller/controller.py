@@ -25,7 +25,7 @@ from repro.pram.module import PramModule
 from repro.sim import Simulator
 from repro.sim.stats import LatencySketch
 from repro.telemetry.metrics import current_metrics
-from repro.telemetry.timeseries import Sampler, TimeWeightedTracker
+from repro.telemetry.timeseries import Sampler
 
 
 class PramSubsystem:
@@ -90,7 +90,6 @@ class PramSubsystem:
             Op.READ.value: LatencySketch("subsys.sketch.read"),
             Op.WRITE.value: LatencySketch("subsys.sketch.write"),
         }
-        self._inflight_tracker: TimeWeightedTracker | None = None
         metrics = current_metrics()
         self._metrics = metrics
         self._metrics_on = metrics.enabled
@@ -106,8 +105,8 @@ class PramSubsystem:
             if isinstance(sampler, Sampler):
                 # Windowed time-weighted occupancy: in-flight requests
                 # and per-channel write-hint backlog per sample window.
-                self._inflight_tracker = sampler.track(
-                    f"{prefix}.window.inflight")
+                sampler.track(f"{prefix}.window.inflight",
+                              self.queue_depth)
                 for ch, store in enumerate(self.hint_stores):
                     sampler.watch_gauge(
                         f"{prefix}.window.hints_ch{ch}", store.depth)
@@ -125,8 +124,6 @@ class PramSubsystem:
         self._inflight += 1
         if self._metrics_on:
             self.queue_depth.record(self.sim.now, float(self._inflight))
-            if self._inflight_tracker is not None:
-                self._inflight_tracker.adjust(self.sim.now, 1.0)
         if self.firmware is not None:
             # A process of its own: run inline, admission moves the
             # firmware system's results (DESIGN §6.1).
@@ -161,8 +158,6 @@ class PramSubsystem:
         self._inflight -= 1
         if self._metrics_on:
             self.queue_depth.record(self.sim.now, float(self._inflight))
-            if self._inflight_tracker is not None:
-                self._inflight_tracker.adjust(self.sim.now, -1.0)
             self.request_latency.add(request.latency)
         status = request.status
         if status is not RequestStatus.OK:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 import typing
 
-from repro.sim import Breakdown, TimeSeries
+from repro.sim import Breakdown
 
 
 @dataclasses.dataclass(frozen=True)
@@ -55,7 +55,7 @@ class EnergyModel:
 
 
 class EnergyAccount:
-    """A per-run energy ledger with an optional power time series.
+    """A per-run energy ledger.
 
     Categories follow Figure 17's decomposition: ``host``, ``pcie``,
     ``dram``, ``storage`` (flash/SSD), ``pram``, ``pe_compute``,
@@ -66,8 +66,6 @@ class EnergyAccount:
                  name: str = "energy") -> None:
         self.model = model or EnergyModel()
         self.breakdown = Breakdown(name)
-        self.power_series = TimeSeries(f"{name}.power")
-        self._cumulative = TimeSeries(f"{name}.cumulative")
 
     # ------------------------------------------------------------------
     # Charging API
@@ -91,22 +89,6 @@ class EnergyAccount:
         if size < 0:
             raise ValueError(f"negative size: {size}")
         self.charge(category, pj_per_byte * size / 1000.0)
-
-    # ------------------------------------------------------------------
-    # Time-series support for Figures 20/21
-    # ------------------------------------------------------------------
-    def sample_power(self, time_ns: float, watts: float) -> None:
-        """Record the instantaneous core power level."""
-        self.power_series.record(time_ns, watts)
-
-    def sample_cumulative(self, time_ns: float) -> None:
-        """Record total energy so far (for the cumulative plots)."""
-        self._cumulative.record(time_ns, self.total_nj)
-
-    @property
-    def cumulative_series(self) -> TimeSeries:
-        """(time, total nJ so far) samples."""
-        return self._cumulative
 
     # ------------------------------------------------------------------
     # Reads

@@ -1,10 +1,12 @@
 """Statistics containers shared by every experiment.
 
-The paper's figures need three shapes of data:
+The paper's figures need five shapes of data:
 
 * scalar totals (bandwidth, total energy) — :class:`Counter`;
 * per-category decompositions (Figures 16/17) — :class:`Breakdown`;
-* time series sampled over a run (Figures 18-21) — :class:`TimeSeries`;
+* step functions of simulated time (Figures 18-21) — :class:`TimeSeries`,
+  whose time-weighted mean and per-level residency also give the
+  sampler's window means and the accelerator's per-state residency;
 * latency distributions for the scheduler studies — :class:`Histogram`;
 * mergeable tail-latency sketches for sharded runs — :class:`LatencySketch`.
 
@@ -120,11 +122,13 @@ class Breakdown:
 
 
 class TimeSeries:
-    """(time, value) samples with time-weighted aggregation.
+    """(time, value) samples read as a step function of simulated time.
 
-    Used for the IPC and power plots: record a sample whenever the
-    quantity changes, then :meth:`resample` into fixed buckets matching
-    the paper's plotting granularity.
+    Record a sample whenever the quantity changes.
+    :meth:`time_weighted_mean` is its mean over an interval (the
+    sampler's window means, the mean aggregate IPC), :meth:`residency`
+    the time it spends at each level (per-state PE residency), and
+    :meth:`resample` buckets it at the paper's plotting granularity.
     """
 
     def __init__(self, name: str = "series") -> None:
@@ -161,21 +165,46 @@ class TimeSeries:
             return 0.0
         return self.values[index]
 
+    def _steps(self, start: float, end: float
+               ) -> typing.Iterator[typing.Tuple[float, float]]:
+        """The step function over [start, end) as (level, length) pieces.
+
+        Pieces come in time order, one per sample inside the interval
+        plus the stretch from the last one to ``end``.  Samples at one
+        instant give zero-length pieces, and a sample at exactly
+        ``end`` belongs to the next interval.
+        """
+        times = self.times
+        index = bisect.bisect_right(times, start)
+        level = self.values[index - 1] if index else 0.0
+        cursor = start
+        while index < len(times) and times[index] < end:
+            yield level, times[index] - cursor
+            cursor = times[index]
+            level = self.values[index]
+            index += 1
+        yield level, end - cursor
+
     def time_weighted_mean(self, start: float, end: float) -> float:
         """Mean of the step function over [start, end)."""
         if end <= start:
             raise ValueError(f"empty interval [{start}, {end})")
         area = 0.0
-        cursor = start
-        level = self.value_at(start)
-        index = bisect.bisect_right(self.times, start)
-        while index < len(self.times) and self.times[index] < end:
-            area += level * (self.times[index] - cursor)
-            cursor = self.times[index]
-            level = self.values[index]
-            index += 1
-        area += level * (end - cursor)
+        for level, length in self._steps(start, end):
+            area += level * length
         return area / (end - start)
+
+    def residency(self, start: float, end: float) -> typing.Dict[float, float]:
+        """Time spent at each level over [start, end) (empty if none).
+
+        Levels appear in the order the step function first holds them.
+        """
+        spent: typing.Dict[float, float] = {}
+        if end <= start:
+            return spent
+        for level, length in self._steps(start, end):
+            spent[level] = spent.get(level, 0.0) + length
+        return spent
 
     def integral(self, start: float, end: float) -> float:
         """Area under the step function over [start, end)."""

@@ -14,6 +14,12 @@ Three layers, all ambient-by-default and zero-overhead when disabled:
 registry and a windowed sampler together — for the experiments CLI's
 ``--observe`` and the cell runner.
 
+The time-weighted views keep no accumulators of their own: the
+sampler's window means (:mod:`repro.telemetry.timeseries`) are read
+off the level series the components already record, with
+:meth:`~repro.sim.stats.TimeSeries.time_weighted_mean`, and busy time
+and queue depth (:mod:`repro.telemetry.gauges`) off the recorded spans.
+
 NOTE: ``tracer`` must stay import-light (stdlib only) — the simulator
 kernel imports it, so anything heavier would cycle.  Keep the ``tracer``
 import first here: partially-initialized-package imports from
@@ -55,7 +61,6 @@ from repro.telemetry.timeseries import (  # noqa: E402
     TIMESERIES_SCHEMA,
     Sampler,
     SamplingConfig,
-    TimeWeightedTracker,
     export_document,
     load_timeseries,
     render_watch,
@@ -77,13 +82,11 @@ from repro.telemetry.profile import (  # noqa: E402
 )
 
 from repro.telemetry.gauges import (  # noqa: E402
-    IntervalGauge,
     LittlesLawCheck,
     TrackUtilization,
     capture_window,
     littles_law,
     request_depth_series,
-    track_gauges,
     utilization_table,
 )
 
@@ -134,7 +137,6 @@ __all__ = [
     "DEFAULT_WINDOW_NS",
     "ExperimentProfile",
     "HostProfiler",
-    "IntervalGauge",
     "KernelEventRecorder",
     "LittlesLawCheck",
     "MetricDelta",
@@ -150,7 +152,6 @@ __all__ = [
     "Span",
     "TIMESERIES_SCHEMA",
     "Telemetry",
-    "TimeWeightedTracker",
     "Tracer",
     "TrackUtilization",
     "attribute_requests",
@@ -190,7 +191,6 @@ __all__ = [
     "stamp_provenance",
     "summarize",
     "supports_unicode",
-    "track_gauges",
     "use_metrics",
     "use_tracer",
     "utilization_table",

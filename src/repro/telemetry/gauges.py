@@ -1,21 +1,21 @@
-"""Time-weighted utilization gauges on simulated time.
+"""Utilization and queue depth read off a span recording.
 
-:class:`IntervalGauge` is the primitive: a busy-interval accumulator
-whose occupancy can be sampled at any instant — including *while a hold
-is still open* (re-entrant sampling clips the open interval at the
-sample point), over a window the run never reached (intervals clip at
-the window edge), or over a zero-duration run (utilization 0, never a
-division by zero).
+Everything here works on spans alone, so it works as well on a span
+log read back from a file as on a live run:
 
-On top of it, :func:`track_gauges` folds a span recording into one
-gauge per hardware track, so a traced run yields partition busy%,
-channel-bus utilization, and per-PE run timelines with no extra
-instrumentation; :func:`request_depth_series` rebuilds the in-flight
-request-queue depth from the async request spans; and
-:func:`littles_law` cross-checks that depth against the measured
-latency (L = λ·W — the time-weighted mean depth must equal throughput
-times mean latency over the capture window, which for a fully captured
-run holds to float precision).
+* :func:`utilization_table` gives each hardware track's busy time — the
+  union of its span intervals clipped to the capture window
+  (:func:`merged_length`) — so a traced run yields partition busy%,
+  channel-bus utilization and per-PE run time with no extra
+  instrumentation.  A window the run never reached clips, and a
+  zero-duration window has utilization 0, never a division by zero.
+* :func:`request_depth_series` rebuilds the in-flight request-queue
+  depth from the async request spans as a
+  :class:`~repro.sim.stats.TimeSeries`.
+* :func:`littles_law` cross-checks that depth against the measured
+  latency (L = λ·W — the time-weighted mean depth must equal throughput
+  times mean latency over the capture window, which for a fully
+  captured run holds to float precision).
 """
 
 from __future__ import annotations
@@ -49,80 +49,6 @@ def merged_length(
             merged_hi = max(merged_hi, hi)
     pieces.append(merged_hi - merged_lo)
     return math.fsum(pieces)
-
-
-class IntervalGauge:
-    """Busy-interval accumulator with time-weighted sampling.
-
-    ``acquire``/``release`` track a (possibly nested) hold on a
-    resource; ``add_interval`` records a closed busy window directly.
-    Nested holds count once — occupancy is a union, not a sum.
-    """
-
-    def __init__(self, name: str = "gauge") -> None:
-        self.name = name
-        self._intervals: typing.List[typing.Tuple[float, float]] = []
-        self._depth = 0
-        self._since = 0.0
-
-    @property
-    def depth(self) -> int:
-        """Current nesting depth of open holds."""
-        return self._depth
-
-    @property
-    def interval_count(self) -> int:
-        """Closed busy intervals recorded so far."""
-        return len(self._intervals)
-
-    def acquire(self, now: float) -> None:
-        """Open (or nest) a hold starting at ``now``."""
-        if math.isnan(now):
-            raise ValueError("cannot acquire at NaN")
-        if self._depth == 0:
-            self._since = now
-        self._depth += 1
-
-    def release(self, now: float) -> None:
-        """Close one hold; the outermost close records the interval."""
-        if self._depth <= 0:
-            raise ValueError(f"gauge {self.name!r}: release without acquire")
-        self._depth -= 1
-        if self._depth == 0:
-            self.add_interval(self._since, now)
-
-    def add_interval(self, start: float, end: float) -> None:
-        """Record one closed busy window (zero-length windows drop)."""
-        if math.isnan(start) or math.isnan(end):
-            raise ValueError("cannot record a NaN interval")
-        if end < start:
-            raise ValueError(
-                f"gauge {self.name!r}: interval ends before it starts "
-                f"({start} -> {end})")
-        if end > start:
-            self._intervals.append((start, end))
-
-    def busy_ns(self, start: float, end: float) -> float:
-        """Union busy time inside [start, end].
-
-        Intervals extending past the window clip at its edges; an open
-        hold is sampled re-entrantly, clipped at ``end`` (the sim-end
-        clip: sampling mid-run never counts time that has not been
-        simulated yet).
-        """
-        if end <= start:
-            return 0.0
-        window = [(max(lo, start), min(hi, end))
-                  for lo, hi in self._intervals if hi > start and lo < end]
-        if self._depth > 0 and self._since < end:
-            window.append((max(self._since, start), end))
-        return merged_length(window)
-
-    def utilization(self, start: float, end: float) -> float:
-        """Busy fraction over [start, end] (0.0 for an empty window)."""
-        if end <= start:
-            return 0.0
-        return self.busy_ns(start, end) / (end - start)
 
 
 @dataclasses.dataclass
@@ -165,26 +91,6 @@ def _is_resource_track(track: str) -> bool:
                    for suffix in _QUEUE_TRACK_SUFFIXES)
 
 
-def track_gauges(spans: typing.Sequence[Span]
-                 ) -> typing.Dict[str, IntervalGauge]:
-    """One busy gauge per exclusive-resource track in ``spans``.
-
-    Queue-like tracks (``requests``, ``*.inflight``, ``psc``) are
-    excluded: their spans overlap by design, so busy% would saturate
-    meaninglessly.
-    """
-    gauges: typing.Dict[str, IntervalGauge] = {}
-    for span in spans:
-        if span.asynchronous or not _is_resource_track(span.track):
-            continue
-        gauge = gauges.get(span.track)
-        if gauge is None:
-            gauge = IntervalGauge(span.track)
-            gauges[span.track] = gauge
-        gauge.add_interval(span.start_ns, span.end_ns)
-    return gauges
-
-
 def capture_window(spans: typing.Sequence[Span]
                    ) -> typing.Tuple[float, float]:
     """The simulated window ``spans`` cover: (0, latest end).
@@ -202,21 +108,40 @@ def utilization_table(
         spans: typing.Sequence[Span],
         window: typing.Tuple[float, float] | None = None,
 ) -> typing.List[TrackUtilization]:
-    """Per-track busy time and utilization, busiest first."""
+    """Per-track busy time and utilization over ``window``, busiest first.
+
+    A track's busy time is the union of its spans clipped to the window
+    (the capture window by default).  Queue-like tracks (``requests``,
+    ``*.inflight``, ``psc``) are left out: their spans overlap by
+    design, so busy% would saturate meaninglessly.  A span that ends
+    before it starts or has a NaN bound raises ``ValueError``: spans
+    can come from a span-log file.
+    """
     if window is None:
         window = capture_window(spans)
     start, end = window
-    counts: typing.Dict[str, int] = {}
+    clipped: typing.Dict[str, typing.List[typing.Tuple[float, float]]] = {}
     for span in spans:
-        if not span.asynchronous and _is_resource_track(span.track):
-            counts[span.track] = counts.get(span.track, 0) + 1
+        if span.asynchronous or not _is_resource_track(span.track):
+            continue
+        lo, hi = span.start_ns, span.end_ns
+        if math.isnan(lo) or math.isnan(hi):
+            raise ValueError(
+                f"span {span.name!r} on {span.track!r} has a NaN bound")
+        if hi < lo:
+            raise ValueError(
+                f"span {span.name!r} on {span.track!r} ends before it "
+                f"starts ({lo} -> {hi})")
+        clipped.setdefault(span.track, []).append(
+            (max(lo, start), min(hi, end)))
+    length = end - start
     table = []
-    for track, gauge in track_gauges(spans).items():
-        busy = gauge.busy_ns(start, end)
+    for track, intervals in clipped.items():
+        busy = merged_length(intervals)
         table.append(TrackUtilization(
             track=track, busy_ns=busy,
-            utilization=gauge.utilization(start, end),
-            span_count=counts.get(track, 0)))
+            utilization=busy / length if length > 0 else 0.0,
+            span_count=len(intervals)))
     table.sort(key=lambda row: (-row.utilization, row.track))
     return table
 

@@ -15,9 +15,10 @@ burst absorption — was invisible.  This module adds the time axis:
   containers — so sharded runs merge byte-identically through
   :meth:`~repro.telemetry.metrics.MetricsRegistry.merge` with no extra
   machinery.
-* :class:`TimeWeightedTracker` turns instantaneous level changes
-  (queue depth, pairs in use, awake PEs) into per-window time-weighted
-  means.
+* :meth:`Sampler.track` records the per-window time-weighted mean of a
+  level the component already keeps as a :class:`TimeSeries` (queue
+  depth, pairs in use, store-buffer depth, awake PEs), read with
+  :meth:`~repro.sim.stats.TimeSeries.time_weighted_mean`.
 
 Window semantics
 ----------------
@@ -30,11 +31,8 @@ index (``(k+1) * w``), never by repeated addition, so long runs do not
 drift.  A partial final window (the run ends between boundaries) is
 **dropped** — it would average over less simulated time than every
 other sample and skew plots; run with ``until=`` landing on a boundary
-to flush it.
-
-With ``retention = R``, each series keeps only its most recent ``R``
-windows (a bounded ring for long service-layer runs); ``None`` retains
-everything.
+to flush it.  A run that ends inside its first window (fig12's two
+runs at the default 1 µs window) therefore records no window samples.
 """
 
 from __future__ import annotations
@@ -56,49 +54,6 @@ TIMESERIES_SCHEMA = "repro.timeseries/1"
 DEFAULT_WINDOW_NS = 1000.0
 
 
-class TimeWeightedTracker:
-    """Per-window time-weighted mean of an instantaneous level.
-
-    Components report *level changes* (:meth:`set_level` /
-    :meth:`adjust`) at the current simulated time; the owning
-    :class:`Sampler` closes each window and records the level's
-    time-weighted mean over it.  The engine advances the sampler before
-    event callbacks run, so every update arrives inside the currently
-    open window — the tracker never has to split an update across
-    boundaries.
-    """
-
-    def __init__(self, series: TimeSeries) -> None:
-        self.series = series
-        self._level = 0.0
-        self._area = 0.0
-        self._cursor = 0.0
-
-    @property
-    def level(self) -> float:
-        """The current instantaneous level."""
-        return self._level
-
-    def set_level(self, now: float, level: float) -> None:
-        """The level changed to ``level`` at simulated time ``now``."""
-        if now > self._cursor:
-            self._area += self._level * (now - self._cursor)
-            self._cursor = now
-        self._level = level
-
-    def adjust(self, now: float, delta: float) -> None:
-        """The level changed by ``delta`` at simulated time ``now``."""
-        self.set_level(now, self._level + delta)
-
-    def close(self, start: float, end: float) -> float:
-        """Finish the window ``[start, end)``; returns its mean level."""
-        self._area += self._level * (end - self._cursor)
-        mean = self._area / (end - start)
-        self._area = 0.0
-        self._cursor = end
-        return mean
-
-
 class Sampler(SamplerHook):
     """Engine-driven window closer for one simulator.
 
@@ -109,29 +64,26 @@ class Sampler(SamplerHook):
     ordinary metrics.
     """
 
-    def __init__(self, registry: MetricsRegistry, window_ns: float,
-                 retention: typing.Optional[int] = None) -> None:
+    def __init__(self, registry: MetricsRegistry, window_ns: float) -> None:
         if not window_ns > 0 or math.isinf(window_ns):
             raise ValueError(f"window must be positive/finite, got {window_ns}")
-        if retention is not None and retention < 1:
-            raise ValueError(f"retention must be >= 1, got {retention}")
         self.window_ns = window_ns
-        self.retention = retention
         self._registry = registry
         self._window_index = 0
         self._next_boundary = window_ns
-        self._trackers: typing.List[
-            typing.Tuple[TimeSeries, TimeWeightedTracker]] = []
+        self._tracks: typing.List[typing.Tuple[TimeSeries, TimeSeries]] = []
         self._watches: typing.List[
             typing.Tuple[TimeSeries, typing.Callable[[], float]]] = []
 
     # -- instrument registration ---------------------------------------
-    def track(self, path: str) -> TimeWeightedTracker:
-        """A tracker whose per-window means land at ``path``."""
-        series = self._registry.series(path)
-        tracker = TimeWeightedTracker(series)
-        self._trackers.append((series, tracker))
-        return tracker
+    def track(self, path: str, level: TimeSeries) -> None:
+        """Record ``level``'s time-weighted mean over each window at ``path``.
+
+        The engine advances the sampler before the callbacks at an
+        instant run, so a window closing at ``end`` never sees a level
+        change recorded at ``end``: it belongs to the next window.
+        """
+        self._tracks.append((self._registry.series(path), level))
 
     def watch_gauge(self, path: str,
                     read: typing.Callable[[], float]) -> None:
@@ -151,20 +103,12 @@ class Sampler(SamplerHook):
         while self._next_boundary <= now:
             start = self._window_index * window_ns
             end = self._next_boundary
-            for series, tracker in self._trackers:
-                series.record(start, tracker.close(start, end))
-                self._trim(series)
+            for series, level in self._tracks:
+                series.record(start, level.time_weighted_mean(start, end))
             for series, read in self._watches:
                 series.record(start, read())
-                self._trim(series)
             self._window_index += 1
             self._next_boundary = (self._window_index + 1) * window_ns
-
-    def _trim(self, series: TimeSeries) -> None:
-        retention = self.retention
-        if retention is not None and len(series.times) > retention:
-            del series.times[:-retention]
-            del series.values[:-retention]
 
 
 class SamplingConfig:
@@ -176,23 +120,17 @@ class SamplingConfig:
     sampling scope without a registry costs nothing.
     """
 
-    def __init__(self, window_ns: float = DEFAULT_WINDOW_NS,
-                 retention: typing.Optional[int] = None) -> None:
+    def __init__(self, window_ns: float = DEFAULT_WINDOW_NS) -> None:
         if not window_ns > 0 or math.isinf(window_ns):
             raise ValueError(f"window must be positive/finite, got {window_ns}")
         self.window_ns = window_ns
-        self.retention = retention
 
     def create_sampler(self) -> typing.Optional[Sampler]:
         """A fresh :class:`Sampler` bound to the ambient registry."""
         registry = current_metrics()
         if not registry.enabled:
             return None
-        return Sampler(registry, self.window_ns, self.retention)
-
-    def spec(self) -> typing.Tuple[float, typing.Optional[int]]:
-        """Hashable identity of the policy: ``(window_ns, retention)``."""
-        return (self.window_ns, self.retention)
+        return Sampler(registry, self.window_ns)
 
 
 # ----------------------------------------------------------------------

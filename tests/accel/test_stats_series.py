@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.accel import Accelerator, ComputeOp, LoadOp
-from repro.accel.accelerator import _state_residency, _sum_series
+from repro.accel.accelerator import _sum_series
 from repro.accel.pe import STATE_ACTIVE, STATE_IDLE, STATE_SLEEP
 from repro.energy import EnergyModel
 from repro.sim import TimeSeries
@@ -68,7 +68,7 @@ class TestStateResidency:
         activity.record(0.0, STATE_SLEEP)
         activity.record(10.0, STATE_IDLE)
         activity.record(30.0, STATE_ACTIVE)
-        residency = _state_residency(activity, 0.0, 50.0)
+        residency = activity.residency(0.0, 50.0)
         assert residency[STATE_SLEEP] == pytest.approx(10.0)
         assert residency[STATE_IDLE] == pytest.approx(20.0)
         assert residency[STATE_ACTIVE] == pytest.approx(20.0)
@@ -77,11 +77,11 @@ class TestStateResidency:
     def test_window_subset(self):
         activity = TimeSeries("pe")
         activity.record(0.0, STATE_ACTIVE)
-        residency = _state_residency(activity, 20.0, 30.0)
+        residency = activity.residency(20.0, 30.0)
         assert residency[STATE_ACTIVE] == pytest.approx(10.0)
 
     def test_empty_window(self):
-        residency = _state_residency(TimeSeries("pe"), 5.0, 5.0)
+        residency = TimeSeries("pe").residency(5.0, 5.0)
         assert sum(residency.values()) == 0.0
 
 

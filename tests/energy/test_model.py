@@ -38,24 +38,6 @@ class TestCharging:
         assert account.total_mj == pytest.approx(2.0)
 
 
-class TestSeries:
-    def test_power_series(self):
-        account = EnergyAccount()
-        account.sample_power(0.0, 5.0)
-        account.sample_power(100.0, 8.0)
-        assert account.power_series.value_at(50.0) == 5.0
-        assert account.power_series.value_at(150.0) == 8.0
-
-    def test_cumulative_series_tracks_total(self):
-        account = EnergyAccount()
-        account.charge("host", 10.0)
-        account.sample_cumulative(5.0)
-        account.charge("host", 10.0)
-        account.sample_cumulative(10.0)
-        assert account.cumulative_series.value_at(5.0) == 10.0
-        assert account.cumulative_series.value_at(10.0) == 20.0
-
-
 class TestModelDefaults:
     def test_pram_write_energy_exceeds_read(self):
         model = EnergyModel()

@@ -4,15 +4,27 @@ import types
 
 import pytest
 
-from repro.sim import KernelScope, Simulator, use_sampling
+from repro.sim import KernelScope, Simulator, TimeSeries, use_sampling
 from repro.sim.sampling import SamplerHook, current_sampling
 from repro.telemetry.metrics import MetricsRegistry, use_metrics
 from repro.telemetry.timeseries import Sampler, SamplingConfig
 
 
-def _sampler(window_ns=10.0, retention=None):
+def _sampler(window_ns=10.0):
     registry = MetricsRegistry()
-    return Sampler(registry, window_ns, retention), registry
+    return Sampler(registry, window_ns), registry
+
+
+def _tracked(sampler, path):
+    """A level series whose window means the sampler records at ``path``."""
+    level = TimeSeries("level")
+    sampler.track(path, level)
+    return level
+
+
+def _adjust(level, now, delta):
+    """The level changes by ``delta`` at ``now``."""
+    level.record(now, level.value_at(now) + delta)
 
 
 def _sampled(sampler, **scope):
@@ -58,12 +70,6 @@ class TestAmbientProvider:
             SamplingConfig(window_ns=0.0)
         with pytest.raises(ValueError):
             Sampler(MetricsRegistry(), window_ns=float("inf"))
-        with pytest.raises(ValueError):
-            Sampler(MetricsRegistry(), window_ns=10.0, retention=0)
-
-    def test_config_spec_is_hashable_identity(self):
-        assert SamplingConfig(250.0, 8).spec() == (250.0, 8)
-        assert hash(SamplingConfig(250.0).spec())
 
 
 class TestWindowSemantics:
@@ -71,13 +77,13 @@ class TestWindowSemantics:
         # Level 1 for 7 ns then 0 for 3 ns, each 10 ns window -> 0.7.
         sampler, registry = _sampler(window_ns=10.0)
         sim = _sampled(sampler)
-        tracker = sampler.track("q.depth")
+        level = _tracked(sampler, "q.depth")
 
         def duty():
             for _ in range(3):
-                tracker.adjust(sim.now, 1.0)
+                _adjust(level, sim.now, 1.0)
                 yield sim.timeout(7.0)
-                tracker.adjust(sim.now, -1.0)
+                _adjust(level, sim.now, -1.0)
                 yield sim.timeout(3.0)
 
         sim.process(duty())
@@ -93,11 +99,11 @@ class TestWindowSemantics:
         # [0, 10) window.
         sampler, registry = _sampler(window_ns=10.0)
         sim = _sampled(sampler)
-        tracker = sampler.track("q.depth")
+        level = _tracked(sampler, "q.depth")
 
         def jump():
             yield sim.timeout(10.0)
-            tracker.set_level(sim.now, 5.0)
+            level.record(sim.now, 5.0)
             yield sim.timeout(10.0)
 
         sim.process(jump())
@@ -109,10 +115,10 @@ class TestWindowSemantics:
     def test_partial_final_window_is_dropped(self):
         sampler, registry = _sampler(window_ns=10.0)
         sim = _sampled(sampler)
-        tracker = sampler.track("q.depth")
+        level = _tracked(sampler, "q.depth")
 
         def run():
-            tracker.set_level(sim.now, 1.0)
+            level.record(sim.now, 1.0)
             yield sim.timeout(25.0)  # ends mid-window
 
         sim.process(run())
@@ -123,10 +129,10 @@ class TestWindowSemantics:
     def test_run_until_flushes_trailing_windows(self):
         sampler, registry = _sampler(window_ns=10.0)
         sim = _sampled(sampler)
-        tracker = sampler.track("q.depth")
+        level = _tracked(sampler, "q.depth")
 
         def run():
-            tracker.set_level(sim.now, 2.0)
+            level.record(sim.now, 2.0)
             yield sim.timeout(5.0)  # last event at t=5
 
         sim.process(run())
@@ -153,29 +159,12 @@ class TestWindowSemantics:
         assert series.times == [0.0, 10.0, 20.0]
         assert series.values == [0.0, 4.0, 4.0]
 
-    def test_retention_keeps_only_the_most_recent_windows(self):
-        sampler, registry = _sampler(window_ns=10.0, retention=3)
-        sim = _sampled(sampler)
-        tracker = sampler.track("q.depth")
-
-        def run():
-            for level in range(10):
-                tracker.set_level(sim.now, float(level))
-                yield sim.timeout(10.0)
-
-        sim.process(run())
-        sim.run()
-        series = registry.series("q.depth")
-        assert len(series.times) == 3
-        assert series.times == [70.0, 80.0, 90.0]
-        assert series.values == pytest.approx([7.0, 8.0, 9.0])
-
     def test_no_drift_over_many_windows(self):
         # Boundaries come from an integer index, not repeated addition:
         # after 10k windows of 0.1 ns the boundary is still exact.
         sampler, registry = _sampler(window_ns=0.1)
         sim = _sampled(sampler)
-        sampler.track("q.depth")
+        _tracked(sampler, "q.depth")
 
         def run():
             yield sim.timeout(1000.0)
@@ -189,13 +178,13 @@ class TestWindowSemantics:
         def trace(tiebreak_seed):
             sampler, registry = _sampler(window_ns=10.0)
             sim = _sampled(sampler, tiebreak_seed=tiebreak_seed)
-            tracker = sampler.track("q.depth")
+            level = _tracked(sampler, "q.depth")
 
             def agent(delay):
                 yield sim.timeout(delay)
-                tracker.adjust(sim.now, 1.0)
+                _adjust(level, sim.now, 1.0)
                 yield sim.timeout(12.0)
-                tracker.adjust(sim.now, -1.0)
+                _adjust(level, sim.now, -1.0)
 
             for _ in range(4):  # four agents, same timestamps
                 sim.process(agent(4.0))

@@ -1,4 +1,4 @@
-"""Interval-gauge math: clipping, zero-duration runs, re-entrancy."""
+"""Span-derived gauges: busy-time clipping, zero-duration runs, depth."""
 
 import math
 
@@ -6,12 +6,10 @@ import pytest
 
 from repro.sim import Simulator
 from repro.telemetry.gauges import (
-    IntervalGauge,
     capture_window,
     littles_law,
     merged_length,
     request_depth_series,
-    track_gauges,
     utilization_table,
 )
 from repro.telemetry.tracer import RecordingTracer, use_tracer
@@ -34,108 +32,79 @@ def test_merged_length_empty_and_degenerate():
 
 
 # ----------------------------------------------------------------------
-# IntervalGauge basics
-# ----------------------------------------------------------------------
-def test_busy_ns_clips_at_window_edges():
-    gauge = IntervalGauge()
-    gauge.add_interval(0.0, 100.0)
-    assert gauge.busy_ns(25.0, 75.0) == 50.0
-    assert gauge.utilization(25.0, 75.0) == 1.0
-
-
-def test_interval_past_sim_end_clips():
-    # A span that ends after the sampling window (the sim-end clip).
-    gauge = IntervalGauge()
-    gauge.add_interval(80.0, 200.0)
-    assert gauge.busy_ns(0.0, 100.0) == 20.0
-    assert gauge.utilization(0.0, 100.0) == pytest.approx(0.2)
-
-
-def test_zero_duration_window_never_divides_by_zero():
-    gauge = IntervalGauge()
-    gauge.add_interval(0.0, 5.0)
-    assert gauge.busy_ns(3.0, 3.0) == 0.0
-    assert gauge.utilization(3.0, 3.0) == 0.0
-    assert gauge.utilization(5.0, 2.0) == 0.0
-
-
-def test_zero_length_interval_is_dropped():
-    gauge = IntervalGauge()
-    gauge.add_interval(4.0, 4.0)
-    assert gauge.interval_count == 0
-    assert gauge.busy_ns(0.0, 10.0) == 0.0
-
-
-def test_backwards_interval_raises():
-    gauge = IntervalGauge("g")
-    with pytest.raises(ValueError, match="ends before it starts"):
-        gauge.add_interval(10.0, 5.0)
-
-
-def test_nan_rejected():
-    gauge = IntervalGauge()
-    with pytest.raises(ValueError):
-        gauge.add_interval(float("nan"), 1.0)
-    with pytest.raises(ValueError):
-        gauge.acquire(float("nan"))
-
-
-# ----------------------------------------------------------------------
-# Re-entrant acquire/release and open-hold sampling
-# ----------------------------------------------------------------------
-def test_nested_holds_count_once():
-    gauge = IntervalGauge()
-    gauge.acquire(0.0)
-    gauge.acquire(2.0)     # nested: must not double-count
-    gauge.release(8.0)
-    gauge.release(10.0)    # outermost close records [0, 10]
-    assert gauge.depth == 0
-    assert gauge.busy_ns(0.0, 10.0) == 10.0
-
-
-def test_open_hold_sampled_reentrantly():
-    # Sampling while the hold is still open clips it at the sample end.
-    gauge = IntervalGauge()
-    gauge.add_interval(0.0, 10.0)
-    gauge.acquire(20.0)
-    assert gauge.depth == 1
-    assert gauge.busy_ns(0.0, 30.0) == 20.0     # 10 closed + 10 open
-    # A second sample at a later end sees more of the open hold, and
-    # the earlier sample did not mutate state.
-    assert gauge.busy_ns(0.0, 50.0) == 40.0
-    gauge.release(60.0)
-    assert gauge.busy_ns(0.0, 60.0) == 50.0
-
-
-def test_open_hold_overlapping_closed_interval_not_double_counted():
-    gauge = IntervalGauge()
-    gauge.add_interval(0.0, 30.0)
-    gauge.acquire(20.0)
-    assert gauge.busy_ns(0.0, 40.0) == 40.0
-
-
-def test_release_without_acquire_raises():
-    gauge = IntervalGauge("bus")
-    with pytest.raises(ValueError, match="release without acquire"):
-        gauge.release(1.0)
-
-
-# ----------------------------------------------------------------------
-# Span-derived gauges
+# Busy time: span intervals unioned and clipped to the window
 # ----------------------------------------------------------------------
 def _record(tracer, name, track, start, end, asynchronous=False, **args):
     tracer.emit(name, track, start, end, asynchronous=asynchronous, **args)
 
 
+def _busy(intervals, window, track="dev"):
+    """The one row ``utilization_table`` gives for spans on ``track``."""
+    tracer = RecordingTracer()
+    for start, end in intervals:
+        _record(tracer, "work", track, start, end)
+    (row,) = utilization_table(tracer.spans, window)
+    return row
+
+
+def test_busy_ns_clips_at_window_edges():
+    row = _busy([(0.0, 100.0)], (25.0, 75.0))
+    assert row.busy_ns == 50.0
+    assert row.utilization == 1.0
+
+
+def test_interval_past_sim_end_clips():
+    # A span that ends after the sampling window (the sim-end clip).
+    row = _busy([(80.0, 200.0)], (0.0, 100.0))
+    assert row.busy_ns == 20.0
+    assert row.utilization == pytest.approx(0.2)
+
+
+def test_zero_duration_window_never_divides_by_zero():
+    row = _busy([(0.0, 5.0)], (3.0, 3.0))
+    assert row.busy_ns == 0.0
+    assert row.utilization == 0.0
+    assert _busy([(0.0, 5.0)], (5.0, 2.0)).utilization == 0.0
+
+
+def test_zero_length_interval_is_dropped():
+    row = _busy([(4.0, 4.0)], (0.0, 10.0))
+    assert row.busy_ns == 0.0
+    assert row.utilization == 0.0
+
+
+def test_backwards_interval_raises():
+    with pytest.raises(ValueError, match="ends before it starts"):
+        _busy([(10.0, 5.0)], (0.0, 20.0), track="g")
+
+
+def test_nan_rejected():
+    with pytest.raises(ValueError):
+        _busy([(float("nan"), 1.0)], (0.0, 10.0))
+    with pytest.raises(ValueError):
+        _busy([(0.0, float("nan"))], (0.0, 10.0))
+
+
+def test_nested_holds_count_once():
+    # A span nested inside another on the same track: busy time is a
+    # union, not a sum.
+    row = _busy([(0.0, 10.0), (2.0, 8.0)], (0.0, 10.0))
+    assert row.busy_ns == 10.0
+    assert row.span_count == 2
+
+
+# ----------------------------------------------------------------------
+# Span-derived views
+# ----------------------------------------------------------------------
 def test_track_gauges_excludes_queue_tracks():
     tracer = RecordingTracer()
     _record(tracer, "read_burst", "ch0.bus", 0.0, 10.0)
     _record(tracer, "read_chunk", "ch0.inflight", 0.0, 50.0,
             asynchronous=True)
     _record(tracer, "read 0x0", "requests", 0.0, 60.0, asynchronous=True)
-    gauges = track_gauges(tracer.spans)
-    assert set(gauges) == {"ch0.bus"}
-    assert gauges["ch0.bus"].busy_ns(0.0, 60.0) == 10.0
+    table = utilization_table(tracer.spans, (0.0, 60.0))
+    assert [row.track for row in table] == ["ch0.bus"]
+    assert table[0].busy_ns == 10.0
 
 
 def test_capture_window_empty_run():
@@ -202,7 +171,7 @@ def test_gauges_from_live_simulation():
 
         sim.process(worker())
         sim.run()
-    gauges = track_gauges(tracer.spans)
-    assert gauges["dev.lane"].utilization(0.0, sim.now) == pytest.approx(
-        0.4)
+    (row,) = utilization_table(tracer.spans, (0.0, sim.now))
+    assert row.track == "dev.lane"
+    assert row.utilization == pytest.approx(0.4)
     assert math.isclose(capture_window(tracer.spans)[1], 40.0)

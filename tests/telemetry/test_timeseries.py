@@ -13,7 +13,6 @@ from repro.telemetry.timeseries import (
     TIMESERIES_SCHEMA,
     Sampler,
     SamplingConfig,
-    TimeWeightedTracker,
     export_document,
     heatline,
     load_timeseries,
@@ -24,34 +23,54 @@ from repro.telemetry.timeseries import (
 )
 
 
+def _tracked(window_ns=10.0):
+    """A sampler averaging one level series into ``q`` per window."""
+    registry = MetricsRegistry()
+    sampler = Sampler(registry, window_ns)
+    level = TimeSeries("level")
+    sampler.track("q", level)
+    return sampler, level, registry.series("q")
+
+
+def _adjust(level, now, delta):
+    """The level changes by ``delta`` at ``now``."""
+    level.record(now, level.value_at(now) + delta)
+
+
 class TestTimeWeightedTracker:
+    """``Sampler.track``: a level series' time-weighted window means."""
+
     def test_constant_level(self):
-        tracker = TimeWeightedTracker(TimeSeries())
-        tracker.set_level(0.0, 3.0)
-        assert tracker.close(0.0, 10.0) == pytest.approx(3.0)
+        sampler, level, means = _tracked()
+        level.record(0.0, 3.0)
+        sampler.advance(10.0)
+        assert means.values == pytest.approx([3.0])
 
     def test_mid_window_change(self):
-        tracker = TimeWeightedTracker(TimeSeries())
-        tracker.set_level(0.0, 2.0)
-        tracker.set_level(5.0, 4.0)
+        sampler, level, means = _tracked()
+        level.record(0.0, 2.0)
+        level.record(5.0, 4.0)
+        sampler.advance(10.0)
         # [0,5): 2, [5,10): 4 -> mean 3.
-        assert tracker.close(0.0, 10.0) == pytest.approx(3.0)
+        assert means.values == pytest.approx([3.0])
 
     def test_level_carries_across_windows(self):
-        tracker = TimeWeightedTracker(TimeSeries())
-        tracker.adjust(0.0, 6.0)
-        tracker.close(0.0, 10.0)
+        sampler, level, means = _tracked()
+        _adjust(level, 0.0, 6.0)
+        sampler.advance(10.0)
         # No updates in the second window: the level persists.
-        assert tracker.close(10.0, 20.0) == pytest.approx(6.0)
-        assert tracker.level == 6.0
+        sampler.advance(20.0)
+        assert means.values[1] == pytest.approx(6.0)
+        assert level.value_at(20.0) == 6.0
 
     def test_adjust_is_relative(self):
-        tracker = TimeWeightedTracker(TimeSeries())
-        tracker.adjust(0.0, 2.0)
-        tracker.adjust(0.0, 2.0)
-        tracker.adjust(5.0, -3.0)
+        sampler, level, means = _tracked()
+        _adjust(level, 0.0, 2.0)
+        _adjust(level, 0.0, 2.0)
+        _adjust(level, 5.0, -3.0)
+        sampler.advance(10.0)
         # [0,5): 4, [5,10): 1 -> mean 2.5.
-        assert tracker.close(0.0, 10.0) == pytest.approx(2.5)
+        assert means.values == pytest.approx([2.5])
 
 
 def _sampled_run(window_ns=500.0):
@@ -70,6 +89,30 @@ def _sampled_run(window_ns=500.0):
         sim.process(driver())
         sim.run()
     return registry
+
+
+class TestWindowMeansMatchLevels:
+    def test_window_samples_equal_the_level_series_means(self):
+        # 32 reads submitted at once keep several in flight, so queue
+        # depth and pair occupancy change many times inside a window.
+        registry = MetricsRegistry()
+        with use_metrics(registry), use_sampling(SamplingConfig(500.0)):
+            sim = Simulator()
+            subsystem = PramSubsystem(sim)
+            for index in range(32):
+                sim.process(subsystem.submit(
+                    MemoryRequest(Op.READ, index * 512, 512)))
+            sim.run()
+        depth = registry.series("subsys.queue_depth")
+        assert max(depth.values) > 1
+        tracked = [(registry.series("subsys.window.inflight"), depth)] + [
+            (registry.series(f"pram.ch{ch}.window.pairs_in_use"),
+             registry.series(f"pram.ch{ch}.pairs_in_use"))
+            for ch in range(len(subsystem.channels))]
+        for means, level in tracked:
+            assert means.times
+            for start, mean in zip(means.times, means.values):
+                assert mean == level.time_weighted_mean(start, start + 500.0)
 
 
 class TestExportDocument:
