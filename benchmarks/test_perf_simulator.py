@@ -38,15 +38,15 @@ def test_perf_subsystem_read_stream(benchmark, bench_record):
                  better="lower", unit="ns")
 
 
-def test_perf_hostprof_attribution(bench_record):
+def test_perf_hostprof_attribution():
     """The profiler's buckets must tile measured ``run()`` wall clock.
 
     The attribution model is a continuous timeline — dispatch segments
     plus the kernel gaps between them — so the bucket sum should cover
     at least 95% of an external stopwatch around the same drains
     (the remainder is the hook's own clock reads).  Also gates the
-    speedscope export's structural validity and feeds the advisory
-    ``host_ns.*`` aggregates into the BENCH trajectory.
+    speedscope export's structural validity.  Host time stays out of
+    the BENCH trajectory: these two asserts are the gate.
     """
     profiler = HostProfiler()
     with use_hostprof(profiler):
@@ -71,11 +71,6 @@ def test_perf_hostprof_attribution(bench_record):
     assert all(all(field for field in key) for key in profiler.buckets)
     document = speedscope_document(profiler)
     assert validate_speedscope(document) == []
-    for name, metric in profiler.bench_metrics().items():
-        bench_record(name, metric.value, better=metric.better,
-                     unit=metric.unit)
-    bench_record("hostprof.attributed_fraction", fraction,
-                 better="higher", unit="ratio")
 
 
 def test_perf_event_kernel(benchmark):

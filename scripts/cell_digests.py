@@ -23,6 +23,13 @@ by ``repr``.  Two trees give equal output exactly when every simulated
 result is the same, to the last bit of every float.  ``diff`` the
 output of two trees to see which cells moved.
 
+Because every attribute counts, a digest also moves when a result
+object gains or loses an attribute, even an empty container that
+nothing records into.  A change that deletes such a container has to
+compare against the parent's digests from a copy of this script that
+skips the deleted attribute; the stock script disagrees although every
+simulated value is equal.
+
 The ``repro`` package on ``PYTHONPATH`` is the one measured, so one
 copy of the script can digest any checkout; without it the script uses
 the ``src/`` tree next to it.

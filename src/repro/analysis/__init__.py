@@ -22,11 +22,10 @@ Four pillars, each usable on its own:
 * :mod:`repro.analysis.racecheck` — a dynamic happens-before sanitizer
   for same-timestamp races (W/W and R/W conflicts whose outcome the
   kernel tie-break order decides) and the tie-break shuffle oracle
-  that certifies workloads as tie-break independent, stamping the
-  certificate into BENCH provenance.
+  that certifies workloads as tie-break independent.
 
 Command line: ``python -m repro.analysis [paths ...]`` lints a source
-tree (``--format github``/``sarif`` for CI annotation), ``--trace
+tree (``--format github`` for CI annotation), ``--trace
 FILE`` replays a recorded command trace through the conformance
 checker, and ``--shuffle EXPERIMENT[,...]`` runs the shuffle oracle.
 """

@@ -13,31 +13,21 @@ Three modes:
   tie-break shuffle oracle over named experiments (quick config): each
   is executed once in FIFO order and ``--runs`` more times with seeded
   same-timestamp permutations; any byte-level divergence of the report
-  fails the check.  ``--attest BENCH.json`` stamps the resulting
-  ``tiebreak_independent`` certificate into an existing BENCH artifact.
+  fails the check.  CI runs it on fig12 and the tables, so its exit
+  status is the record of their tie-break independence.
 
-Lint and conformance support ``--format json``; lint additionally
-supports ``--format github`` (workflow error annotations) and
-``--format sarif`` (SARIF 2.1.0 for code-scanning upload).
+Lint output is plain text, or ``--format github`` for workflow error
+annotations (CI's lint step).
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
 import sys
 import typing
 
 from repro.analysis.conformance import check_trace, load_trace
 from repro.analysis.lint import LintViolation, lint_paths
-
-#: Tool metadata stamped into SARIF output.
-_SARIF_TOOL = {
-    "name": "repro.analysis",
-    "informationUri": "https://example.invalid/repro",
-    "rules": [],
-}
 
 
 def _github_annotations(findings: typing.Sequence[LintViolation]) -> str:
@@ -50,44 +40,15 @@ def _github_annotations(findings: typing.Sequence[LintViolation]) -> str:
     return "\n".join(lines)
 
 
-def _sarif_document(findings: typing.Sequence[LintViolation]
-                    ) -> typing.Dict[str, typing.Any]:
-    """Minimal SARIF 2.1.0 log for code-scanning ingestion."""
-    rules = sorted({f.code for f in findings})
-    driver = dict(_SARIF_TOOL)
-    driver["rules"] = [{"id": code} for code in rules]
-    results = [
-        {
-            "ruleId": f.code,
-            "level": "error",
-            "message": {"text": f.message},
-            "locations": [{
-                "physicalLocation": {
-                    "artifactLocation": {"uri": f.path},
-                    "region": {"startLine": max(1, f.line)},
-                },
-            }],
-        }
-        for f in findings
-    ]
-    return {
-        "$schema": ("https://raw.githubusercontent.com/oasis-tcs/"
-                    "sarif-spec/master/Schemata/sarif-schema-2.1.0.json"),
-        "version": "2.1.0",
-        "runs": [{"tool": {"driver": driver}, "results": results}],
-    }
-
-
-def _run_shuffle(subjects: typing.Sequence[str], runs: int, seed: int,
-                 attest_path: str | None, output: str) -> int:
-    """Shuffle-oracle mode: certify experiments, optionally stamping."""
+def _run_shuffle(subjects: typing.Sequence[str], runs: int,
+                 seed: int) -> int:
+    """Shuffle-oracle mode: certify each experiment, print the verdicts."""
     # Imported lazily: the lint/conformance paths must not pay for the
     # full experiments stack (engine, devices, workloads).
     from repro.analysis.racecheck import certify_tiebreak_independence
     from repro.controller.request import reset_request_ids
     from repro.experiments import cli as experiments_cli
     from repro.experiments.runner import ExperimentConfig
-    from repro.telemetry.bench import stamp_provenance
 
     unknown = [name for name in subjects
                if name not in experiments_cli.EXPERIMENTS]
@@ -108,25 +69,13 @@ def _run_shuffle(subjects: typing.Sequence[str], runs: int, seed: int,
             return figure_fn(config)
         return workload
 
-    certificates = []
-    for name in subjects:
-        certificate = certify_tiebreak_independence(
+    certificates = [
+        certify_tiebreak_independence(
             make_workload(name), subject=name, runs=runs, seed=seed)
-        certificates.append(certificate)
-    independent = all(cert.independent for cert in certificates)
-    if output == "json":
-        print(json.dumps([dataclasses.asdict(cert)
-                          for cert in certificates], indent=2))
-    else:
-        for cert in certificates:
-            print(cert.summary())
-    if attest_path is not None:
-        payload = {cert.subject: cert.to_provenance()
-                   for cert in certificates}
-        stamp_provenance(attest_path, "tiebreak_independent", payload)
-        if output != "json":
-            print(f"stamped tiebreak_independent into {attest_path}")
-    return 0 if independent else 1
+        for name in subjects]
+    for cert in certificates:
+        print(cert.summary())
+    return 0 if all(cert.independent for cert in certificates) else 1
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -154,13 +103,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=0,
         help="base shuffle seed for --shuffle (default: 0)")
     parser.add_argument(
-        "--attest", metavar="BENCH.json", default=None,
-        help="stamp the --shuffle certificates into an existing "
-             "BENCH artifact's provenance")
-    parser.add_argument(
-        "--format", choices=("text", "json", "github", "sarif"),
-        default="text",
-        help="output format (github/sarif: lint mode only)")
+        "--format", choices=("text", "github"), default="text",
+        help="lint output format (github: workflow annotations)")
     return parser
 
 
@@ -174,33 +118,19 @@ def main(argv: typing.Sequence[str] | None = None) -> int:
             return 2
         subjects = [name.strip() for name in args.shuffle.split(",")
                     if name.strip()]
-        return _run_shuffle(subjects, args.runs, args.seed, args.attest,
-                            args.format)
+        return _run_shuffle(subjects, args.runs, args.seed)
 
     if args.trace is not None:
         violations = check_trace(load_trace(args.trace))
-        if args.format == "json":
-            payload = [
-                {"reason": v.reason, "record": v.record.to_dict()}
-                for v in violations
-            ]
-            print(json.dumps(payload, indent=2))
-        else:
-            for violation in violations:
-                print(violation)
-            print(f"{len(violations)} protocol violation(s) in "
-                  f"{args.trace}")
+        for violation in violations:
+            print(violation)
+        print(f"{len(violations)} protocol violation(s) in {args.trace}")
         return 1 if violations else 0
 
     paths = args.paths or ["src/repro"]
     findings = lint_paths(paths)
-    if args.format == "json":
-        print(json.dumps([dataclasses.asdict(f) for f in findings],
-                         indent=2))
-    elif args.format == "github":
+    if args.format == "github":
         print(_github_annotations(findings))
-    elif args.format == "sarif":
-        print(json.dumps(_sarif_document(findings), indent=2))
     else:
         for finding in findings:
             print(finding)

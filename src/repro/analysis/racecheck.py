@@ -27,12 +27,12 @@ the two oracles that make the independence claim checkable:
     K more times with seeded random permutations of every
     same-timestamp batch (:func:`repro.sim.use_tiebreak`), and diffs a
     canonical byte-level fingerprint of the final stats.  Byte-identical
-    fingerprints across all runs *certify* tie-break independence (and
-    stamp a ``tiebreak_independent`` attestation into BENCH
-    provenance); a mismatch *refutes* it and pinpoints the first
-    divergence.  The two oracles compose: the sanitizer names the
-    racing access, the shuffle decides whether the race is observable
-    in the stats.
+    fingerprints across all runs *certify* tie-break independence; a
+    mismatch *refutes* it and pinpoints the first divergence.  CI's
+    ``python -m repro.analysis --shuffle`` step is the record of which
+    experiments hold the certificate.  The two oracles compose: the
+    sanitizer names the racing access, the shuffle decides whether the
+    race is observable in the stats.
 
 Happens-before model
 --------------------
@@ -61,7 +61,6 @@ import sys
 import typing
 
 from repro.sim.sanitizer import KernelSanitizer, use_sanitizer, use_tiebreak
-from repro.telemetry.bench import record_attestation
 
 if typing.TYPE_CHECKING:  # pragma: no cover - typing-only imports
     from repro.sim.event import Event
@@ -496,20 +495,6 @@ class TieBreakCertificate:
     digest: str
     mismatches: typing.Tuple[TieBreakMismatch, ...]
 
-    def to_provenance(self) -> typing.Dict[str, typing.Any]:
-        """The ``tiebreak_independent`` BENCH provenance block."""
-        payload: typing.Dict[str, typing.Any] = {
-            "subject": self.subject,
-            "independent": self.independent,
-            "runs": self.runs,
-            "base_seed": self.base_seed,
-            "digest": self.digest,
-        }
-        if self.mismatches:
-            payload["mismatch_seeds"] = [
-                mismatch.seed for mismatch in self.mismatches]
-        return payload
-
     def summary(self) -> str:
         """One-paragraph human rendering."""
         if self.independent:
@@ -534,7 +519,6 @@ def certify_tiebreak_independence(
         seed: int = 0,
         fingerprint: typing.Callable[[typing.Any],
                                      str] = canonical_fingerprint,
-        attest: bool = True,
 ) -> TieBreakCertificate:
     """Empirically certify (or refute) tie-break independence.
 
@@ -543,11 +527,6 @@ def certify_tiebreak_independence(
     the ``fingerprint`` of each return value byte-for-byte against the
     FIFO run.  ``workload`` must be self-contained (build its own
     simulator per call — the same contract as the determinism harness).
-
-    With ``attest`` (default), the certificate is recorded as the
-    ``tiebreak_independent`` attestation, which
-    :func:`repro.telemetry.bench.collect_provenance` stamps into every
-    BENCH report written afterwards in this process.
     """
     if runs < 1:
         raise ValueError(f"need at least 1 shuffled run, got {runs}")
@@ -561,14 +540,10 @@ def certify_tiebreak_independence(
             mismatches.append(TieBreakMismatch(
                 seed=run_seed,
                 divergence=_first_divergence(baseline, candidate)))
-    certificate = TieBreakCertificate(
+    return TieBreakCertificate(
         subject=subject,
         runs=runs,
         base_seed=seed,
         independent=not mismatches,
         digest=hashlib.sha256(baseline.encode("utf-8")).hexdigest()[:16],
         mismatches=tuple(mismatches))
-    if attest:
-        record_attestation("tiebreak_independent",
-                           certificate.to_provenance())
-    return certificate

@@ -13,12 +13,10 @@ from repro.experiments.runner import (
     EVAL_WORKLOADS,
     ExperimentConfig,
     format_table,
-    run_matrix,
 )
 
 __all__ = [
     "EVAL_WORKLOADS",
     "ExperimentConfig",
     "format_table",
-    "run_matrix",
 ]

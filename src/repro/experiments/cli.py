@@ -31,12 +31,11 @@ per experiment (``profile.txt``) and all of it as one self-contained
 HTML page (``dashboard.html``).
 ``--hostprof OUT`` attributes *host* wall-clock to (component, process,
 phase, event-kind) buckets at event-dispatch granularity and exports a
-flamegraph: speedscope JSON by default (load at https://speedscope.app
-or view with ``python -m repro.telemetry flame OUT``), collapsed-stack
-text when OUT ends in ``.collapsed``/``.txt``.  It is a switch of its
-own because recording inflates the host time it measures, and it
-cannot be combined with ``--cache``: host time is measured in the run
-that reports it.
+speedscope JSON flamegraph to OUT (load it at https://speedscope.app or
+view it with ``python -m repro.telemetry flame OUT``).  It is a switch
+of its own because recording inflates the host time it measures, and
+it cannot be combined with ``--cache``: host time is measured in the
+run that reports it.
 """
 
 from __future__ import annotations
@@ -60,7 +59,7 @@ from repro.telemetry import (
     render_html,
     render_summary,
     render_text,
-    write_hostprof,
+    write_speedscope,
 )
 from repro.experiments import (
     fig01_motivation,
@@ -212,9 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--hostprof", metavar="OUT", default=None,
                             help="profile host wall-clock per (component, "
                                  "process, phase, event-kind) bucket and "
-                                 "export a flamegraph to OUT (speedscope "
-                                 "JSON; .collapsed/.txt for collapsed "
-                                 "stacks); view with 'python -m "
+                                 "export a speedscope JSON flamegraph to "
+                                 "OUT; view with 'python -m "
                                  "repro.telemetry flame OUT'")
     return parser
 
@@ -385,8 +383,8 @@ def main(argv: typing.Sequence[str] | None = None) -> int:
             hostprof)
         print(f"observation written to {args.observe}")
     if hostprof is not None:
-        kind = write_hostprof(hostprof, args.hostprof)
-        print(f"host profile ({kind}) written to {args.hostprof}")
+        write_speedscope(hostprof, args.hostprof)
+        print(f"host profile (speedscope) written to {args.hostprof}")
         print(render_summary(hostprof))
     return 0
 

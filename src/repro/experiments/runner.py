@@ -1,15 +1,17 @@
-"""Shared experiment configuration and execution matrix.
+"""Shared experiment configuration, cells and the execution matrix.
 
-Telemetry is ambient: run any of this (``run_matrix`` included) inside
-``Telemetry().activate()`` — or pass ``--observe DIR`` to the CLI —
-and every simulator, channel, PE and link built during the runs
-records into the active tracer/registry; no extra plumbing here.
+The matrix is a list of cells (:func:`matrix_cells`) that
+:func:`repro.experiments.parallel.run_cells` runs, and
+:func:`matrix_of` is its ``matrix[workload][system]`` view.  Telemetry
+is ambient: run the cells inside ``Telemetry().activate()`` — or pass
+``--observe DIR`` to the CLI — and every simulator, channel, PE and
+link built during the runs records into the active tracer/registry; no
+extra plumbing here.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
 import typing
 
 from repro.accel import AcceleratorConfig
@@ -91,23 +93,6 @@ QUICK = ExperimentConfig(scale=0.05, agents=3,
                          workloads=("gemver", "doitg"))
 
 
-def require_cells(workloads: typing.Sequence[str],
-                  systems: typing.Sequence[str]) -> None:
-    """Reject an empty execution matrix, naming the offending axis.
-
-    An empty axis would silently produce an empty matrix (and empty
-    figures downstream); fail loudly with the matrix key instead.
-    """
-    if not workloads:
-        raise ValueError(
-            "run_matrix: empty cell list on matrix key 'workloads' — "
-            "nothing to run")
-    if not systems:
-        raise ValueError(
-            "run_matrix: empty cell list on matrix key 'systems' — "
-            "nothing to run")
-
-
 @dataclasses.dataclass(frozen=True)
 class Cell:
     """One unit of simulation, ``function(config, *args)``, named ``key``
@@ -142,29 +127,6 @@ def matrix_of(results: typing.Mapping[str, typing.Any],
     return {workload_name: {
         system_name: results[f"matrix/{workload_name}/{system_name}"]
         for system_name in systems} for workload_name in workloads}
-
-
-def run_matrix(config: ExperimentConfig,
-               systems: typing.Sequence[str],
-               workloads: typing.Sequence[str] | None = None,
-               *,
-               jobs: int = 1,
-               cache_dir: typing.Union[str, "os.PathLike[str]", None] = None,
-               ) -> typing.Dict[str, typing.Dict[str, ExecutionResult]]:
-    """Run every (workload, system) pair.
-
-    Returns ``matrix[workload][system] -> ExecutionResult``.  The cells
-    go through :func:`repro.experiments.parallel.run_cells`: ``jobs`` > 1
-    shards them across a process pool, ``cache_dir`` replays unchanged
-    ones from the content-addressed result cache, and either way
-    results and telemetry merge in cell order.
-    """
-    from repro.experiments import parallel
-    chosen = tuple(workloads) if workloads is not None else config.workloads
-    require_cells(chosen, systems)
-    run = parallel.run_cells({"": matrix_cells(chosen, systems)}, config,
-                             jobs=jobs, cache_dir=cache_dir)
-    return matrix_of(run.results, chosen, systems)
 
 
 def format_table(headers: typing.Sequence[str],

@@ -30,21 +30,62 @@ import typing
 
 from repro.telemetry.metrics import Counter, current_metrics
 
-#: Fields parsed from ``--faults`` key=value specs: alias -> (field,
-#: converter).  Full field names are accepted too.
-_PLAN_KEYS: typing.Dict[str, typing.Tuple[str, typing.Callable]] = {
-    "seed": ("seed", int),
-    "read_flip": ("read_flip_probability", float),
-    "double_flip": ("read_double_flip_probability", float),
-    "program_fail": ("program_fail_probability", float),
-    "wear_factor": ("wear_fail_factor", float),
-    "endurance": ("endurance_budget", int),
-    "stall": ("partition_stall_probability", float),
-    "stall_ns": ("partition_stall_ns", float),
-    "retries": ("max_program_retries", int),
-    "backoff_ns": ("retry_backoff_ns", float),
-    "spares": ("spare_rows_per_partition", int),
+#: Keys of ``--faults`` key=value specs: alias -> field.  Full field
+#: names are accepted too.
+_PLAN_KEYS: typing.Dict[str, str] = {
+    "seed": "seed",
+    "read_flip": "read_flip_probability",
+    "double_flip": "read_double_flip_probability",
+    "program_fail": "program_fail_probability",
+    "wear_factor": "wear_fail_factor",
+    "endurance": "endurance_budget",
+    "stall": "partition_stall_probability",
+    "stall_ns": "partition_stall_ns",
+    "retries": "max_program_retries",
+    "backoff_ns": "retry_backoff_ns",
+    "spares": "spare_rows_per_partition",
 }
+
+
+def parse_plan(cls: type, spec: str, kind: str,
+               aliases: typing.Mapping[str, str]
+               ) -> typing.Dict[str, typing.Any]:
+    """Field values of dataclass ``cls`` from a ``key=value,...`` spec.
+
+    A key is an alias from ``aliases`` or a full field name, and each
+    value converts by its field's declared type: ``int`` (also
+    ``Optional[int]``), ``str``, or ``float`` for every other field.
+    Raises :class:`ValueError` naming the offending key or field on any
+    nonsense input; ``kind`` (``"fault-plan"``, ``"service-plan"``)
+    prefixes the messages.
+    """
+    spec = spec.strip()
+    if not spec:
+        raise ValueError(f"empty {kind} spec")
+    types = typing.get_type_hints(cls)
+    values: typing.Dict[str, typing.Any] = {}
+    for item in spec.split(","):
+        item = item.strip()
+        if not item:
+            continue
+        key, sep, raw = item.partition("=")
+        key = key.strip()
+        if not sep:
+            raise ValueError(f"{kind} entry {item!r} is not key=value")
+        field = aliases.get(key, key)
+        if field not in types:
+            known = ", ".join(sorted(aliases))
+            raise ValueError(f"unknown {kind} key {key!r} (known: {known})")
+        hint = types[field]
+        convert: typing.Callable[[str], typing.Any] = (
+            int if int in (hint, *typing.get_args(hint))
+            else str if hint is str else float)
+        try:
+            values[field] = convert(raw.strip())
+        except ValueError:
+            raise ValueError(
+                f"{field} expects a number, got {raw.strip()!r}") from None
+    return values
 
 
 @dataclasses.dataclass(frozen=True)
@@ -147,39 +188,7 @@ class FaultConfig:
         or full field names.  Raises :class:`ValueError` naming the
         offending key or field on any nonsense input.
         """
-        spec = spec.strip()
-        if not spec:
-            raise ValueError("empty fault-plan spec")
-        fields = {f.name: f for f in dataclasses.fields(cls)}
-        values: typing.Dict[str, typing.Any] = {}
-        for item in spec.split(","):
-            item = item.strip()
-            if not item:
-                continue
-            key, sep, raw = item.partition("=")
-            key = key.strip()
-            if not sep:
-                raise ValueError(
-                    f"fault-plan entry {item!r} is not key=value")
-            if key in _PLAN_KEYS:
-                field, convert = _PLAN_KEYS[key]
-            elif key in fields:
-                field = key
-                convert = (int if key in ("seed", "endurance_budget",
-                                          "max_program_retries",
-                                          "spare_rows_per_partition")
-                           else float)
-            else:
-                known = ", ".join(sorted(_PLAN_KEYS))
-                raise ValueError(
-                    f"unknown fault-plan key {key!r} (known: {known})")
-            try:
-                values[field] = convert(raw.strip())
-            except ValueError:
-                raise ValueError(
-                    f"{field} expects a number, got {raw.strip()!r}"
-                ) from None
-        return cls(**values)
+        return cls(**parse_plan(cls, spec, "fault-plan", _PLAN_KEYS))
 
 
 def compose_service_retries(budget: int,

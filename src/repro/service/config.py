@@ -21,6 +21,8 @@ import dataclasses
 import math
 import typing
 
+from repro.faults.plan import parse_plan
+
 #: Arrival processes the service layer can synthesize.
 ARRIVAL_KINDS: typing.Tuple[str, ...] = ("poisson", "mmpp", "diurnal")
 
@@ -56,50 +58,44 @@ def tenant_class(tenant: int) -> TenantClass:
     return TENANT_CLASSES[tenant % len(TENANT_CLASSES)]
 
 
-#: Fields parsed from ``--service`` key=value specs: alias -> (field,
-#: converter).  Full field names are accepted too.
-_PLAN_KEYS: typing.Dict[str, typing.Tuple[str, typing.Callable]] = {
-    "seed": ("seed", int),
-    "tenants": ("tenants", int),
-    "arrival": ("arrival", str),
-    "rate_rps": ("rate_rps", float),
-    "rate": ("rate_rps", float),
-    "duration": ("duration_ns", float),
-    "duration_ns": ("duration_ns", float),
-    "queue": ("queue_depth", int),
-    "queue_depth": ("queue_depth", int),
-    "deadline": ("deadline_ns", float),
-    "deadline_ns": ("deadline_ns", float),
-    "retries": ("retry_budget", int),
-    "retry_budget": ("retry_budget", int),
-    "backoff": ("retry_backoff_ns", float),
-    "backoff_ns": ("retry_backoff_ns", float),
-    "multiplier": ("backoff_multiplier", float),
-    "workers": ("workers", int),
-    "size": ("request_bytes", int),
-    "request_bytes": ("request_bytes", int),
-    "read": ("read_fraction", float),
-    "read_fraction": ("read_fraction", float),
-    "footprint": ("footprint_bytes", int),
-    "burst_factor": ("burst_factor", float),
-    "burst_fraction": ("burst_fraction", float),
-    "burst_ns": ("burst_ns", float),
-    "diurnal_period_ns": ("diurnal_period_ns", float),
-    "diurnal_amplitude": ("diurnal_amplitude", float),
-    "rogue_tenants": ("rogue_tenants", int),
-    "rogue_factor": ("rogue_factor", float),
-    "brownout_high": ("brownout_high", float),
-    "brownout_low": ("brownout_low", float),
-    "sweep_ns": ("sweep_interval_ns", float),
-    "sweep_interval_ns": ("sweep_interval_ns", float),
-    "shared_queue": ("shared_queue", int),
+#: Keys of ``--service`` key=value specs: alias -> field.  Full field
+#: names are accepted too.
+_PLAN_KEYS: typing.Dict[str, str] = {
+    "seed": "seed",
+    "tenants": "tenants",
+    "arrival": "arrival",
+    "rate_rps": "rate_rps",
+    "rate": "rate_rps",
+    "duration": "duration_ns",
+    "duration_ns": "duration_ns",
+    "queue": "queue_depth",
+    "queue_depth": "queue_depth",
+    "deadline": "deadline_ns",
+    "deadline_ns": "deadline_ns",
+    "retries": "retry_budget",
+    "retry_budget": "retry_budget",
+    "backoff": "retry_backoff_ns",
+    "backoff_ns": "retry_backoff_ns",
+    "multiplier": "backoff_multiplier",
+    "workers": "workers",
+    "size": "request_bytes",
+    "request_bytes": "request_bytes",
+    "read": "read_fraction",
+    "read_fraction": "read_fraction",
+    "footprint": "footprint_bytes",
+    "burst_factor": "burst_factor",
+    "burst_fraction": "burst_fraction",
+    "burst_ns": "burst_ns",
+    "diurnal_period_ns": "diurnal_period_ns",
+    "diurnal_amplitude": "diurnal_amplitude",
+    "rogue_tenants": "rogue_tenants",
+    "rogue_factor": "rogue_factor",
+    "brownout_high": "brownout_high",
+    "brownout_low": "brownout_low",
+    "sweep_ns": "sweep_interval_ns",
+    "sweep_interval_ns": "sweep_interval_ns",
+    "shared_queue": "shared_queue",
 }
-
-#: Fields that parse as ints when given by full field name.
-_INT_FIELDS = frozenset({
-    "seed", "tenants", "queue_depth", "retry_budget", "workers",
-    "request_bytes", "footprint_bytes", "rogue_tenants", "shared_queue",
-})
 
 
 @dataclasses.dataclass(frozen=True)
@@ -263,40 +259,7 @@ class ServiceConfig:
         Keys are the aliases in the README's Service layer section
         (``rate``, ``deadline``, ``retries``, ...) or full field names.
         Raises :class:`ValueError` naming the offending key or field on
-        any nonsense input — the same contract as
+        any nonsense input — the same parser as
         :meth:`repro.faults.plan.FaultConfig.parse`.
         """
-        spec = spec.strip()
-        if not spec:
-            raise ValueError("empty service-plan spec")
-        fields = {f.name: f for f in dataclasses.fields(cls)}
-        values: typing.Dict[str, typing.Any] = {}
-        for item in spec.split(","):
-            item = item.strip()
-            if not item:
-                continue
-            key, sep, raw = item.partition("=")
-            key = key.strip()
-            if not sep:
-                raise ValueError(
-                    f"service-plan entry {item!r} is not key=value")
-            if key in _PLAN_KEYS:
-                field, convert = _PLAN_KEYS[key]
-            elif key in fields:
-                field = key
-                convert = (int if key in _INT_FIELDS
-                           else str if key == "arrival" else float)
-            else:
-                known = ", ".join(sorted(_PLAN_KEYS))
-                raise ValueError(
-                    f"unknown service-plan key {key!r} (known: {known})")
-            raw = raw.strip()
-            if convert is str:
-                values[field] = raw
-                continue
-            try:
-                values[field] = convert(raw)
-            except ValueError:
-                raise ValueError(
-                    f"{field} expects a number, got {raw!r}") from None
-        return cls(**values)
+        return cls(**parse_plan(cls, spec, "service-plan", _PLAN_KEYS))

@@ -96,29 +96,21 @@ from repro.telemetry.bench import (  # noqa: E402
     CompareResult,
     MetricDelta,
     bench_filename,
-    clear_attestations,
     collect_provenance,
     compare,
     load_bench,
-    merge_reports,
-    record_attestation,
     render_compare,
-    stamp_provenance,
     write_bench,
 )
 
 from repro.telemetry.hostprof import (  # noqa: E402
     HostProfiler,
     classify_event,
-    collapsed_stacks,
     load_speedscope,
-    parse_collapsed,
     render_flame,
     render_summary,
     speedscope_document,
     validate_speedscope,
-    write_collapsed,
-    write_hostprof,
     write_speedscope,
 )
 
@@ -159,8 +151,6 @@ __all__ = [
     "build_profile",
     "capture_window",
     "classify_event",
-    "clear_attestations",
-    "collapsed_stacks",
     "collect_provenance",
     "combine",
     "compare",
@@ -172,11 +162,8 @@ __all__ = [
     "load_spanlog",
     "load_speedscope",
     "load_timeseries",
-    "merge_reports",
-    "parse_collapsed",
     "perfetto_document",
     "perfetto_events",
-    "record_attestation",
     "render_compare",
     "render_flame",
     "render_html",
@@ -188,7 +175,6 @@ __all__ = [
     "spanlog_spans",
     "sparkline",
     "speedscope_document",
-    "stamp_provenance",
     "summarize",
     "supports_unicode",
     "use_metrics",
@@ -199,8 +185,6 @@ __all__ = [
     "validate_timeseries",
     "verify_attribution",
     "write_bench",
-    "write_collapsed",
-    "write_hostprof",
     "write_perfetto",
     "write_spanlog",
     "write_speedscope",

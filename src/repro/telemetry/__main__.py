@@ -9,10 +9,8 @@ the trace captured from a real experiment.
 diffs two ``BENCH_*.json`` reports metric by metric and exits 1 when
 any metric moved in its bad direction beyond ``--threshold``.  CI runs
 this as a **blocking** gate against ``benchmarks/BENCH_baseline.json``.
-
-``python -m repro.telemetry merge OUT.json FRAGMENT.json [...]`` folds
-per-shard BENCH fragments (parallel sweeps, split benchmark jobs) into
-one report; conflicting duplicate metrics are an error.
+BENCH metrics are simulated, so a move means the model changed, on any
+host; the text table is the one output format.
 
 ``python -m repro.telemetry watch RESULTS.json`` renders an exported
 time-series document (``timeseries.json`` from ``--observe DIR`` on the
@@ -39,14 +37,9 @@ import typing
 from repro.telemetry.bench import (
     DEFAULT_THRESHOLD,
     compare as compare_bench,
-    compare_payload,
-    has_host_metrics,
-    host_conflicts,
     load_bench,
-    merge_reports,
     provenance_conflicts,
     render_compare,
-    write_bench,
 )
 from repro.telemetry.export import load_spanlog, validate_perfetto
 from repro.telemetry.hostprof import (
@@ -102,15 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--threshold", type=float, default=DEFAULT_THRESHOLD,
         help="relative change flagged as a regression "
              f"(default {DEFAULT_THRESHOLD:.0%})")
-    compare.add_argument(
-        "--json", action="store_true", dest="as_json",
-        help="emit the delta payload as JSON (same exit codes)")
-    merge = sub.add_parser(
-        "merge",
-        help="fold per-shard BENCH_*.json fragments into one report")
-    merge.add_argument("output", help="merged BENCH_*.json to write")
-    merge.add_argument("fragments", nargs="+",
-                       help="fragment BENCH_*.json files")
     watch = sub.add_parser(
         "watch",
         help="render an exported time-series document in the terminal")
@@ -182,19 +166,6 @@ def _run_flame(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_merge(args: argparse.Namespace) -> int:
-    try:
-        fragments = [load_bench(path) for path in args.fragments]
-        merged = merge_reports(fragments)
-    except (OSError, json.JSONDecodeError, ValueError) as error:
-        print(f"cannot merge bench fragments: {error}", file=sys.stderr)
-        return 2
-    write_bench(merged, args.output)
-    print(f"merged {len(fragments)} fragment(s), "
-          f"{len(merged.metrics)} metric(s) -> {args.output}")
-    return 0
-
-
 def _run_compare(args: argparse.Namespace) -> int:
     try:
         baseline = load_bench(args.baseline)
@@ -209,27 +180,12 @@ def _run_compare(args: argparse.Namespace) -> int:
         for conflict in conflicts:
             print(f"  {conflict}", file=sys.stderr)
         return 2
-    # Host mismatches warn rather than refuse: simulated metrics stay
-    # comparable across machines, but host_ns.* deltas would be noise.
-    warnings: typing.List[str] = []
-    if has_host_metrics(baseline, candidate):
-        warnings = [
-            f"host_ns.* metrics compared across differing hosts — "
-            f"treat their deltas as advisory ({conflict})"
-            for conflict in host_conflicts(baseline, candidate)]
-    for warning in warnings:
-        print(f"warning: {warning}", file=sys.stderr)
     result = compare_bench(baseline, candidate,
                            threshold=args.threshold)
-    if args.as_json:
-        print(json.dumps(compare_payload(result, baseline, candidate,
-                                         warnings),
-                         indent=2, sort_keys=True))
-    else:
-        base_sha = baseline.provenance.get("git_sha", "?")
-        cand_sha = candidate.provenance.get("git_sha", "?")
-        print(f"baseline {base_sha} -> candidate {cand_sha}")
-        print(render_compare(result))
+    base_sha = baseline.provenance.get("git_sha", "?")
+    cand_sha = candidate.provenance.get("git_sha", "?")
+    print(f"baseline {base_sha} -> candidate {cand_sha}")
+    print(render_compare(result))
     return 1 if result.regressions else 0
 
 
@@ -237,8 +193,6 @@ def main(argv: typing.Optional[typing.Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "compare":
         return _run_compare(args)
-    if args.command == "merge":
-        return _run_merge(args)
     if args.command == "watch":
         return _run_watch(args)
     if args.command == "flame":

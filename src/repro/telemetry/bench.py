@@ -13,6 +13,11 @@ gives every run a machine-readable artifact:
   the gate every future performance PR is judged against:
   ``python -m repro.telemetry compare BASELINE.json CANDIDATE.json``.
 
+BENCH holds simulated metrics only, the ones the gate compares: they
+are deterministic, so any movement is a change in the model.  Host
+wall clock is measured by the calibrated ``bench/`` harness and by
+``--hostprof`` on the experiments CLI, never recorded here.
+
 Schema (``repro.bench/1``)::
 
     {
@@ -137,21 +142,6 @@ def git_sha(repo_root: typing.Union[str, pathlib.Path, None] = None,
     return sha if out.returncode == 0 and sha else "unknown"
 
 
-def host_environment() -> typing.Dict[str, typing.Any]:
-    """The host machine identity relevant to wall-clock metrics.
-
-    Stamped into every provenance block so ``host_ns.*`` comparisons
-    across machines can *warn* (see :func:`host_conflicts`) instead of
-    silently diffing numbers measured on different silicon.
-    """
-    return {
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-        "machine": platform.machine(),
-        "cpu_count": os.cpu_count() or 0,
-    }
-
-
 def collect_provenance(
         scale: float | None = None,
         seed: int | None = None,
@@ -170,7 +160,6 @@ def collect_provenance(
         datetime.datetime.now(
             datetime.timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
         "python": platform.python_version(),
-        "host": host_environment(),
     }
     if scale is not None:
         provenance["scale"] = scale
@@ -178,56 +167,7 @@ def collect_provenance(
         provenance["seed"] = seed
     if agents is not None:
         provenance["agents"] = agents
-    if _ATTESTATIONS:
-        provenance["attestations"] = {
-            key: _ATTESTATIONS[key] for key in sorted(_ATTESTATIONS)}
     return provenance
-
-
-# ----------------------------------------------------------------------
-# Attestations
-# ----------------------------------------------------------------------
-#: Process-wide attestation registry merged into every provenance block.
-_ATTESTATIONS: typing.Dict[str, typing.Any] = {}
-
-
-def record_attestation(key: str, value: typing.Any) -> None:
-    """Register a machine-checked claim about this process's runs.
-
-    Attestations are facts an oracle *verified*, not configuration —
-    e.g. the tie-break shuffle oracle records ``tiebreak_independent``
-    after byte-diffing shuffled drain orders
-    (:func:`repro.analysis.racecheck.certify_tiebreak_independence`).
-    Every :func:`collect_provenance` call afterwards embeds them under
-    ``attestations``, so BENCH artifacts carry the claim alongside the
-    numbers it covers.  Re-recording a key overwrites it.
-    """
-    if not key:
-        raise ValueError("attestation key must be non-empty")
-    _ATTESTATIONS[key] = value
-
-
-def clear_attestations() -> None:
-    """Drop all recorded attestations (test isolation)."""
-    _ATTESTATIONS.clear()
-
-
-def stamp_provenance(path: typing.Union[str, pathlib.Path],
-                     key: str, value: typing.Any) -> None:
-    """Add one attestation to an already-written BENCH artifact.
-
-    CI runs the shuffle oracle *after* the benchmark job wrote its
-    BENCH_*.json; this rewrites the artifact in place with the new
-    attestation, preserving everything else byte-for-byte (stable
-    key order, same formatting as :func:`write_bench`).
-    """
-    report = load_bench(path)
-    attestations = report.provenance.setdefault("attestations", {})
-    if not isinstance(attestations, dict):
-        raise ValueError(
-            f"provenance attestations in {path} is not a mapping")
-    attestations[key] = value
-    write_bench(report, path)
 
 
 def bench_filename(sha: str) -> str:
@@ -247,45 +187,6 @@ def load_bench(path: typing.Union[str, pathlib.Path]) -> BenchReport:
     """Parse a BENCH_*.json file."""
     with open(path, encoding="utf-8") as handle:
         return BenchReport.from_dict(json.load(handle))
-
-
-# ----------------------------------------------------------------------
-# Fragment merge
-# ----------------------------------------------------------------------
-def merge_reports(fragments: typing.Sequence[BenchReport],
-                  provenance: typing.Optional[
-                      typing.Dict[str, typing.Any]] = None) -> BenchReport:
-    """Merge per-shard BENCH fragments into one report, deterministically.
-
-    Sharded runs (parallel sweeps, split benchmark jobs) each write
-    their own ``BENCH_*.json``; this folds them into a single report
-    with metrics in sorted-name order regardless of shard completion
-    order.  A metric appearing in two fragments must agree exactly —
-    a silent last-writer-wins would let shards mask each other.
-    """
-    if not fragments:
-        raise ValueError("no bench fragments to merge")
-    metrics: typing.Dict[str, BenchMetric] = {}
-    origin: typing.Dict[str, int] = {}
-    for index, fragment in enumerate(fragments):
-        for name, metric in fragment.metrics.items():
-            existing = metrics.get(name)
-            if existing is not None and (
-                    existing.value != metric.value
-                    or existing.better != metric.better):
-                raise ValueError(
-                    f"conflicting values for metric {name!r}: fragment "
-                    f"{origin[name]} has {existing.value!r} "
-                    f"({existing.better}), fragment {index} has "
-                    f"{metric.value!r} ({metric.better})")
-            metrics[name] = metric
-            origin.setdefault(name, index)
-    merged_provenance = dict(
-        provenance if provenance is not None else fragments[0].provenance)
-    merged_provenance["merged_fragments"] = len(fragments)
-    return BenchReport(
-        provenance=merged_provenance,
-        metrics={name: metrics[name] for name in sorted(metrics)})
 
 
 # ----------------------------------------------------------------------
@@ -318,39 +219,6 @@ def provenance_conflicts(
             conflicts.append(
                 f"{key}: baseline {base!r} vs candidate {cand!r}")
     return conflicts
-
-
-#: Metric-name prefix whose values are host wall-clock (machine-bound).
-HOST_METRIC_PREFIX = "host_ns."
-
-
-def host_conflicts(baseline: BenchReport,
-                   candidate: BenchReport) -> typing.List[str]:
-    """Host-environment mismatches between two reports.
-
-    Unlike :func:`provenance_conflicts` these never *refuse* a compare
-    — simulated metrics are machine-independent — but ``host_ns.*``
-    deltas across different machines are weather, not signal, so the
-    CLI surfaces these as warnings when such metrics are present.
-    Only keys recorded in *both* ``host`` blocks can conflict.
-    """
-    base = baseline.provenance.get("host")
-    cand = candidate.provenance.get("host")
-    if not isinstance(base, dict) or not isinstance(cand, dict):
-        return []
-    conflicts = []
-    for key in sorted(set(base) & set(cand)):
-        if base[key] != cand[key]:
-            conflicts.append(
-                f"host {key}: baseline {base[key]!r} vs "
-                f"candidate {cand[key]!r}")
-    return conflicts
-
-
-def has_host_metrics(*reports: BenchReport) -> bool:
-    """Whether any report carries ``host_ns.*`` wall-clock metrics."""
-    return any(name.startswith(HOST_METRIC_PREFIX)
-               for report in reports for name in report.metrics)
 
 
 @dataclasses.dataclass
@@ -454,38 +322,3 @@ def render_compare(result: CompareResult) -> str:
         f"{result.threshold:.0%} threshold; "
         f"{len(result.missing)} missing, {len(result.added)} new")
     return "\n".join(lines)
-
-
-def compare_payload(
-        result: CompareResult, baseline: BenchReport,
-        candidate: BenchReport,
-        warnings: typing.Optional[typing.Sequence[str]] = None,
-) -> typing.Dict[str, typing.Any]:
-    """The comparison as a machine-readable document (``compare --json``).
-
-    The same delta data :func:`render_compare` prints, shaped for CI
-    post-processing; infinities serialize as strings so the document
-    stays strict JSON.
-    """
-    def finite(value: float) -> typing.Union[float, str]:
-        return value if math.isfinite(value) else repr(value)
-
-    return {
-        "schema": "repro.bench-compare/1",
-        "baseline_sha": baseline.provenance.get("git_sha", "?"),
-        "candidate_sha": candidate.provenance.get("git_sha", "?"),
-        "threshold": result.threshold,
-        "deltas": [
-            {"name": delta.name, "baseline": delta.baseline,
-             "candidate": delta.candidate, "better": delta.better,
-             "unit": delta.unit,
-             "relative_change": finite(delta.relative_change),
-             "verdict": delta.verdict}
-            for delta in result.deltas
-        ],
-        "missing": list(result.missing),
-        "added": list(result.added),
-        "regressions": len(result.regressions),
-        "improvements": len(result.improvements),
-        "warnings": list(warnings) if warnings else [],
-    }

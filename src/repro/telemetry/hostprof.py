@@ -1,7 +1,7 @@
 """Host wall-clock profiler: bucket attribution, census, flamegraphs.
 
 The engine half lives in :mod:`repro.sim.hostprof` (observer base +
-ambient helpers); this module is the collector and its exporters:
+ambient helpers); this module is the collector and its export:
 
 * :class:`HostProfiler` — a :class:`~repro.sim.hostprof.
   HostProfilerHook` that attributes every dispatch's host nanoseconds
@@ -11,17 +11,15 @@ ambient helpers); this module is the collector and its exporters:
   :class:`~repro.sim.stats.Histogram`).  It is its own ambient
   *provider* (``create_hostprof`` returns ``self``), so one profiler
   accumulates across every simulator a run builds.
-* Flamegraph exporters: collapsed-stack lines (``a;b;c <ns>``, the
-  format every flamegraph toolchain eats) and speedscope JSON
-  (https://speedscope.app), plus structural validators for both.
+* The flamegraph export: speedscope JSON (https://speedscope.app),
+  one 4-frame stack per bucket, plus its structural validator.
 * :func:`render_flame` / :func:`render_summary` — terminal top-N views
   for ``python -m repro.telemetry flame`` and the experiments CLI.
-* :meth:`HostProfiler.bench_metrics` — ``host_ns.*`` aggregates for
-  the BENCH trajectory.  They are tagged ``neutral`` (advisory, not
-  gating): host time varies with the machine, so ``telemetry compare``
-  reports the movement without ever failing CI on it — the overhead
-  *guards* in ``benchmarks/`` gate, on ratios measured interleaved on
-  one host.
+
+Host time stays out of the BENCH trajectory, which holds simulated
+metrics only: the calibrated ``bench/`` harness reads this collector's
+totals, and the overhead *guards* in ``benchmarks/`` gate on ratios
+measured interleaved on one host.
 
 Attribution model
 -----------------
@@ -47,7 +45,6 @@ import typing
 from repro.sim.hostprof import HostClock, HostProfilerHook
 from repro.sim.process import Process
 from repro.sim.stats import Histogram
-from repro.telemetry.bench import BenchMetric
 
 if typing.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.event import Event
@@ -219,22 +216,6 @@ class HostProfiler(HostProfilerHook):
                               in sorted(self.bucket_counts.items())},
         }
 
-    def bench_metrics(self, prefix: str = "host_ns"
-                      ) -> typing.Dict[str, BenchMetric]:
-        """``host_ns.*`` aggregates for the BENCH trajectory.
-
-        All ``neutral``: host time is advisory (machine-dependent), so
-        ``telemetry compare`` shows the movement but never gates on it.
-        """
-        metrics = {
-            f"{prefix}.total": BenchMetric(
-                value=float(self.total_ns()), better="neutral", unit="ns"),
-        }
-        for component, ns in sorted(self.component_totals().items()):
-            metrics[f"{prefix}.{component}"] = BenchMetric(
-                value=float(ns), better="neutral", unit="ns")
-        return metrics
-
     # -- merge / payload ------------------------------------------------
     def merge(self, other: "HostProfiler") -> None:
         """Fold ``other`` (one cell's profiler) into this collector.
@@ -272,51 +253,6 @@ class HostProfiler(HostProfilerHook):
             "callbacks": dict(sorted(self.callbacks.items())),
             "batch_sizes": list(self.batch_sizes.samples),
         }
-
-
-def _bucket_key(raw: typing.Sequence[typing.Any]) -> BucketKey:
-    if len(raw) != 4:
-        raise ValueError(f"bucket key must have 4 fields, got {raw!r}")
-    return (str(raw[0]), str(raw[1]), str(raw[2]), str(raw[3]))
-
-
-# ----------------------------------------------------------------------
-# Collapsed-stack export
-# ----------------------------------------------------------------------
-def collapsed_stacks(profiler: HostProfiler) -> typing.List[str]:
-    """``component;process;phase;kind <ns>`` lines, sorted.
-
-    The format `flamegraph.pl`, inferno, and speedscope's importer all
-    consume; integer weights so the round trip is exact.
-    """
-    return [
-        ";".join(key) + f" {ns}"
-        for key, ns in sorted(profiler.buckets.items())
-    ]
-
-
-def write_collapsed(profiler: HostProfiler, path: str) -> None:
-    """Write the collapsed-stack flamegraph to ``path``."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for line in collapsed_stacks(profiler):
-            handle.write(line + "\n")
-
-
-def parse_collapsed(lines: typing.Iterable[str]
-                    ) -> typing.Dict[BucketKey, int]:
-    """Inverse of :func:`collapsed_stacks` (round-trip validation)."""
-    buckets: typing.Dict[BucketKey, int] = {}
-    for index, line in enumerate(lines):
-        line = line.strip()
-        if not line:
-            continue
-        stack, _, weight = line.rpartition(" ")
-        if not stack or not weight.isdigit():
-            raise ValueError(
-                f"line {index + 1}: not a collapsed stack: {line!r}")
-        key = _bucket_key(stack.split(";"))
-        buckets[key] = buckets.get(key, 0) + int(weight)
-    return buckets
 
 
 # ----------------------------------------------------------------------
@@ -444,17 +380,6 @@ def load_speedscope(path: str) -> typing.Dict[str, typing.Any]:
     if not isinstance(loaded, dict):
         raise ValueError(f"{path}: not a speedscope document")
     return loaded
-
-
-def write_hostprof(profiler: HostProfiler, path: str,
-                   name: str = "repro hostprof") -> str:
-    """Suffix-dispatched export: collapsed stacks for ``.collapsed`` /
-    ``.txt`` paths, speedscope JSON otherwise.  Returns the format."""
-    if path.endswith((".collapsed", ".txt")):
-        write_collapsed(profiler, path)
-        return "collapsed"
-    write_speedscope(profiler, path, name)
-    return "speedscope"
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,6 @@ from repro.analysis.racecheck import (
     format_races,
 )
 from repro.sim import Resource, Simulator, use_tiebreak
-from repro.telemetry.bench import clear_attestations, collect_provenance
 
 
 class UnguardedModel:
@@ -270,7 +269,7 @@ def test_watch_discovers_instance_attributes_by_default():
 # ----------------------------------------------------------------------
 def test_shuffle_oracle_refutes_order_dependent_workload():
     certificate = certify_tiebreak_independence(
-        run_unguarded, subject="unguarded", runs=8, attest=False)
+        run_unguarded, subject="unguarded", runs=8)
     assert not certificate.independent
     assert certificate.mismatches
     assert "divergence at byte" in certificate.mismatches[0].divergence
@@ -278,21 +277,13 @@ def test_shuffle_oracle_refutes_order_dependent_workload():
 
 
 def test_shuffle_oracle_certifies_commutative_workload():
-    clear_attestations()
-    try:
-        certificate = certify_tiebreak_independence(
-            run_accumulator, subject="accumulator", runs=5)
-        assert certificate.independent
-        assert certificate.mismatches == ()
-        assert "tiebreak-independent" in certificate.summary()
-        # The attestation flows into every later provenance block.
-        provenance = collect_provenance()
-        stamped = provenance["attestations"]["tiebreak_independent"]
-        assert stamped["independent"] is True
-        assert stamped["subject"] == "accumulator"
-        assert stamped["runs"] == 5
-    finally:
-        clear_attestations()
+    certificate = certify_tiebreak_independence(
+        run_accumulator, subject="accumulator", runs=5)
+    assert certificate.independent
+    assert certificate.mismatches == ()
+    assert "tiebreak-independent" in certificate.summary()
+    assert certificate.subject == "accumulator"
+    assert certificate.runs == 5
 
 
 def test_sanitizer_flags_what_the_shuffle_refutes():
@@ -308,7 +299,7 @@ def test_sanitizer_flags_what_the_shuffle_refutes():
         sim.run()
     assert sanitizer.races(), "sanitizer should flag the += conflict"
     certificate = certify_tiebreak_independence(
-        run_accumulator, subject="accumulator", runs=5, attest=False)
+        run_accumulator, subject="accumulator", runs=5)
     assert certificate.independent
 
 
@@ -321,8 +312,7 @@ def test_shuffled_runs_converge_to_same_end_state_when_commutative():
 
 def test_certify_validates_runs():
     with pytest.raises(ValueError):
-        certify_tiebreak_independence(run_accumulator, runs=0,
-                                      attest=False)
+        certify_tiebreak_independence(run_accumulator, runs=0)
 
 
 # ----------------------------------------------------------------------

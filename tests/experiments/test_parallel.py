@@ -20,6 +20,15 @@ from repro.telemetry import (
 SYSTEMS = ("Hetero", "DRAM-less")
 
 
+def _run_matrix(jobs):
+    """``matrix[workload][system]`` of the QUICK x SYSTEMS cells."""
+    workloads = runner.QUICK.workloads
+    run = parallel.run_cells(
+        {"": runner.matrix_cells(workloads, SYSTEMS)}, runner.QUICK,
+        jobs=jobs)
+    return runner.matrix_of(run.results, workloads, SYSTEMS)
+
+
 def _canon(obj):
     """Content view of an ExecutionResult tree (cross-process objects
     never compare equal by identity)."""
@@ -47,7 +56,7 @@ class TestParallelEquivalence:
         def snapshot(jobs):
             telemetry = Telemetry()
             with telemetry.activate(), telemetry.tracer.scope("fig15"):
-                matrix = runner.run_matrix(runner.QUICK, SYSTEMS, jobs=jobs)
+                matrix = _run_matrix(jobs)
             spans = [dataclasses.astuple(span)
                      for span in telemetry.tracer.spans]
             return matrix, telemetry.summary(), spans
@@ -72,7 +81,7 @@ class TestParallelEquivalence:
         def document(jobs):
             telemetry = Telemetry()
             with telemetry.activate():
-                runner.run_matrix(runner.QUICK, SYSTEMS, jobs=jobs)
+                _run_matrix(jobs)
             return json.dumps(telemetry.timeseries_document(),
                               sort_keys=True)
 
@@ -271,21 +280,13 @@ class TestSharedCells:
 
 
 class TestValidation:
-    def test_empty_workloads_names_matrix_key(self):
-        with pytest.raises(ValueError, match="matrix key 'workloads'"):
-            runner.run_matrix(runner.QUICK, SYSTEMS, workloads=())
-
-    def test_empty_systems_names_matrix_key(self):
-        with pytest.raises(ValueError, match="matrix key 'systems'"):
-            runner.run_matrix(runner.QUICK, ())
-
     def test_geometric_mean_empty_names_key(self):
         with pytest.raises(ValueError, match="'speedup.gemver'"):
             runner.geometric_mean([], key="speedup.gemver")
 
     def test_bad_jobs_rejected(self):
         with pytest.raises(ValueError, match="jobs"):
-            runner.run_matrix(runner.QUICK, SYSTEMS, jobs=0)
+            _run_matrix(jobs=0)
 
     def test_cli_rejects_bad_jobs(self, capsys):
         assert main(["fig12", "--quick", "--jobs", "0"]) == 2

@@ -1,13 +1,20 @@
 """Tests for the shared experiment runner."""
 
-import pytest
-
+from repro.experiments.parallel import run_cells
 from repro.experiments.runner import (
     EVAL_WORKLOADS,
     QUICK,
     ExperimentConfig,
-    run_matrix,
+    matrix_cells,
+    matrix_of,
 )
+
+
+def _run_matrix(config, systems, workloads=None):
+    """``matrix[workload][system]`` of the cells, through the cell runner."""
+    chosen = config.workloads if workloads is None else workloads
+    run = run_cells({"": matrix_cells(chosen, systems)}, config)
+    return matrix_of(run.results, chosen, systems)
 
 
 class TestExperimentConfig:
@@ -33,16 +40,16 @@ class TestExperimentConfig:
 
 class TestRunMatrix:
     def test_matrix_shape(self):
-        matrix = run_matrix(QUICK, ["Ideal", "DRAM-less"])
+        matrix = _run_matrix(QUICK, ["Ideal", "DRAM-less"])
         assert set(matrix) == set(QUICK.workloads)
         for results in matrix.values():
             assert set(results) == {"Ideal", "DRAM-less"}
 
     def test_workload_override(self):
-        matrix = run_matrix(QUICK, ["Ideal"], workloads=["gemver"])
+        matrix = _run_matrix(QUICK, ["Ideal"], workloads=["gemver"])
         assert set(matrix) == {"gemver"}
 
     def test_results_carry_workload_names(self):
-        matrix = run_matrix(QUICK, ["Ideal"], workloads=["doitg"])
+        matrix = _run_matrix(QUICK, ["Ideal"], workloads=["doitg"])
         assert matrix["doitg"]["Ideal"].workload == "doitg"
         assert matrix["doitg"]["Ideal"].system == "Ideal"

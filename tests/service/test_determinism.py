@@ -85,7 +85,7 @@ def test_admission_path_is_tiebreak_independent():
     certificate = certify_tiebreak_independence(
         lambda: fingerprint(run_service(config)),
         subject="service admission queue",
-        runs=4, seed=3, attest=False)
+        runs=4, seed=3)
     assert certificate.independent, certificate.summary()
 
 

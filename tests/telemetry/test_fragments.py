@@ -5,9 +5,6 @@ takes out of a pool worker."""
 
 import pickle
 
-import pytest
-
-from repro.telemetry.bench import BenchMetric, BenchReport, merge_reports
 from repro.sim import LatencySketch
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.tracer import RecordingTracer
@@ -175,30 +172,3 @@ class TestTracerFragment:
         clone = _shipped(self._worker_tracer())
         clone.emit("next", "t", 20.0, 21.0)
         assert clone.spans[-1].span_id == 4
-
-
-class TestMergeReports:
-    def _report(self, name, value):
-        return BenchReport(
-            provenance={"git_sha": "abc", "scale": "0.25"},
-            metrics={name: BenchMetric(value=value, better="higher")})
-
-    def test_merges_disjoint_fragments_sorted(self):
-        merged = merge_reports([self._report("b.metric", 2.0),
-                                self._report("a.metric", 1.0)])
-        assert list(merged.metrics) == ["a.metric", "b.metric"]
-        assert merged.provenance["merged_fragments"] == 2
-
-    def test_identical_duplicates_collapse(self):
-        merged = merge_reports([self._report("m", 1.0),
-                                self._report("m", 1.0)])
-        assert merged.metrics["m"].value == 1.0
-
-    def test_conflicting_duplicate_raises(self):
-        with pytest.raises(ValueError, match="m"):
-            merge_reports([self._report("m", 1.0),
-                           self._report("m", 2.0)])
-
-    def test_empty_fragment_list_raises(self):
-        with pytest.raises(ValueError):
-            merge_reports([])

@@ -12,29 +12,16 @@ from repro.experiments.runner import ExperimentConfig
 from repro.sim import KernelScope, Simulator
 from repro.sim.hostprof import current_hostprof, use_hostprof
 from repro.telemetry.__main__ import main as telemetry_main
-from repro.telemetry.bench import (
-    BenchMetric,
-    BenchReport,
-    bench_filename,
-    has_host_metrics,
-    host_conflicts,
-    host_environment,
-    write_bench,
-)
 from repro.telemetry.dashboard import render_html
 from repro.telemetry.hostprof import (
     KERNEL_BUCKET,
     HostProfiler,
     classify_event,
-    collapsed_stacks,
     load_speedscope,
-    parse_collapsed,
     render_flame,
     render_summary,
     speedscope_document,
     validate_speedscope,
-    write_collapsed,
-    write_hostprof,
     write_speedscope,
 )
 from repro.telemetry.timeseries import supports_unicode
@@ -106,9 +93,8 @@ class TestAttribution:
         for _ in range(2):
             profiler = HostProfiler(clock=_stub_clock())
             _drive(profiler)
-            runs.append((collapsed_stacks(profiler),
-                         json.dumps(speedscope_document(profiler),
-                                    sort_keys=True)))
+            runs.append(json.dumps(speedscope_document(profiler),
+                                   sort_keys=True))
         assert runs[0] == runs[1]
 
     def test_steps_are_profiled_as_runs_of_one_dispatch(self):
@@ -233,20 +219,6 @@ class TestMergeAndFragments:
 
 
 class TestExports:
-    def test_collapsed_round_trip(self, tmp_path):
-        profiler = HostProfiler(clock=_stub_clock())
-        _drive(profiler)
-        path = tmp_path / "profile.collapsed"
-        write_collapsed(profiler, str(path))
-        parsed = parse_collapsed(path.read_text().splitlines())
-        assert parsed == profiler.buckets
-
-    def test_parse_collapsed_rejects_malformed(self):
-        with pytest.raises(ValueError, match="not a collapsed stack"):
-            parse_collapsed(["a;b;c;d notanumber"])
-        with pytest.raises(ValueError, match="4 fields"):
-            parse_collapsed(["a;b 12"])
-
     def test_speedscope_document_validates(self, tmp_path):
         profiler = HostProfiler(clock=_stub_clock())
         _drive(profiler)
@@ -270,25 +242,6 @@ class TestExports:
         assert any("unknown frames" in problem
                    for problem in validate_speedscope(document))
         assert validate_speedscope([]) == ["document is not a JSON object"]
-
-    def test_write_hostprof_suffix_dispatch(self, tmp_path):
-        profiler = HostProfiler(clock=_stub_clock())
-        _drive(profiler)
-        assert write_hostprof(
-            profiler, str(tmp_path / "p.collapsed")) == "collapsed"
-        assert write_hostprof(
-            profiler, str(tmp_path / "p.json")) == "speedscope"
-        assert validate_speedscope(
-            load_speedscope(str(tmp_path / "p.json"))) == []
-
-    def test_bench_metrics_are_neutral_ns(self):
-        profiler = HostProfiler(clock=_stub_clock())
-        _drive(profiler)
-        metrics = profiler.bench_metrics()
-        assert metrics["host_ns.total"].value == float(profiler.total_ns())
-        assert all(metric.better == "neutral" and metric.unit == "ns"
-                   for metric in metrics.values())
-        assert "host_ns.kernel" in metrics
 
 
 class TestRendering:
@@ -339,14 +292,6 @@ class TestExperimentsCli:
         captured = capsys.readouterr().out
         assert "host profile (speedscope) written" in captured
         assert "census:" in captured
-
-    def test_hostprof_flag_writes_collapsed(self, tmp_path, capsys):
-        out = tmp_path / "flame.collapsed"
-        assert cli.main(["fig12", "--quick",
-                         "--hostprof", str(out)]) == 0
-        assert parse_collapsed(out.read_text().splitlines())
-        assert "host profile (collapsed) written" in \
-            capsys.readouterr().out
 
     def test_hostprof_with_jobs_merges_fragments(self, tmp_path, capsys):
         out = tmp_path / "flame.json"
@@ -414,71 +359,3 @@ class TestTelemetryCli:
         path = self._profile(tmp_path)
         assert telemetry_main(["flame", str(path), "--ascii"]) == 0
         capsys.readouterr().out.encode("ascii")
-
-    def test_compare_json_payload_and_exit_codes(self, tmp_path, capsys):
-        base = BenchReport(
-            provenance={"git_sha": "aaa", "host": host_environment()},
-            metrics={"m": BenchMetric(value=10.0, better="lower")})
-        good = BenchReport(
-            provenance={"git_sha": "bbb", "host": host_environment()},
-            metrics={"m": BenchMetric(value=10.0, better="lower")})
-        bad = BenchReport(
-            provenance={"git_sha": "ccc", "host": host_environment()},
-            metrics={"m": BenchMetric(value=20.0, better="lower")})
-        paths = {}
-        for tag, report in (("base", base), ("good", good),
-                            ("bad", bad)):
-            paths[tag] = tmp_path / bench_filename(tag)
-            write_bench(report, paths[tag])
-        assert telemetry_main(["compare", str(paths["base"]),
-                               str(paths["good"]), "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["schema"] == "repro.bench-compare/1"
-        assert payload["regressions"] == 0
-        assert payload["deltas"][0]["verdict"] == "unchanged"
-        assert telemetry_main(["compare", str(paths["base"]),
-                               str(paths["bad"]), "--json"]) == 1
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["regressions"] == 1
-
-    def test_compare_warns_on_cross_host_host_metrics(self, tmp_path,
-                                                      capsys):
-        this_host = host_environment()
-        other_host = dict(this_host, machine="riscv128", cpu_count=999)
-        base = BenchReport(
-            provenance={"git_sha": "aaa", "host": other_host},
-            metrics={"host_ns.total": BenchMetric(value=5.0,
-                                                  better="neutral")})
-        cand = BenchReport(
-            provenance={"git_sha": "bbb", "host": this_host},
-            metrics={"host_ns.total": BenchMetric(value=9.0,
-                                                  better="neutral")})
-        base_path = tmp_path / "base.json"
-        cand_path = tmp_path / "cand.json"
-        write_bench(base, base_path)
-        write_bench(cand, cand_path)
-        # Neutral metrics never regress; host mismatch only warns.
-        assert telemetry_main(["compare", str(base_path),
-                               str(cand_path)]) == 0
-        assert "advisory" in capsys.readouterr().err
-        assert telemetry_main(["compare", str(base_path),
-                               str(cand_path), "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["warnings"]
-
-    def test_host_conflict_helpers(self):
-        same = BenchReport(provenance={"host": {"machine": "x"}},
-                           metrics={})
-        other = BenchReport(provenance={"host": {"machine": "y"}},
-                            metrics={})
-        hostless = BenchReport(provenance={}, metrics={})
-        assert host_conflicts(same, other) == [
-            "host machine: baseline 'x' vs candidate 'y'"]
-        assert host_conflicts(same, same) == []
-        assert host_conflicts(same, hostless) == []
-        assert not has_host_metrics(same, other)
-        with_host = BenchReport(
-            provenance={},
-            metrics={"host_ns.total": BenchMetric(value=1.0,
-                                                  better="neutral")})
-        assert has_host_metrics(same, with_host)
