@@ -10,9 +10,10 @@ same drive with no plan at all).  The observers share one seam
 (:mod:`repro.sim.observer`), so one case, the sanitizer's, covers
 them: switched off, an observer costs only ``run()``'s choice between
 its two drains, and the case's replicas pin the per-instance routes
-(triggers, bootstraps, resource claims) and the process wake-up
-hook-free.  ``tests/sim/test_hot_path.py`` checks that a profiled run
-dispatches the same schedule as an unprofiled one.
+(triggers, bootstraps) hook-free, and with them the resource claims
+and the process wake-up, which equal stock.
+``tests/sim/test_hot_path.py`` checks that a profiled run dispatches
+the same schedule as an unprofiled one.
 
 Per case, one identity check and one timing check:
 
@@ -329,10 +330,10 @@ CASES = (
     # module and channel paths check `faults is not None` per access.
     Case("faults", writes=True, faults=FaultConfig(seed=9)),
     # The kernel observers: run()'s choice between its two drains,
-    # the one cost a disabled observer has left.  Triggers, resource
-    # claims and process bootstraps take routes the simulator binds
-    # per instance; their replicas, and the wake-up replica, which
-    # equals stock, pin them hook-free.  Per-event paths, so the bound
+    # the one cost a disabled observer has left.  Triggers and process
+    # bootstraps take routes the simulator binds per instance; their
+    # replicas, and the resource-claim and wake-up replicas, which
+    # equal stock, pin them hook-free.  Per-event paths, so the bound
     # is tighter than the default.
     Case("sanitizer", bound=1.02, patches=(
         (Event, "succeed", _seed_succeed),

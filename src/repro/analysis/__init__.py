@@ -51,7 +51,6 @@ from repro.analysis.lint import LintViolation, lint_file, lint_paths, lint_sourc
 from repro.analysis.racecheck import (
     Access,
     AccessSite,
-    HbEdge,
     RaceReport,
     RaceSanitizer,
     TieBreakCertificate,
@@ -68,7 +67,6 @@ __all__ = [
     "Command",
     "CommandRecord",
     "DeterminismError",
-    "HbEdge",
     "LintViolation",
     "ProtocolChecker",
     "ProtocolViolationError",

@@ -12,13 +12,15 @@ between two simulation runs (and makes bug reports unreproducible).
 ordinary test function by running it twice and comparing the traces
 the kernel emitted.
 
-Tracing is cooperative: :func:`capture_trace` installs an ambient
-:class:`~repro.telemetry.tracer.KernelEventRecorder`, and every
-simulator *constructed inside the context* appends ``(timestamp,
-event label)`` to the sink as it processes events.  The ambient slot
-is a context variable, so concurrent or nested captures never clobber
-each other (the seed's class-level ``Simulator._trace_sink`` did), and
-any tracer already active outside the capture keeps observing too.
+Tracing is cooperative: :func:`capture_trace` adds a
+:class:`~repro.sim.observer.TraceFeed` to the ambient kernel scope, and
+every simulator *constructed inside the context* appends ``(timestamp,
+event label)`` to the sink as it processes events.  The scope is a
+context variable, so concurrent or nested captures never clobber each
+other (the seed's class-level ``Simulator._trace_sink`` did), and a
+capture leaves the ambient tracer alone: under the null tracer the
+captured run takes the untraced device paths a production run takes,
+while the kernel takes its observed drain to see each dispatch.
 """
 
 from __future__ import annotations
@@ -26,13 +28,7 @@ from __future__ import annotations
 import contextlib
 import typing
 
-from repro.sim.engine import TraceEntry
-from repro.telemetry.tracer import (
-    KernelEventRecorder,
-    combine,
-    current_tracer,
-    use_tracer,
-)
+from repro.sim.observer import TraceEntry, TraceFeed, observing
 
 
 class DeterminismError(AssertionError):
@@ -44,13 +40,11 @@ def capture_trace() -> typing.Iterator[typing.List[TraceEntry]]:
     """Context manager: collect every event any simulator processes.
 
     Simulators must be constructed inside the context (every workload
-    under test builds its own).  An already-active ambient tracer —
-    e.g. a :class:`~repro.telemetry.tracer.RecordingTracer` capturing a
-    Perfetto trace of the same run — is combined in, not displaced.
+    under test builds its own).  An enclosing capture, sanitizer or
+    tracer keeps observing the same simulators.
     """
     sink: typing.List[TraceEntry] = []
-    recorder = combine(KernelEventRecorder(sink), current_tracer())
-    with use_tracer(recorder):
+    with observing(TraceFeed(sink)):
         yield sink
 
 

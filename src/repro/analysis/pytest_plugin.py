@@ -3,9 +3,12 @@
 Registered from the repository-root ``conftest.py``.  Provides:
 
 * ``@pytest.mark.determinism`` — the marked test is executed twice;
-  the event traces the DES kernel emitted during each execution are
-  compared and any divergence fails the test with the first differing
-  event.  The test body must be self-contained (build its own
+  the event traces the DES kernel emitted during each execution
+  (:func:`~repro.analysis.determinism.capture_trace`, a kernel
+  observer that leaves the ambient tracer null, so the body runs the
+  untraced device paths) are compared and any divergence fails the
+  test with the first differing event.  The test body must be
+  self-contained (build its own
   :class:`~repro.sim.engine.Simulator`), which every kernel-driving
   test in this suite already is.
 * ``@pytest.mark.tiebreak_shuffle`` — the marked test is executed

@@ -13,14 +13,13 @@ the two oracles that make the independence claim checkable:
     (:func:`sanitize` / :func:`repro.sim.use_sanitizer`), mark the
     shared objects to observe with :meth:`RaceSanitizer.watch`, and run
     the workload.  The kernel reports every atomic task (one event's
-    callback batch) and every causal edge — scheduling, event
-    succeed/fail -> waiter resumption, ``Resource`` acquire and
-    release -> grant hand-off — and the watched objects report every
-    attribute read/write with its source location.  Two conflicting
-    accesses (W/W or R/W) at the *same simulated timestamp* from tasks
-    with *no happens-before path* are exactly the accesses whose
-    outcome the tie-break order decides; :meth:`RaceSanitizer.races`
-    returns them as deterministic, source-located reports.
+    callback batch) and the task that scheduled its event, and the
+    watched objects report every attribute read/write with its source
+    location.  Two conflicting accesses (W/W or R/W) at the *same
+    simulated timestamp* from tasks with *no happens-before path* are
+    exactly the accesses whose outcome the tie-break order decides;
+    :meth:`RaceSanitizer.races` returns them as deterministic,
+    source-located reports.
 
 **Tie-break shuffle oracle** (:func:`certify_tiebreak_independence`)
     Empirical certification.  Runs a workload once under FIFO order and
@@ -41,10 +40,10 @@ one popped event — its callback list, including every process segment
 those callbacks resume, runs to completion with no interleaving.  Tasks
 are numbered in processing order; task 0 is the root segment (all code
 outside ``run()``, e.g. model construction).  Every task has exactly
-one causal parent: the task that scheduled its event (labeled with the
-edge kind — ``schedule``, ``trigger``/``fail`` for succeed/fail,
-``acquire``/``grant`` for Resource slot grants), so the graph is a tree
-and *A happens-before B* iff A is an ancestor of B.  This is sound and
+one causal parent: the task that scheduled its event — a timeout, a
+succeed/fail, a ``Resource`` grant or a hold's end all reach the
+kernel's one schedule hook — so the graph is a tree and *A
+happens-before B* iff A is an ancestor of B.  This is sound and
 complete for this kernel: a process's consecutive segments chain
 through the events it yields on, and every cross-process signal
 (succeed, Store hand-off, Resource grant) is itself a scheduled event.
@@ -60,26 +59,16 @@ import re
 import sys
 import typing
 
-from repro.sim.sanitizer import KernelSanitizer, use_sanitizer, use_tiebreak
+from repro.sim.observer import KernelObserver, event_label, event_owner
+from repro.sim.sanitizer import use_sanitizer, use_tiebreak
 
 if typing.TYPE_CHECKING:  # pragma: no cover - typing-only imports
     from repro.sim.event import Event
-    from repro.sim.process import Process
-    from repro.sim.resource import Request, Resource
 
 
 # ----------------------------------------------------------------------
 # Happens-before graph records
 # ----------------------------------------------------------------------
-@dataclasses.dataclass(frozen=True)
-class HbEdge:
-    """One causal edge of the happens-before tree."""
-
-    src: int
-    dst: int
-    kind: str
-
-
 @dataclasses.dataclass
 class _TaskInfo:
     """One atomic kernel task (one event's callback batch)."""
@@ -88,7 +77,6 @@ class _TaskInfo:
     parent: int
     time_ns: float
     label: str
-    edge_kind: str
     actor: str = ""
 
 
@@ -145,7 +133,7 @@ class RaceReport:
         )
 
 
-class RaceSanitizer(KernelSanitizer):
+class RaceSanitizer(KernelObserver):
     """Dynamic happens-before sanitizer for the simulation kernel.
 
     Usage::
@@ -166,17 +154,12 @@ class RaceSanitizer(KernelSanitizer):
 
     def __init__(self) -> None:
         self._tasks: typing.List[_TaskInfo] = [
-            _TaskInfo(0, 0, 0.0, "<root>", "root")]
+            _TaskInfo(0, 0, 0.0, "<root>")]
         self._current = 0
         self._recording = True
-        #: id(event) -> (scheduling task, edge kind) for queued events.
-        self._event_parent: typing.Dict[
-            int, typing.Tuple[int, str]] = {}
-        #: id(event) -> pending edge-kind label (trigger/grant/...).
-        self._pending_kind: typing.Dict[int, str] = {}
+        #: id(event) -> scheduling task, for queued events.
+        self._event_parent: typing.Dict[int, int] = {}
         self._accesses: typing.List[Access] = []
-        #: (releasing task, resource name) in release order.
-        self.releases: typing.List[typing.Tuple[int, str]] = []
         #: Strong refs keep id() keys valid; id(obj) -> (label, attrs).
         self._watched: typing.Dict[
             int, typing.Tuple[str, typing.FrozenSet[str], object]] = {}
@@ -186,33 +169,20 @@ class RaceSanitizer(KernelSanitizer):
     # ------------------------------------------------------------------
     # Kernel hooks
     # ------------------------------------------------------------------
-    def begin_task(self, event: "Event", ts_ns: float, label: str) -> None:
-        parent, kind = self._event_parent.pop(id(event), (0, "schedule"))
+    def begin_dispatch(self, event: "Event", now: float) -> None:
+        # A new atomic task: everything until the next dispatch (the
+        # event's callbacks, and the process segments they resume)
+        # runs inside it.  Its actor is read here, off the callbacks,
+        # so the wake-up path carries no hook.
+        owner = event_owner(event)
         task_id = len(self._tasks)
-        self._tasks.append(_TaskInfo(task_id, parent, ts_ns, label, kind))
+        self._tasks.append(_TaskInfo(
+            task_id, self._event_parent.pop(id(event), 0), now,
+            event_label(event), owner.name if owner is not None else ""))
         self._current = task_id
 
     def on_schedule(self, event: "Event") -> None:
-        kind = self._pending_kind.pop(id(event), "schedule")
-        self._event_parent[id(event)] = (self._current, kind)
-
-    def on_trigger(self, event: "Event", ok: bool) -> None:
-        self._pending_kind.setdefault(
-            id(event), "trigger" if ok else "fail")
-
-    def on_actor(self, process: "Process") -> None:
-        task = self._tasks[self._current]
-        if not task.actor:
-            task.actor = process.name
-
-    def on_acquire(self, resource: "Resource", request: "Request") -> None:
-        self._pending_kind[id(request)] = "acquire"
-
-    def on_grant(self, resource: "Resource", request: "Request") -> None:
-        self._pending_kind[id(request)] = "grant"
-
-    def on_release(self, resource: "Resource", request: "Request") -> None:
-        self.releases.append((self._current, resource.name))
+        self._event_parent[id(event)] = self._current
 
     # ------------------------------------------------------------------
     # Watched objects
@@ -302,16 +272,6 @@ class RaceSanitizer(KernelSanitizer):
     def accesses(self) -> typing.Tuple[Access, ...]:
         """Every recorded attribute access, in execution order."""
         return tuple(self._accesses)
-
-    @property
-    def hb_edges(self) -> typing.Tuple[HbEdge, ...]:
-        """Every causal edge of the task tree, in task order."""
-        return tuple(HbEdge(task.parent, task.task_id, task.edge_kind)
-                     for task in self._tasks[1:])
-
-    def edges_of(self, kind: str) -> typing.Tuple[HbEdge, ...]:
-        """Causal edges with the given kind (``grant``, ``trigger``...)."""
-        return tuple(edge for edge in self.hb_edges if edge.kind == kind)
 
     def task_label(self, task_id: int) -> str:
         """Display label of one task."""

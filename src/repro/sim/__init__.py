@@ -30,14 +30,8 @@ from repro.sim.hostprof import (
 from repro.sim.observer import KernelObserver, KernelScope
 from repro.sim.process import Join, Process
 from repro.sim.resource import Channel, Pool, Resource, Store
-from repro.sim.sampling import SamplerHook, current_sampling, use_sampling
-from repro.sim.sanitizer import (
-    KernelSanitizer,
-    current_sanitizer,
-    current_tiebreak_seed,
-    use_sanitizer,
-    use_tiebreak,
-)
+from repro.sim.sampling import current_sampling, use_sampling
+from repro.sim.sanitizer import use_sanitizer, use_tiebreak
 from repro.sim.stats import (
     QUANTILE_TARGETS,
     Breakdown,
@@ -60,14 +54,12 @@ __all__ = [
     "Interrupt",
     "Join",
     "KernelObserver",
-    "KernelSanitizer",
     "KernelScope",
     "LatencySketch",
     "Pool",
     "Process",
     "QUANTILE_TARGETS",
     "Resource",
-    "SamplerHook",
     "Simulator",
     "SketchLayout",
     "Store",
@@ -75,8 +67,6 @@ __all__ = [
     "Timeout",
     "current_hostprof",
     "current_sampling",
-    "current_sanitizer",
-    "current_tiebreak_seed",
     "use_hostprof",
     "use_sampling",
     "use_sanitizer",

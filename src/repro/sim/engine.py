@@ -32,6 +32,11 @@ once the queue is empty, so every queued event is due at the current
 instant.  Routing compares the computed timestamp, not the delay: a
 positive delay that rounds to ``now`` (``1e20 + 1.0 == 1e20``) queues
 exactly where a heap push at ``now`` would have sorted.
+
+Kernel observers (:mod:`repro.sim.observer`) see the run loop and one
+hooked route, the schedule, which triggers and spawns then take too.
+With no observer and no tie-break seed, ``run()`` takes the bare fast
+drain and triggers and spawns append straight to the ready queue.
 """
 
 from __future__ import annotations
@@ -49,20 +54,15 @@ from repro.sim.observer import (
     CompositeObserver,
     KernelObserver,
     KernelScope,
-    TraceFeed,
     current_scope,
 )
 from repro.sim.process import Join, Process
-from repro.sim.sampling import SamplerHook
 from repro.telemetry.tracer import Tracer, current_tracer
 
 GeneratorType = typing.Generator
 
 #: One scheduled occurrence: ``(timestamp, tie-break counter, event)``.
 HeapEntry = typing.Tuple[float, int, Event]
-
-#: One entry of a captured event trace: ``(timestamp, event label)``.
-TraceEntry = typing.Tuple[float, str]
 
 
 class Simulator:
@@ -84,11 +84,11 @@ class Simulator:
         sim.run()
         assert sim.now == 10.0
 
-    Observers (:mod:`repro.sim.observer`) attach at construction: the
-    ambient tracer's kernel-event feed, then what ``scope`` names — by
-    default the ambient
+    Observers (:mod:`repro.sim.observer`) attach at construction from
+    ``scope`` — by default the ambient
     :class:`~repro.sim.observer.KernelScope` that ``use_sanitizer``,
-    ``use_tiebreak``, ``use_sampling`` and ``use_hostprof`` set.
+    ``capture_trace``, ``use_tiebreak``, ``use_sampling`` and
+    ``use_hostprof`` set.
     """
 
     def __init__(self, scope: KernelScope | None = None) -> None:
@@ -106,22 +106,19 @@ class Simulator:
         # Device models emit their spans through it.
         self.tracer: Tracer = current_tracer()
         # The sampler stays reachable: device models track() into it.
-        self.sampler: SamplerHook | None = (
+        self.sampler: KernelObserver | None = (
             scope.sampling.create_sampler()
             if scope.sampling is not None else None)
         hostprof = (scope.hostprof.create_hostprof()
                     if scope.hostprof is not None else None)
-        # Attach order is hook order: the sanitizer opens a task and
-        # the tracer logs it before the profiler starts its clock.  Only
-        # a tracer that takes kernel events gets a feed: a span recorder
-        # would pay for a label per dispatch and drop it.
-        feed = (TraceFeed(self.tracer)
-                if type(self.tracer).kernel_event is not Tracer.kernel_event
-                else None)
+        # Attach order is hook order: the scope's observers (a
+        # sanitizer opens a task, a trace feed logs it), then the
+        # sampler, and the profiler last, so its clock brackets the
+        # others' work.
         observers: typing.List[KernelObserver] = [
-            observer for observer in (
-                scope.sanitizer, feed, self.sampler, hostprof)
-            if observer is not None]
+            *scope.observers,
+            *(observer for observer in (self.sampler, hostprof)
+              if observer is not None)]
         # Tie-break shuffle: with a seed, run() permutes each
         # same-instant wave (the shuffle oracle's lever).
         self._shuffle: typing.Callable[[typing.Deque[Event]], None] | None = (
@@ -135,8 +132,9 @@ class Simulator:
         # grants, process completions) and process bootstraps.  A zero
         # delay always lands on the current instant, so unobserved they
         # append straight to the ready queue, exactly where
-        # _schedule(0.0, event) puts it.  Hooked variants are bound per
-        # instance, only for the hooks an observer overrides.
+        # _schedule(0.0, event) puts it.  The hooked schedule routes
+        # are bound per instance, only when an observer overrides
+        # on_schedule, and then carry these two as well.
         self._trigger: typing.Callable[[Event], None]
         self._spawn: typing.Callable[[Event], None]
         self._trigger = self._spawn = self._ready.append
@@ -148,8 +146,6 @@ class Simulator:
                 self._schedule_at_observed)
             self._trigger = self._spawn = functools.partial(
                 self._schedule_observed, 0.0)
-        if "on_trigger" in hooks:
-            self._trigger = self._trigger_observed
 
     # ------------------------------------------------------------------
     # Factories
@@ -235,9 +231,9 @@ class Simulator:
         else:
             heapq.heappush(self._heap, (when, next(self._counter), event))
 
-    # The hooked routes, bound per instance in __init__ only for the
-    # hooks an observer overrides.  The schedule hook fires only for
-    # an admitted event.
+    # The hooked routes, bound per instance in __init__ only when an
+    # observer overrides on_schedule.  The hook fires only for an
+    # admitted event.
     def _schedule_observed(self, delay: float, event: Event) -> None:
         Simulator._schedule(self, delay, event)
         self._observer.on_schedule(event)  # type: ignore[union-attr]
@@ -245,13 +241,6 @@ class Simulator:
     def _schedule_at_observed(self, when: float, event: Event) -> None:
         Simulator._schedule_at(self, when, event)
         self._observer.on_schedule(event)  # type: ignore[union-attr]
-
-    def _trigger_observed(self, event: Event) -> None:
-        # The trigger hook labels the schedule edge (succeed -> wait
-        # causality) before the schedule hook, if bound, records it.
-        self._observer.on_trigger(  # type: ignore[union-attr]
-            event, event._ok)
-        self._schedule(0.0, event)
 
     def peek(self) -> float:
         """Timestamp of the next scheduled event, or ``inf`` if none."""

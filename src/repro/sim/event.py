@@ -85,8 +85,8 @@ class Event:
         self._value = value
         self._triggered = True
         # Zero delay: straight onto the ready queue.  An observer of
-        # triggers or schedules swaps a hooked variant in per simulator
-        # (see Simulator._trigger), so an unobserved trigger pays none.
+        # schedules swaps the hooked schedule in per simulator (see
+        # Simulator._trigger), so an unobserved trigger pays none.
         self.sim._trigger(self)
         return self
 

@@ -1,23 +1,23 @@
 """One seam for everything that watches the simulation kernel.
 
-The tracer's kernel-event feed (:class:`TraceFeed`), the race sanitizer
-(:mod:`repro.sim.sanitizer`), the windowed sampler
-(:mod:`repro.sim.sampling`) and the host profiler
+The kernel-event trace (:class:`TraceFeed`), the race sanitizer
+(:class:`repro.analysis.racecheck.RaceSanitizer`), the windowed sampler
+(:class:`repro.telemetry.timeseries.Sampler`) and the host profiler
 (:mod:`repro.sim.hostprof`) are all :class:`KernelObserver`\\ s: a
 no-op base whose subclasses override the hooks they need.  A simulator
-wraps what it attaches in one :class:`CompositeObserver` and binds a
-hooked route only where some observer overrides the hook: the hooked
-``_schedule``/``_schedule_at`` for ``on_schedule``, ``_trigger`` for
-``on_trigger``, a ``Resource``'s ``request`` for ``on_acquire`` and its
-``release`` for ``on_release``/``on_grant``.  Every other route keeps
-its hook-free body, so a run with only the host profiler attached never
-calls the sanitizer's hooks, and an unobserved run calls none.
+wraps what it attaches in one :class:`CompositeObserver`.  Only
+``on_schedule`` needs a hooked route: a simulator binds its hooked
+``_schedule``/``_schedule_at`` (and routes zero-delay triggers and
+spawns through them) only when some observer overrides it, so an
+unobserved run calls no hook.
 
-What a simulator attaches, besides the tracer, comes from one ambient
-:class:`KernelScope`; ``use_sanitizer``, ``use_tiebreak``,
-``use_sampling`` and ``use_hostprof`` each set one field of it for a
-``with`` body.  Nothing here imports the telemetry or analysis layers,
-so they can subclass these observers without an import cycle.
+What a simulator attaches, besides its tracer, comes from one ambient
+:class:`KernelScope`: ``use_sanitizer`` and
+:func:`repro.analysis.determinism.capture_trace` append to its
+observers (:func:`observing`), and ``use_tiebreak``, ``use_sampling``
+and ``use_hostprof`` each set one other field of it for a ``with``
+body.  Nothing here imports the telemetry or analysis layers, so they
+can subclass these observers without an import cycle.
 """
 
 from __future__ import annotations
@@ -31,10 +31,7 @@ from repro.sim.process import Process
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.event import Event
     from repro.sim.hostprof import HostProfilingProvider
-    from repro.sim.resource import Request, Resource
     from repro.sim.sampling import SamplingProvider
-    from repro.sim.sanitizer import KernelSanitizer
-    from repro.telemetry.tracer import Tracer
 
 
 class KernelObserver:
@@ -42,20 +39,9 @@ class KernelObserver:
 
     def on_schedule(self, event: "Event") -> None:
         """``event`` was admitted to a queue by the running task (or
-        from outside ``run()``, the root task)."""
-
-    def on_trigger(self, event: "Event", ok: bool) -> None:
-        """``event`` is being triggered (succeed/fail, a resource grant
-        or a process completion); fires before its ``on_schedule``."""
-
-    def on_acquire(self, resource: "Resource", request: "Request") -> None:
-        """``request`` was granted a free ``resource`` slot immediately."""
-
-    def on_grant(self, resource: "Resource", request: "Request") -> None:
-        """A queued ``request`` is being handed a released slot."""
-
-    def on_release(self, resource: "Resource", request: "Request") -> None:
-        """``request`` returned its ``resource`` slot."""
+        from outside ``run()``, the root task): a timeout, a trigger
+        (succeed/fail, a resource grant, a process completion), a
+        hold's end or a process bootstrap."""
 
     def begin_run(self) -> None:
         """One ``run()`` drain started; every dispatch of it follows."""
@@ -116,6 +102,16 @@ def _fan_out(calls: typing.Sequence[typing.Callable[..., None]]
     return hook
 
 
+def event_owner(event: "Event") -> typing.Optional[Process]:
+    """The first named process among ``event``'s callbacks (the process
+    the event resumes), or ``None``."""
+    for callback in event.callbacks:
+        owner = getattr(callback, "__self__", None)
+        if isinstance(owner, Process) and owner.name:
+            return owner
+    return None
+
+
 def event_label(event: "Event") -> str:
     """Human-readable label of a dispatched event.
 
@@ -127,38 +123,36 @@ def event_label(event: "Event") -> str:
     name = event.name
     if name:
         return name
+    owner = event_owner(event)
     label = type(event).__name__
-    for callback in event.callbacks:
-        owner = getattr(callback, "__self__", None)
-        if isinstance(owner, Process) and owner.name:
-            return f"{label}:{owner.name}"
-    return label
+    return f"{label}:{owner.name}" if owner is not None else label
+
+
+#: One entry of a kernel-event trace: ``(timestamp, event label)``.
+TraceEntry = typing.Tuple[float, str]
 
 
 class TraceFeed(KernelObserver):
-    """The tracer's kernel-event stream: one line per dispatch.
+    """The kernel-event trace: appends one entry per dispatch to
+    ``sink``, in dispatch order."""
 
-    Attached only for a tracer that overrides ``kernel_event`` (a
-    :class:`~repro.telemetry.tracer.KernelEventRecorder`, or a
-    ``MultiTracer`` fan-out), so a span-only recorder builds no labels.
-    """
-
-    def __init__(self, tracer: "Tracer") -> None:
-        self.tracer = tracer
+    def __init__(self, sink: typing.List[TraceEntry]) -> None:
+        self.sink = sink
 
     def begin_dispatch(self, event: "Event", now: float) -> None:
-        self.tracer.kernel_event(now, event_label(event))
+        self.sink.append((now, event_label(event)))
 
 
 class KernelScope(typing.NamedTuple):
     """What a simulator attaches at construction, besides the tracer.
 
-    ``sampling`` and ``hostprof`` are providers: each simulator asks
-    them for its own hook, and a provider may decline with ``None``.
-    ``tiebreak_seed`` makes ``run()`` shuffle each same-instant wave.
+    ``observers`` attach as they are, in order.  ``sampling`` and
+    ``hostprof`` are providers: each simulator asks them for its own
+    hook, and a provider may decline with ``None``.  ``tiebreak_seed``
+    makes ``run()`` shuffle each same-instant wave.
     """
 
-    sanitizer: typing.Optional["KernelSanitizer"] = None
+    observers: typing.Tuple[KernelObserver, ...] = ()
     tiebreak_seed: typing.Optional[int] = None
     sampling: typing.Optional["SamplingProvider"] = None
     hostprof: typing.Optional["HostProfilingProvider"] = None
@@ -182,3 +176,11 @@ def scoped(**fields: typing.Any) -> typing.Iterator[None]:
         yield
     finally:
         _SCOPE.reset(token)
+
+
+@contextlib.contextmanager
+def observing(observer: KernelObserver) -> typing.Iterator[None]:
+    """Attach ``observer`` to every simulator built in the body, after
+    the observers the scope already holds."""
+    with scoped(observers=_SCOPE.get().observers + (observer,)):
+        yield

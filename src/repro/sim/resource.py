@@ -75,17 +75,6 @@ class Resource:
         self.capacity = capacity
         self._users: typing.Set[Request] = set()
         self._queue: typing.Deque[Request] = collections.deque()
-        # The slot hooks live in separate methods, bound over
-        # request/release per instance only for the hooks an observer
-        # overrides (as Simulator does with _schedule), so other claims
-        # pay nothing for them.
-        hooks = sim._observer.hooks if sim._observer is not None else ()
-        if "on_acquire" in hooks:
-            self.request = (  # type: ignore[method-assign]
-                self._request_observed)
-        if "on_release" in hooks or "on_grant" in hooks:
-            self.release = (  # type: ignore[method-assign]
-                self._release_observed)
 
     @property
     def count(self) -> int:
@@ -127,10 +116,8 @@ class Resource:
         """Return a previously granted slot to the pool.
 
         Hand-offs to queued waiters happen inside the releasing task,
-        so release -> next-grant is a happens-before edge by
-        construction; under a sanitizer the hooks label it explicitly
-        so racecheck reports can distinguish Resource causality from
-        ordinary scheduling.
+        which schedules the grant, so release -> next-grant is a
+        happens-before edge by construction.
         """
         if request in self._users:
             self._users.remove(request)
@@ -151,51 +138,6 @@ class Resource:
             else:
                 # A hold claim is priced at its grant, here in the
                 # releasing task.
-                waiter.start = self.sim.now
-                self.sim._schedule(waiter.hold, waiter)
-
-    # request() and release() with the slot hooks.  Each hook fires
-    # before the grant schedules the claim, so the race sanitizer
-    # labels that schedule edge "acquire" or "grant" rather than
-    # "trigger"; a hold claim's delayed schedule takes the same label.
-    def _request_observed(self, hold: float | None = None) -> Request:
-        req = Request(self, hold)
-        if len(self._users) < self.capacity:
-            self._users.add(req)
-            self.sim._observer.on_acquire(  # type: ignore[union-attr]
-                self, req)
-            if hold is None:
-                req.succeed()
-            else:
-                req._triggered = True
-                req.start = self.sim.now
-                self.sim._schedule(hold, req)
-        else:
-            self._queue.append(req)
-        return req
-
-    def _release_observed(self, request: Request) -> None:
-        observer = self.sim._observer
-        assert observer is not None
-        if request in self._users:
-            self._users.remove(request)
-            observer.on_release(self, request)
-        elif request in self._queue:
-            self._queue.remove(request)
-            return
-        else:
-            raise ValueError(f"{request!r} does not hold {self.name}")
-        while self._queue and len(self._users) < self.capacity:
-            waiter = self._queue.popleft()
-            self._users.add(waiter)
-            observer.on_grant(self, waiter)
-            if waiter.hold is None:
-                waiter.succeed()
-            else:
-                if waiter._triggered:
-                    raise RuntimeError(
-                        f"{waiter!r} has already been triggered")
-                waiter._triggered = True
                 waiter.start = self.sim.now
                 self.sim._schedule(waiter.hold, waiter)
 
@@ -231,8 +173,9 @@ class Pool:
     when it is claimed.  A reserved slot cannot be handed back: a
     holder interrupted mid-hold keeps its slot until the finish it
     reserved (nothing in the device models interrupts a storage hold).
-    Pool holds model occupancy time, not a critical section, so the
-    race sanitizer records no acquire or grant edge for them.
+    Pool holds model occupancy time, not a critical section: to the
+    race sanitizer a holder's wake-up is an event the claiming task
+    scheduled, like any timeout.
     """
 
     def __init__(self, sim: "Simulator", capacity: int = 1,

@@ -45,11 +45,6 @@ class Counter:
         self.value += amount
         self.events += 1
 
-    def reset(self) -> None:
-        """Zero the accumulator for a fresh telemetry epoch."""
-        self.value = 0.0
-        self.events = 0
-
     def merge(self, other: "Counter") -> None:
         """Fold another counter's total and event count into this one."""
         self.value += other.value
@@ -78,10 +73,6 @@ class Breakdown:
     def get(self, category: str) -> float:
         """Total recorded for ``category`` (0 when absent)."""
         return self._parts.get(category, 0.0)
-
-    def reset(self) -> None:
-        """Drop every category for a fresh telemetry epoch."""
-        self._parts.clear()
 
     @property
     def total(self) -> float:
@@ -147,11 +138,6 @@ class TimeSeries:
             )
         self.times.append(time)
         self.values.append(value)
-
-    def reset(self) -> None:
-        """Drop all samples for a fresh telemetry epoch."""
-        self.times.clear()
-        self.values.clear()
 
     def merge(self, other: "TimeSeries") -> None:
         """Append another series' samples (a later cell's, in order)."""
@@ -231,20 +217,12 @@ class Histogram:
     def add(self, value: float) -> None:
         """Record one sample."""
         if not self.samples:
-            # First sample (fresh or after reset): trivially sorted, and
-            # any stale False flag from a prior epoch must not survive —
-            # the old skip-on-empty path left _sorted unrefreshed, so an
-            # epoch-reusing histogram could sort needlessly or, worse,
-            # trust a stale True from a subclass clearing samples by hand.
+            # First sample: there is no predecessor to compare with, and
+            # one sample is sorted.
             self._sorted = True
         elif value < self.samples[-1]:
             self._sorted = False
         self.samples.append(value)
-
-    def reset(self) -> None:
-        """Drop all samples for a fresh telemetry epoch."""
-        self.samples.clear()
-        self._sorted = True
 
     def merge(self, other: "Histogram") -> None:
         """Pool another histogram's samples into this one."""
@@ -439,14 +417,6 @@ class LatencySketch:
             self.min_value = value
         if value > self.max_value:
             self.max_value = value
-
-    def reset(self) -> None:
-        """Drop all samples for a fresh telemetry epoch."""
-        self._counts.clear()
-        self.count = 0
-        self.clamped = 0
-        self.min_value = math.inf
-        self.max_value = -math.inf
 
     @property
     def mean(self) -> float:

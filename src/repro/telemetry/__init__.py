@@ -28,12 +28,9 @@ import first here: partially-initialized-package imports from
 
 from repro.telemetry.tracer import (
     NULL_TRACER,
-    KernelEventRecorder,
-    MultiTracer,
     RecordingTracer,
     Span,
     Tracer,
-    combine,
     current_tracer,
     use_tracer,
 )
@@ -129,11 +126,9 @@ __all__ = [
     "DEFAULT_WINDOW_NS",
     "ExperimentProfile",
     "HostProfiler",
-    "KernelEventRecorder",
     "LittlesLawCheck",
     "MetricDelta",
     "MetricsRegistry",
-    "MultiTracer",
     "NULL_METRICS",
     "NULL_TRACER",
     "RecordingTracer",
@@ -152,7 +147,6 @@ __all__ = [
     "capture_window",
     "classify_event",
     "collect_provenance",
-    "combine",
     "compare",
     "current_metrics",
     "current_tracer",

@@ -195,12 +195,11 @@ def load_bench(path: typing.Union[str, pathlib.Path]) -> BenchReport:
 #: Provenance keys that describe *how* latency metrics were measured.
 #: Two reports disagreeing on any of these measured different things —
 #: a p99 over 16 sub-buckets is not comparable to one over 4, window
-#: means change with the window, and older committed reports stamp the
-#: execution backend they ran on, whose wall-clock metrics do not
-#: compare across engines — so `compare` refuses to diff them rather
-#: than report a phantom regression.
+#: means change with the window, and SLO metrics change with the
+#: traffic plan — so `compare` refuses to diff them rather than report
+#: a phantom regression.
 MEASUREMENT_KEYS: typing.Tuple[str, ...] = (
-    "sketch", "timeseries_window_ns", "backend", "service")
+    "sketch", "timeseries_window_ns", "service")
 
 
 def provenance_conflicts(

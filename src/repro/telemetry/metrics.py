@@ -284,18 +284,6 @@ class MetricsRegistry:
             lines.append(f"{path:<{width}}  {rendered}")
         return "\n".join(lines)
 
-    # -- lifecycle ------------------------------------------------------
-    def reset(self) -> None:
-        """Reset every registered container and clear all gauges.
-
-        Registration (paths, prefixes) survives, so a harness can reuse
-        one wiring across telemetry epochs.
-        """
-        for container in self._containers.values():
-            container.reset()
-        self._gauges.clear()
-        self._gauge_max_paths.clear()
-
 
 #: Disabled registry: hands out unregistered containers, records nothing.
 NULL_METRICS = MetricsRegistry(enabled=False)

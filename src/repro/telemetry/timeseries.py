@@ -43,7 +43,7 @@ import os
 import sys
 import typing
 
-from repro.sim.sampling import SamplerHook
+from repro.sim.observer import KernelObserver
 from repro.sim.stats import LatencySketch, TimeSeries
 from repro.telemetry.metrics import MetricsRegistry, current_metrics
 
@@ -54,8 +54,9 @@ TIMESERIES_SCHEMA = "repro.timeseries/1"
 DEFAULT_WINDOW_NS = 1000.0
 
 
-class Sampler(SamplerHook):
-    """Engine-driven window closer for one simulator.
+class Sampler(KernelObserver):
+    """Engine-driven window closer for one simulator (a kernel
+    observer that overrides ``advance``).
 
     Instruments register through :meth:`track` (time-weighted levels)
     and :meth:`watch_gauge` (boundary-sampled callables).  Samples land

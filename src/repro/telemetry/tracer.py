@@ -1,6 +1,6 @@
 """Span tracing for the DRAM-less stack, with a zero-overhead null default.
 
-Every component of the simulator (kernel, channel controllers, PRAM
+Every device model of the simulator (channel controllers, PRAM
 modules, PEs, PCIe links) calls into a :class:`Tracer`.  The default
 tracer is the no-op :data:`NULL_TRACER`: its hooks do nothing and
 allocate nothing, and every hot path guards emission behind the
@@ -25,7 +25,10 @@ token-based restoration unwinds nesting correctly.
 
 Spans carry **simulated** nanosecond timestamps (``Simulator.now``),
 never wall-clock time, so recording a trace cannot perturb or be
-perturbed by host scheduling.
+perturbed by host scheduling.  The kernel's own dispatches do not pass
+through a tracer: they are watched by kernel observers
+(:mod:`repro.sim.observer`), such as the determinism harness's
+kernel-event trace.
 """
 
 from __future__ import annotations
@@ -93,9 +96,6 @@ class Tracer:
                 **args: typing.Any) -> None:
         """Record a zero-duration marker."""
 
-    def kernel_event(self, ts_ns: float, label: str) -> None:
-        """One DES kernel event was processed (``Simulator.step``)."""
-
     def command(self, record: typing.Any) -> None:
         """One LPDDR2-NVM :class:`CommandRecord` was issued.
 
@@ -117,30 +117,13 @@ _NULL_SCOPE: typing.ContextManager[None] = contextlib.nullcontext()
 NULL_TRACER = Tracer()
 
 
-class KernelEventRecorder(Tracer):
-    """Minimal tracer that records only kernel events into a sink.
-
-    Used by the determinism harness: the sink receives
-    ``(timestamp, label)`` tuples exactly as the seed's trace format
-    did, so trace diffing is unchanged.
-    """
-
-    enabled = True
-
-    def __init__(self, sink: typing.List[typing.Tuple[float, str]]) -> None:
-        self.sink = sink
-
-    def kernel_event(self, ts_ns: float, label: str) -> None:
-        self.sink.append((ts_ns, label))
-
-
 class RecordingTracer(Tracer):
     """Tracer that stores every span/instant/command for export.
 
     Purely observational: recording mutates only the tracer's own
-    lists, so enabling it cannot change simulated timing or ordering
-    (the determinism harness verifies this).  It keeps no kernel-event
-    stream, so a simulator attaches no kernel-event feed for it.
+    lists, so enabling it cannot change simulated timing or ordering.
+    Kernel events are not the tracer's: the kernel-event trace is a
+    kernel observer (:func:`repro.analysis.determinism.capture_trace`).
     """
 
     enabled = True
@@ -215,65 +198,6 @@ class RecordingTracer(Tracer):
 
     def __len__(self) -> int:
         return len(self.spans) + len(self.instants)
-
-
-class MultiTracer(Tracer):
-    """Fans every hook out to several tracers (explicit + ambient)."""
-
-    def __init__(self, tracers: typing.Sequence[Tracer]) -> None:
-        self.tracers = tuple(tracers)
-        # A fan-out of disabled children must look disabled itself, or
-        # instrumentation guarded by `tracer.enabled` pays the full
-        # recording cost on untraced runs.
-        self.enabled = any(tracer.enabled for tracer in self.tracers)
-
-    def emit(self, name: str, track: str, start_ns: float, end_ns: float,
-             asynchronous: bool = False,
-             **args: typing.Any) -> None:
-        for tracer in self.tracers:
-            tracer.emit(name, track, start_ns, end_ns,
-                        asynchronous=asynchronous, **args)
-
-    def instant(self, name: str, track: str, ts_ns: float,
-                **args: typing.Any) -> None:
-        for tracer in self.tracers:
-            tracer.instant(name, track, ts_ns, **args)
-
-    def kernel_event(self, ts_ns: float, label: str) -> None:
-        for tracer in self.tracers:
-            tracer.kernel_event(ts_ns, label)
-
-    def command(self, record: typing.Any) -> None:
-        for tracer in self.tracers:
-            tracer.command(record)
-
-    @contextlib.contextmanager
-    def scope(self, label: str) -> typing.Iterator["MultiTracer"]:
-        with contextlib.ExitStack() as stack:
-            for tracer in self.tracers:
-                stack.enter_context(tracer.scope(label))
-            yield self
-
-
-def combine(*tracers: typing.Optional[Tracer]) -> Tracer:
-    """Collapse several maybe-null tracers into one effective tracer."""
-    active: typing.List[Tracer] = []
-    for tracer in tracers:
-        if tracer is None or not tracer.enabled:
-            continue
-        children = (tracer.tracers if isinstance(tracer, MultiTracer)
-                    else (tracer,))
-        for child in children:
-            if not child.enabled:
-                continue
-            if any(child is seen for seen in active):
-                continue
-            active.append(child)
-    if not active:
-        return NULL_TRACER
-    if len(active) == 1:
-        return active[0]
-    return MultiTracer(active)
 
 
 # ----------------------------------------------------------------------

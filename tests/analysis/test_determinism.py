@@ -66,6 +66,20 @@ def test_capture_trace_is_scoped():
     assert len(sink) == before
 
 
+def test_captured_runs_take_the_untraced_device_paths():
+    # A capture feeds the kernel, not the tracer: the ambient tracer
+    # stays the null one, so the device models run the paths an
+    # unobserved production run takes.
+    with capture_trace():
+        sim = Simulator()
+        subsystem = PramSubsystem(sim)
+        assert current_tracer() is NULL_TRACER
+    assert sim.tracer is NULL_TRACER
+    assert sim._observer is not None
+    assert subsystem.channels
+    assert not any(channel._telemetry_on for channel in subsystem.channels)
+
+
 def test_nested_captures_do_not_clobber():
     # The seed's class-level sink made nested captures lose the outer
     # one; the ambient tracer restores it on exit and both observe.

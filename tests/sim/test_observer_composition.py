@@ -3,15 +3,15 @@
 The mixed read/write stream of ``tests/sim/test_hot_path.py`` runs
 with each kernel observer attached alone, then with all four at once:
 
-* the tracer's kernel-event lines;
-* the race sanitizer's task table (id, parent, time, label, edge kind,
-  actor), its happens-before edges and its release log;
+* the kernel-event trace (``capture_trace``);
+* the race sanitizer's task table (id, parent, time, label, actor),
+  which is its happens-before tree;
 * the sampler's 500 ns window series;
 * the host profiler's census, which carries no host time.
 
 Attaching the others must not change what any one of them records,
 and no observer may change what the stream simulates: its end instant
-and the device state it leaves.  The tracer, the sanitizer and the
+and the device state it leaves.  The trace, the sanitizer and the
 sampler are pinned under a tie-break shuffle as well, alone and
 together.  Every digest is a SHA-256 of the artifact's text.
 """
@@ -22,6 +22,7 @@ import json
 
 import pytest
 
+from repro.analysis.determinism import capture_trace
 from repro.analysis.racecheck import RaceSanitizer
 from repro.sim import (
     Resource,
@@ -34,7 +35,6 @@ from repro.sim.hostprof import use_hostprof
 from repro.telemetry.hostprof import HostProfiler
 from repro.telemetry.metrics import MetricsRegistry, use_metrics
 from repro.telemetry.timeseries import SamplingConfig, export_document
-from repro.telemetry.tracer import KernelEventRecorder, use_tracer
 from tests.sim.test_hot_path import _device_state, _mixed_subsystem
 
 #: Window of the sampler's series.
@@ -48,7 +48,7 @@ PINS = {
     "tracer":
         "55cd415c8456d496c2329c6616b5feff01415fa16ba17c68093ad83cbed7f36e",
     "sanitizer":
-        "d577c7667710281d67ee7a1c3b7dddd00066acaf42a7d33b6a638b005f496d6b",
+        "1ab108bf8398a50061d5e2e49e1719989bf08b4719717f2d968c6b1970ab955c",
     "sampler":
         "a93e04b3f2d218ee74c14f9d235e18cd7525133d595c7211356da457ac35b5b1",
     "hostprof":
@@ -60,7 +60,7 @@ SHUFFLED_PINS = {
     "tracer":
         "735ae652e9e4d11999d176911aae2b530fd15fb985d0dd322773f52df56a7aa9",
     "sanitizer":
-        "aa50608a510ac4c5cc7c76af775dc023ab387cc8fcdc21f2f2dbcd78e7b13ae4",
+        "384801126c4bd017b5076d3fa8b2d568bdd22ac7b37888e4ccddb658c1bbfeb7",
     "sampler":
         "3be589ea5cec3c8a88c52e42d63e1228769996c5435a527e58def30d13a44cf8",
 }
@@ -72,14 +72,14 @@ def _sha256(lines):
 
 def _run_observed(observers, tiebreak=None):
     """Run the mixed stream with ``observers`` attached; the subsystem,
-    and what the tracer, sanitizer, sampler and profiler recorded."""
+    and what the trace, sanitizer, sampler and profiler recorded."""
     events = []
     sanitizer = RaceSanitizer()
     registry = MetricsRegistry()
     profiler = HostProfiler()
     with contextlib.ExitStack() as stack:
         if "tracer" in observers:
-            stack.enter_context(use_tracer(KernelEventRecorder(events)))
+            events = stack.enter_context(capture_trace())
         if "sanitizer" in observers:
             stack.enter_context(use_sanitizer(sanitizer))
         if "sampler" in observers:
@@ -100,14 +100,10 @@ def _observe(observers, tiebreak=None):
         observers, tiebreak)
     artifacts = {
         "tracer": [f"{ts!r} {label}" for ts, label in events],
-        "sanitizer": (
-            [f"task {task.task_id} {task.parent} {task.time_ns!r} "
-             f"{task.label} {task.edge_kind} {task.actor}"
-             for task in sanitizer._tasks]
-            + [f"edge {edge.src} {edge.dst} {edge.kind}"
-               for edge in sanitizer.hb_edges]
-            + [f"release {task} {name}"
-               for task, name in sanitizer.releases]),
+        "sanitizer": [
+            f"task {task.task_id} {task.parent} {task.time_ns!r} "
+            f"{task.label} {task.actor}"
+            for task in sanitizer._tasks],
         "sampler": [json.dumps(
             export_document(registry, WINDOW_NS)["series"],
             sort_keys=True)],
@@ -145,19 +141,19 @@ def test_three_at_once_under_shuffle():
 
 
 def test_routes_are_hooked_only_for_the_hooks_observers_override():
-    # The profiler overrides on_schedule but no trigger or slot hook:
-    # triggers go through the hooked schedule, resource claims stay
-    # stock.  The sanitizer overrides all of them.
+    # The profiler and the sanitizer override on_schedule: triggers go
+    # through the hooked schedule at zero delay, and resource claims
+    # stay stock, since no observer hooks a slot.
     with use_hostprof(HostProfiler()):
         profiled = Simulator()
     with use_sanitizer(RaceSanitizer()):
         sanitized = Simulator()
-    assert profiled._trigger.func == profiled._schedule_observed
-    assert sanitized._trigger == sanitized._trigger_observed
-    for sim, hooked in ((profiled, False), (sanitized, True)):
+    for sim in (profiled, sanitized):
+        assert sim._trigger.func == sim._schedule_observed
+        assert sim._trigger.args == (0.0,)
         bus = Resource(sim)
-        assert ("request" in vars(bus)) is hooked
-        assert ("release" in vars(bus)) is hooked
+        assert "request" not in vars(bus)
+        assert "release" not in vars(bus)
     with use_metrics(MetricsRegistry()), use_sampling(SamplingConfig()):
         sampled = Simulator()
     assert sampled._trigger == sampled._ready.append

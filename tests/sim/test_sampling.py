@@ -5,7 +5,7 @@ import types
 import pytest
 
 from repro.sim import KernelScope, Simulator, TimeSeries, use_sampling
-from repro.sim.sampling import SamplerHook, current_sampling
+from repro.sim.sampling import current_sampling
 from repro.telemetry.metrics import MetricsRegistry, use_metrics
 from repro.telemetry.timeseries import Sampler, SamplingConfig
 
@@ -61,9 +61,6 @@ class TestAmbientProvider:
         sampler, _ = _sampler()
         with use_metrics(MetricsRegistry()), use_sampling(SamplingConfig()):
             assert _sampled(sampler).sampler is sampler
-
-    def test_base_hook_advance_is_a_no_op(self):
-        SamplerHook().advance(123.0)  # must not raise
 
     def test_config_validates_window(self):
         with pytest.raises(ValueError):

@@ -309,13 +309,6 @@ class TestLatencySketch:
         assert rebuilt.to_payload() == sketch.to_payload()
         assert rebuilt.quantiles() == sketch.quantiles()
 
-    def test_reset(self):
-        sketch = LatencySketch()
-        sketch.add(3.0)
-        sketch.reset()
-        assert len(sketch) == 0
-        assert sketch.quantiles() == {}
-
 
 #: Strategy: sample batches on (and around) the default grid.
 _samples = st.lists(
@@ -369,42 +362,6 @@ class TestSketchMergeProperties:
         for shard in shards:
             merged.merge(shard)
         assert merged.to_payload() == serial.to_payload()
-
-
-class TestReset:
-    def test_counter_reset(self):
-        counter = Counter("bytes")
-        counter.add(10)
-        counter.reset()
-        assert counter.value == 0.0
-        assert counter.events == 0
-        assert counter.mean == 0.0
-
-    def test_breakdown_reset(self):
-        bd = Breakdown("time")
-        bd.add("compute", 5.0)
-        bd.reset()
-        assert bd.total == 0.0
-        assert bd.categories == ()
-
-    def test_histogram_reset(self):
-        hist = Histogram("lat")
-        hist.add(2.0)
-        hist.add(1.0)
-        hist.reset()
-        assert len(hist) == 0
-        assert hist.mean == 0.0
-        hist.add(4.0)
-        assert hist.percentile(0.5) == 4.0
-
-    def test_timeseries_reset(self):
-        ts = TimeSeries("ipc")
-        ts.record(5.0, 1.0)
-        ts.reset()
-        assert len(ts) == 0
-        # Time travel is legal again after a reset.
-        ts.record(1.0, 2.0)
-        assert ts.value_at(1.0) == 2.0
 
 
 class TestMerge:

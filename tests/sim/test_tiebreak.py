@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import KernelSanitizer, KernelScope, Simulator, use_tiebreak
+from repro.sim import KernelObserver, KernelScope, Simulator, use_tiebreak
 
 
 def _record_order(sim, order, count, delay=10.0):
@@ -24,9 +24,9 @@ def test_fast_drain_preserves_fifo_schedule_order():
 
 
 def test_step_loop_matches_fast_drain_order():
-    # The instrumented (sanitized) path takes the observed drain;
-    # same-timestamp ordering must be identical to the fast drain.
-    sim = Simulator(scope=KernelScope(sanitizer=KernelSanitizer()))
+    # Any attached observer, even a no-op one, takes the observed
+    # drain; same-timestamp ordering must be identical to the fast drain.
+    sim = Simulator(scope=KernelScope(observers=(KernelObserver(),)))
     order = []
     _record_order(sim, order, 8)
     sim.run()

@@ -58,6 +58,7 @@ def test_git_sha_env_override(monkeypatch):
 
 def test_collect_provenance_fields(monkeypatch):
     monkeypatch.setenv("REPRO_GIT_SHA", "cafe123")
+    monkeypatch.delenv("REPRO_TIMESTAMP", raising=False)
     provenance = collect_provenance(scale=0.25, seed=1, agents=8)
     assert provenance["git_sha"] == "cafe123"
     assert provenance["scale"] == 0.25
@@ -139,19 +140,10 @@ def test_mismatched_sketch_layouts_conflict():
     assert "log2[0,8)x8" in conflicts[0]
 
 
-def test_mismatched_backends_conflict():
-    conflicts = provenance_conflicts(
-        _stamped(backend="interpreted"),
-        _stamped(backend="compiled"))
-    assert len(conflicts) == 1
-    assert "interpreted" in conflicts[0]
-    assert "compiled" in conflicts[0]
-
-
 def test_mismatched_service_plans_conflict():
     # SLO metrics from different traffic plans are different
     # measurements: the service stamp must gate compare like the
-    # sketch layout and backend stamps do.
+    # sketch layout stamp does.
     conflicts = provenance_conflicts(
         _stamped(service="none"),
         _stamped(service="seed=7,rate=8e5"))
@@ -172,20 +164,6 @@ def test_compare_cli_refuses_mismatched_service_plans(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "refusing to compare" in err
     assert "service" in err
-
-
-def test_compare_cli_refuses_mismatched_backends(tmp_path, capsys):
-    from repro.telemetry.__main__ import main as telemetry_main
-
-    baseline = tmp_path / "baseline.json"
-    candidate = tmp_path / "candidate.json"
-    write_bench(_stamped(backend="interpreted"), baseline)
-    write_bench(_stamped(backend="compiled"), candidate)
-    assert telemetry_main(["compare", str(baseline),
-                           str(candidate)]) == 2
-    err = capsys.readouterr().err
-    assert "refusing to compare" in err
-    assert "backend: baseline 'interpreted' vs candidate 'compiled'" in err
 
 
 def test_legacy_report_without_stamp_still_compares():

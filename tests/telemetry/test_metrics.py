@@ -132,24 +132,6 @@ class TestSnapshot:
         assert "no metrics" in MetricsRegistry().summary_table()
 
 
-class TestReset:
-    def test_reset_zeroes_but_keeps_registration(self):
-        metrics = MetricsRegistry()
-        counter = metrics.counter("hits")
-        counter.add(4)
-        metrics.gauge("g", 2.0)
-        metrics.reset()
-        assert metrics.counter("hits") is counter
-        assert counter.value == 0.0
-        assert "g" not in metrics.snapshot()
-
-    def test_prefixes_survive_reset(self):
-        metrics = MetricsRegistry()
-        metrics.component_prefix("pram.ch0")
-        metrics.reset()
-        assert metrics.component_prefix("pram.ch0") == "pram.ch0#2"
-
-
 class TestAmbientRegistry:
     def test_default_is_disabled(self):
         assert current_metrics() is NULL_METRICS

@@ -1,16 +1,15 @@
-"""Tracer unit tests: null default, recording, scoping, combination."""
+"""Tracer unit tests: null default, recording, scoping; kernel-event
+labels."""
 
 import pytest
 
+from repro.analysis.determinism import capture_trace
 from repro.sim import Simulator
 from repro.telemetry import (
     NULL_TRACER,
-    KernelEventRecorder,
-    MultiTracer,
     RecordingTracer,
     Span,
     Tracer,
-    combine,
     current_tracer,
     use_tracer,
 )
@@ -24,7 +23,6 @@ class TestNullTracer:
     def test_hooks_are_noops(self):
         NULL_TRACER.emit("x", "t", 0.0, 1.0, foo=1)
         NULL_TRACER.instant("x", "t", 0.0)
-        NULL_TRACER.kernel_event(0.0, "x")
         NULL_TRACER.command(object())
 
     def test_scope_allocates_nothing(self):
@@ -79,18 +77,17 @@ class TestRecordingTracer:
 
     def test_kernel_events_off_by_default(self):
         # A span recorder keeps no kernel events, so a simulator built
-        # under it attaches no kernel-event feed (KernelEventRecorder
-        # is the tracer that takes them).
+        # under it attaches no observer; the kernel-event trace is
+        # capture_trace's, and only a simulator built under it is fed.
         tracer = RecordingTracer()
-        tracer.kernel_event(1.0, "Timeout")
-        assert not hasattr(tracer, "kernel_events")
+        assert not hasattr(tracer, "kernel_event")
         with use_tracer(tracer):
             sim = Simulator()
         assert sim._observer is None
-        sink = []
-        with use_tracer(KernelEventRecorder(sink)):
+        with use_tracer(tracer), capture_trace():
             fed = Simulator()
         assert fed._observer is not None
+        assert fed.tracer is tracer
 
     def test_len_counts_spans_and_instants(self):
         tracer = RecordingTracer()
@@ -103,73 +100,6 @@ class TestRecordingTracer:
                     scope="s", asynchronous=True, span_id=7,
                     args={"k": 1})
         assert Span(**span.to_dict()) == span
-
-
-class TestKernelEventRecorder:
-    def test_records_seed_trace_format(self):
-        sink = []
-        recorder = KernelEventRecorder(sink)
-        assert recorder.enabled
-        recorder.kernel_event(5.0, "Timeout:worker")
-        recorder.emit("ignored", "t", 0.0, 1.0)  # spans are dropped
-        assert sink == [(5.0, "Timeout:worker")]
-
-
-class TestCombine:
-    def test_nothing_active_gives_null(self):
-        assert combine() is NULL_TRACER
-        assert combine(None, NULL_TRACER) is NULL_TRACER
-
-    def test_single_active_passes_through(self):
-        tracer = RecordingTracer()
-        assert combine(None, tracer) is tracer
-
-    def test_duplicates_collapse(self):
-        tracer = RecordingTracer()
-        assert combine(tracer, tracer) is tracer
-
-    def test_two_active_fan_out(self):
-        left, right = RecordingTracer(), RecordingTracer()
-        multi = combine(left, right)
-        assert isinstance(multi, MultiTracer)
-        multi.emit("a", "t", 0.0, 1.0)
-        multi.instant("b", "t", 1.0)
-        multi.command("rec")
-        assert len(left.spans) == len(right.spans) == 1
-        assert len(left.instants) == len(right.instants) == 1
-        assert left.commands == right.commands == ["rec"]
-
-    def test_multi_scope_enters_all(self):
-        left, right = RecordingTracer(), RecordingTracer()
-        multi = combine(left, right)
-        with multi.scope("run"):
-            multi.emit("a", "t", 0.0, 1.0)
-        assert left.spans[0].scope == "run"
-        assert right.spans[0].scope == "run"
-
-    def test_multi_of_disabled_children_is_disabled(self):
-        assert not MultiTracer([NULL_TRACER]).enabled
-        assert not MultiTracer([NULL_TRACER, NULL_TRACER]).enabled
-        assert MultiTracer([NULL_TRACER, RecordingTracer()]).enabled
-
-    def test_all_null_multi_short_circuits_to_null(self):
-        # A MultiTracer wrapping only disabled tracers must not defeat
-        # the `tracer.enabled` fast path on the hot emit sites.
-        assert combine(MultiTracer([NULL_TRACER]), None) is NULL_TRACER
-
-    def test_multi_with_one_live_child_unwraps(self):
-        recording = RecordingTracer()
-        multi = MultiTracer([recording, NULL_TRACER])
-        assert combine(multi, None) is recording
-
-    def test_nested_multi_flattens(self):
-        left, right, third = (RecordingTracer(), RecordingTracer(),
-                              RecordingTracer())
-        flattened = combine(MultiTracer([left, right]), third)
-        assert isinstance(flattened, MultiTracer)
-        assert set(flattened.tracers) == {left, right, third}
-        for tracer in flattened.tracers:
-            assert not isinstance(tracer, MultiTracer)
 
 
 class TestAmbientTracer:
@@ -195,27 +125,17 @@ class TestAmbientTracer:
         # Construction outside the scope is unaffected.
         assert Simulator().tracer is NULL_TRACER
 
-    def test_explicit_and_ambient_combine(self):
-        # A second tracer joins the ambient one by combining with it,
-        # as capture_trace does; the simulator reads the result.
-        explicit, ambient = RecordingTracer(), RecordingTracer()
-        with use_tracer(ambient), \
-                use_tracer(combine(explicit, current_tracer())):
-            sim = Simulator()
-        assert isinstance(sim.tracer, MultiTracer)
-        assert set(sim.tracer.tracers) == {explicit, ambient}
-
 
 def _recording_simulator():
-    """A simulator under a kernel-event recorder, and the recorder."""
-    recorder = KernelEventRecorder([])
-    with use_tracer(recorder):
-        return Simulator(), recorder
+    """A simulator built under a trace capture, and the captured
+    entries."""
+    with capture_trace() as sink:
+        return Simulator(), sink
 
 
 class TestKernelEventLabels:
     def test_anonymous_event_labeled_with_owning_process(self):
-        sim, tracer = _recording_simulator()
+        sim, trace = _recording_simulator()
         gate = sim.event()  # anonymous: label degrades to the waiter
 
         def opener():
@@ -228,11 +148,11 @@ class TestKernelEventLabels:
         sim.process(opener(), name="opener")
         sim.process(waiter(), name="waiter")
         sim.run()
-        labels = [label for _, label in tracer.sink]
+        labels = [label for _, label in trace]
         assert "Event:waiter" in labels
 
     def test_named_events_keep_their_name(self):
-        sim, tracer = _recording_simulator()
+        sim, trace = _recording_simulator()
         done = sim.event("custom.done")
 
         def worker():
@@ -245,11 +165,11 @@ class TestKernelEventLabels:
         sim.process(worker(), name="w")
         sim.process(waiter(), name="v")
         sim.run()
-        labels = [label for _, label in tracer.sink]
+        labels = [label for _, label in trace]
         assert "custom.done" in labels
 
     def test_timestamps_match_simulated_time(self):
-        sim, tracer = _recording_simulator()
+        sim, trace = _recording_simulator()
 
         def worker():
             yield sim.timeout(7.5)
@@ -257,4 +177,4 @@ class TestKernelEventLabels:
         sim.process(worker(), name="w")
         sim.run()
         assert any(ts == pytest.approx(7.5)
-                   for ts, _ in tracer.sink)
+                   for ts, _ in trace)
