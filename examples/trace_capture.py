@@ -11,14 +11,17 @@ interleaving scheduler (the Figure 12 scenario), then exports:
   *during* another partition's ``activate`` slice — that concurrency
   is the latency the interleaving scheduler hides.
 * ``trace_capture.jsonl`` — JSON-lines span log; the ``command`` lines
-  are LPDDR2-NVM command records the ``repro.analysis`` conformance
-  checker can replay.
+  are the LPDDR2-NVM command records the channel controller issued,
+  each naming its run's scope (``trace-capture``).  The example replays
+  them through the ``repro.analysis`` conformance checker, as
+  ``python -m repro.analysis --trace trace_capture.jsonl`` does.
 * a metrics summary table on stdout (phase skips, buffer hits,
   scheduler overlap).
 
 Run:  python examples/trace_capture.py
 """
 
+from repro.analysis import check_trace
 from repro.controller import MemoryRequest, Op, PramSubsystem, SchedulerPolicy
 from repro.pram import PramGeometry
 from repro.sim import Simulator
@@ -62,8 +65,10 @@ def main() -> None:
     telemetry.write_trace("trace_capture.json")
     telemetry.write_spanlog("trace_capture.jsonl")
     channel = subsystem.channels[0]
+    commands = telemetry.tracer.commands
     print(f"captured {len(telemetry.tracer.spans)} spans, "
-          f"{len(telemetry.tracer.commands)} protocol commands")
+          f"{len(commands)} protocol commands, "
+          f"{len(check_trace(commands))} protocol violation(s)")
     print(f"burst/array overlap: {channel.overlap_ns:.1f} ns "
           f"(latency the interleaving scheduler hid)")
     print(f"RDB hits on the re-read wave: {channel.rdb_hits}")

@@ -11,10 +11,9 @@ Four pillars, each usable on its own:
   and processes spawned only to be waited on.
 * :mod:`repro.analysis.conformance` — an explicit state machine for the
   LPDDR2-NVM three-phase addressing protocol (pre-active → activate →
-  read/write) that validates controller command sequences, including
-  the legality of RAB/RDB phase skips.  Works offline over recorded
-  traces and as an opt-in runtime assertion layer inside
-  :mod:`repro.controller`.
+  read/write) that replays the controller commands a recording tracer
+  kept, per simulated run, and checks the legality of RAB/RDB phase
+  skips.  The model never imports this package.
 * :mod:`repro.analysis.determinism` — a harness that runs a workload
   twice and diffs the kernel's event traces, also exposed as the
   ``@pytest.mark.determinism`` marker via
@@ -26,20 +25,12 @@ Four pillars, each usable on its own:
 
 Command line: ``python -m repro.analysis [paths ...]`` lints a source
 tree (``--format github`` for CI annotation), ``--trace
-FILE`` replays a recorded command trace through the conformance
-checker, and ``--shuffle EXPERIMENT[,...]`` runs the shuffle oracle.
+DIR/spans.jsonl`` replays the command lines of an ``--observe`` span
+log through the conformance checker, and ``--shuffle
+EXPERIMENT[,...]`` runs the shuffle oracle.
 """
 
-from repro.analysis.conformance import (
-    Command,
-    CommandRecord,
-    ProtocolChecker,
-    ProtocolViolationError,
-    Violation,
-    check_trace,
-    load_trace,
-    save_trace,
-)
+from repro.analysis.conformance import ProtocolChecker, Violation, check_trace
 from repro.analysis.determinism import (
     DeterminismError,
     assert_deterministic,
@@ -64,12 +55,9 @@ from repro.analysis.racecheck import (
 __all__ = [
     "Access",
     "AccessSite",
-    "Command",
-    "CommandRecord",
     "DeterminismError",
     "LintViolation",
     "ProtocolChecker",
-    "ProtocolViolationError",
     "RaceReport",
     "RaceSanitizer",
     "TieBreakCertificate",
@@ -85,8 +73,6 @@ __all__ = [
     "lint_file",
     "lint_paths",
     "lint_source",
-    "load_trace",
     "sanitize",
-    "save_trace",
     "trace_of",
 ]

@@ -5,10 +5,12 @@ Three modes:
 * ``python -m repro.analysis [PATH ...]`` — run the SIM lint rules over
   files/directories (default: ``src/repro``).  Exits 1 if any
   violation is found.
-* ``python -m repro.analysis --trace FILE`` — replay a JSON-lines
-  command trace (see :func:`repro.analysis.conformance.save_trace`)
-  through the three-phase protocol conformance checker.  Exits 1 if
-  the trace is not conformant.
+* ``python -m repro.analysis --trace DIR/spans.jsonl`` — replay the
+  ``command`` lines of a span log (``--observe DIR`` on the
+  experiments CLI writes one) through the three-phase protocol
+  conformance checker.  Exits 1 if the commands are not conformant,
+  and 2 before any replay if the file cannot be read as a span log or
+  holds no command to replay.
 * ``python -m repro.analysis --shuffle EXPERIMENT[,...]`` — run the
   tie-break shuffle oracle over named experiments (quick config): each
   is executed once in FIFO order and ``--runs`` more times with seeded
@@ -26,8 +28,9 @@ import argparse
 import sys
 import typing
 
-from repro.analysis.conformance import check_trace, load_trace
+from repro.analysis.conformance import check_trace
 from repro.analysis.lint import LintViolation, lint_paths
+from repro.telemetry.export import spanlog_commands, validate_spanlog
 
 
 def _github_annotations(findings: typing.Sequence[LintViolation]) -> str:
@@ -78,6 +81,24 @@ def _run_shuffle(subjects: typing.Sequence[str], runs: int,
     return 0 if all(cert.independent for cert in certificates) else 1
 
 
+def _run_trace(path: str) -> int:
+    """Replay mode: check a span log's commands, print the violations."""
+    problems = validate_spanlog(path)
+    records = [] if problems else spanlog_commands(path)
+    if not problems and not records:
+        problems = [f"{path}: no command lines to replay"]
+    if problems:
+        more = f" (and {len(problems) - 1} more)" if len(problems) > 1 else ""
+        print(f"--trace: cannot replay {problems[0]}{more}", file=sys.stderr)
+        return 2
+    violations = check_trace(records)
+    for violation in violations:
+        print(violation)
+    print(f"{len(violations)} protocol violation(s) in {len(records)} "
+          f"command(s) replayed from {path}")
+    return 1 if violations else 0
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
@@ -89,9 +110,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "paths", nargs="*", default=None,
         help="files or directories to lint (default: src/repro)")
     parser.add_argument(
-        "--trace", metavar="FILE", default=None,
-        help="replay a JSON-lines command trace through the "
-             "three-phase conformance checker instead of linting")
+        "--trace", metavar="SPANLOG", default=None,
+        help="replay the command lines of a span log (DIR/spans.jsonl "
+             "from --observe DIR) through the three-phase conformance "
+             "checker instead of linting")
     parser.add_argument(
         "--shuffle", metavar="EXPERIMENT[,...]", default=None,
         help="certify tie-break independence of named experiments "
@@ -121,11 +143,7 @@ def main(argv: typing.Sequence[str] | None = None) -> int:
         return _run_shuffle(subjects, args.runs, args.seed)
 
     if args.trace is not None:
-        violations = check_trace(load_trace(args.trace))
-        for violation in violations:
-            print(violation)
-        print(f"{len(violations)} protocol violation(s) in {args.trace}")
-        return 1 if violations else 0
+        return _run_trace(args.trace)
 
     paths = args.paths or ["src/repro"]
     findings = lint_paths(paths)

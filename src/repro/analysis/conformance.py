@@ -22,73 +22,25 @@ machine over a stream of :class:`CommandRecord` entries:
   (one overlay window), and an executed program invalidates every RDB
   copy of the programmed row.
 
-Records also carry simulated timestamps; time running backwards within
-one trace is reported as a violation (the cheapest smoke test for a
-nondeterministic or corrupted trace).
+Records also carry simulated timestamps and the tracer scope of the
+run that issued them.  The checker keeps its buffer mirrors and its
+clock per scope, since separate runs share no device; time running
+backwards within one scope is reported as a violation (the cheapest
+smoke test for a nondeterministic or corrupted trace).
 
-The checker is usable two ways: offline, over a recorded trace
-(:func:`check_trace`, ``python -m repro.analysis --trace FILE``), or
-online as an opt-in runtime assertion layer — pass a
-:class:`ProtocolChecker` as the ``monitor`` of
-:class:`repro.controller.PramSubsystem` and every command the channels
-issue is validated as it happens.
+The records come from a recording tracer
+(:class:`repro.telemetry.RecordingTracer`), which keeps every command a
+channel controller issues; :func:`check_trace` replays them, and
+``python -m repro.analysis --trace DIR/spans.jsonl`` replays the
+``command`` lines of the span log that ``--observe DIR`` writes.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import enum
-import json
 import typing
-from pathlib import Path
 
-
-class Command(enum.Enum):
-    """The five controller-observable LPDDR2-NVM operations."""
-
-    PRE_ACTIVE = "pre_active"
-    ACTIVATE = "activate"
-    READ_BURST = "read_burst"
-    STAGE_PROGRAM = "stage_program"
-    EXECUTE_PROGRAM = "execute_program"
-
-
-@dataclasses.dataclass(frozen=True)
-class CommandRecord:
-    """One command as issued by a channel controller.
-
-    ``row`` is the composed (full) row index within the partition.
-    ``upper_row`` is the value the controller assumes is latched in the
-    RAB — recorded on ``ACTIVATE`` so pre-active skips are checkable.
-    The ``skipped_*`` flags are diagnostic; legality is derived from
-    buffer state, not from the flags.
-    """
-
-    time: float
-    channel: int
-    module: int
-    command: Command
-    buffer_id: int | None = None
-    partition: int | None = None
-    row: int | None = None
-    upper_row: int | None = None
-    lower_row: int | None = None
-    skipped_pre_active: bool = False
-    skipped_activate: bool = False
-
-    def to_dict(self) -> typing.Dict[str, typing.Any]:
-        """JSON-serializable representation (see :func:`save_trace`)."""
-        payload = dataclasses.asdict(self)
-        payload["command"] = self.command.value
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: typing.Mapping[str, typing.Any]
-                  ) -> "CommandRecord":
-        """Inverse of :meth:`to_dict`."""
-        fields = dict(payload)
-        fields["command"] = Command(fields["command"])
-        return cls(**fields)
+from repro.pram.commands import Command, CommandRecord
 
 
 @dataclasses.dataclass(frozen=True)
@@ -99,17 +51,10 @@ class Violation:
     reason: str
 
     def __str__(self) -> str:
-        return (f"t={self.record.time:.1f}ns ch{self.record.channel}"
-                f".m{self.record.module} {self.record.command.value}: "
-                f"{self.reason}")
-
-
-class ProtocolViolationError(AssertionError):
-    """Raised by a strict checker on the first conformance failure."""
-
-    def __init__(self, violation: Violation) -> None:
-        super().__init__(str(violation))
-        self.violation = violation
+        record = self.record
+        where = f"{record.scope} " if record.scope else ""
+        return (f"{where}t={record.time:.1f}ns ch{record.channel}"
+                f".m{record.module} {record.command.value}: {self.reason}")
 
 
 @dataclasses.dataclass
@@ -146,59 +91,38 @@ class _ModuleState:
 class ProtocolChecker:
     """Validates a stream of :class:`CommandRecord` entries.
 
-    Parameters
-    ----------
-    strict:
-        When True, :meth:`observe` raises
-        :class:`ProtocolViolationError` on the first failure — the
-        runtime-assertion mode.  When False (default), failures
-        accumulate in :attr:`violations` — the offline/audit mode.
-    record:
-        When True, every observed record is appended to
-        :attr:`records`, turning the checker into a trace recorder
-        (replayable later with :func:`check_trace`).
+    State is kept per scope: each simulated run has its own module
+    mirrors and its own clock, since runs share no device and each
+    restarts at t = 0 on the same channel and module numbers.
+    Failures accumulate in :attr:`violations`.
     """
 
-    def __init__(self, strict: bool = False, record: bool = False) -> None:
-        self.strict = strict
+    def __init__(self) -> None:
         self.violations: typing.List[Violation] = []
-        self.records: typing.List[CommandRecord] | None = (
-            [] if record else None
-        )
-        self._modules: typing.Dict[typing.Tuple[int, int], _ModuleState] = {}
-        self._last_time = float("-inf")
-        self.commands_checked = 0
+        self._modules: typing.Dict[typing.Tuple[str, int, int],
+                                   _ModuleState] = {}
+        self._clocks: typing.Dict[str, float] = {}
 
     # ------------------------------------------------------------------
-    def observe(self, record: CommandRecord) -> Violation | None:
-        """Feed one command; returns the violation it caused, if any."""
-        if self.records is not None:
-            self.records.append(record)
-        self.commands_checked += 1
+    def observe(self, record: CommandRecord) -> None:
+        """Feed one command; a failure joins :attr:`violations`."""
         violation = self._validate(record)
         if violation is not None:
             self.violations.append(violation)
-            if self.strict:
-                raise ProtocolViolationError(violation)
-        return violation
-
-    @property
-    def ok(self) -> bool:
-        """True while no violation has been observed."""
-        return not self.violations
 
     # ------------------------------------------------------------------
     def _validate(self, record: CommandRecord
                   ) -> Violation | None:
-        if record.time < self._last_time:
+        last = self._clocks.get(record.scope, float("-inf"))
+        if record.time < last:
             return Violation(
                 record,
-                f"time went backwards ({record.time} < {self._last_time}); "
+                f"time went backwards ({record.time} < {last}); "
                 "trace is out of order or the clock is corrupted",
             )
-        self._last_time = record.time
+        self._clocks[record.scope] = record.time
         module = self._modules.setdefault(
-            (record.channel, record.module), _ModuleState())
+            (record.scope, record.channel, record.module), _ModuleState())
         handler = {
             Command.PRE_ACTIVE: self._on_pre_active,
             Command.ACTIVATE: self._on_activate,
@@ -309,46 +233,10 @@ class ProtocolChecker:
 
 
 # ----------------------------------------------------------------------
-# Offline trace helpers
-# ----------------------------------------------------------------------
 def check_trace(records: typing.Iterable[CommandRecord]
                 ) -> typing.List[Violation]:
     """Replay a recorded command trace; returns all violations."""
-    checker = ProtocolChecker(strict=False)
+    checker = ProtocolChecker()
     for record in records:
         checker.observe(record)
     return checker.violations
-
-
-def save_trace(records: typing.Iterable[CommandRecord],
-               path: typing.Union[str, Path]) -> None:
-    """Write a trace as JSON lines (one record per line)."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(json.dumps(record.to_dict()) + "\n")
-
-
-def load_trace(path: typing.Union[str, Path]
-               ) -> typing.List[CommandRecord]:
-    """Read a JSON-lines command trace.
-
-    Accepts both the native :func:`save_trace` format (one record dict
-    per line) and the unified ``repro.telemetry`` span log, whose lines
-    carry a ``type`` discriminator — ``command`` lines hold a record
-    under ``record``; ``span``/``instant`` lines are ignored.  One
-    capture therefore serves both the Perfetto timeline and this
-    checker.
-    """
-    records = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            payload = json.loads(line)
-            kind = payload.get("type")
-            if kind is None:
-                records.append(CommandRecord.from_dict(payload))
-            elif kind == "command":
-                records.append(CommandRecord.from_dict(payload["record"]))
-    return records

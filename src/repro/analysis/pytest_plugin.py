@@ -18,15 +18,15 @@ Registered from the repository-root ``conftest.py``.  Provides:
   on the kernel tie-break — exactly the dependence a kernel that
   reorders within an instant is not allowed to see.  Like
   ``determinism``, the body must build its own simulator.
-* ``protocol_monitor`` fixture — a recording
-  :class:`~repro.analysis.conformance.ProtocolChecker` that fails the
-  test at teardown if any observed command violated the three-phase
-  addressing protocol.  Pass it as the ``monitor`` of a
-  :class:`~repro.controller.PramSubsystem`.
 * ``race_sanitizer`` fixture — an ambient
   :class:`~repro.analysis.racecheck.RaceSanitizer`; ``watch()`` the
   shared objects inside the test and the test fails at teardown if any
   same-timestamp W/W or R/W race was observed.
+
+LPDDR2-NVM protocol conformance needs no fixture: record the run under
+a :class:`~repro.telemetry.RecordingTracer` and assert that
+:func:`~repro.analysis.conformance.check_trace` of its ``commands`` is
+empty.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ import typing
 
 import pytest
 
-from repro.analysis.conformance import ProtocolChecker
 from repro.analysis.determinism import DeterminismError, capture_trace, diff_traces
 from repro.analysis.racecheck import RaceSanitizer, format_races
 from repro.sim.sanitizer import use_sanitizer, use_tiebreak
@@ -92,17 +91,6 @@ def pytest_runtest_call(item: typing.Any) -> typing.Iterator[None]:
                 f"fails under same-timestamp shuffle seed {seed}: the "
                 "test (or the code it drives) depends on the kernel "
                 f"tie-break — {exc!r}") from exc
-
-
-@pytest.fixture
-def protocol_monitor() -> typing.Iterator[ProtocolChecker]:
-    """Recording conformance checker that fails the test on violations."""
-    checker = ProtocolChecker(strict=False, record=True)
-    yield checker
-    if not checker.ok:
-        details = "\n".join(str(v) for v in checker.violations)
-        pytest.fail(
-            f"LPDDR2-NVM protocol violations observed:\n{details}")
 
 
 @pytest.fixture

@@ -22,19 +22,16 @@ from __future__ import annotations
 
 import typing
 
-from repro.analysis.conformance import Command, CommandRecord, ProtocolChecker
 from repro.controller.datapath import Datapath
 from repro.controller.phy import PramPhy
 from repro.controller.scheduler import SchedulerPolicy, WriteHintStore
 from repro.controller.request import RequestStatus
 from repro.controller.translator import ChunkPlan, RetirementMap
-from repro.controller.wear_level import (
-    DEFAULT_GAP_WRITE_INTERVAL,
-    StartGapMapper,
-)
+from repro.controller.wear_level import StartGapMapper
 from repro.faults.ecc import secded_decode
 from repro.faults.plan import FaultState
 from repro.pram.address import AddressMap, PramAddress
+from repro.pram.commands import Command, CommandRecord
 from repro.pram.module import PramModule
 from repro.pram.overlay_window import CMD_RETRY_PROGRAM, CMD_SELECTIVE_ERASE
 from repro.sim import (
@@ -52,31 +49,31 @@ from repro.telemetry.timeseries import Sampler
 #: One hinted pre-reset target: (row address, chunk bytes, hint time).
 _HintChunk = typing.Tuple[PramAddress, int, float]
 
+#: What resuming a paused program costs under write pausing ([66]).
+PAUSE_RESUME_PENALTY_NS = 1_000.0
+
 
 class ChannelController:
     """Drives the PRAM modules of one channel as simulation processes."""
 
     def __init__(self, sim: Simulator, modules: typing.Sequence[PramModule],
-                 policy: SchedulerPolicy = SchedulerPolicy.FINAL,
-                 address_map: AddressMap | None = None,
-                 phase_skipping: bool = True,
-                 hint_store: WriteHintStore | None = None,
-                 channel_id: int = 0,
-                 wear_leveling: bool = False,
-                 gap_write_interval: int = DEFAULT_GAP_WRITE_INTERVAL,
-                 write_pausing: bool = False,
-                 pause_resume_penalty_ns: float = 1_000.0,
-                 monitor: ProtocolChecker | None = None,
-                 faults: FaultState | None = None) -> None:
+                 policy: SchedulerPolicy,
+                 address_map: AddressMap,
+                 phase_skipping: bool,
+                 hint_store: WriteHintStore,
+                 channel_id: int,
+                 wear_leveling: bool,
+                 gap_write_interval: int,
+                 write_pausing: bool,
+                 faults: FaultState | None) -> None:
         if not modules:
             raise ValueError("a channel needs at least one module")
         self.sim = sim
         self.modules = list(modules)
         self.policy = policy
-        self.address_map = address_map or AddressMap(modules[0].geometry)
+        self.address_map = address_map
         self.phase_skipping = phase_skipping
-        # Explicit None check: an empty WriteHintStore is falsy.
-        self.hints = hint_store if hint_store is not None else WriteHintStore()
+        self.hints = hint_store
         self.channel_id = channel_id
         self.phy = PramPhy(modules[0].params)
         self.datapath = Datapath()
@@ -111,12 +108,7 @@ class ChannelController:
         # Optional write pausing ([66]): reads preempt in-flight
         # programs at a resume-penalty cost.
         self.write_pausing = write_pausing
-        self.pause_resume_penalty_ns = pause_resume_penalty_ns
         self.pauses_issued = 0
-        # Opt-in protocol conformance layer (repro.analysis): every
-        # command issued to a module is validated/recorded as it
-        # happens.  None (the default) costs nothing.
-        self.monitor = monitor
         # Optional fault resilience (repro.faults): ECC over read
         # bursts, program-and-verify retries, and bad-row retirement.
         # Spares are carved out only when the plan can actually fail a
@@ -291,7 +283,6 @@ class ChannelController:
         sim = self.sim
         start = sim.now
         tracer = sim.tracer
-        observing = self.monitor is not None or tracer.enabled
         address = chunk.address
         index = address.module
         module = self.modules[index]
@@ -324,7 +315,7 @@ class ChannelController:
             if (self.write_pausing and need_activate
                     and module.program_in_flight(partition, sim.now)):
                 paused = module.pause_program(partition, sim.now,
-                                              self.pause_resume_penalty_ns)
+                                              PAUSE_RESUME_PENALTY_NS)
                 if paused:
                     self.pauses_issued += 1
 
@@ -347,7 +338,7 @@ class ChannelController:
                     self.bus.release(grant)
                 now = sim.now
                 if need_pre_active:
-                    if observing:
+                    if tracer.enabled:
                         self._observe(Command.PRE_ACTIVE, index,
                                       buffer_id=buffer_id, upper_row=upper)
                     finish = module.pre_active(now, buffer_id, upper)
@@ -358,7 +349,7 @@ class ChannelController:
                                     upper_row=upper, req=req)
                     now = finish
                 if need_activate:
-                    if observing:
+                    if tracer.enabled:
                         self._observe(Command.ACTIVATE, index,
                                       buffer_id=buffer_id,
                                       partition=partition, row=row,
@@ -384,7 +375,7 @@ class ChannelController:
                 module.resume_program(partition, sim.now)
 
             # The data burst occupies the bus for preamble + burst time.
-            if observing:
+            if tracer.enabled:
                 self._observe(Command.READ_BURST, index,
                               buffer_id=buffer_id, partition=partition,
                               row=row, skipped_pre_active=not need_pre_active,
@@ -446,7 +437,6 @@ class ChannelController:
         sim = self.sim
         start = sim.now
         tracer = sim.tracer
-        observing = self.monitor is not None or tracer.enabled
         address = chunk.address
         index = address.module
         module = self.modules[index]
@@ -465,7 +455,7 @@ class ChannelController:
             self.datapath.stage_store(payload)
             # Register pokes + payload burst into the program buffer all
             # travel over the shared bus.
-            if observing:
+            if tracer.enabled:
                 self._observe(Command.STAGE_PROGRAM, index,
                               partition=partition, row=row)
             stage_finish = module.stage_program(
@@ -487,7 +477,7 @@ class ChannelController:
             # and the module's overlay window until completion.  The
             # wait re-checks the partition clock because write pausing
             # can extend an in-flight program.
-            if observing:
+            if tracer.enabled:
                 self._observe(Command.EXECUTE_PROGRAM, index,
                               partition=partition, row=row)
             module.execute_program(sim.now, req=req)
@@ -857,17 +847,12 @@ class ChannelController:
 
     def _observe(self, command: Command, module_index: int,
                  **fields: typing.Any) -> None:
-        """Feed one command to the conformance monitor and the tracer."""
+        """Report one command to the tracer (the conformance trace)."""
         tracer = self.sim.tracer
-        if self.monitor is None and not tracer.enabled:
-            return
-        record = CommandRecord(
-            time=self.sim.now, channel=self.channel_id,
-            module=module_index, command=command, **fields)
-        if self.monitor is not None:
-            self.monitor.observe(record)
         if tracer.enabled:
-            tracer.command(record)
+            tracer.command(CommandRecord(
+                time=self.sim.now, channel=self.channel_id,
+                module=module_index, command=command, **fields))
 
     def _partition_track(self, module_index: int, partition: int) -> str:
         """Trace-track name of one partition's array lane."""

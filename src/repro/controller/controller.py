@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import typing
 
-from repro.analysis.conformance import ProtocolChecker
 from repro.controller.channel import ChannelController
 from repro.controller.firmware import FirmwareModel
 from repro.controller.initializer import Initializer
 from repro.controller.request import MemoryRequest, Op, RequestStatus
 from repro.controller.scheduler import SchedulerPolicy, WriteHintStore
 from repro.controller.translator import AccessPlanner
+from repro.controller.wear_level import DEFAULT_GAP_WRITE_INTERVAL
 from repro.faults.plan import FaultConfig, FaultState
 from repro.pram.address import AddressMap
 from repro.pram.constants import PramGeometry, PramTimingParams
@@ -38,14 +38,10 @@ class PramSubsystem:
                  phase_skipping: bool = True,
                  firmware: FirmwareModel | None = None,
                  wear_leveling: bool = False,
-                 gap_write_interval: int = 100,
+                 gap_write_interval: int = DEFAULT_GAP_WRITE_INTERVAL,
                  write_pausing: bool = False,
-                 monitor: ProtocolChecker | None = None,
                  faults: FaultConfig | None = None) -> None:
         self.sim = sim
-        # Opt-in LPDDR2-NVM conformance layer (repro.analysis): shared
-        # across channels so one checker sees the whole command stream.
-        self.monitor = monitor
         self.geometry = geometry
         self.params = params
         self.policy = policy
@@ -72,7 +68,6 @@ class PramSubsystem:
                 wear_leveling=wear_leveling,
                 gap_write_interval=gap_write_interval,
                 write_pausing=write_pausing,
-                monitor=monitor,
                 faults=self.faults)
             for ch in range(geometry.channels)
         ]

@@ -30,6 +30,7 @@ from repro.experiments.runner import ExperimentConfig, format_table
 from repro.faults.plan import FaultConfig
 from repro.service.summary import outcome_summary
 from repro.sim import Simulator
+from repro.telemetry.tracer import current_tracer
 from repro.workloads.trace import TraceBundle
 
 #: Endurance budgets swept, most durable first.  None = wear-free
@@ -97,7 +98,11 @@ def run(config: ExperimentConfig = ExperimentConfig()) -> typing.Dict:
     rows = []
     for budget in ENDURANCE_SWEEP:
         swept = dataclasses.replace(plan, endurance_budget=budget)
-        stats = replay(bundle, swept)
+        # One scope per simulated run: every run restarts at t = 0 on
+        # the same channels, and traces must not mix them.
+        label = "inf" if budget is None else budget
+        with current_tracer().scope(f"{name}:endurance={label}"):
+            stats = replay(bundle, swept)
         rows.append({"endurance": budget, **stats})
     return {"workload": name, "seed": plan.seed, "rows": rows}
 

@@ -37,6 +37,7 @@ from repro.service.config import ARRIVAL_KINDS, ServiceConfig
 from repro.service.frontend import ServiceFrontend, ServiceResult
 from repro.service.summary import outcome_summary
 from repro.sim import Simulator
+from repro.telemetry.tracer import current_tracer
 
 #: Offered-load multipliers over the sustainable rate, overload last.
 OVERLOAD_MULTIPLIERS: typing.Tuple[float, ...] = (0.5, 1.0, 2.0, 5.0, 10.0)
@@ -88,12 +89,14 @@ def sustainable_rate_rps(plan: ServiceConfig,
     Submits one open-loop batch through ``run_stream`` (full overlap,
     no admission layer) and reads the achieved completion rate off the
     makespan — the plateau the overload sweep's goodput is judged
-    against.
+    against.  The probe is a simulated run of its own, so it records
+    under a scope of its own, as does each sweep point below.
     """
-    sim = Simulator()
-    subsystem = PramSubsystem(sim, policy=SchedulerPolicy.FINAL,
-                              faults=faults)
-    subsystem.run_stream(probe_requests(plan), mode="open")
+    with current_tracer().scope("saturation-probe"):
+        sim = Simulator()
+        subsystem = PramSubsystem(sim, policy=SchedulerPolicy.FINAL,
+                                  faults=faults)
+        subsystem.run_stream(probe_requests(plan), mode="open")
     return PROBE_REQUESTS / sim.now * 1e9
 
 
@@ -128,7 +131,8 @@ def run_overload(config: ExperimentConfig = ExperimentConfig()
     for multiplier in OVERLOAD_MULTIPLIERS:
         swept = dataclasses.replace(plan,
                                     rate_rps=rate_max * multiplier)
-        result = run_service(swept, faults)
+        with current_tracer().scope(f"offered={multiplier:g}x"):
+            result = run_service(swept, faults)
         rows.append({"multiplier": multiplier, "result": result})
     return {"plan": plan, "rate_max_rps": rate_max, "rows": rows}
 
@@ -198,7 +202,8 @@ def run_burst(config: ExperimentConfig = ExperimentConfig()
             swept = dataclasses.replace(
                 plan, arrival=arrival, queue_depth=depth,
                 rate_rps=0.8 * rate_max)
-            result = run_service(swept, faults)
+            with current_tracer().scope(f"{arrival}:queue={depth}"):
+                result = run_service(swept, faults)
             rows.append({"arrival": arrival, "queue_depth": depth,
                          "result": result})
     return {"plan": plan, "rate_max_rps": rate_max, "rows": rows}
@@ -242,7 +247,8 @@ def run_isolation(config: ExperimentConfig = ExperimentConfig()
     arms = []
     for name, shared in (("isolated", 0), ("shared", 1)):
         swept = dataclasses.replace(rogue, shared_queue=shared)
-        result = run_service(swept, faults)
+        with current_tracer().scope(name):
+            result = run_service(swept, faults)
         arms.append({"arm": name, "result": result})
     return {"plan": plan, "rate_max_rps": rate_max, "arms": arms}
 

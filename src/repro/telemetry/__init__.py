@@ -46,9 +46,11 @@ from repro.telemetry.export import (  # noqa: E402
     load_spanlog,
     perfetto_document,
     perfetto_events,
+    spanlog_commands,
     spanlog_lines,
     spanlog_spans,
     validate_perfetto,
+    validate_spanlog,
     write_perfetto,
     write_spanlog,
 )
@@ -165,6 +167,7 @@ __all__ = [
     "render_text",
     "render_watch",
     "request_depth_series",
+    "spanlog_commands",
     "spanlog_lines",
     "spanlog_spans",
     "sparkline",
@@ -175,6 +178,7 @@ __all__ = [
     "use_tracer",
     "utilization_table",
     "validate_perfetto",
+    "validate_spanlog",
     "validate_speedscope",
     "validate_timeseries",
     "verify_attribution",

@@ -41,7 +41,7 @@ from repro.telemetry.bench import (
     provenance_conflicts,
     render_compare,
 )
-from repro.telemetry.export import load_spanlog, validate_perfetto
+from repro.telemetry.export import validate_perfetto, validate_spanlog
 from repro.telemetry.hostprof import (
     load_speedscope,
     render_flame,
@@ -53,28 +53,6 @@ from repro.telemetry.timeseries import (
     supports_unicode,
     validate_timeseries,
 )
-
-_SPANLOG_TYPES = ("span", "instant", "command")
-
-
-def _validate_spanlog(path: str) -> typing.List[str]:
-    problems = []
-    try:
-        lines = load_spanlog(path)
-    except (OSError, json.JSONDecodeError) as error:
-        return [f"{path}: unreadable span log: {error}"]
-    if not lines:
-        problems.append(f"{path}: span log is empty")
-    for index, line in enumerate(lines):
-        kind = line.get("type")
-        if kind not in _SPANLOG_TYPES:
-            problems.append(f"{path}:{index + 1}: unknown type {kind!r}")
-        elif kind == "command" and not isinstance(line.get("record"), dict):
-            problems.append(f"{path}:{index + 1}: command without record")
-        elif kind in ("span", "instant") and "track" not in line:
-            problems.append(f"{path}:{index + 1}: {kind} without track")
-    return problems
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -211,7 +189,7 @@ def main(argv: typing.Optional[typing.Sequence[str]] = None) -> int:
         if isinstance(events, list):
             print(f"{args.trace}: {len(events)} trace events")
     if args.spanlog is not None:
-        problems.extend(_validate_spanlog(args.spanlog))
+        problems.extend(validate_spanlog(args.spanlog))
     for problem in problems:
         print(problem, file=sys.stderr)
     if problems:

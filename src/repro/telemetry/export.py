@@ -14,11 +14,14 @@ Two consumers, one recording:
 * **Span log** — :func:`write_spanlog` emits one JSON object per line
   with a ``type`` discriminator (``span`` / ``instant`` / ``command``).
   Command lines carry the LPDDR2-NVM :class:`CommandRecord` payloads,
-  so the same file feeds ``repro.analysis``'s protocol conformance
-  checker — one capture, both analyses.
+  each naming the scope of the run that issued it, so the same file
+  feeds ``repro.analysis``'s protocol conformance checker — one
+  capture, both analyses.  :func:`spanlog_spans` and
+  :func:`spanlog_commands` read the two kinds back.
 
-:func:`validate_perfetto` is the structural schema check used by CI and
-``python -m repro.telemetry validate``.
+:func:`validate_perfetto` and :func:`validate_spanlog` are the
+structural checks used by CI, ``python -m repro.telemetry validate``
+and, for span logs, ``python -m repro.analysis --trace``.
 """
 
 from __future__ import annotations
@@ -26,10 +29,14 @@ from __future__ import annotations
 import json
 import typing
 
+from repro.pram.commands import CommandRecord
 from repro.telemetry.tracer import RecordingTracer, Span
 
 #: Event phases the validator accepts (the subset we emit).
 _KNOWN_PHASES = frozenset({"X", "B", "E", "b", "e", "i", "M", "C"})
+
+#: The ``type`` discriminators of span-log lines.
+_SPANLOG_TYPES = ("span", "instant", "command")
 
 
 def _track_order(tracer: RecordingTracer) -> typing.Dict[
@@ -187,10 +194,8 @@ def spanlog_lines(tracer: RecordingTracer
         items.append((span.start_ns, span.span_id,
                       {"type": "instant", **span.to_dict()}))
     for order, record in enumerate(tracer.commands):
-        payload = record.to_dict() if hasattr(record, "to_dict") else record
-        issue = payload.get("time", 0.0) if isinstance(payload, dict) else 0.0
-        items.append((float(issue), order,
-                      {"type": "command", "record": payload}))
+        items.append((float(record.time), order,
+                      {"type": "command", "record": record.to_dict()}))
     items.sort(key=lambda item: (item[0], item[1]))
     for _, _, line in items:
         yield line
@@ -215,6 +220,54 @@ def load_spanlog(path: str) -> typing.List[typing.Dict[str, typing.Any]]:
     return lines
 
 
+def validate_spanlog(path: str) -> typing.List[str]:
+    """Line-structure check of a span log (empty means valid).
+
+    Every line must be an object with a known ``type``; span and
+    instant lines need a track, and a command line's record must parse
+    as a :class:`CommandRecord` whose fields hold numbers where the
+    record has numbers.
+    """
+    try:
+        lines = load_spanlog(path)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as error:
+        return [f"{path}: unreadable span log: {error}"]
+    if not lines:
+        return [f"{path}: span log is empty"]
+    problems = []
+    for number, line in enumerate(lines, start=1):
+        kind = line.get("type") if isinstance(line, dict) else None
+        if kind not in _SPANLOG_TYPES:
+            problems.append(f"{path}:{number}: unknown type {kind!r}")
+        elif kind == "command":
+            try:
+                record = CommandRecord.from_dict(line["record"])
+            except (KeyError, TypeError, ValueError) as error:
+                problems.append(
+                    f"{path}:{number}: unparseable command record: "
+                    f"{error!r}")
+            else:
+                if not _well_typed(record):
+                    problems.append(
+                        f"{path}:{number}: command record field of the "
+                        f"wrong type: {line['record']}")
+        elif "track" not in line:
+            problems.append(f"{path}:{number}: {kind} without track")
+    return problems
+
+
+def _well_typed(record: CommandRecord) -> bool:
+    """Whether the fields a conformance replay compares hold numbers."""
+    rows = (record.buffer_id, record.partition, record.row,
+            record.upper_row, record.lower_row)
+    return (isinstance(record.time, (int, float))
+            and isinstance(record.channel, int)
+            and isinstance(record.module, int)
+            and isinstance(record.scope, str)
+            and all(value is None or isinstance(value, int)
+                    for value in rows))
+
+
 def spanlog_spans(path: str) -> typing.List[Span]:
     """The ``span`` lines of a span log, reconstructed as :class:`Span`."""
     spans = []
@@ -229,3 +282,9 @@ def spanlog_spans(path: str) -> typing.List[Span]:
             span_id=int(line.get("span_id", 0)),
             args=dict(line.get("args", {}))))
     return spans
+
+
+def spanlog_commands(path: str) -> typing.List[CommandRecord]:
+    """The ``command`` lines of a span log, as :class:`CommandRecord`."""
+    return [CommandRecord.from_dict(line["record"])
+            for line in load_spanlog(path) if line.get("type") == "command"]

@@ -29,6 +29,15 @@ perturbed by host scheduling.  The kernel's own dispatches do not pass
 through a tracer: they are watched by kernel observers
 (:mod:`repro.sim.observer`), such as the determinism harness's
 kernel-event trace.
+
+The channel controllers report each LPDDR2-NVM command they issue
+through :meth:`Tracer.command`.  A recording tracer stamps each
+:class:`~repro.pram.commands.CommandRecord` with its current scope, so
+every command names the simulated run that issued it, and the span
+log's ``command`` lines are the trace the protocol conformance checker
+(:mod:`repro.analysis.conformance`) replays.  The record type is
+imported for annotations only: this module stays stdlib-only, since
+the simulator kernel imports it.
 """
 
 from __future__ import annotations
@@ -37,6 +46,9 @@ import contextlib
 import contextvars
 import dataclasses
 import typing
+
+if typing.TYPE_CHECKING:
+    from repro.pram.commands import CommandRecord
 
 
 @dataclasses.dataclass
@@ -96,11 +108,12 @@ class Tracer:
                 **args: typing.Any) -> None:
         """Record a zero-duration marker."""
 
-    def command(self, record: typing.Any) -> None:
+    def command(self, record: CommandRecord) -> None:
         """One LPDDR2-NVM :class:`CommandRecord` was issued.
 
-        Recording tracers keep these so the span log doubles as a
-        protocol-conformance trace (``repro.analysis``).
+        Recording tracers keep these, stamped with the current scope,
+        so the span log doubles as a protocol-conformance trace
+        (``repro.analysis``).
         """
 
     def scope(self, label: str) -> typing.ContextManager[typing.Any]:
@@ -131,7 +144,7 @@ class RecordingTracer(Tracer):
     def __init__(self) -> None:
         self.spans: typing.List[Span] = []
         self.instants: typing.List[Span] = []
-        self.commands: typing.List[typing.Any] = []
+        self.commands: typing.List[CommandRecord] = []
         # The last span/instant id handed out; spans and instants share
         # one sequence.  A plain int, so the tracer pickles as it is.
         self._last_id = 0
@@ -155,12 +168,13 @@ class RecordingTracer(Tracer):
             scope=self._current_scope(), span_id=self._last_id,
             args=args))
 
-    def command(self, record: typing.Any) -> None:
-        self.commands.append(record)
+    def command(self, record: CommandRecord) -> None:
+        self.commands.append(dataclasses.replace(
+            record, scope=self._current_scope()))
 
     @contextlib.contextmanager
     def scope(self, label: str) -> typing.Iterator["RecordingTracer"]:
-        """All spans emitted inside group under ``label``.
+        """All spans and commands recorded inside group under ``label``.
 
         Scopes nest with ``/`` separators and export as one Perfetto
         process per distinct scope path.
@@ -177,9 +191,9 @@ class RecordingTracer(Tracer):
         ``other``'s ids shift past the ids this tracer has handed out,
         so the merged stream carries the ids a serial run would have
         assigned, span/instant interleaving included, and this tracer's
-        next id follows the last one claimed.  Scopes nest under the
-        current scope, as if ``other`` had recorded inside it.  Spans
-        are copied; ``other`` is left as it was.
+        next id follows the last one claimed.  Span and command scopes
+        nest under the current scope, as if ``other`` had recorded
+        inside it.  Records are copied; ``other`` is left as it was.
         """
         base = self._last_id
         outer = self._current_scope()
@@ -189,7 +203,9 @@ class RecordingTracer(Tracer):
                 span, span_id=base + span.span_id,
                 scope="/".join(filter(None, (outer, span.scope))))
                 for span in records)
-        self.commands.extend(other.commands)
+        self.commands.extend(dataclasses.replace(
+            record, scope="/".join(filter(None, (outer, record.scope))))
+            for record in other.commands)
         self._last_id = base + other._last_id
 
     # ------------------------------------------------------------------

@@ -5,9 +5,15 @@ takes out of a pool worker."""
 
 import pickle
 
+from repro.pram.commands import Command, CommandRecord
 from repro.sim import LatencySketch
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.tracer import RecordingTracer
+
+#: One LPDDR2-NVM command as a channel controller reports it.
+_COMMAND = CommandRecord(time=0.0, channel=0, module=0,
+                         command=Command.PRE_ACTIVE, buffer_id=0,
+                         upper_row=0)
 
 
 def _shipped(obj):
@@ -140,7 +146,8 @@ class TestTracerFragment:
             tracer.emit("compute", "pe0", 0.0, 10.0)
             tracer.instant("wake", "psc", 5.0)
             tracer.emit("transfer", "bus", 10.0, 20.0)
-        tracer.command("cmd")
+            tracer.command(_COMMAND)
+        tracer.command(_COMMAND)
         return tracer
 
     def test_merge_preserves_span_instant_id_interleave(self):
@@ -158,9 +165,13 @@ class TestTracerFragment:
 
     def test_merge_appends_commands_and_scopes(self):
         target = RecordingTracer()
-        target.merge(_shipped(self._worker_tracer()))
-        assert target.commands == ["cmd"]
-        assert all(s.scope == "cell" for s in target.spans)
+        with target.scope("experiment"):
+            target.merge(_shipped(self._worker_tracer()))
+        # Command scopes nest under the target's, as span scopes do.
+        assert [c.scope for c in target.commands] == [
+            "experiment/cell", "experiment"]
+        assert all(c.command is Command.PRE_ACTIVE for c in target.commands)
+        assert all(s.scope == "experiment/cell" for s in target.spans)
 
     def test_fragment_is_picklable(self):
         fragment = self._worker_tracer()

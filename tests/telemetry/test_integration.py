@@ -10,6 +10,7 @@ import pytest
 
 from repro.controller import MemoryRequest, Op, PramSubsystem, SchedulerPolicy
 from repro.pram import PramGeometry
+from repro.pram.commands import Command
 from repro.sim import Simulator
 from repro.telemetry import (
     Telemetry,
@@ -84,9 +85,8 @@ class TestThreePhaseSpans:
     def test_commands_recorded_alongside_spans(self):
         telemetry = Telemetry()
         _run_reads(telemetry, count=1)
-        commands = [c.command.value for c in telemetry.tracer.commands]
-        assert "PRE-ACTIVE" in commands or "pre_active" in [
-            c.lower().replace("-", "_") for c in commands]
+        commands = [c.command for c in telemetry.tracer.commands]
+        assert Command.PRE_ACTIVE in commands
 
 
 class TestInterleavingOverlap:

@@ -4,6 +4,7 @@ labels."""
 import pytest
 
 from repro.analysis.determinism import capture_trace
+from repro.pram.commands import Command, CommandRecord
 from repro.sim import Simulator
 from repro.telemetry import (
     NULL_TRACER,
@@ -23,7 +24,8 @@ class TestNullTracer:
     def test_hooks_are_noops(self):
         NULL_TRACER.emit("x", "t", 0.0, 1.0, foo=1)
         NULL_TRACER.instant("x", "t", 0.0)
-        NULL_TRACER.command(object())
+        NULL_TRACER.command(CommandRecord(
+            time=0.0, channel=0, module=0, command=Command.PRE_ACTIVE))
 
     def test_scope_allocates_nothing(self):
         # The null scope is one shared context manager, not a fresh
