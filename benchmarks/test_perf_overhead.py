@@ -59,6 +59,11 @@ MAX_OVERHEAD = 1.05
 #: Simulated requests per timing sample.
 REQUESTS = 192
 
+#: The enum members ``PramSubsystem.submit`` binds once.
+_READ = Op.READ
+_WRITE = Op.WRITE
+_OK = RequestStatus.OK
+
 
 # ----------------------------------------------------------------------
 # Seed replicas: kernel and request-path methods with the hooks removed
@@ -186,39 +191,84 @@ def _seed_process_resume(self, event):
 
 
 def _seed_request(self, hold=None):
-    req = Request(self, hold)
-    if len(self._users) < self.capacity:
-        self._users.add(req)
+    """``Resource.request`` as it stands: equal to stock, it pins the
+    claim hook-free."""
+    if hold is not None and not hold >= 0:
+        raise ValueError(
+            f"{self.name}: hold length must be >= 0, got {hold}")
+    sim = self.sim
+    req = Request.__new__(Request)
+    req.sim = sim
+    req._name = ""
+    req.callbacks = []
+    req._value = None
+    req._ok = True
+    req._processed = False
+    req.resource = self
+    req.hold = hold
+    req.start = None
+    if self._count < self.capacity:
+        self._count += 1
+        req.held = True
         req._triggered = True
         if hold is None:
-            self.sim._trigger(req)
+            sim._trigger(req)
+        elif sim._schedule_hooked:
+            req.start = sim.now
+            sim._schedule(hold, req)
         else:
-            req.start = self.sim.now
-            self.sim._schedule(hold, req)
+            req.start = now = sim.now
+            when = now + hold
+            if when == now:
+                sim._ready.append(req)
+            else:
+                heapq.heappush(sim._heap,
+                               (when, next(sim._counter), req))
     else:
+        req.held = False
+        req._triggered = False
         self._queue.append(req)
     return req
 
 
 def _seed_release(self, request):
-    if request in self._users:
-        self._users.remove(request)
-    elif request in self._queue:
-        self._queue.remove(request)
+    """``Resource.release`` as it stands: equal to stock, it pins the
+    release and hand-off hook-free."""
+    try:
+        held = request.held and request.resource is self
+    except AttributeError:
+        held = False
+    queue = self._queue
+    if held:
+        request.held = False
+        self._count -= 1
+    elif request in queue:
+        queue.remove(request)
         return
     else:
         raise ValueError(f"{request!r} does not hold {self.name}")
-    while self._queue and len(self._users) < self.capacity:
-        waiter = self._queue.popleft()
-        self._users.add(waiter)
+    sim = self.sim
+    while queue and self._count < self.capacity:
+        waiter = queue.popleft()
+        self._count += 1
+        waiter.held = True
         if waiter._triggered:
             raise RuntimeError(f"{waiter!r} has already been triggered")
         waiter._triggered = True
-        if waiter.hold is None:
-            self.sim._trigger(waiter)
+        hold = waiter.hold
+        if hold is None:
+            sim._trigger(waiter)
+        elif sim._schedule_hooked:
+            waiter.start = sim.now
+            sim._schedule(hold, waiter)
         else:
-            waiter.start = self.sim.now
-            self.sim._schedule(waiter.hold, waiter)
+            waiter.start = now = sim.now
+            when = now + hold
+            if when == now:
+                sim._ready.append(waiter)
+            else:
+                heapq.heappush(sim._heap,
+                               (when, next(sim._counter), waiter))
 
 
 def _seed_sketch_add(self, value):
@@ -251,15 +301,17 @@ def _seed_submit(self, request):
     if failure is not None:
         request.degrade(RequestStatus.FAILED,
                         f"{type(failure).__name__}: {failure}")
-    sketch = self.latency_sketches.get(request.op.value)
-    if sketch is not None:
-        sketch.add(request.latency)
+    op = request.op
+    if op is _READ:
+        self._read_sketch.add(request.latency)
+    elif op is _WRITE:
+        self._write_sketch.add(request.latency)
     if self._metrics_on:
         self._inflight -= 1
         self.queue_depth.record(self.sim.now, float(self._inflight))
         self.request_latency.add(request.latency)
     status = request.status
-    if status is not RequestStatus.OK:
+    if status is not _OK:
         if status is RequestStatus.FAILED:
             self.requests_failed += 1
         elif status is RequestStatus.DEGRADED:
@@ -288,7 +340,7 @@ def _seed_submit(self, request):
                     asynchronous=True, **span_args)
     if failure is not None:
         request.result = (bytes(request.size)
-                          if request.op is Op.READ else b"")
+                          if op is _READ else b"")
     else:
         pieces = [piece for result in results for piece in result]
         pieces.sort(key=lambda piece: piece[0])

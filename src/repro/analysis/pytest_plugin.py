@@ -18,6 +18,13 @@ Registered from the repository-root ``conftest.py``.  Provides:
   on the kernel tie-break — exactly the dependence a kernel that
   reorders within an instant is not allowed to see.  Like
   ``determinism``, the body must build its own simulator.
+
+  The re-runs happen inside the test's call phase, within pytest's
+  output capture (the wrapper is the innermost one), so a re-run
+  prints nothing to the terminal.  A re-run calls the test function
+  again with the first run's fixture values: it reuses that run's
+  ``tmp_path``, ``monkeypatch`` and ``capsys``, so a body that writes
+  files, patches or reads captured output must tolerate a second pass.
 * ``race_sanitizer`` fixture — an ambient
   :class:`~repro.analysis.racecheck.RaceSanitizer`; ``watch()`` the
   shared objects inside the test and the test fails at teardown if any
@@ -54,7 +61,7 @@ def pytest_configure(config: typing.Any) -> None:
     )
 
 
-@pytest.hookimpl(hookwrapper=True)
+@pytest.hookimpl(hookwrapper=True, trylast=True)
 def pytest_runtest_call(item: typing.Any) -> typing.Iterator[None]:
     determinism = item.get_closest_marker("determinism")
     shuffle = item.get_closest_marker("tiebreak_shuffle")

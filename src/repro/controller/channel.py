@@ -25,13 +25,14 @@ import typing
 from repro.controller.datapath import Datapath
 from repro.controller.phy import PramPhy
 from repro.controller.scheduler import SchedulerPolicy, WriteHintStore
-from repro.controller.request import RequestStatus
+from repro.controller.request import Op, RequestStatus
 from repro.controller.translator import ChunkPlan, RetirementMap
 from repro.controller.wear_level import StartGapMapper
 from repro.faults.ecc import secded_decode
 from repro.faults.plan import FaultState
 from repro.pram.address import AddressMap, PramAddress
 from repro.pram.commands import Command, CommandRecord
+from repro.pram.errors import AddressError
 from repro.pram.module import PramModule
 from repro.pram.overlay_window import CMD_RETRY_PROGRAM, CMD_SELECTIVE_ERASE
 from repro.sim import (
@@ -52,6 +53,9 @@ _HintChunk = typing.Tuple[PramAddress, int, float]
 #: What resuming a paused program costs under write pausing ([66]).
 PAUSE_RESUME_PENALTY_NS = 1_000.0
 
+#: Bound once: reading an enum member costs more than a global lookup.
+_WRITE = Op.WRITE
+
 
 class ChannelController:
     """Drives the PRAM modules of one channel as simulation processes."""
@@ -71,11 +75,19 @@ class ChannelController:
         self.sim = sim
         self.modules = list(modules)
         self.policy = policy
+        # The policy's properties, read once: each reads enum members.
+        self._interleaves = policy.interleaves
+        self._pre_resets = policy.pre_resets
         self.address_map = address_map
+        # AddressMap.split_row's bound and split, for the read path.
+        self._rows = address_map.geometry.rows_per_partition
+        self._lower_bits = address_map.geometry.lower_row_bits
+        self._lower_mask = (1 << self._lower_bits) - 1
         self.phase_skipping = phase_skipping
         self.hints = hint_store
         self.channel_id = channel_id
         self.phy = PramPhy(modules[0].params)
+        self._tck = self.phy.params.tck_ns
         self.datapath = Datapath()
         self.bus = Resource(sim, capacity=1, name=f"ch{channel_id}.bus")
         self._serial_lock = Resource(
@@ -136,7 +148,8 @@ class ChannelController:
         self.chunks_read = 0
         self.chunks_written = 0
         self.pre_resets_issued = 0
-        self.phase_skips = {"pre_active": 0, "activate": 0}
+        # Phase skips (see phase_skips): an RAB hit skips the
+        # pre-active, an RDB hit both phases.
         self.rab_hits = 0
         self.rdb_hits = 0
         # Multi-resource-interleaving evidence (Figure 12): bus time of
@@ -193,6 +206,12 @@ class ChannelController:
         self._telemetry_on = metrics.enabled or sim.tracer.enabled
         self._bus_track = f"ch{channel_id}.bus"
 
+    @property
+    def phase_skips(self) -> typing.Dict[str, int]:
+        """Addressing phases skipped so far, by phase."""
+        return {"pre_active": self.rab_hits + self.rdb_hits,
+                "activate": self.rdb_hits}
+
     # ------------------------------------------------------------------
     # Public API: chunk execution processes
     # ------------------------------------------------------------------
@@ -205,7 +224,7 @@ class ChannelController:
         multi-stripe request in address order rather than channel
         order.
         """
-        if self.policy.interleaves:
+        if self._interleaves:
             ordered = yield self._start_chunks(chunks)
         else:
             # Noop scheduling: one request owns the channel at a time.
@@ -224,7 +243,7 @@ class ChannelController:
         """One child process per chunk, started in chunk order in this
         step; the join yields their results in chunk order."""
         return self.sim.fork_join([
-            self._write_chunk(chunk) if chunk.is_write
+            self._write_chunk(chunk) if chunk.request.op is _WRITE
             else self._read_chunk(chunk)
             for chunk in chunks])
 
@@ -237,7 +256,7 @@ class ChannelController:
         corresponding computation".  Only effective under a
         pre-resetting policy; a no-op otherwise.
         """
-        if not self.policy.pre_resets:
+        if not self._pre_resets:
             return
         per_module: typing.Dict[int, typing.List[_HintChunk]] = {}
         while True:
@@ -290,7 +309,11 @@ class ChannelController:
         row = address.row
         if self._remaps_rows:
             row = self._physical_row(index, partition, row)
-        upper, lower = self.address_map.split_row(row)
+        # address_map.split_row(row) written out.
+        if not 0 <= row < self._rows:
+            raise AddressError(f"row {row} out of range")
+        upper = row >> self._lower_bits
+        lower = row & self._lower_mask
         req = chunk.request.request_id
 
         # Own one RAB/RDB pair for the whole probe→burst span.  Without
@@ -306,9 +329,19 @@ class ChannelController:
         busy = self._busy_pairs[index]
         # No yield between the grant above and the add below, so the
         # probe and the reservation are atomic under cooperative
-        # scheduling.
-        buffer_id, need_pre_active, need_activate = self._probe_buffers(
-            module, partition, row, upper, chunk.buffer_id, busy)
+        # scheduling.  Pairs in `busy` are owned by an in-flight chunk:
+        # their RDB is about to be overwritten, so neither their
+        # contents nor the pair itself can be used.
+        buffer_id, need_pre_active, need_activate = module.buffers.probe(
+            partition, row, upper, chunk.buffer_id, busy,
+            self.phase_skipping)
+        if not need_pre_active:
+            if need_activate:
+                self.rab_hits += 1
+            else:
+                self.rdb_hits += 1
+            if self._skip_counters is not None:
+                self._count_skip(partition, rdb=not need_activate)
         busy.add(buffer_id)
         try:
             paused = False
@@ -319,13 +352,14 @@ class ChannelController:
                 if paused:
                     self.pauses_issued += 1
 
-            if need_pre_active or need_activate:
+            if need_activate:  # a pre-active always comes with one
                 # Command packets go over the shared bus; the array
                 # phases themselves run inside the module without
-                # holding the bus.
-                packets = (1 if need_pre_active else 0) + (
-                    1 if need_activate else 0)
-                duration = self.phy.command_cost(packets)
+                # holding the bus.  phy.command_cost(packets) written
+                # out: one tCK per packet.
+                packets = 2 if need_pre_active else 1
+                self.phy.packets_sent += packets
+                duration = packets * self._tck
                 if duration > 0:
                     grant = self.bus.request(hold=duration)
                     try:
@@ -348,20 +382,19 @@ class ChannelController:
                                     now, finish, buffer=buffer_id,
                                     upper_row=upper, req=req)
                     now = finish
-                if need_activate:
-                    if tracer.enabled:
-                        self._observe(Command.ACTIVATE, index,
-                                      buffer_id=buffer_id,
-                                      partition=partition, row=row,
-                                      upper_row=upper, lower_row=lower,
-                                      skipped_pre_active=not need_pre_active)
-                    finish = module.activate(now, buffer_id, partition, lower)
-                    if tracer.enabled:
-                        tracer.emit("activate",
-                                    self._partition_track(index, partition),
-                                    now, finish, buffer=buffer_id, row=row,
-                                    req=req)
-                    now = finish
+                if tracer.enabled:
+                    self._observe(Command.ACTIVATE, index,
+                                  buffer_id=buffer_id,
+                                  partition=partition, row=row,
+                                  upper_row=upper, lower_row=lower,
+                                  skipped_pre_active=not need_pre_active)
+                finish = module.activate(now, buffer_id, partition, lower)
+                if tracer.enabled:
+                    tracer.emit("activate",
+                                self._partition_track(index, partition),
+                                now, finish, buffer=buffer_id, row=row,
+                                req=req)
+                now = finish
                 # Record the array-busy window before sleeping on it, so
                 # a concurrent burst on another partition can see the
                 # overlap.
@@ -414,7 +447,12 @@ class ChannelController:
                         f"m{index}.p{partition} row {row}")
                 else:
                     chunk.request.degrade(RequestStatus.CORRECTED)
-            self.datapath.stage_load(data)
+            # datapath.stage_load(data) written out.
+            if not 0 < len(data) <= Datapath.REGISTER_BYTES:
+                self.datapath.stage_load(data)  # raises the operand error
+            self.datapath._load_register = data.ljust(
+                Datapath.REGISTER_BYTES, b"\x00")
+            self.datapath.bytes_read += len(data)
         finally:
             busy.discard(buffer_id)
             slots.release(slot)
@@ -440,8 +478,9 @@ class ChannelController:
         address = chunk.address
         index = address.module
         module = self.modules[index]
-        payload = chunk.payload
-        assert payload is not None  # guaranteed by MemoryRequest validation
+        # chunk.payload written out.
+        assert chunk.request.data is not None  # MemoryRequest validation
+        payload = chunk.request.data[chunk.offset:chunk.offset + chunk.size]
 
         partition = address.partition
         row = address.row
@@ -452,7 +491,12 @@ class ChannelController:
         window = lock.request()
         yield window
         try:
-            self.datapath.stage_store(payload)
+            # datapath.stage_store(payload) written out.
+            if not 0 < len(payload) <= Datapath.REGISTER_BYTES:
+                self.datapath.stage_store(payload)  # raises the operand error
+            self.datapath._store_register = payload.ljust(
+                Datapath.REGISTER_BYTES, b"\x00")
+            self.datapath.bytes_written += len(payload)
             # Register pokes + payload burst into the program buffer all
             # travel over the shared bus.
             if tracer.enabled:
@@ -552,8 +596,10 @@ class ChannelController:
             if module.last_program_time(address.partition,
                                         address.row) > registered_at:
                 return
-            self._observe(Command.STAGE_PROGRAM, address.module,
-                          partition=address.partition, row=address.row)
+            tracer = sim.tracer
+            if tracer.enabled:
+                self._observe(Command.STAGE_PROGRAM, address.module,
+                              partition=address.partition, row=address.row)
             stage_finish = module.stage_program(
                 sim.now, address.partition, address.row,
                 address.column, bytes(size), command=CMD_SELECTIVE_ERASE)
@@ -570,8 +616,9 @@ class ChannelController:
                                         module=address.module,
                                         partition=address.partition)
                 self.bus.release(grant)
-            self._observe(Command.EXECUTE_PROGRAM, address.module,
-                          partition=address.partition, row=address.row)
+            if tracer.enabled:
+                self._observe(Command.EXECUTE_PROGRAM, address.module,
+                              partition=address.partition, row=address.row)
             finish = module.execute_program(sim.now)
             if self._telemetry_on:
                 self._note_array_window(address.module, address.partition,
@@ -737,47 +784,17 @@ class ChannelController:
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    def _probe_buffers(self, module: PramModule, partition: int, row: int,
-                       upper: int, planned_buffer: int,
-                       busy: typing.AbstractSet[int] = frozenset()
-                       ) -> typing.Tuple[int, bool, bool]:
-        """Decide phase skips: (buffer_id, need_pre_active, need_activate).
-
-        Pairs in ``busy`` are owned by an in-flight chunk: their RDB is
-        about to be overwritten, so neither their contents nor the pair
-        itself can be used.
-        """
-        if self.phase_skipping:
-            rdb = module.buffers.find_rdb(partition, row, exclude=busy)
-            if rdb is not None:
-                self.phase_skips["pre_active"] += 1
-                self.phase_skips["activate"] += 1
-                self.rdb_hits += 1
-                if self._skip_counters is not None:
-                    self._skip_counters["pre_active"].add()
-                    self._skip_counters["activate"].add()
-                    self._metrics.counter(
-                        f"{self._metrics_prefix}.part{partition}"
-                        ".rdb_hits").add()
-                return rdb.buffer_id, False, False
-            rab = module.buffers.find_rab(upper, exclude=busy)
-            if rab is not None:
-                self.phase_skips["pre_active"] += 1
-                self.rab_hits += 1
-                if self._skip_counters is not None:
-                    self._skip_counters["pre_active"].add()
-                    self._metrics.counter(
-                        f"{self._metrics_prefix}.part{partition}"
-                        ".rab_hits").add()
-                return rab.buffer_id, False, True
-        if planned_buffer in busy:
-            # The planner's round-robin choice is mid-use; fall back to
-            # the least-recently-used free pair (one always exists —
-            # the slot resource caps in-flight reads at the pair count).
-            free = [b for b in range(len(module.buffers)) if b not in busy]
-            planned_buffer = min(
-                free, key=lambda b: module.buffers.pair(b).last_use)
-        return planned_buffer, True, True
+    def _count_skip(self, partition: int, rdb: bool) -> None:
+        """Count one phase skip into the metrics registry (called only
+        while one is attached): an RDB hit skips the pre-active and the
+        activate, an RAB hit the pre-active."""
+        assert self._skip_counters is not None
+        self._skip_counters["pre_active"].add()
+        if rdb:
+            self._skip_counters["activate"].add()
+        hit = "rdb_hits" if rdb else "rab_hits"
+        self._metrics.counter(
+            f"{self._metrics_prefix}.part{partition}.{hit}").add()
 
     def _physical_row(self, module_index: int, partition: int,
                       logical_row: int) -> int:
@@ -812,9 +829,10 @@ class ChannelController:
                        partition: int) -> typing.Generator:
         """Wear-leveling bookkeeping after a program; may move the gap.
 
-        Writes call it only with wear leveling on.  The gap move (read the source row, program it into the old gap
-        line) runs inline under the already-held window lock — an
-        amortized 1/ψ overhead per write.
+        Writes call it only with wear leveling on.  The gap move (read
+        the source row, program it into the old gap line) runs inline
+        under the already-held window lock — an amortized 1/ψ overhead
+        per write.
         """
         move = self._mapper(module_index, partition).record_write()
         if move is None:

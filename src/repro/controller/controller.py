@@ -27,6 +27,12 @@ from repro.sim.stats import LatencySketch
 from repro.telemetry.metrics import current_metrics
 from repro.telemetry.timeseries import Sampler
 
+# Enum members bound once: reading one per request costs more than a
+# global lookup.
+_READ = Op.READ
+_WRITE = Op.WRITE
+_OK = RequestStatus.OK
+
 
 class PramSubsystem:
     """Hardware-automated PRAM memory subsystem (Figure 6's FPGA half)."""
@@ -85,6 +91,8 @@ class PramSubsystem:
             Op.READ.value: LatencySketch("subsys.sketch.read"),
             Op.WRITE.value: LatencySketch("subsys.sketch.write"),
         }
+        self._read_sketch = self.latency_sketches[Op.READ.value]
+        self._write_sketch = self.latency_sketches[Op.WRITE.value]
         metrics = current_metrics()
         self._metrics = metrics
         self._metrics_on = metrics.enabled
@@ -147,15 +155,17 @@ class PramSubsystem:
             request.fault_permanent = True
             request.degrade(RequestStatus.FAILED,
                             f"{type(failure).__name__}: {failure}")
-        sketch = self.latency_sketches.get(request.op.value)
-        if sketch is not None:
-            sketch.add(request.latency)
+        op = request.op
+        if op is _READ:
+            self._read_sketch.add(request.latency)
+        elif op is _WRITE:
+            self._write_sketch.add(request.latency)
         self._inflight -= 1
         if self._metrics_on:
             self.queue_depth.record(self.sim.now, float(self._inflight))
             self.request_latency.add(request.latency)
         status = request.status
-        if status is not RequestStatus.OK:
+        if status is not _OK:
             if status is RequestStatus.FAILED:
                 self.requests_failed += 1
             elif status is RequestStatus.DEGRADED:
@@ -190,7 +200,7 @@ class PramSubsystem:
             # Reads hand back zero-fill of the requested size so
             # downstream arithmetic degrades instead of crashing.
             request.result = (bytes(request.size)
-                              if request.op is Op.READ else b"")
+                              if op is _READ else b"")
         else:
             # Channels return (request offset, data) pairs; reassemble
             # in address order — a request larger than one stripe
@@ -206,12 +216,12 @@ class PramSubsystem:
 
     def read(self, address: int, size: int) -> typing.Generator:
         """Process body: convenience read returning the data."""
-        request = MemoryRequest(Op.READ, address, size)
+        request = MemoryRequest(_READ, address, size)
         return (yield from self.submit(request))
 
     def write(self, address: int, data: bytes) -> typing.Generator:
         """Process body: convenience write."""
-        request = MemoryRequest(Op.WRITE, address, len(data), data=data)
+        request = MemoryRequest(_WRITE, address, len(data), data=data)
         yield from self.submit(request)
 
     def run_stream(self, requests: typing.Sequence[MemoryRequest], *,
@@ -310,22 +320,23 @@ class PramSubsystem:
         and place it in the persistent storages" before each run.
         Rows the data covers whole are poked straight from its slice;
         partial first/last rows are read-modify-written functionally.
+        A row is its own physical row unless its channel can remap it.
         """
         row_bytes = self.geometry.row_bytes
-        for pram_address, offset, size in self.address_map.iter_rows(
-                address, len(data)):
-            module = self.modules[pram_address.channel][pram_address.module]
-            physical = self.channels[pram_address.channel]._physical_row(
-                pram_address.module, pram_address.partition,
-                pram_address.row)
+        modules = self.modules
+        channels = self.channels
+        for (channel, index, partition, row, column), offset, size in (
+                self.address_map.iter_rows(address, len(data))):
+            module = modules[channel][index]
+            controller = channels[channel]
+            if controller._remaps_rows:
+                row = controller._physical_row(index, partition, row)
             if size == row_bytes:
-                module.poke(pram_address.partition, physical,
-                            data[offset:offset + size])
+                module.poke(partition, row, data[offset:offset + size])
                 continue
-            row = bytearray(module.peek(pram_address.partition, physical))
-            row[pram_address.column:pram_address.column + size] = (
-                data[offset:offset + size])
-            module.poke(pram_address.partition, physical, bytes(row))
+            updated = bytearray(module.peek(partition, row))
+            updated[column:column + size] = data[offset:offset + size]
+            module.poke(partition, row, bytes(updated))
 
     def inspect(self, address: int, size: int) -> bytes:
         """Functional read-back with no simulated time cost."""

@@ -33,6 +33,10 @@ class Op(enum.Enum):
     WRITE = "write"
 
 
+#: Bound once: reading an enum member costs more than a global lookup.
+_WRITE = Op.WRITE
+
+
 class RequestStatus(enum.Enum):
     """Completion status of a request under fault injection.
 
@@ -93,7 +97,7 @@ class MemoryRequest:
             raise ValueError(f"request size must be >= 1, got {self.size}")
         if self.address < 0:
             raise ValueError(f"negative address: {self.address}")
-        if self.op is Op.WRITE:
+        if self.op is _WRITE:
             if self.data is None:
                 raise ValueError("WRITE requires a data payload")
             if len(self.data) != self.size:

@@ -136,6 +136,9 @@ class AddressMap:
         address = self.decompose(flat)
         channel, module, partition, row, column = address
         row_bytes = self._row_bytes
+        # Named tuples built as their _make does, skipping their
+        # Python-level __new__.
+        new: typing.Callable[..., typing.Any] = tuple.__new__
         produced = 0
         while True:
             chunk = min(row_bytes - column, size - produced)
@@ -158,7 +161,7 @@ class AddressMap:
                                 f"address {flat + produced:#x} beyond "
                                 f"capacity {self._total_bytes:#x}")
             column = 0
-            address = PramAddress(channel, module, partition, row, 0)
+            address = new(PramAddress, (channel, module, partition, row, 0))
 
     def _validate(self, address: PramAddress) -> None:
         geo = self.geometry

@@ -146,13 +146,35 @@ class WordStateTracker:
         """Count one pulse on each of ``words``: ``(words, their mask)``.
 
         The words are range-checked as a batch first, so the first
-        out-of-range word raises before any state changes; one min/max
-        pass replaces a method call per word.
+        out-of-range word raises before any state changes.  A step-1
+        ``range`` (what the module passes) is checked by its ends and
+        masked by one shift; any other iterable by one min/max pass and
+        one bit per word.
         """
+        limit = self.words_per_row
+        if type(words) is range and words.step == 1:
+            start = words.start
+            stop = words.stop
+            if stop <= start:
+                return 0, 0
+            if start < 0 or stop > limit:
+                for word in words:
+                    self._check(word)
+            count = stop - start
+            pulses = self._pulses.get(row)
+            if pulses is None:
+                # The row's first pulse: its counts are this pulse (a
+                # preloaded row's covers the whole row).
+                self._pulses[row] = (
+                    [1] * limit if count == limit
+                    else [0] * start + [1] * count + [0] * (limit - stop))
+            else:
+                for word in words:
+                    pulses[word] += 1
+            return count, ((1 << count) - 1) << start
         batch = words if isinstance(words, range) else list(words)
         if not batch:
             return 0, 0
-        limit = self.words_per_row
         if min(batch) < 0 or max(batch) >= limit:
             for word in batch:
                 self._check(word)

@@ -51,6 +51,20 @@ class PramModule:
         self._storage: typing.Dict[typing.Tuple[int, int], bytes] = {}
         self._cells = [WordStateTracker(geometry.words_per_row)
                        for _ in range(geometry.partitions_per_bank)]
+        # The geometry bounds each phase checks against, read once.
+        self._partitions = geometry.partitions_per_bank
+        self._rows = geometry.rows_per_partition
+        self._row_bytes = geometry.row_bytes
+        self._word_bytes = geometry.word_bytes
+        self._lower_bits = geometry.lower_row_bits
+        self._lower_limit = 1 << geometry.lower_row_bits
+        self._all_words = range(geometry.words_per_row)
+        # The array time of a one-row program (indexed by whether it
+        # pays the RESET pass) and of a one-row reset, as the floats
+        # _apply_program and _apply_reset sum from 0.0.
+        self._program_ns = (0.0 + self.timing.array_program(False),
+                            0.0 + self.timing.array_program(True))
+        self._reset_ns = 0.0 + self.timing.array_reset_only()
         self._partition_busy_until = [0.0] * geometry.partitions_per_bank
         # When each row was last programmed (simulated ns); consumers
         # of write hints use this to skip rows rewritten after the
@@ -80,7 +94,8 @@ class PramModule:
     # ------------------------------------------------------------------
     def partition_ready_at(self, partition: int) -> float:
         """Earliest time an array operation can start on ``partition``."""
-        self._check_partition(partition)
+        if not 0 <= partition < self._partitions:
+            self._check_partition(partition)
         return self._partition_busy_until[partition]
 
     def program_in_flight(self, partition: int, now: float) -> bool:
@@ -146,35 +161,79 @@ class PramModule:
 
         The composed address is checked against the overlay-window
         range (Section V-A); window-mapped rows never touch the array.
+        One frame runs the whole phase, in this order: the partition
+        check, the pair lookup, the address composition and its
+        checks, the partition's busy window, the row fetch and the RDB
+        load with its length check and LRU touch.
         """
-        self._check_partition(partition)
-        pair = self.buffers.pair(buffer_id)
+        if not 0 <= partition < self._partitions:
+            self._check_partition(partition)
+        buffers = self.buffers
+        pairs = buffers._pairs
+        if not 0 <= buffer_id < len(pairs):
+            buffers.pair(buffer_id)  # raises the range error
+        pair = pairs[buffer_id]
         if not pair.rab_valid:
             raise ProtocolError(
                 f"activate on buffer {buffer_id} before any pre-active"
             )
-        row = self._compose_row(pair.upper_row, lower_row)
-        finish = self._occupy(partition, now, self.timing.activate_ns)
-        data = self._read_row(partition, row)
-        self.buffers.load_rdb(buffer_id, partition, row, data)
+        # The row address: the RAB's upper part and ``lower_row``.
+        upper = pair.upper_row
+        if upper is None:
+            raise ProtocolError("RAB holds no upper row address")
+        if lower_row < 0 or lower_row >= self._lower_limit:
+            raise AddressError(f"lower row {lower_row} out of range")
+        row = (upper << self._lower_bits) | lower_row
+        if row >= self._rows:
+            raise AddressError(f"composed row {row} beyond partition")
+        # The partition is busy for tRCD, booked as _occupy books it.
+        duration = self.timing.activate_ns
+        faults = self._faults
+        if faults is not None and faults.stalls_on:
+            duration += faults.partition_stall(
+                self.channel_id, self.module_id, partition)
+        busy = self._partition_busy_until
+        begin = busy[partition]
+        finish = (begin if begin > now else now) + duration
+        busy[partition] = finish
+        # The row fetch: a RAB loaded with a negative upper part
+        # composes a negative row.
+        if row < 0:
+            raise AddressError(f"row {row} out of range")
+        data = self._storage.get((partition, row), self._blank_row)
+        # The RDB load, as RowBufferSet.load_rdb does it.
+        if len(data) != buffers.row_bytes:
+            buffers.load_rdb(buffer_id, partition, row, data)  # raises
+        pair.partition = partition
+        pair.row = row
+        pair.data = data
+        pair.rdb_valid = True
+        buffers._clock += 1
+        pair.last_use = buffers._clock
         return finish
 
     def read_burst(self, now: float, buffer_id: int, column: int,
                    size: int) -> typing.Tuple[float, bytes]:
         """Phase 3 (read): stream ``size`` bytes out of the RDB."""
-        pair = self.buffers.pair(buffer_id)
+        pairs = self.buffers._pairs
+        if not 0 <= buffer_id < len(pairs):
+            self.buffers.pair(buffer_id)  # raises the range error
+        pair = pairs[buffer_id]
         if not pair.rdb_valid or pair.data is None:
             raise BufferMissError(
                 f"read burst on buffer {buffer_id} with no valid RDB"
             )
-        if column < 0 or column + size > self.geometry.row_bytes:
+        if column < 0 or column + size > self._row_bytes:
             raise AddressError(
                 f"burst [{column}, {column + size}) exceeds the "
-                f"{self.geometry.row_bytes}-byte row buffer"
+                f"{self._row_bytes}-byte row buffer"
             )
         self.reads += 1
         timing = self.timing
-        finish = now + timing.read_preamble_ns + timing.burst(size)
+        burst = timing._bursts.get(size)
+        if burst is None:
+            burst = timing.burst(size)
+        finish = now + timing.read_preamble_ns + burst
         data = pair.data[column:column + size]
         faults = self._faults
         if faults is not None and faults.read_faults_on:
@@ -200,24 +259,24 @@ class PramModule:
         into the program buffer.  Returns when staging completes; call
         :meth:`execute_program` afterwards to launch the array program.
         """
-        self._check_partition(partition)
-        if row < 0 or row >= self.geometry.rows_per_partition:
+        if not 0 <= partition < self._partitions:
+            self._check_partition(partition)
+        rows = self._rows
+        if row < 0 or row >= rows:
             raise AddressError(f"row {row} out of range")
-        if column < 0 or column + len(data) > self.window.program_buffer_bytes:
+        window = self.window
+        size = len(data)
+        if column < 0 or column + size > window.program_buffer_bytes:
             raise AddressError("payload exceeds the program buffer")
         if not data:
             raise ProtocolError("empty program payload")
-        self.window.write_register(ow.REG_COMMAND, command)
-        self.window.write_register(
-            ow.REG_ADDRESS,
-            (partition * self.geometry.rows_per_partition + row)
-            * self.geometry.row_bytes + column,
-        )
-        self.window.write_register(ow.REG_MULTIPURPOSE, len(data))
-        self.window.write_buffer(0, data)
+        window.stage(command, (partition * rows + row) * self._row_bytes
+                     + column, data)
         timing = self.timing
-        return (now + timing.activate_ns + timing.write_preamble_ns
-                + timing.burst(len(data)))
+        burst = timing._bursts.get(size)
+        if burst is None:
+            burst = timing.burst(size)
+        return now + timing.activate_ns + timing.write_preamble_ns + burst
 
     def execute_program(self, now: float,
                         req: int | None = None) -> float:
@@ -230,19 +289,74 @@ class PramModule:
         attribution; background work (pre-resets, gap moves) leaves it
         unset.
         """
-        self.window.write_register(ow.REG_EXECUTE, 1)
-        command, flat, size, payload = self.window.launch()
-        partition, row, column = self._split_window_address(flat)
+        window = self.window
+        command, flat, size, payload = window.execute()
+        # The window's flat target address: partition, row, column.
+        row_bytes = self._row_bytes
+        rows = self._rows
+        column = flat % row_bytes
+        rest = flat // row_bytes
+        row = rest % rows
+        partition = rest // rows
+        if not 0 <= partition < self._partitions:
+            self._check_partition(partition)
         # Failures belong to exactly one program: stale records from
         # background work (pre-resets, gap moves) must not alias into
         # the next request's verify pass.
         self._program_failures = []
-        if command in (ow.CMD_PROGRAM, ow.CMD_RETRY_PROGRAM):
-            rows_touched = (column + max(size, 1) + self.geometry.row_bytes
-                            - 1) // self.geometry.row_bytes
-            for offset in range(rows_touched):
-                self._last_program[(partition, row + offset)] = now
-        if command == ow.CMD_ERASE:
+        # Every chunk's program or pre-RESET stays inside one row: it
+        # runs here, in this frame.  Programs that spill into later
+        # rows and programs under a program-fault plan take the
+        # per-row helpers.
+        one_row = 0 < size <= row_bytes - column
+        if command == ow.CMD_PROGRAM or command == ow.CMD_RETRY_PROGRAM:
+            if one_row:
+                self._last_program[(partition, row)] = now
+            else:
+                rows_touched = (column + max(size, 1) + row_bytes
+                                - 1) // row_bytes
+                for offset in range(rows_touched):
+                    self._last_program[(partition, row + offset)] = now
+        faults = self._faults
+        if one_row and (
+                command == ow.CMD_PROGRAM and (
+                    faults is None or not faults.program_faults_on)
+                or command == ow.CMD_SELECTIVE_ERASE):
+            word_bytes = self._word_bytes
+            words = range(column // word_bytes,
+                          (column + size - 1) // word_bytes + 1)
+            key = (partition, row)
+            storage = self._storage
+            if command == ow.CMD_PROGRAM:
+                duration = self._program_ns[
+                    self._cells[partition].program(row, words)]
+                if size == row_bytes:
+                    storage[key] = payload
+                else:
+                    updated = bytearray(storage.get(key, self._blank_row))
+                    updated[column:column + size] = payload
+                    storage[key] = bytes(updated)
+                self.programs += 1
+                span_name = "program"
+            else:
+                self._cells[partition].reset(row, words)
+                duration = self._reset_ns
+                updated = bytearray(storage.get(key, self._blank_row))
+                updated[column:column + size] = bytes(size)
+                storage[key] = bytes(updated)
+                self.resets += 1
+                span_name = "pre_reset"
+            self.buffers.invalidate_row(partition, row)
+            # _occupy(partition, now, duration) written out; a stall
+            # lengthens the occupancy, not the span's duration.
+            held = duration
+            if faults is not None and faults.stalls_on:
+                held += faults.partition_stall(
+                    self.channel_id, self.module_id, partition)
+            busy = self._partition_busy_until
+            begin = busy[partition]
+            finish = busy[partition] = (begin if begin > now else now) + held
+        elif command == ow.CMD_ERASE:
             duration = self.timing.array_erase()
             finish = self._occupy(partition, now, duration)
             self._erase_partition(partition)
@@ -275,7 +389,7 @@ class PramModule:
                 f"ch{self.channel_id}.m{self.module_id}.p{partition}",
                 max(now, finish - duration), finish, **args)
         finish += self.timing.write_recovery_ns
-        self.window.complete()
+        window.complete()
         return finish
 
     # ------------------------------------------------------------------
@@ -284,7 +398,14 @@ class PramModule:
     def program_needs_reset(self, partition: int, row: int, column: int,
                             size: int) -> bool:
         """Would a program of [column, column+size) pay the RESET pass?"""
-        self._check_partition(partition)
+        if not 0 <= partition < self._partitions:
+            self._check_partition(partition)
+        if 0 < size <= self._row_bytes - column and row < self._rows:
+            # Within one row, as every pre-RESET chunk is.
+            word_bytes = self._word_bytes
+            return self._cells[partition].needs_reset(
+                row, range(column // word_bytes,
+                           (column + size - 1) // word_bytes + 1))
         for target_row, words in self._words_touched(row, column, size):
             if self._cells[partition].needs_reset(target_row, words):
                 return True
@@ -292,7 +413,8 @@ class PramModule:
 
     def last_program_time(self, partition: int, row: int) -> float:
         """When the row was last programmed (-inf if never)."""
-        self._check_partition(partition)
+        if not 0 <= partition < self._partitions:
+            self._check_partition(partition)
         return self._last_program.get((partition, row), float("-inf"))
 
     def cell_tracker(self, partition: int) -> WordStateTracker:
@@ -332,15 +454,16 @@ class PramModule:
         input data in persistent storage before runs.  Marks the
         touched words programmed so later overwrites price correctly.
         """
-        self._check_partition(partition)
-        if row < 0 or row >= self.geometry.rows_per_partition:
+        if not 0 <= partition < self._partitions:
+            self._check_partition(partition)
+        if row < 0 or row >= self._rows:
             raise AddressError(f"row {row} out of range")
-        if len(data) != self.geometry.row_bytes:
+        if len(data) != self._row_bytes:
             raise AddressError(
-                f"poke must cover the whole {self.geometry.row_bytes}-byte row"
+                f"poke must cover the whole {self._row_bytes}-byte row"
             )
         self._storage[(partition, row)] = bytes(data)
-        self._cells[partition].program(row, range(self.geometry.words_per_row))
+        self._cells[partition].program(row, self._all_words)
         self.buffers.invalidate_row(partition, row)
 
     # ------------------------------------------------------------------
@@ -353,28 +476,10 @@ class PramModule:
                 f"[0, {self.geometry.partitions_per_bank})"
             )
 
-    def _compose_row(self, upper: int | None, lower: int) -> int:
-        if upper is None:
-            raise ProtocolError("RAB holds no upper row address")
-        if lower < 0 or lower >= (1 << self.geometry.lower_row_bits):
-            raise AddressError(f"lower row {lower} out of range")
-        row = (upper << self.geometry.lower_row_bits) | lower
-        if row >= self.geometry.rows_per_partition:
-            raise AddressError(f"composed row {row} beyond partition")
-        return row
-
     def _read_row(self, partition: int, row: int) -> bytes:
         if row < 0 or row >= self.geometry.rows_per_partition:
             raise AddressError(f"row {row} out of range")
         return self._storage.get((partition, row), self._blank_row)
-
-    def _split_window_address(self, flat: int) -> typing.Tuple[int, int, int]:
-        column = flat % self.geometry.row_bytes
-        rest = flat // self.geometry.row_bytes
-        row = rest % self.geometry.rows_per_partition
-        partition = rest // self.geometry.rows_per_partition
-        self._check_partition(partition)
-        return partition, row, column
 
     def _words_touched(self, row: int, column: int, size: int) -> typing.List[
             typing.Tuple[int, range]]:

@@ -45,6 +45,10 @@ CMD_RETRY_PROGRAM = 0x44    # SET-only re-program of verify-failed words
 #: Size of the meta-information block at the window base (Figure 4).
 META_BYTES = 128
 
+#: Every command code :meth:`OverlayWindow.launch` accepts.
+_COMMANDS = frozenset((CMD_PROGRAM, CMD_SELECTIVE_ERASE, CMD_ERASE,
+                       CMD_RETRY_PROGRAM))
+
 
 class OverlayWindow:
     """Register file + program buffer of one PRAM module."""
@@ -115,34 +119,78 @@ class OverlayWindow:
         return bytes(self._buffer[offset:offset + size])
 
     # ------------------------------------------------------------------
-    # Execution handshake (driven by the module)
+    # One call per LPDDR2-NVM phase (what a chunk's program issues)
     # ------------------------------------------------------------------
-    def launch(self) -> typing.Tuple[int, int, int, bytes]:
-        """Validate registers and hand the staged program to the module.
+    def stage(self, command: int, address: int, data: bytes) -> None:
+        """Program staging: the command, data-address and multi-purpose
+        (burst size) registers, then ``data`` into the program buffer.
+
+        The register sequence ``write_register(REG_COMMAND, command)``,
+        ``write_register(REG_ADDRESS, address)``,
+        ``write_register(REG_MULTIPURPOSE, len(data))``,
+        ``write_buffer(0, data)`` in one call.  It leaves the same
+        state and raises the same :class:`ProtocolError` at the same
+        point: the registers are written before a payload larger than
+        the buffer is refused.
+        """
+        registers = self._registers
+        registers[REG_COMMAND] = command
+        registers[REG_ADDRESS] = address
+        size = len(data)
+        registers[REG_MULTIPURPOSE] = size
+        if size > self.program_buffer_bytes:
+            raise ProtocolError(
+                f"program-buffer write [0, {size}) "
+                f"exceeds {self.program_buffer_bytes} bytes"
+            )
+        self._buffer[:size] = data
+        if size > self._buffer_filled:
+            self._buffer_filled = size
+
+    def execute(self) -> typing.Tuple[int, int, int, bytes]:
+        """Execute: ``write_register(REG_EXECUTE, 1)``, then
+        :meth:`launch`, in one call, with launch's checks and result.
 
         Returns ``(command, target_row_address, size, payload)`` and
-        flips the status register to busy.  The module calls
-        :meth:`complete` when the array program finishes.
+        flips the status register to busy; the module calls
+        :meth:`complete` when the array program ends.
         """
-        command = self._registers[REG_COMMAND]
-        if command not in (CMD_PROGRAM, CMD_SELECTIVE_ERASE, CMD_ERASE,
-                           CMD_RETRY_PROGRAM):
+        registers = self._registers
+        registers[REG_EXECUTE] = 1
+        command = registers[REG_COMMAND]
+        if command not in _COMMANDS:
             raise ProtocolError(f"unknown command code {command:#x}")
-        if self._registers[REG_EXECUTE] != 1:
-            raise ProtocolError("execute register not set")
-        if self._registers[REG_STATUS] == 1:
+        if registers[REG_STATUS] == 1:
             raise ProtocolError("module is already programming")
-        size = self._registers[REG_MULTIPURPOSE]
+        size = registers[REG_MULTIPURPOSE]
         if command != CMD_ERASE:
             if size < 1 or size > self.program_buffer_bytes:
                 raise ProtocolError(
                     f"burst size {size} outside program buffer "
                     f"(1..{self.program_buffer_bytes})"
                 )
-        self._registers[REG_STATUS] = 1
-        self._registers[REG_EXECUTE] = 0
-        payload = bytes(self._buffer[:size]) if command != CMD_ERASE else b""
-        return command, self._registers[REG_ADDRESS], size, payload
+            payload = bytes(self._buffer[:size])
+        else:
+            payload = b""
+        registers[REG_STATUS] = 1
+        registers[REG_EXECUTE] = 0
+        return command, registers[REG_ADDRESS], size, payload
+
+    # ------------------------------------------------------------------
+    # Execution handshake (driven by the module)
+    # ------------------------------------------------------------------
+    def launch(self) -> typing.Tuple[int, int, int, bytes]:
+        """Validate registers and hand the staged program to the module.
+
+        The register-level handshake: the execute register must already
+        be set.  Otherwise as :meth:`execute`, which the module calls.
+        """
+        command = self._registers[REG_COMMAND]
+        if command not in _COMMANDS:
+            raise ProtocolError(f"unknown command code {command:#x}")
+        if self._registers[REG_EXECUTE] != 1:
+            raise ProtocolError("execute register not set")
+        return self.execute()
 
     def complete(self) -> None:
         """Mark the in-flight program finished (status back to idle)."""

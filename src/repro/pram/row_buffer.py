@@ -91,6 +91,49 @@ class RowBufferSet:
                 return pair
         return None
 
+    def probe(self, partition: int, row: int, upper_row: int,
+              planned: int, exclude: typing.AbstractSet[int],
+              skipping: bool) -> typing.Tuple[int, bool, bool]:
+        """A read's buffer probe: ``(buffer id, need pre-active, need
+        activate)``.
+
+        With ``skipping`` (phase skipping on), the probe is
+        :meth:`find_rdb` then :meth:`find_rab` in one pass over the
+        pairs: the first pair whose RDB holds ``row`` of ``partition``
+        skips both phases, else the first whose RAB holds
+        ``upper_row`` skips the pre-active.  Either hit counts and
+        touches its pair as those lookups do.  Otherwise the read takes
+        the ``planned`` pair, or, when that one is in ``exclude``, the
+        least-recently-used pair not in it (one exists while the
+        caller keeps fewer reads in flight than there are pairs),
+        untouched.
+        """
+        pairs = self._pairs
+        if skipping:
+            rab: RowBufferPair | None = None
+            for pair in pairs:
+                if pair.buffer_id in exclude:
+                    continue
+                if (pair.rdb_valid and pair.partition == partition
+                        and pair.row == row):
+                    self.rdb_hits += 1
+                    self._clock += 1
+                    pair.last_use = self._clock
+                    return pair.buffer_id, False, False
+                if (rab is None and pair.rab_valid
+                        and pair.upper_row == upper_row):
+                    rab = pair
+            if rab is not None:
+                self.rab_hits += 1
+                self._clock += 1
+                rab.last_use = self._clock
+                return rab.buffer_id, False, True
+        if planned in exclude:
+            planned = min((pair for pair in pairs
+                           if pair.buffer_id not in exclude),
+                          key=lambda pair: pair.last_use).buffer_id
+        return planned, True, True
+
     def victim(self) -> RowBufferPair:
         """Least-recently-used pair, for allocation on a miss."""
         self.misses += 1

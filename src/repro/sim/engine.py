@@ -37,6 +37,9 @@ Kernel observers (:mod:`repro.sim.observer`) see the run loop and one
 hooked route, the schedule, which triggers and spawns then take too.
 With no observer and no tie-break seed, ``run()`` takes the bare fast
 drain and triggers and spawns append straight to the ready queue.
+Unless the schedule is hooked, ``timeout()`` and a resource's hold
+claims build their event and put it on its queue in one frame, exactly
+where ``_schedule`` would.
 """
 
 from __future__ import annotations
@@ -139,7 +142,11 @@ class Simulator:
         self._spawn: typing.Callable[[Event], None]
         self._trigger = self._spawn = self._ready.append
         hooks = self._observer.hooks if self._observer else frozenset()
-        if "on_schedule" in hooks:
+        # True when the schedule is hooked: the routes that build and
+        # schedule an event in one frame (timeout(), resource holds)
+        # then call the hooked _schedule instead.
+        self._schedule_hooked = "on_schedule" in hooks
+        if self._schedule_hooked:
             self._schedule = (  # type: ignore[method-assign]
                 self._schedule_observed)
             self._schedule_at = (  # type: ignore[method-assign]
@@ -156,7 +163,28 @@ class Simulator:
 
     def timeout(self, delay: float, value: object = None) -> Timeout:
         """Create an event that fires ``delay`` ns from now."""
-        return Timeout(self, delay, value)
+        if self._schedule_hooked or not delay >= 0:
+            # The hooked schedule, or a delay the constructor rejects
+            # (negative or NaN), with its own error.
+            return Timeout(self, delay, value)
+        # Timeout(self, delay, value) written out, scheduled as
+        # _schedule would: one frame per device latency.
+        timeout = Timeout.__new__(Timeout)
+        timeout.sim = self
+        timeout._name = ""
+        timeout.callbacks = []
+        timeout._value = value
+        timeout._ok = True
+        timeout._triggered = True
+        timeout._processed = False
+        timeout._delay = delay
+        now = self.now
+        when = now + delay
+        if when == now:
+            self._ready.append(timeout)
+        else:
+            heapq.heappush(self._heap, (when, next(self._counter), timeout))
+        return timeout
 
     def deadline(self, at: float, value: object = None) -> Timeout:
         """Create an event that fires at exactly the absolute instant ``at``.

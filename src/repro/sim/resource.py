@@ -18,20 +18,20 @@ class Request(Event):
     A plain claim triggers when its slot is granted.  A hold claim
     states its length (``hold``): granted, it is scheduled to fire
     ``hold`` ns later, like a timeout, and ``start`` records the grant
-    instant.
+    instant.  ``held`` is True from the grant until the release.
 
     Reads as ``request(<resource name>)``.
     """
 
-    __slots__ = ("resource", "hold", "start")
+    __slots__ = ("resource", "hold", "start", "held")
 
     def __init__(self, resource: "Resource",
                  hold: float | None = None) -> None:
         if hold is not None and not hold >= 0:  # also rejects NaN
             raise ValueError(
                 f"{resource.name}: hold length must be >= 0, got {hold}")
-        # One request per bus or pair claim: fields are set inline, as
-        # in Timeout, and the label is built only when read.
+        # Fields are set inline, as in Timeout, and the label is built
+        # only when read.  Resource.request builds its claims itself.
         self.sim = resource.sim
         self._name = ""
         self.callbacks = []
@@ -42,6 +42,7 @@ class Request(Event):
         self.resource = resource
         self.hold = hold
         self.start: float | None = None
+        self.held = False
 
     @property
     def name(self) -> str:
@@ -64,6 +65,10 @@ class Resource:
         request = bus.request(hold=duration)
         yield request  # resumes at request.start + duration
         bus.release(request)
+
+    The resource counts its claimed slots, and each granted request
+    carries its own ``held`` flag, so a claim and a release touch no
+    container but the wait queue.
     """
 
     def __init__(self, sim: "Simulator", capacity: int = 1,
@@ -73,13 +78,13 @@ class Resource:
         self.sim = sim
         self.name = name
         self.capacity = capacity
-        self._users: typing.Set[Request] = set()
+        self._count = 0
         self._queue: typing.Deque[Request] = collections.deque()
 
     @property
     def count(self) -> int:
         """Number of slots currently claimed."""
-        return len(self._users)
+        return self._count
 
     @property
     def queue_length(self) -> int:
@@ -97,18 +102,46 @@ class Resource:
         the slot.  The end is the float a ``timeout(hold)`` taken at
         the grant would give.
         """
-        req = Request(self, hold)
-        if len(self._users) < self.capacity:
-            self._users.add(req)
+        if hold is not None and not hold >= 0:  # also rejects NaN
+            raise ValueError(
+                f"{self.name}: hold length must be >= 0, got {hold}")
+        # Request(self, hold) written out: one frame per bus or pair
+        # claim builds, grants and schedules it.
+        sim = self.sim
+        req = Request.__new__(Request)
+        req.sim = sim
+        req._name = ""
+        req.callbacks = []
+        req._value = None
+        req._ok = True
+        req._processed = False
+        req.resource = self
+        req.hold = hold
+        req.start = None
+        if self._count < self.capacity:
+            self._count += 1
+            req.held = True
             # req.succeed() written out (the request is fresh, so it
-            # cannot have been triggered): one frame fewer per grant.
+            # cannot have been triggered).
             req._triggered = True
             if hold is None:
-                self.sim._trigger(req)
+                sim._trigger(req)
+            elif sim._schedule_hooked:
+                req.start = sim.now
+                sim._schedule(hold, req)
             else:
-                req.start = self.sim.now
-                self.sim._schedule(hold, req)
+                # sim._schedule(hold, req) written out (hold is
+                # checked): the same queue, the same heap entry.
+                req.start = now = sim.now
+                when = now + hold
+                if when == now:
+                    sim._ready.append(req)
+                else:
+                    heapq.heappush(sim._heap,
+                                   (when, next(sim._counter), req))
         else:
+            req.held = False
+            req._triggered = False
             self._queue.append(req)
         return req
 
@@ -119,27 +152,44 @@ class Resource:
         which schedules the grant, so release -> next-grant is a
         happens-before edge by construction.
         """
-        if request in self._users:
-            self._users.remove(request)
-        elif request in self._queue:
-            self._queue.remove(request)
+        try:
+            held = request.held and request.resource is self
+        except AttributeError:  # not a claim at all
+            held = False
+        queue = self._queue
+        if held:
+            request.held = False
+            self._count -= 1
+        elif request in queue:
+            queue.remove(request)
             return
         else:
             raise ValueError(f"{request!r} does not hold {self.name}")
-        while self._queue and len(self._users) < self.capacity:
-            waiter = self._queue.popleft()
-            self._users.add(waiter)
+        sim = self.sim
+        while queue and self._count < self.capacity:
+            waiter = queue.popleft()
+            self._count += 1
+            waiter.held = True
             # waiter.succeed() written out, its double-trigger check kept.
             if waiter._triggered:
                 raise RuntimeError(f"{waiter!r} has already been triggered")
             waiter._triggered = True
-            if waiter.hold is None:
-                self.sim._trigger(waiter)
+            # A hold claim is priced at its grant, here in the
+            # releasing task, and scheduled as in request().
+            hold = waiter.hold
+            if hold is None:
+                sim._trigger(waiter)
+            elif sim._schedule_hooked:
+                waiter.start = sim.now
+                sim._schedule(hold, waiter)
             else:
-                # A hold claim is priced at its grant, here in the
-                # releasing task.
-                waiter.start = self.sim.now
-                self.sim._schedule(waiter.hold, waiter)
+                waiter.start = now = sim.now
+                when = now + hold
+                if when == now:
+                    sim._ready.append(waiter)
+                else:
+                    heapq.heappush(sim._heap,
+                                   (when, next(sim._counter), waiter))
 
     def use(self, duration: float) -> typing.Generator:
         """Convenience process body: hold one slot for ``duration`` ns."""

@@ -284,3 +284,60 @@ def test_row_bitmask_tracker_matches_reference(sequence):
                 outcomes.append(str(error))
         assert outcomes[0] == outcomes[1]
         assert _observe(tracker) == _observe(reference)
+
+
+def _reference_pulse(pulses, words_per_row, row, words):
+    """``_pulse`` as a per-word loop: check every word, then count one
+    pulse on each and set its bit."""
+    words = list(words)
+    if not words:
+        return 0, 0
+    for word in words:
+        if not 0 <= word < words_per_row:
+            raise ValueError(
+                f"word {word} out of range [0, {words_per_row})")
+    counts = pulses.setdefault(row, [0] * words_per_row)
+    mask = 0
+    for word in words:
+        counts[word] += 1
+        mask |= 1 << word
+    return len(words), mask
+
+
+#: Step-1 ranges: whole rows, partial rows, empty ones, and ones that
+#: leave the row on either side.
+step_one_ranges = st.builds(
+    range, st.integers(min_value=-3, max_value=WORDS + 2),
+    st.integers(min_value=-2, max_value=WORDS + 3))
+
+
+@given(st.lists(st.tuples(st.sampled_from(ROWS), step_one_ranges),
+                max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_step_one_pulse_matches_the_per_word_loop(pulses):
+    tracker = WordStateTracker(WORDS)
+    reference = {}
+    for row, words in pulses:
+        before = {pulsed: list(counts)
+                  for pulsed, counts in tracker._pulses.items()}
+        try:
+            outcome = tracker._pulse(row, words)
+        except ValueError as error:
+            outcome = str(error)
+            # A bad word raises before any state changes.
+            assert tracker._pulses == before
+        try:
+            expected = _reference_pulse(reference, WORDS, row, words)
+        except ValueError as error:
+            expected = str(error)
+        assert outcome == expected
+        assert tracker._pulses == reference
+
+
+def test_step_one_pulse_covers_whole_and_fresh_rows():
+    tracker = WordStateTracker(WORDS)
+    assert tracker._pulse(0, range(WORDS)) == (WORDS, (1 << WORDS) - 1)
+    assert tracker._pulse(1, range(2, 5)) == (3, 0b11100)
+    assert tracker._pulse(1, range(4, 6)) == (2, 0b110000)
+    assert tracker._pulses == {0: [1] * WORDS,
+                               1: [0, 0, 1, 1, 2, 1, 0, 0]}

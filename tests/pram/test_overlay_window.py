@@ -1,11 +1,14 @@
 """Overlay-window register file and program-buffer handshake tests."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.pram import OverlayWindow, ProtocolError
 from repro.pram.overlay_window import (
     CMD_ERASE,
     CMD_PROGRAM,
+    CMD_RETRY_PROGRAM,
     CMD_SELECTIVE_ERASE,
     PROGRAM_BUFFER_OFFSET,
     REG_ADDRESS,
@@ -147,3 +150,97 @@ class TestLaunchHandshake:
     def test_complete_without_launch_rejected(self):
         with pytest.raises(ProtocolError):
             OverlayWindow().complete()
+
+
+# ----------------------------------------------------------------------
+# One call per phase against the register sequence
+# ----------------------------------------------------------------------
+def _reference_launch(window):
+    """The launch handshake as a register sequence checked it."""
+    registers = window._registers
+    command = registers[REG_COMMAND]
+    if command not in (CMD_PROGRAM, CMD_SELECTIVE_ERASE, CMD_ERASE,
+                       CMD_RETRY_PROGRAM):
+        raise ProtocolError(f"unknown command code {command:#x}")
+    if registers[REG_EXECUTE] != 1:
+        raise ProtocolError("execute register not set")
+    if registers[REG_STATUS] == 1:
+        raise ProtocolError("module is already programming")
+    size = registers[REG_MULTIPURPOSE]
+    if command != CMD_ERASE and not 1 <= size <= window.program_buffer_bytes:
+        raise ProtocolError(
+            f"burst size {size} outside program buffer "
+            f"(1..{window.program_buffer_bytes})")
+    registers[REG_STATUS] = 1
+    registers[REG_EXECUTE] = 0
+    payload = bytes(window._buffer[:size]) if command != CMD_ERASE else b""
+    return command, registers[REG_ADDRESS], size, payload
+
+
+def _register_sequence(window, step):
+    """What ``stage``/``execute``/``complete`` replace, call by call."""
+    if step[0] == "stage":
+        _, command, address, data = step
+        window.write_register(REG_COMMAND, command)
+        window.write_register(REG_ADDRESS, address)
+        window.write_register(REG_MULTIPURPOSE, len(data))
+        window.write_buffer(0, data)
+        return None
+    if step[0] == "execute":
+        window.write_register(REG_EXECUTE, 1)
+        return _reference_launch(window)
+    window.complete()
+    return None
+
+
+def _one_call(window, step):
+    if step[0] == "stage":
+        return window.stage(*step[1:])
+    if step[0] == "execute":
+        return window.execute()
+    window.complete()
+    return None
+
+
+def _window_state(window):
+    return (dict(window._registers), bytes(window._buffer),
+            window._buffer_filled, window.busy)
+
+
+window_steps = st.one_of(
+    st.tuples(st.just("stage"),
+              st.sampled_from([CMD_PROGRAM, CMD_SELECTIVE_ERASE, CMD_ERASE,
+                               CMD_RETRY_PROGRAM, 0x00, 0x45]),
+              st.integers(min_value=0, max_value=1 << 20),
+              st.sampled_from([0, 1, 31, 32, 33, 511, 512, 513, 600]).map(
+                  lambda size: bytes(range(256)) * (size // 256)
+                  + bytes(range(size % 256)))),
+    st.tuples(st.just("execute")),
+    st.tuples(st.just("complete")))
+
+
+@given(st.lists(window_steps, max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_phase_calls_match_the_register_sequence(steps):
+    # Each phase call returns, raises (ProtocolError with the same
+    # message) and leaves the window exactly as its register sequence.
+    fast, reference = OverlayWindow(), OverlayWindow()
+    for step in steps:
+        outcomes = []
+        for window, run in ((fast, _one_call),
+                            (reference, _register_sequence)):
+            try:
+                outcomes.append(run(window, step))
+            except ProtocolError as error:
+                outcomes.append(f"ProtocolError: {error}")
+        assert outcomes[0] == outcomes[1]
+        assert _window_state(fast) == _window_state(reference)
+
+
+def test_staging_past_the_buffer_writes_registers_then_raises():
+    window = OverlayWindow(program_buffer_bytes=16)
+    with pytest.raises(ProtocolError, match=r"write \[0, 17\) exceeds 16"):
+        window.stage(CMD_PROGRAM, 0x40, bytes(17))
+    assert window.read_register(REG_MULTIPURPOSE) == 17
+    with pytest.raises(ProtocolError, match="burst size 17 outside"):
+        window.execute()

@@ -1,6 +1,8 @@
 """RAB/RDB row-buffer file tests."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.pram import RowBufferSet
 
@@ -113,3 +115,57 @@ class TestInvalidation:
         buffers.invalidate_all()
         assert buffers.find_rab(3) is None
         assert buffers.find_rdb(0, 384) is None
+
+
+# ----------------------------------------------------------------------
+# The one-pass probe against find_rdb, then find_rab, then the plan
+# ----------------------------------------------------------------------
+def _reference_probe(buffers, partition, row, upper, planned, exclude,
+                     skipping):
+    """The read path's probe as two lookups and an LRU fallback."""
+    if skipping:
+        rdb = buffers.find_rdb(partition, row, exclude=exclude)
+        if rdb is not None:
+            return rdb.buffer_id, False, False
+        rab = buffers.find_rab(upper, exclude=exclude)
+        if rab is not None:
+            return rab.buffer_id, False, True
+    if planned in exclude:
+        free = [b for b in range(len(buffers)) if b not in exclude]
+        planned = min(free, key=lambda b: buffers.pair(b).last_use)
+    return planned, True, True
+
+
+def _buffer_state(buffers):
+    return ([(pair.upper_row, pair.rab_valid, pair.partition, pair.row,
+              pair.rdb_valid, pair.last_use) for pair in buffers._pairs],
+            buffers.rab_hits, buffers.rdb_hits)
+
+
+_pairs = st.integers(min_value=0, max_value=3)
+_rows = st.integers(min_value=0, max_value=2)
+buffer_steps = st.one_of(
+    st.tuples(st.just("load_rab"), _pairs, _rows),
+    st.tuples(st.just("load_rdb"), _pairs, _rows, _rows),
+    st.tuples(st.just("invalidate_row"), _rows, _rows),
+    # A probe: partition, row, upper row, planned pair, busy pairs
+    # (at most three, as the pair slots allow) and phase skipping.
+    st.tuples(st.just("probe"), _rows, _rows, _rows, _pairs,
+              st.frozensets(_pairs, max_size=3), st.booleans()))
+
+
+@given(st.lists(buffer_steps, max_size=30))
+@settings(max_examples=300, deadline=None)
+def test_probe_matches_the_lookups_it_replaced(steps):
+    buffers, reference = make_buffers(), make_buffers()
+    for step in steps:
+        if step[0] == "probe":
+            outcome = buffers.probe(*step[1:])
+            assert outcome == _reference_probe(reference, *step[1:])
+        elif step[0] == "load_rdb":
+            for subject in (buffers, reference):
+                subject.load_rdb(*step[1:], data=ROW)
+        else:
+            for subject in (buffers, reference):
+                getattr(subject, step[0])(*step[1:])
+        assert _buffer_state(buffers) == _buffer_state(reference)

@@ -1,5 +1,6 @@
 """Tests for Resource / Pool / Store / Channel contention primitives."""
 
+import collections
 import contextlib
 
 import pytest
@@ -17,6 +18,7 @@ from repro.sim import (
     Store,
     use_sanitizer,
 )
+from repro.sim.resource import Request
 
 
 def test_resource_grants_up_to_capacity_immediately():
@@ -370,7 +372,7 @@ def _hold_spans(capacity, claimants, held, observed=False):
     ``held`` holds with one ``request(hold=d)``; otherwise every hold
     is the reference: ``request()``, then ``timeout(d)`` once granted,
     then ``release``.  ``observed`` attaches a race sanitizer, so the
-    claims take the hooked request and release.
+    claims take the hooked schedule.
     """
     with (use_sanitizer(RaceSanitizer()) if observed
           else contextlib.nullcontext()):
@@ -497,3 +499,122 @@ def test_use_wakes_once_per_hold():
     assert [label for _, label in trace_of(workload)] == [
         "use.bootstrap", "use.bootstrap", "request(core)", "use",
         "request(core)", "use"]
+
+
+# ----------------------------------------------------------------------
+# Counted slots against the set of holders they replaced
+# ----------------------------------------------------------------------
+class _SetResource:
+    """``Resource`` as it kept its holders in a set: the reference the
+    counted resource must match, grant for grant and error for error."""
+
+    def __init__(self, sim, capacity, name):
+        self.sim = sim
+        self.name = name
+        self.capacity = capacity
+        self._users = set()
+        self._queue = collections.deque()
+
+    @property
+    def count(self):
+        return len(self._users)
+
+    @property
+    def queue_length(self):
+        return len(self._queue)
+
+    def request(self, hold=None):
+        req = Request(self, hold)
+        if len(self._users) < self.capacity:
+            self._users.add(req)
+            req._triggered = True
+            if hold is None:
+                self.sim._trigger(req)
+            else:
+                req.start = self.sim.now
+                self.sim._schedule(hold, req)
+        else:
+            self._queue.append(req)
+        return req
+
+    def release(self, request):
+        if request in self._users:
+            self._users.remove(request)
+        elif request in self._queue:
+            self._queue.remove(request)
+            return
+        else:
+            raise ValueError(f"{request!r} does not hold {self.name}")
+        while self._queue and len(self._users) < self.capacity:
+            waiter = self._queue.popleft()
+            self._users.add(waiter)
+            if waiter._triggered:
+                raise RuntimeError(f"{waiter!r} has already been triggered")
+            waiter._triggered = True
+            if waiter.hold is None:
+                self.sim._trigger(waiter)
+            else:
+                waiter.start = self.sim.now
+                self.sim._schedule(waiter.hold, waiter)
+
+
+_CLAIM_STEPS = st.one_of(
+    # A claim: plain, or a hold of one of a few lengths (ties included),
+    # or a negative or NaN one, which both refuse.
+    st.tuples(st.just("claim"),
+              st.sampled_from([None, 0.0, 1.0, 2.5, 4.0, -1.0,
+                               float("nan")])),
+    # A release of the k-th claim so far (modulo the claims made): it
+    # may hold, wait, be released already or not be granted yet.
+    st.tuples(st.just("release"), st.integers(min_value=0, max_value=31)),
+    # The same claim released into another resource: never a holder.
+    st.tuples(st.just("foreign"), st.integers(min_value=0, max_value=31)),
+    # Let simulated time pass.
+    st.tuples(st.just("run"), st.sampled_from([0.0, 0.5, 1.0, 3.0])))
+
+
+def _drive_claims(kind, capacity, steps, observed):
+    """Run ``steps`` against a ``kind`` resource; its observable log."""
+    scope = contextlib.nullcontext()
+    if observed:
+        # A hooked schedule: claims take Simulator._schedule.
+        scope = use_sanitizer(RaceSanitizer())
+    with scope:
+        sim = Simulator()
+        res = kind(sim, capacity, "res")
+        other = kind(sim, capacity, "other")
+        claims = []
+        log = []
+
+        def note(label):
+            return lambda event: log.append((label, sim.now))
+
+        for step in steps:
+            try:
+                if step[0] == "claim":
+                    claim = res.request(hold=step[1])
+                    claim.callbacks.append(note(len(claims)))
+                    claims.append(claim)
+                elif step[0] == "run":
+                    sim.run(until=sim.now + step[1])
+                elif claims:
+                    target = res if step[0] == "release" else other
+                    target.release(claims[step[1] % len(claims)])
+            except (ValueError, RuntimeError) as error:
+                log.append((type(error).__name__, str(error)))
+            log.append((res.count, res.queue_length))
+        sim.run()
+        log.append((res.count, res.queue_length, sim.now))
+        log.append([claim.start for claim in claims])
+        return log
+
+
+@settings(max_examples=300, deadline=None)
+@given(capacity=st.integers(min_value=1, max_value=4),
+       steps=st.lists(_CLAIM_STEPS, max_size=40),
+       observed=st.booleans())
+def test_counted_slots_match_a_set_of_holders(capacity, steps, observed):
+    # Grant instants and their order, count, queue length and every
+    # error raised are those of the set-based resource.
+    assert (_drive_claims(Resource, capacity, steps, observed)
+            == _drive_claims(_SetResource, capacity, steps, observed))
