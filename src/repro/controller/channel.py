@@ -358,7 +358,6 @@ class ChannelController:
                 # holding the bus.  phy.command_cost(packets) written
                 # out: one tCK per packet.
                 packets = 2 if need_pre_active else 1
-                self.phy.packets_sent += packets
                 duration = packets * self._tck
                 if duration > 0:
                     grant = self.bus.request(hold=duration)
@@ -436,8 +435,6 @@ class ChannelController:
             if fault_bits and self.faults is not None:
                 decoded = secded_decode(data, fault_bits)
                 data = decoded.data
-                self.datapath.record_ecc(decoded.corrected_bits,
-                                         decoded.uncorrectable_codewords)
                 self.faults.note_ecc(decoded.corrected_bits,
                                      decoded.uncorrectable_codewords)
                 if decoded.uncorrectable_codewords:
@@ -452,7 +449,6 @@ class ChannelController:
                 self.datapath.stage_load(data)  # raises the operand error
             self.datapath._load_register = data.ljust(
                 Datapath.REGISTER_BYTES, b"\x00")
-            self.datapath.bytes_read += len(data)
         finally:
             busy.discard(buffer_id)
             slots.release(slot)
@@ -496,7 +492,6 @@ class ChannelController:
                 self.datapath.stage_store(payload)  # raises the operand error
             self.datapath._store_register = payload.ljust(
                 Datapath.REGISTER_BYTES, b"\x00")
-            self.datapath.bytes_written += len(payload)
             # Register pokes + payload burst into the program buffer all
             # travel over the shared bus.
             if tracer.enabled:

@@ -2,12 +2,10 @@
 
 The PEs' load/store operand size is 32 bytes, so the controller keeps
 one 256-bit register per direction.  The datapath validates operand
-sizing and accounts the bytes that crossed it (for the energy model).
+sizing and latches the last operand in each direction.
 """
 
 from __future__ import annotations
-
-import typing
 
 
 class Datapath:
@@ -18,28 +16,16 @@ class Datapath:
     def __init__(self) -> None:
         self._load_register = bytes(self.REGISTER_BYTES)
         self._store_register = bytes(self.REGISTER_BYTES)
-        self.bytes_read = 0
-        self.bytes_written = 0
-        # SEC-DED outcomes over the read path (repro.faults).
-        self.ecc_corrected_bits = 0
-        self.ecc_uncorrectable = 0
-
-    def record_ecc(self, corrected_bits: int, uncorrectable: int) -> None:
-        """Account one SEC-DED decode pass on the load path."""
-        self.ecc_corrected_bits += corrected_bits
-        self.ecc_uncorrectable += uncorrectable
 
     def stage_store(self, data: bytes) -> None:
         """Latch up to 32 bytes heading to the PRAM."""
         self._check(len(data))
         self._store_register = data.ljust(self.REGISTER_BYTES, b"\x00")
-        self.bytes_written += len(data)
 
     def stage_load(self, data: bytes) -> bytes:
         """Latch data arriving from the PRAM; returns it for forwarding."""
         self._check(len(data))
         self._load_register = data.ljust(self.REGISTER_BYTES, b"\x00")
-        self.bytes_read += len(data)
         return data
 
     @property
@@ -58,7 +44,3 @@ class Datapath:
                 f"datapath operand must be 1..{self.REGISTER_BYTES} bytes, "
                 f"got {size}"
             )
-
-    def totals(self) -> typing.Tuple[int, int]:
-        """(bytes_read, bytes_written) counters."""
-        return self.bytes_read, self.bytes_written

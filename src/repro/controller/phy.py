@@ -20,7 +20,6 @@ class PramPhy:
 
     def __init__(self, params: PramTimingParams = PramTimingParams()) -> None:
         self.params = params
-        self.packets_sent = 0
 
     @property
     def clock_ns(self) -> float:
@@ -35,7 +34,6 @@ class PramPhy:
         """
         if packets < 0:
             raise ValueError(f"negative packet count: {packets}")
-        self.packets_sent += packets
         return packets * self.params.tck_ns
 
     def register_write_cost(self) -> float:

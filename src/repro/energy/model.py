@@ -90,6 +90,20 @@ class EnergyAccount:
             raise ValueError(f"negative size: {size}")
         self.charge(category, pj_per_byte * size / 1000.0)
 
+    def charge_bytes_each(self, category: str, pj_per_byte: float,
+                          sizes: typing.Iterable[int]) -> None:
+        """One per-byte charge per entry of ``sizes``, in order.
+
+        Each term is added to the category on its own, so the total is
+        the float one :meth:`charge_bytes` call per size leaves (one
+        product or one ``sum()`` would round differently).  A negative
+        term raises before any is added; no sizes, no category.
+        """
+        terms = [pj_per_byte * size / 1000.0 for size in sizes]
+        if terms and min(terms) < 0:
+            raise ValueError(f"negative energy: {min(terms)}")
+        self.breakdown.add_each(category, terms)
+
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------

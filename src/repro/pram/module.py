@@ -298,8 +298,15 @@ class PramModule:
         rest = flat // row_bytes
         row = rest % rows
         partition = rest // rows
-        if not 0 <= partition < self._partitions:
+        one_row = 0 < size <= row_bytes - column
+        spills = (not one_row and command != ow.CMD_ERASE
+                  and row + (column + size - 1) // row_bytes >= rows)
+        if spills or not 0 <= partition < self._partitions:
+            # A program the module rejects leaves the window idle and
+            # changes nothing else.
+            window.complete()
             self._check_partition(partition)
+            raise AddressError("program spills past the partition")
         # Failures belong to exactly one program: stale records from
         # background work (pre-resets, gap moves) must not alias into
         # the next request's verify pass.
@@ -308,7 +315,6 @@ class PramModule:
         # runs here, in this frame.  Programs that spill into later
         # rows and programs under a program-fault plan take the
         # per-row helpers.
-        one_row = 0 < size <= row_bytes - column
         if command == ow.CMD_PROGRAM or command == ow.CMD_RETRY_PROGRAM:
             if one_row:
                 self._last_program[(partition, row)] = now

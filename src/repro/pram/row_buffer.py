@@ -36,8 +36,6 @@ class RowBufferSet:
         self.row_bytes = row_bytes
         self._pairs = [RowBufferPair(buffer_id=i) for i in range(count)]
         self._clock = 0
-        self.rab_hits = 0
-        self.rdb_hits = 0
         self.misses = 0
 
     def __len__(self) -> int:
@@ -70,7 +68,6 @@ class RowBufferSet:
         for pair in self._pairs:
             if (pair.rdb_valid and pair.partition == partition
                     and pair.row == row and pair.buffer_id not in exclude):
-                self.rdb_hits += 1
                 self._touch(pair)
                 return pair
         return None
@@ -86,7 +83,6 @@ class RowBufferSet:
         for pair in self._pairs:
             if (pair.rab_valid and pair.upper_row == upper_row
                     and pair.buffer_id not in exclude):
-                self.rab_hits += 1
                 self._touch(pair)
                 return pair
         return None
@@ -101,8 +97,8 @@ class RowBufferSet:
         :meth:`find_rdb` then :meth:`find_rab` in one pass over the
         pairs: the first pair whose RDB holds ``row`` of ``partition``
         skips both phases, else the first whose RAB holds
-        ``upper_row`` skips the pre-active.  Either hit counts and
-        touches its pair as those lookups do.  Otherwise the read takes
+        ``upper_row`` skips the pre-active.  Either hit touches its
+        pair as those lookups do.  Otherwise the read takes
         the ``planned`` pair, or, when that one is in ``exclude``, the
         least-recently-used pair not in it (one exists while the
         caller keeps fewer reads in flight than there are pairs),
@@ -116,7 +112,6 @@ class RowBufferSet:
                     continue
                 if (pair.rdb_valid and pair.partition == partition
                         and pair.row == row):
-                    self.rdb_hits += 1
                     self._clock += 1
                     pair.last_use = self._clock
                     return pair.buffer_id, False, False
@@ -124,7 +119,6 @@ class RowBufferSet:
                         and pair.upper_row == upper_row):
                     rab = pair
             if rab is not None:
-                self.rab_hits += 1
                 self._clock += 1
                 rab.last_use = self._clock
                 return rab.buffer_id, False, True

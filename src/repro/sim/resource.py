@@ -252,6 +252,30 @@ class Pool:
         heapq.heapreplace(free, finish)
         return finish
 
+    def reserve_many(self, count: int, duration: float) -> float:
+        """Claim ``count`` slots for ``duration`` ns each, one after
+        another; return the last finish (the current instant when
+        ``count`` is 0).
+
+        The claims take the slots and get the floats ``count`` calls of
+        :meth:`reserve` would, in the same order.  Each takes the
+        earliest-free slot, so their starts, and their finishes, never
+        decrease: the last finish is the latest.  ``duration`` is
+        checked once, before any slot moves.
+        """
+        if not duration >= 0:  # also rejects NaN
+            raise ValueError(
+                f"{self.name}: hold length must be >= 0, got {duration}")
+        free = self._free
+        now = finish = self.sim.now
+        for _ in range(count):
+            start = free[0]
+            if start < now:
+                start = now
+            finish = start + duration
+            heapq.heapreplace(free, finish)
+        return finish
+
     def hold(self, duration: float) -> typing.Generator:
         """Process body: hold one slot for ``duration`` ns."""
         yield self.sim.deadline(self.reserve(duration))

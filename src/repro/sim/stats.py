@@ -70,6 +70,17 @@ class Breakdown:
         """Add ``amount`` to ``category`` (created on first use)."""
         self._parts[category] = self._parts.get(category, 0.0) + amount
 
+    def add_each(self, category: str,
+                 amounts: typing.Sequence[float]) -> None:
+        """Add each of ``amounts`` to ``category`` in turn: the float
+        one :meth:`add` per amount leaves.  No amounts, no category."""
+        if not amounts:
+            return
+        total = self._parts.get(category, 0.0)
+        for amount in amounts:
+            total += amount
+        self._parts[category] = total
+
     def get(self, category: str) -> float:
         """Total recorded for ``category`` (0 when absent)."""
         return self._parts.get(category, 0.0)

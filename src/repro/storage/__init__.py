@@ -7,7 +7,10 @@
 * :mod:`~repro.storage.optane` — a PRAM-based SSD (Optane-like): PRAM
   medium behind the same block interface;
 * :mod:`~repro.storage.nor_pram` — the 9x nm parallel PRAM with a NOR
-  flash interface: byte-addressable but 16-bit serialized.
+  flash interface: byte-addressable but 16-bit serialized;
+* :mod:`~repro.storage.pages` — the sparse 4 KiB page store that holds
+  the contents of the PRAM SSD, the NOR-intf PRAM and the Ideal
+  system's DRAM.
 """
 
 from repro.storage.dram import DramBuffer

@@ -13,6 +13,7 @@ import typing
 
 from repro.energy import EnergyAccount
 from repro.sim import Pool, Simulator
+from repro.storage.pages import SparsePages
 
 #: Access unit on the legacy interface: one 16-bit word.
 WORD_BYTES = 2
@@ -35,18 +36,14 @@ NOR_WRITE_32B_NS = 3_750.0
 
 _WORDS_PER_OPERAND = 32 // WORD_BYTES
 
-#: Granularity of the sparse backing store.  Timing is per 16-bit word
-#: and does not depend on it.
-PAGE_BYTES = 4096
-
 
 class NorPram:
     """Byte-addressable PRAM behind a word-serialized NOR interface.
 
     The single interface port is the bottleneck: there is no internal
     parallelism to exploit, so all accesses queue.  Contents live in
-    sparse 4 KiB pages allocated on first write; unwritten bytes read
-    as zero.
+    sparse 4 KiB pages (:class:`~repro.storage.pages.SparsePages`);
+    unwritten bytes read as zero.
     """
 
     def __init__(self, sim: Simulator,
@@ -56,7 +53,7 @@ class NorPram:
         self.name = name
         self.port = Pool(sim, capacity=1, name=f"{name}.port")
         self.energy = energy
-        self._pages: typing.Dict[int, bytearray] = {}  # page index -> data
+        self._contents = SparsePages()
         self.words_read = 0
         self.words_written = 0
 
@@ -72,14 +69,14 @@ class NorPram:
         if self.energy is not None:
             self.energy.charge_bytes(
                 "storage", self.energy.model.nor_read_pj_per_byte, size)
-        return self._load(address, size)
+        return self._contents.load(address, size)
 
     def write(self, address: int, data: bytes) -> typing.Generator:
         """Write ``data``, serialized into 16-bit word programs."""
         words = self._word_count(address, len(data))
         duration = words * (NOR_WRITE_32B_NS / _WORDS_PER_OPERAND)
         yield from self.port.hold(duration)
-        self._store(address, data)
+        self._contents.store(address, data)
         self.words_written += words
         if self.energy is not None:
             self.energy.charge_bytes(
@@ -92,12 +89,12 @@ class NorPram:
     def preload(self, address: int, data: bytes) -> None:
         """Zero-time data placement."""
         self._word_count(address, len(data))
-        self._store(address, data)
+        self._contents.store(address, data)
 
     def inspect(self, address: int, size: int) -> bytes:
         """Zero-time read-back."""
         self._word_count(address, size)
-        return self._load(address, size)
+        return self._contents.load(address, size)
 
     # ------------------------------------------------------------------
     # Internals
@@ -109,28 +106,3 @@ class NorPram:
             raise ValueError(f"bad range: address={address} size={size}")
         return ((address + size - 1) // WORD_BYTES
                 - address // WORD_BYTES + 1)
-
-    def _load(self, address: int, size: int) -> bytes:
-        pages = self._pages
-        end = address + size
-        pieces: typing.List[bytes] = []
-        while address < end:
-            index, offset = divmod(address, PAGE_BYTES)
-            count = min(PAGE_BYTES - offset, end - address)
-            page = pages.get(index)
-            pieces.append(bytes(count) if page is None
-                          else page[offset:offset + count])
-            address += count
-        return b"".join(pieces)
-
-    def _store(self, address: int, data: bytes) -> None:
-        pages = self._pages
-        position = 0
-        while position < len(data):
-            index, offset = divmod(address + position, PAGE_BYTES)
-            count = min(PAGE_BYTES - offset, len(data) - position)
-            page = pages.get(index)
-            if page is None:
-                page = pages[index] = bytearray(PAGE_BYTES)
-            page[offset:offset + count] = data[position:position + count]
-            position += count

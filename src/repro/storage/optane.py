@@ -13,11 +13,9 @@ from __future__ import annotations
 import typing
 
 from repro.energy import EnergyAccount
-from repro.pram.constants import (
-    PRAM_WRITE_OVERWRITE_NS,
-    PRAM_WRITE_PRISTINE_NS,
-)
-from repro.sim import Pool, Simulator, Timeout
+from repro.pram.constants import PRAM_WRITE_PRISTINE_NS
+from repro.sim import Pool, Simulator
+from repro.storage.pages import SparsePages
 from repro.storage.ssd import SSD_COMMAND_NS
 
 #: Medium chunk: PRAM bank-level parallel I/O width.
@@ -31,7 +29,15 @@ PRAM_SSD_PARALLELISM = 16
 
 
 class PramSsd:
-    """Block-interface SSD over a PRAM medium."""
+    """Block-interface SSD over a PRAM medium.
+
+    A command pays the command overhead, then its chunks reserve units
+    in chunk order and the command wakes once, when the last of them
+    finishes.  It then applies every chunk's counter, contents and
+    energy effect in one pass, in chunk order, as the same floats a
+    per-chunk model gives.  Contents live in sparse 4 KiB pages
+    (:class:`~repro.storage.pages.SparsePages`).
+    """
 
     def __init__(self, sim: Simulator,
                  parallelism: int = PRAM_SSD_PARALLELISM,
@@ -44,8 +50,7 @@ class PramSsd:
         self.units = Pool(sim, capacity=parallelism, name=f"{name}.units")
         self.queue = Pool(sim, capacity=8, name=f"{name}.queue")
         self.energy = energy
-        self._storage: typing.Dict[int, bytes] = {}  # chunk id -> 32 B
-        self._written: typing.Set[int] = set()
+        self._contents = SparsePages()
         self.chunks_read = 0
         self.chunks_written = 0
         self.commands = 0
@@ -56,18 +61,16 @@ class PramSsd:
     def read(self, address: int, size: int) -> typing.Generator:
         """Read ``size`` bytes; chunk reads fan out over the units."""
         yield from self._command_overhead()
-        chunks = list(self._chunks_of(address, size))
-        yield self._chunk_holds(len(chunks), PRAM_SSD_READ_NS)
-        out = bytearray()
-        for chunk, offset, span in chunks:
-            self.chunks_read += 1
-            if self.energy is not None:
-                self.energy.charge_bytes(
-                    "storage", self.energy.model.pram_read_pj_per_byte,
-                    CHUNK_BYTES)
-            data = self._storage.get(chunk, bytes(CHUNK_BYTES))
-            out += data[offset:offset + span]
-        return bytes(out)
+        count = _chunk_count(address, size)
+        yield self.sim.deadline(
+            self.units.reserve_many(count, PRAM_SSD_READ_NS))
+        self.chunks_read += count
+        if self.energy is not None:
+            # A chunk read senses the whole chunk, partial or not.
+            self.energy.charge_bytes_each(
+                "storage", self.energy.model.pram_read_pj_per_byte,
+                [CHUNK_BYTES] * count)
+        return self._contents.load(address, size)
 
     def write(self, address: int, data: bytes) -> typing.Generator:
         """Write ``data``; each 32-byte chunk is a separate program.
@@ -75,23 +78,21 @@ class PramSsd:
         The SSD's translation layer is log-structured: writes remap to
         pre-RESET locations, so the SET-only latency applies; the RESET
         pass happens in background wear management.  (Kept as a
-        parameter path: pass through PRAM_WRITE_OVERWRITE_NS in studies
+        parameter path: pass through
+        :data:`~repro.pram.constants.PRAM_WRITE_OVERWRITE_NS` in studies
         of in-place devices.)
         """
         yield from self._command_overhead()
-        chunks = list(self._chunks_of(address, len(data)))
-        yield self._chunk_holds(len(chunks), PRAM_WRITE_PRISTINE_NS)
-        cursor = 0
-        for chunk, offset, span in chunks:
-            existing = bytearray(self._storage.get(chunk, bytes(CHUNK_BYTES)))
-            existing[offset:offset + span] = data[cursor:cursor + span]
-            self._storage[chunk] = bytes(existing)
-            self._written.add(chunk)
-            self.chunks_written += 1
-            if self.energy is not None:
-                self.energy.charge_bytes(
-                    "storage", self.energy.model.pram_set_pj_per_byte, span)
-            cursor += span
+        size = len(data)
+        count = _chunk_count(address, size)
+        yield self.sim.deadline(
+            self.units.reserve_many(count, PRAM_WRITE_PRISTINE_NS))
+        self._contents.store(address, data)
+        self.chunks_written += count
+        if self.energy is not None:
+            self.energy.charge_bytes_each(
+                "storage", self.energy.model.pram_set_pj_per_byte,
+                _chunk_spans(address, size, count))
 
     def flush(self) -> typing.Generator:
         """No internal volatile cache: flush is instantaneous."""
@@ -103,40 +104,17 @@ class PramSsd:
     # ------------------------------------------------------------------
     def preload(self, address: int, data: bytes) -> None:
         """Zero-time data placement."""
-        cursor = 0
-        for chunk, offset, span in self._chunks_of(address, len(data)):
-            existing = bytearray(self._storage.get(chunk, bytes(CHUNK_BYTES)))
-            existing[offset:offset + span] = data[cursor:cursor + span]
-            self._storage[chunk] = bytes(existing)
-            self._written.add(chunk)
-            cursor += span
+        _chunk_count(address, len(data))
+        self._contents.store(address, data)
 
     def inspect(self, address: int, size: int) -> bytes:
         """Zero-time read-back."""
-        out = bytearray()
-        for chunk, offset, span in self._chunks_of(address, size):
-            data = self._storage.get(chunk, bytes(CHUNK_BYTES))
-            out += data[offset:offset + span]
-        return bytes(out)
+        _chunk_count(address, size)
+        return self._contents.load(address, size)
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    @staticmethod
-    def _chunks_of(address: int, size: int) -> typing.Iterator[
-            typing.Tuple[int, int, int]]:
-        if address < 0 or size < 0:
-            raise ValueError(f"bad range: address={address} size={size}")
-        cursor = address
-        remaining = size
-        while remaining > 0:
-            chunk = cursor // CHUNK_BYTES
-            offset = cursor % CHUNK_BYTES
-            span = min(CHUNK_BYTES - offset, remaining)
-            yield chunk, offset, span
-            cursor += span
-            remaining -= span
-
     def _command_overhead(self) -> typing.Generator:
         yield from self.queue.hold(SSD_COMMAND_NS)
         self.commands += 1
@@ -145,16 +123,23 @@ class PramSsd:
                 "storage", self.energy.model.ssd_controller_w,
                 SSD_COMMAND_NS)
 
-    def _chunk_holds(self, count: int, duration: float) -> Timeout:
-        """One wake-up for ``count`` chunk operations of ``duration`` ns.
 
-        The chunks reserve units in chunk order, the order in which
-        per-chunk claims would reach the units, and the command wakes
-        once, when the last of them finishes.  The caller then applies
-        each chunk's effects in chunk order.
-        """
-        units = self.units
-        finish = self.sim.now
-        for _ in range(count):
-            finish = max(finish, units.reserve(duration))
-        return self.sim.deadline(finish)
+def _chunk_count(address: int, size: int) -> int:
+    """32-byte chunks ``[address, address + size)`` touches; rejects a
+    bad range."""
+    if address < 0 or size < 0:
+        raise ValueError(f"bad range: address={address} size={size}")
+    if size == 0:
+        return 0
+    return (address + size - 1) // CHUNK_BYTES - address // CHUNK_BYTES + 1
+
+
+def _chunk_spans(address: int, size: int,
+                 count: int) -> typing.List[int]:
+    """Bytes of each of the ``count`` chunks the range touches, in
+    chunk order: a partial head and tail around whole chunks."""
+    if count < 2:
+        return [size] * count
+    head = CHUNK_BYTES - address % CHUNK_BYTES
+    tail = (address + size - 1) % CHUNK_BYTES + 1
+    return [head] + [CHUNK_BYTES] * (count - 2) + [tail]

@@ -9,7 +9,7 @@ from repro.energy import EnergyAccount
 from repro.sim import Pool, Simulator
 from repro.storage.dram import DramBuffer
 from repro.storage.nor_pram import NorPram
-from repro.storage.ssd import SSD_COMMAND_NS
+from repro.storage.pages import SparsePages
 
 #: The block size backends operate at (matches the L2 request unit).
 BLOCK_BYTES = 512
@@ -24,7 +24,7 @@ class DramBackend:
         self.energy = energy
         self.dram = DramBuffer(sim, capacity_bytes, BLOCK_BYTES,
                                name="accel.dram")
-        self._data: typing.Dict[int, bytes] = {}
+        self._contents = SparsePages()
 
     def read_block(self, address: int, size: int) -> typing.Generator:
         yield from self.dram.access(size)
@@ -44,12 +44,10 @@ class DramBackend:
         pass  # DRAM has no write asymmetry to prepare for
 
     def preload(self, address: int, data: bytes) -> None:
-        for offset in range(len(data)):
-            self._data[address + offset] = data[offset:offset + 1]
+        self._contents.store(address, data)
 
     def inspect(self, address: int, size: int) -> bytes:
-        return b"".join(self._data.get(address + i, b"\x00")
-                        for i in range(size))
+        return self._contents.load(address, size)
 
     def _charge(self, size: int) -> None:
         self.energy.charge_bytes(

@@ -21,7 +21,6 @@ class TestPhy:
     def test_command_cost_per_packet(self):
         phy = PramPhy()
         assert phy.command_cost(2) == 5.0
-        assert phy.packets_sent == 2
 
     def test_register_write_cost(self):
         phy = PramPhy()
@@ -67,13 +66,6 @@ class TestDatapath:
             dp.stage_store(b"")
         with pytest.raises(ValueError):
             dp.stage_store(bytes(33))
-
-    def test_byte_accounting(self):
-        dp = Datapath()
-        dp.stage_store(bytes(32))
-        dp.stage_load(bytes(32))
-        dp.stage_load(bytes(16))
-        assert dp.totals() == (48, 32)
 
 
 class TestAccessPlanner:

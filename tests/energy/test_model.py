@@ -1,6 +1,8 @@
 """Energy model and account tests."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.energy import EnergyAccount, EnergyModel
 
@@ -31,6 +33,34 @@ class TestCharging:
             account.charge_power("x", 1.0, -1.0)
         with pytest.raises(ValueError):
             account.charge_bytes("x", 1.0, -1)
+
+    @given(pj_per_byte=st.floats(min_value=0.0, max_value=1e3,
+                                 allow_nan=False),
+           sizes=st.lists(st.integers(min_value=0, max_value=4096),
+                          max_size=40),
+           before=st.sampled_from([None, 0.1, 1e6 / 3]))
+    def test_charge_bytes_each_equals_one_charge_per_size(
+            self, pj_per_byte, sizes, before):
+        account, reference = EnergyAccount(), EnergyAccount()
+        if before is not None:
+            for ledger in (account, reference):
+                ledger.charge("storage", before)
+        account.charge_bytes_each("storage", pj_per_byte, sizes)
+        for size in sizes:
+            reference.charge_bytes("storage", pj_per_byte, size)
+        # Exactly the same float, not a rounding of it.
+        assert account.by_category() == reference.by_category()
+
+    def test_charge_bytes_each_of_no_sizes_creates_no_category(self):
+        account = EnergyAccount()
+        account.charge_bytes_each("storage", 7.0, [])
+        assert account.by_category() == {}
+
+    def test_charge_bytes_each_rejects_negative_before_charging(self):
+        account = EnergyAccount()
+        with pytest.raises(ValueError):
+            account.charge_bytes_each("storage", 7.0, [32, -1])
+        assert account.by_category() == {}
 
     def test_total_mj_scale(self):
         account = EnergyAccount()

@@ -11,7 +11,11 @@ from repro.pram import (
     PramModule,
     ProtocolError,
 )
-from repro.pram.overlay_window import CMD_ERASE, CMD_SELECTIVE_ERASE
+from repro.pram.overlay_window import (
+    CMD_ERASE,
+    CMD_PROGRAM,
+    CMD_SELECTIVE_ERASE,
+)
 
 
 @pytest.fixture
@@ -104,6 +108,21 @@ class TestWritePath:
         _, first = full_read(module, 0, 10)
         _, second = full_read(module, 0, 11)
         assert first + second == payload
+
+    @pytest.mark.parametrize("command", [CMD_PROGRAM, CMD_SELECTIVE_ERASE])
+    def test_rejected_program_leaves_the_window_idle(self, module, command):
+        # 64 bytes from the last row of partition 0 spill past it.
+        last = module.geometry.rows_per_partition - 1
+        t = module.stage_program(0.0, 0, last, 0, bytes(64), command=command)
+        with pytest.raises(AddressError, match="spills past the partition"):
+            module.execute_program(t)
+        assert not module.window.busy
+        assert module.last_program_time(0, last) == float("-inf")
+        assert module.last_program_time(0, last + 1) == float("-inf")
+        # The next program, on another partition, runs as usual.
+        full_write(module, 1, 0, b"\x05" * 32)
+        _, data = full_read(module, 1, 0)
+        assert data == b"\x05" * 32
 
     def test_partition_busy_serializes_programs(self, module):
         finish = full_write(module, 0, 0, bytes(32))

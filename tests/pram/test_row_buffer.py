@@ -41,7 +41,6 @@ class TestRabLoading:
         pair = buffers.find_rab(77)
         assert pair is not None
         assert pair.buffer_id == 1
-        assert buffers.rab_hits == 1
 
     def test_load_rab_invalidates_paired_rdb(self):
         buffers = make_buffers()
@@ -59,7 +58,6 @@ class TestRdbLoading:
         pair = buffers.find_rdb(3, 645)
         assert pair is not None
         assert pair.data == ROW
-        assert buffers.rdb_hits == 1
 
     def test_load_requires_full_row(self):
         buffers = make_buffers()
@@ -137,9 +135,8 @@ def _reference_probe(buffers, partition, row, upper, planned, exclude,
 
 
 def _buffer_state(buffers):
-    return ([(pair.upper_row, pair.rab_valid, pair.partition, pair.row,
-              pair.rdb_valid, pair.last_use) for pair in buffers._pairs],
-            buffers.rab_hits, buffers.rdb_hits)
+    return [(pair.upper_row, pair.rab_valid, pair.partition, pair.row,
+             pair.rdb_valid, pair.last_use) for pair in buffers._pairs]
 
 
 _pairs = st.integers(min_value=0, max_value=3)

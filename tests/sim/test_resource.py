@@ -363,6 +363,43 @@ def test_pool_reclaim_at_the_finish_instant_can_overtake():
     assert run(pooled=True) == [[0.0, 1.1], [1.0, 1.0]]
 
 
+def _twin_pools(capacity, earlier, now):
+    """Two pools with the same ``earlier`` claims behind them, at ``now``."""
+    sim = Simulator()
+    pools = (Pool(sim, capacity), Pool(sim, capacity))
+    for duration in earlier:
+        for pool in pools:
+            pool.reserve(duration)
+    sim.run(until=now)
+    return pools
+
+
+@settings(max_examples=300, deadline=None)
+@given(capacity=st.integers(min_value=1, max_value=4),
+       earlier=st.lists(_LENGTHS, max_size=8),
+       now=_INSTANTS,
+       count=st.integers(min_value=0, max_value=12),
+       duration=_LENGTHS)
+def test_pool_reserve_many_equals_reserve_calls(capacity, earlier, now,
+                                                count, duration):
+    pool, reference = _twin_pools(capacity, earlier, now)
+    finish = now
+    for _ in range(count):
+        finish = max(finish, reference.reserve(duration))
+    assert pool.reserve_many(count, duration) == finish
+    # Every slot's free instant, in the same heap positions.
+    assert pool._free == reference._free
+
+
+@pytest.mark.parametrize("duration", [-1.0, -1e-300, float("nan")])
+def test_pool_reserve_many_rejects_bad_lengths_before_claiming(duration):
+    pool, _ = _twin_pools(3, [4.0, 1.0], 0.5)
+    free = list(pool._free)
+    with pytest.raises(ValueError, match="hold length"):
+        pool.reserve_many(2, duration)
+    assert pool._free == free
+
+
 # ----------------------------------------------------------------------
 # Resource hold claims: fixed-length holds priced when granted
 # ----------------------------------------------------------------------

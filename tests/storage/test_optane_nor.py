@@ -15,10 +15,10 @@ from repro.storage import NorPram, PramSsd
 from repro.storage.nor_pram import (
     NOR_READ_32B_NS,
     NOR_WRITE_32B_NS,
-    PAGE_BYTES,
     WORD_BYTES,
 )
 from repro.storage.optane import CHUNK_BYTES, PRAM_SSD_READ_NS
+from repro.storage.pages import PAGE_BYTES
 from repro.storage.ssd import SSD_COMMAND_NS
 
 
@@ -105,19 +105,26 @@ class TestPramSsd:
         assert energy.by_category()["storage"] > 0
 
 
-class PerChunkPramSsd(PramSsd):
-    """The reference model: one process and one Resource hold per chunk.
+class PerChunkPramSsd:
+    """The reference model: one process, one Resource hold and one
+    store entry per chunk.
 
     Its command queue and units are ``Resource`` slots, each chunk runs
     as its own process holding a unit through ``sim.process(
     units.use(d))``, and each chunk's counter, storage and energy
-    effects apply when that chunk finishes.
+    effects apply when that chunk finishes.  Contents are one 32-byte
+    entry per written chunk.
     """
 
     def __init__(self, sim, parallelism, energy):
-        super().__init__(sim, parallelism=parallelism, energy=energy)
+        self.sim = sim
+        self.energy = energy
         self.units = Resource(sim, capacity=parallelism)
         self.queue = Resource(sim, capacity=8)
+        self._chunks = {}  # chunk id -> 32 B
+        self.chunks_read = 0
+        self.chunks_written = 0
+        self.commands = 0
 
     def read(self, address, size):
         yield from self._command_overhead()
@@ -141,6 +148,36 @@ class PerChunkPramSsd(PramSsd):
             cursor += span
         yield self.sim.all_of(pending)
 
+    def preload(self, address, data):
+        cursor = 0
+        for chunk, offset, span in self._chunks_of(address, len(data)):
+            self._put(chunk, offset, data[cursor:cursor + span])
+            cursor += span
+
+    def inspect(self, address, size):
+        out = bytearray()
+        for chunk, offset, span in self._chunks_of(address, size):
+            out += self._chunks.get(chunk, bytes(CHUNK_BYTES))[
+                offset:offset + span]
+        return bytes(out)
+
+    @staticmethod
+    def _chunks_of(address, size):
+        cursor = address
+        remaining = size
+        while remaining > 0:
+            chunk = cursor // CHUNK_BYTES
+            offset = cursor % CHUNK_BYTES
+            span = min(CHUNK_BYTES - offset, remaining)
+            yield chunk, offset, span
+            cursor += span
+            remaining -= span
+
+    def _put(self, chunk, offset, payload):
+        existing = bytearray(self._chunks.get(chunk, bytes(CHUNK_BYTES)))
+        existing[offset:offset + len(payload)] = payload
+        self._chunks[chunk] = bytes(existing)
+
     def _command_overhead(self):
         grant = self.queue.request()
         yield grant
@@ -158,28 +195,31 @@ class PerChunkPramSsd(PramSsd):
         self.chunks_read += 1
         self.energy.charge_bytes(
             "storage", self.energy.model.pram_read_pj_per_byte, CHUNK_BYTES)
-        return self._storage.get(chunk, bytes(CHUNK_BYTES))
+        return self._chunks.get(chunk, bytes(CHUNK_BYTES))
 
     def _write_chunk(self, chunk, offset, payload):
         yield self.sim.process(self.units.use(PRAM_WRITE_PRISTINE_NS))
-        existing = bytearray(self._storage.get(chunk, bytes(CHUNK_BYTES)))
-        existing[offset:offset + len(payload)] = payload
-        self._storage[chunk] = bytes(existing)
-        self._written.add(chunk)
+        self._put(chunk, offset, payload)
         self.chunks_written += 1
         self.energy.charge_bytes(
             "storage", self.energy.model.pram_set_pj_per_byte, len(payload))
 
 
-#: Region the random commands touch: eight chunks, so they share some.
-SSD_REGION = 8 * CHUNK_BYTES
+#: Region the random commands touch: its first eight chunks, and the
+#: eight chunks either side of the first 4 KiB page boundary, so
+#: commands share chunks and some cross a page.
+SSD_REGION = PAGE_BYTES + 8 * CHUNK_BYTES
+SSD_ADDRESSES = st.one_of(
+    st.integers(0, 8 * CHUNK_BYTES - 1),
+    st.integers(PAGE_BYTES - 4 * CHUNK_BYTES,
+                PAGE_BYTES + 4 * CHUNK_BYTES - 1))
 
 #: ``(arrival, write?, address, size)``; few arrivals, so they tie.
 SSD_COMMANDS = st.lists(
     st.tuples(st.sampled_from([0.0, 0.0, 100.0, 8_000.0, 8_100.0,
                                18_000.0, 30_000.0]),
               st.booleans(),
-              st.integers(0, SSD_REGION - 1),
+              SSD_ADDRESSES,
               st.integers(1, 3 * CHUNK_BYTES)),
     min_size=1, max_size=12)
 
