@@ -58,9 +58,10 @@ def main() -> None:
                 for i in range(4)]
             yield sim.all_of(again)
 
-        sim.process(driver())
+        proc = sim.process(driver())
         with telemetry.tracer.scope("trace-capture"):
             sim.run()
+        assert proc.ok, proc.value
 
     telemetry.write_trace("trace_capture.json")
     telemetry.write_spanlog("trace_capture.jsonl")

@@ -36,8 +36,9 @@ def hammer(wear_leveling: bool):
         data = yield from subsystem.read(0, 32)
         assert data == bytes([(HOT_WRITES - 1) % 255 + 1]) * 32
 
-    sim.process(driver())
+    proc = sim.process(driver())
     sim.run()
+    assert proc.ok, proc.value
 
     tracker = subsystem.modules[0][0].cell_tracker(0)
     per_row = tracker.writes_per_row()

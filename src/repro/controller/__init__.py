@@ -5,19 +5,17 @@ bottleneck (Figure 7).  Pieces:
 
 * :mod:`~repro.controller.request` — the read/write message format the
   server's MCU sends over the on-chip buses;
-* :mod:`~repro.controller.phy` — the 400 MHz PHY: 20-bit DDR signal
-  packet costs and frequency matching;
-* :mod:`~repro.controller.initializer` — boot-up: auto initialization,
-  impedance calibration, burst length and OWBA setup;
-* :mod:`~repro.controller.datapath` — the two 256-bit load/store
-  staging registers;
 * :mod:`~repro.controller.translator` — decomposes flat requests into
   per-row chunk plans and picks row buffers;
 * :mod:`~repro.controller.scheduler` — the four policies of Figure 13
   (bare-metal, interleaving, selective-erasing, final);
 * :mod:`~repro.controller.channel` — one LPDDR2-NVM channel: drives
   module phases as simulation processes, applying phase skipping and
-  the selected policy;
+  the selected policy.  What the PHY, the datapath and the
+  initializer contribute reduces to three facts there: a command
+  packet costs one tCK of the 400 MHz clock, an operand is 1 to 32
+  bytes (the 256-bit load/store registers), and boot-up lies outside
+  every measured interval, so it costs nothing;
 * :mod:`~repro.controller.controller` — the two-channel subsystem the
   accelerator's MCU talks to;
 * :mod:`~repro.controller.firmware` — the traditional-firmware baseline
@@ -26,10 +24,7 @@ bottleneck (Figure 7).  Pieces:
 
 from repro.controller.channel import ChannelController
 from repro.controller.controller import PramSubsystem
-from repro.controller.datapath import Datapath
 from repro.controller.firmware import FirmwareModel
-from repro.controller.initializer import Initializer
-from repro.controller.phy import PramPhy
 from repro.controller.request import MemoryRequest, Op
 from repro.controller.scheduler import SchedulerPolicy, WriteHintStore
 from repro.controller.translator import AccessPlanner, ChunkPlan
@@ -39,13 +34,10 @@ __all__ = [
     "AccessPlanner",
     "ChannelController",
     "ChunkPlan",
-    "Datapath",
     "FirmwareModel",
     "GapMove",
-    "Initializer",
     "MemoryRequest",
     "Op",
-    "PramPhy",
     "PramSubsystem",
     "SchedulerPolicy",
     "StartGapMapper",

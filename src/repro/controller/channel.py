@@ -22,8 +22,6 @@ from __future__ import annotations
 
 import typing
 
-from repro.controller.datapath import Datapath
-from repro.controller.phy import PramPhy
 from repro.controller.scheduler import SchedulerPolicy, WriteHintStore
 from repro.controller.request import Op, RequestStatus
 from repro.controller.translator import ChunkPlan, RetirementMap
@@ -34,7 +32,11 @@ from repro.pram.address import AddressMap, PramAddress
 from repro.pram.commands import Command, CommandRecord
 from repro.pram.errors import AddressError
 from repro.pram.module import PramModule
-from repro.pram.overlay_window import CMD_RETRY_PROGRAM, CMD_SELECTIVE_ERASE
+from repro.pram.overlay_window import (
+    CMD_PROGRAM,
+    CMD_RETRY_PROGRAM,
+    CMD_SELECTIVE_ERASE,
+)
 from repro.sim import (
     Counter,
     Histogram,
@@ -55,6 +57,10 @@ PAUSE_RESUME_PENALTY_NS = 1_000.0
 
 #: Bound once: reading an enum member costs more than a global lookup.
 _WRITE = Op.WRITE
+
+#: The datapath's operand bound: the PEs load and store 32 bytes, one
+#: 256-bit staging register per direction (Section V-B).
+OPERAND_BYTES = 32
 
 
 class ChannelController:
@@ -86,9 +92,8 @@ class ChannelController:
         self.phase_skipping = phase_skipping
         self.hints = hint_store
         self.channel_id = channel_id
-        self.phy = PramPhy(modules[0].params)
-        self._tck = self.phy.params.tck_ns
-        self.datapath = Datapath()
+        # The PHY's cost of a command packet: one tCK.
+        self._tck = modules[0].params.tck_ns
         self.bus = Resource(sim, capacity=1, name=f"ch{channel_id}.bus")
         self._serial_lock = Resource(
             sim, capacity=1, name=f"ch{channel_id}.serial")
@@ -353,10 +358,9 @@ class ChannelController:
                     self.pauses_issued += 1
 
             if need_activate:  # a pre-active always comes with one
-                # Command packets go over the shared bus; the array
-                # phases themselves run inside the module without
-                # holding the bus.  phy.command_cost(packets) written
-                # out: one tCK per packet.
+                # Command packets go over the shared bus, one tCK
+                # each; the array phases themselves run inside the
+                # module without holding the bus.
                 packets = 2 if need_pre_active else 1
                 duration = packets * self._tck
                 if duration > 0:
@@ -444,11 +448,9 @@ class ChannelController:
                         f"m{index}.p{partition} row {row}")
                 else:
                     chunk.request.degrade(RequestStatus.CORRECTED)
-            # datapath.stage_load(data) written out.
-            if not 0 < len(data) <= Datapath.REGISTER_BYTES:
-                self.datapath.stage_load(data)  # raises the operand error
-            self.datapath._load_register = data.ljust(
-                Datapath.REGISTER_BYTES, b"\x00")
+            if not 0 < len(data) <= OPERAND_BYTES:
+                raise ValueError(f"datapath operand must be 1..{OPERAND_BYTES}"
+                                 f" bytes, got {len(data)}")
         finally:
             busy.discard(buffer_id)
             slots.release(slot)
@@ -487,13 +489,12 @@ class ChannelController:
         window = lock.request()
         yield window
         try:
-            # datapath.stage_store(payload) written out.
-            if not 0 < len(payload) <= Datapath.REGISTER_BYTES:
-                self.datapath.stage_store(payload)  # raises the operand error
-            self.datapath._store_register = payload.ljust(
-                Datapath.REGISTER_BYTES, b"\x00")
+            if not 0 < len(payload) <= OPERAND_BYTES:
+                raise ValueError(f"datapath operand must be 1..{OPERAND_BYTES}"
+                                 f" bytes, got {len(payload)}")
             # Register pokes + payload burst into the program buffer all
-            # travel over the shared bus.
+            # travel over the shared bus: the program step (_program)
+            # written out.
             if tracer.enabled:
                 self._observe(Command.STAGE_PROGRAM, index,
                               partition=partition, row=row)
@@ -591,30 +592,10 @@ class ChannelController:
             if module.last_program_time(address.partition,
                                         address.row) > registered_at:
                 return
-            tracer = sim.tracer
-            if tracer.enabled:
-                self._observe(Command.STAGE_PROGRAM, address.module,
-                              partition=address.partition, row=address.row)
-            stage_finish = module.stage_program(
-                sim.now, address.partition, address.row,
-                address.column, bytes(size), command=CMD_SELECTIVE_ERASE)
-            duration = stage_finish - sim.now
-            if duration > 0:
-                grant = self.bus.request(hold=duration)
-                try:
-                    yield grant
-                except BaseException:
-                    self.bus.release(grant)
-                    raise
-                if self._telemetry_on:
-                    self._note_bus_hold(grant, "stage_reset",
-                                        module=address.module,
-                                        partition=address.partition)
-                self.bus.release(grant)
-            if tracer.enabled:
-                self._observe(Command.EXECUTE_PROGRAM, address.module,
-                              partition=address.partition, row=address.row)
-            finish = module.execute_program(sim.now)
+            finish = yield from self._program(
+                address.module, address.partition, address.row,
+                address.column, bytes(size), CMD_SELECTIVE_ERASE,
+                "stage_reset")
             if self._telemetry_on:
                 self._note_array_window(address.module, address.partition,
                                         sim.now, finish)
@@ -622,6 +603,41 @@ class ChannelController:
             self.pre_resets_issued += 1
         finally:
             lock.release(window)
+
+    def _program(self, index: int, partition: int, row: int, column: int,
+                 payload: bytes, command: int = CMD_PROGRAM,
+                 span_name: str | None = "stage_program",
+                 req: int | None = None) -> typing.Generator:
+        """Sub-generator: one program on module ``index``, staging to
+        launch; returns the module's completion time.
+
+        The STAGE record, the staging, the bus hold for the register
+        pokes and payload burst, the EXECUTE record and the launch.
+        The pre-RESET, the verify retry, the row retirement and the gap
+        move run it; a write chunk writes it out (DESIGN §6.1).
+        ``span_name`` labels the hold on the bus track (None: no span).
+        """
+        sim = self.sim
+        module = self.modules[index]
+        self._observe(Command.STAGE_PROGRAM, index,
+                      partition=partition, row=row)
+        stage_finish = module.stage_program(sim.now, partition, row, column,
+                                            payload, command=command)
+        duration = stage_finish - sim.now
+        if duration > 0:
+            grant = self.bus.request(hold=duration)
+            try:
+                yield grant
+            except BaseException:
+                self.bus.release(grant)
+                raise
+            if self._telemetry_on:
+                self._note_bus_hold(grant, span_name, module=index,
+                                    partition=partition, req=req)
+            self.bus.release(grant)
+        self._observe(Command.EXECUTE_PROGRAM, index,
+                      partition=partition, row=row)
+        return module.execute_program(sim.now, req=req)
 
     # ------------------------------------------------------------------
     # Program-and-verify resilience (repro.faults)
@@ -668,27 +684,9 @@ class ChannelController:
                          chunk.address.column + len(payload)] = payload
             retry_payload = bytes(
                 row_data[first * word_bytes:(last + 1) * word_bytes])
-            self._observe(Command.STAGE_PROGRAM, index,
-                          partition=partition, row=row)
-            stage_finish = module.stage_program(
-                self.sim.now, partition, row, first * word_bytes,
-                retry_payload, command=CMD_RETRY_PROGRAM)
-            duration = stage_finish - self.sim.now
-            if duration > 0:
-                grant = self.bus.request(hold=duration)
-                try:
-                    yield grant
-                except BaseException:
-                    self.bus.release(grant)
-                    raise
-                if self._telemetry_on:
-                    self._note_bus_hold(grant, "stage_program",
-                                        module=index, partition=partition,
-                                        req=req)
-                self.bus.release(grant)
-            self._observe(Command.EXECUTE_PROGRAM, index,
-                          partition=partition, row=row)
-            module.execute_program(self.sim.now, req=req)
+            yield from self._program(index, partition, row,
+                                     first * word_bytes, retry_payload,
+                                     CMD_RETRY_PROGRAM, req=req)
             failures = module.take_program_failures()
             while True:
                 ready = module.partition_ready_at(partition)
@@ -734,26 +732,8 @@ class ChannelController:
             row_data[chunk.address.column:
                      chunk.address.column + len(payload)] = payload
         yield self.sim.timeout(module.timing.activate())
-        self._observe(Command.STAGE_PROGRAM, index,
-                      partition=partition, row=spare)
-        stage_finish = module.stage_program(
-            self.sim.now, partition, spare, 0, bytes(row_data))
-        duration = stage_finish - self.sim.now
-        if duration > 0:
-            grant = self.bus.request(hold=duration)
-            try:
-                yield grant
-            except BaseException:
-                self.bus.release(grant)
-                raise
-            if self._telemetry_on:
-                self._note_bus_hold(grant, "stage_program",
-                                    module=index, partition=partition,
-                                    req=req)
-            self.bus.release(grant)
-        self._observe(Command.EXECUTE_PROGRAM, index,
-                      partition=partition, row=spare)
-        module.execute_program(self.sim.now, req=req)
+        yield from self._program(index, partition, spare, 0,
+                                 bytes(row_data), req=req)
         spare_failures = module.take_program_failures()
         while True:
             ready = module.partition_ready_at(partition)
@@ -837,24 +817,9 @@ class ChannelController:
         # Sensing the source row costs an activate; then a normal
         # program into the destination.
         yield self.sim.timeout(module.timing.activate())
-        self._observe(Command.STAGE_PROGRAM, module_index,
-                      partition=partition, row=move.destination)
-        stage_finish = module.stage_program(
-            self.sim.now, partition, move.destination, 0, data)
-        duration = stage_finish - self.sim.now
-        if duration > 0:
-            grant = self.bus.request(hold=duration)
-            try:
-                yield grant
-            except BaseException:
-                self.bus.release(grant)
-                raise
-            if self._telemetry_on:
-                self._note_bus_hold(grant)
-            self.bus.release(grant)
-        self._observe(Command.EXECUTE_PROGRAM, module_index,
-                      partition=partition, row=move.destination)
-        finish = module.execute_program(self.sim.now)
+        finish = yield from self._program(module_index, partition,
+                                          move.destination, 0, data,
+                                          span_name=None)
         yield self.sim.timeout(finish - self.sim.now)
         self.gap_moves += 1
 

@@ -12,7 +12,6 @@ import typing
 
 from repro.controller.channel import ChannelController
 from repro.controller.firmware import FirmwareModel
-from repro.controller.initializer import Initializer
 from repro.controller.request import MemoryRequest, Op, RequestStatus
 from repro.controller.scheduler import SchedulerPolicy, WriteHintStore
 from repro.controller.translator import AccessPlanner
@@ -77,8 +76,6 @@ class PramSubsystem:
                 faults=self.faults)
             for ch in range(geometry.channels)
         ]
-        self.boot_latency_ns = Initializer().boot(
-            [m for channel in self.modules for m in channel])
         self.requests_completed = 0
         self.requests_degraded = 0
         self.requests_failed = 0
@@ -232,7 +229,8 @@ class PramSubsystem:
         and lets them overlap; ``mode="closed"`` keeps exactly one in
         flight, submitting the next at the previous completion.  The
         call drains the simulator: on return ``sim.now`` is the last
-        completion time.
+        completion time.  A request that fails with anything but a
+        device-model error (which completes it ``FAILED``) raises here.
         """
         if mode not in ("open", "closed"):
             raise ValueError(f"unknown stream mode {mode!r}")
@@ -245,8 +243,10 @@ class PramSubsystem:
                 for request in requests:
                     yield from self.submit(request)
 
-        self.sim.process(driver())
+        done = self.sim.process(driver())
         self.sim.run()
+        if not done.ok:
+            raise typing.cast(BaseException, done.value)
 
     @property
     def inflight(self) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import typing
 
-from repro.sim import Histogram, Resource, Simulator
+from repro.sim import Resource, Simulator
 
 #: Embedded controller configuration (Section VI: "3-core 500 MHz ARM").
 FIRMWARE_CORES = 3
@@ -41,7 +41,6 @@ class FirmwareModel:
         self.cores = Resource(sim, capacity=cores, name="firmware.cores")
         self.request_cost_ns = instructions_per_request / clock_ghz
         self.requests_processed = 0
-        self.queueing = Histogram("firmware.queueing")
 
     def admit(self) -> typing.Generator:
         """Process body: one request's firmware pass.
@@ -50,10 +49,8 @@ class FirmwareModel:
         Requests queue when all cores are busy — the serialization the
         paper blames for DRAM-less (firmware)'s 25% deficit.
         """
-        arrived = self.sim.now
         grant = self.cores.request()
         yield grant
-        self.queueing.add(self.sim.now - arrived)
         try:
             yield self.sim.timeout(self.request_cost_ns)
             self.requests_processed += 1

@@ -59,12 +59,11 @@ class PramModule:
         self._lower_bits = geometry.lower_row_bits
         self._lower_limit = 1 << geometry.lower_row_bits
         self._all_words = range(geometry.words_per_row)
-        # The array time of a one-row program (indexed by whether it
-        # pays the RESET pass) and of a one-row reset, as the floats
-        # _apply_program and _apply_reset sum from 0.0.
-        self._program_ns = (0.0 + self.timing.array_program(False),
-                            0.0 + self.timing.array_program(True))
-        self._reset_ns = 0.0 + self.timing.array_reset_only()
+        # The array time of a program (indexed by whether it pays the
+        # RESET pass) and of a pre-RESET, read once.
+        self._program_ns = (self.timing.array_program(False),
+                            self.timing.array_program(True))
+        self._reset_ns = self.timing.array_reset_only()
         self._partition_busy_until = [0.0] * geometry.partitions_per_bank
         # When each row was last programmed (simulated ns); consumers
         # of write hints use this to skip rows rewritten after the
@@ -256,22 +255,30 @@ class PramModule:
 
         Models the translator's register-write sequence (Section V-B):
         command code, target address, burst size, then the payload burst
-        into the program buffer.  Returns when staging completes; call
-        :meth:`execute_program` afterwards to launch the array program.
+        into the program buffer.  A program stays inside one row, as
+        every 32-byte operand the controller moves does: a payload that
+        runs past its row is refused before the window changes.
+        Returns when staging completes; call :meth:`execute_program`
+        afterwards to launch the array program.
         """
         if not 0 <= partition < self._partitions:
             self._check_partition(partition)
         rows = self._rows
         if row < 0 or row >= rows:
             raise AddressError(f"row {row} out of range")
-        window = self.window
         size = len(data)
-        if column < 0 or column + size > window.program_buffer_bytes:
+        row_bytes = self._row_bytes
+        if column < 0 or column + size > row_bytes:
+            raise AddressError(
+                f"payload [{column}, {column + size}) runs past its "
+                f"{row_bytes}-byte row")
+        window = self.window
+        if size > window.program_buffer_bytes:
             raise AddressError("payload exceeds the program buffer")
         if not data:
             raise ProtocolError("empty program payload")
-        window.stage(command, (partition * rows + row) * self._row_bytes
-                     + column, data)
+        window.stage(command, (partition * rows + row) * row_bytes + column,
+                     data)
         timing = self.timing
         burst = timing._bursts.get(size)
         if burst is None:
@@ -284,10 +291,11 @@ class PramModule:
 
         Returns the completion time.  The target partition is busy for
         the whole array program; the overlay window frees at the same
-        instant (status register back to idle).  ``req`` tags the
-        emitted span with the owning memory request for latency
-        attribution; background work (pre-resets, gap moves) leaves it
-        unset.
+        instant (status register back to idle).  Every program,
+        pre-RESET and retry runs in this frame: staging kept it inside
+        one row.  ``req`` tags the emitted span with the owning memory
+        request for latency attribution; background work (pre-resets,
+        gap moves) leaves it unset.
         """
         window = self.window
         command, flat, size, payload = window.execute()
@@ -298,60 +306,68 @@ class PramModule:
         rest = flat // row_bytes
         row = rest % rows
         partition = rest // rows
-        one_row = 0 < size <= row_bytes - column
-        spills = (not one_row and command != ow.CMD_ERASE
-                  and row + (column + size - 1) // row_bytes >= rows)
-        if spills or not 0 <= partition < self._partitions:
-            # A program the module rejects leaves the window idle and
-            # changes nothing else.
-            window.complete()
-            self._check_partition(partition)
-            raise AddressError("program spills past the partition")
         # Failures belong to exactly one program: stale records from
         # background work (pre-resets, gap moves) must not alias into
         # the next request's verify pass.
         self._program_failures = []
-        # Every chunk's program or pre-RESET stays inside one row: it
-        # runs here, in this frame.  Programs that spill into later
-        # rows and programs under a program-fault plan take the
-        # per-row helpers.
-        if command == ow.CMD_PROGRAM or command == ow.CMD_RETRY_PROGRAM:
-            if one_row:
-                self._last_program[(partition, row)] = now
-            else:
-                rows_touched = (column + max(size, 1) + row_bytes
-                                - 1) // row_bytes
-                for offset in range(rows_touched):
-                    self._last_program[(partition, row + offset)] = now
         faults = self._faults
-        if one_row and (
-                command == ow.CMD_PROGRAM and (
-                    faults is None or not faults.program_faults_on)
-                or command == ow.CMD_SELECTIVE_ERASE):
+        if command == ow.CMD_ERASE:
+            duration = self.timing.array_erase()
+            finish = self._occupy(partition, now, duration)
+            self._erase_partition(partition)
+            self.erases += 1
+            span_name = "erase"
+        else:
             word_bytes = self._word_bytes
             words = range(column // word_bytes,
                           (column + size - 1) // word_bytes + 1)
             key = (partition, row)
             storage = self._storage
-            if command == ow.CMD_PROGRAM:
-                duration = self._program_ns[
-                    self._cells[partition].program(row, words)]
-                if size == row_bytes:
-                    storage[key] = payload
-                else:
-                    updated = bytearray(storage.get(key, self._blank_row))
-                    updated[column:column + size] = payload
-                    storage[key] = bytes(updated)
-                self.programs += 1
-                span_name = "program"
-            else:
-                self._cells[partition].reset(row, words)
+            tracker = self._cells[partition]
+            if command == ow.CMD_SELECTIVE_ERASE:
+                tracker.reset(row, words)
                 duration = self._reset_ns
                 updated = bytearray(storage.get(key, self._blank_row))
                 updated[column:column + size] = bytes(size)
                 storage[key] = bytes(updated)
                 self.resets += 1
                 span_name = "pre_reset"
+            else:
+                self._last_program[key] = now
+                if command == ow.CMD_PROGRAM:
+                    duration = self._program_ns[tracker.program(row, words)]
+                    self.programs += 1
+                    span_name = "program"
+                else:
+                    # Program-and-verify retry: the failed words' cells
+                    # are re-SET without a RESET pass (the
+                    # selective-erasing asymmetry applied to recovery).
+                    tracker.set_pass(row, words)
+                    duration = self._program_ns[False]
+                    self.retry_programs += 1
+                    span_name = "retry_program"
+                if faults is None or not faults.program_faults_on:
+                    if size == row_bytes:
+                        storage[key] = payload
+                    else:
+                        updated = bytearray(storage.get(key, self._blank_row))
+                        updated[column:column + size] = payload
+                        storage[key] = bytes(updated)
+                else:
+                    existing = storage.get(key, self._blank_row)
+                    updated = bytearray(existing)
+                    updated[column:column + size] = payload
+                    failed = faults.program_word_failures_for(
+                        self.channel_id, self.module_id, partition, row,
+                        words, lambda word: tracker.writes_to(row, word))
+                    # Failed SET passes leave the word's cells (and
+                    # bytes) exactly as they were before the pulse.
+                    for word in failed:
+                        lo = word * word_bytes
+                        updated[lo:lo + word_bytes] = existing[
+                            lo:lo + word_bytes]
+                    self._program_failures = [(row, word) for word in failed]
+                    storage[key] = bytes(updated)
             self.buffers.invalidate_row(partition, row)
             # _occupy(partition, now, duration) written out; a stall
             # lengthens the occupancy, not the span's duration.
@@ -362,28 +378,6 @@ class PramModule:
             busy = self._partition_busy_until
             begin = busy[partition]
             finish = busy[partition] = (begin if begin > now else now) + held
-        elif command == ow.CMD_ERASE:
-            duration = self.timing.array_erase()
-            finish = self._occupy(partition, now, duration)
-            self._erase_partition(partition)
-            self.erases += 1
-            span_name = "erase"
-        elif command == ow.CMD_SELECTIVE_ERASE:
-            duration = self._apply_reset(partition, row, column, size)
-            finish = self._occupy(partition, now, duration)
-            self.resets += 1
-            span_name = "pre_reset"
-        elif command == ow.CMD_RETRY_PROGRAM:
-            duration = self._apply_program(partition, row, column, payload,
-                                           set_only=True)
-            finish = self._occupy(partition, now, duration)
-            self.retry_programs += 1
-            span_name = "retry_program"
-        else:
-            duration = self._apply_program(partition, row, column, payload)
-            finish = self._occupy(partition, now, duration)
-            self.programs += 1
-            span_name = "program"
         self._program_end[partition] = finish
         tracer = self._tracer
         if tracer.enabled:
@@ -403,19 +397,23 @@ class PramModule:
     # ------------------------------------------------------------------
     def program_needs_reset(self, partition: int, row: int, column: int,
                             size: int) -> bool:
-        """Would a program of [column, column+size) pay the RESET pass?"""
+        """Would a program of [column, column+size) pay the RESET pass?
+
+        The span is one :meth:`stage_program` accepts: non-empty and
+        inside one row of the partition.
+        """
         if not 0 <= partition < self._partitions:
             self._check_partition(partition)
-        if 0 < size <= self._row_bytes - column and row < self._rows:
-            # Within one row, as every pre-RESET chunk is.
-            word_bytes = self._word_bytes
-            return self._cells[partition].needs_reset(
-                row, range(column // word_bytes,
-                           (column + size - 1) // word_bytes + 1))
-        for target_row, words in self._words_touched(row, column, size):
-            if self._cells[partition].needs_reset(target_row, words):
-                return True
-        return False
+        if row < 0 or row >= self._rows:
+            raise AddressError(f"row {row} out of range")
+        if column < 0 or size < 1 or column + size > self._row_bytes:
+            raise AddressError(
+                f"span [{column}, {column + size}) is not inside a "
+                f"{self._row_bytes}-byte row")
+        word_bytes = self._word_bytes
+        return self._cells[partition].needs_reset(
+            row, range(column // word_bytes,
+                       (column + size - 1) // word_bytes + 1))
 
     def last_program_time(self, partition: int, row: int) -> float:
         """When the row was last programmed (-inf if never)."""
@@ -451,7 +449,9 @@ class PramModule:
     def peek(self, partition: int, row: int) -> bytes:
         """Direct functional read of one row (testing/verification)."""
         self._check_partition(partition)
-        return self._read_row(partition, row)
+        if row < 0 or row >= self._rows:
+            raise AddressError(f"row {row} out of range")
+        return self._storage.get((partition, row), self._blank_row)
 
     def poke(self, partition: int, row: int, data: bytes) -> None:
         """Zero-time backing-store initialization (data pre-placement).
@@ -481,94 +481,6 @@ class PramModule:
                 f"partition {partition} out of range "
                 f"[0, {self.geometry.partitions_per_bank})"
             )
-
-    def _read_row(self, partition: int, row: int) -> bytes:
-        if row < 0 or row >= self.geometry.rows_per_partition:
-            raise AddressError(f"row {row} out of range")
-        return self._storage.get((partition, row), self._blank_row)
-
-    def _words_touched(self, row: int, column: int, size: int) -> typing.List[
-            typing.Tuple[int, range]]:
-        """(row, word indices) pairs a program starting at (row, column)
-        of ``size`` bytes will touch; programs may spill into later rows."""
-        geo = self.geometry
-        if 0 < size <= geo.row_bytes - column and (
-                row < geo.rows_per_partition):
-            # Within one row: the loop below would run once.
-            return [(row, range(column // geo.word_bytes,
-                                (column + size - 1) // geo.word_bytes + 1))]
-        result = []
-        offset = column
-        remaining = size
-        current_row = row
-        while remaining > 0:
-            chunk = min(geo.row_bytes - offset, remaining)
-            first_word = offset // geo.word_bytes
-            last_word = (offset + chunk - 1) // geo.word_bytes
-            result.append((current_row, range(first_word, last_word + 1)))
-            remaining -= chunk
-            offset = 0
-            current_row += 1
-            if current_row > geo.rows_per_partition:
-                raise AddressError("program spills past the partition")
-        return result
-
-    def _apply_program(self, partition: int, row: int, column: int,
-                       payload: bytes, set_only: bool = False) -> float:
-        duration = 0.0
-        tracker = self._cells[partition]
-        faults = self._faults
-        cursor = 0
-        for target_row, words in self._words_touched(row, column, len(payload)):
-            start = column if target_row == row else 0
-            chunk = min(self.geometry.row_bytes - start, len(payload) - cursor)
-            if set_only:
-                # Program-and-verify retry: the failed words' cells are
-                # re-SET without a RESET pass (the selective-erasing
-                # asymmetry applied to recovery).
-                tracker.set_pass(target_row, words)
-                duration += self.timing.array_program(False)
-            else:
-                needs_reset = tracker.program(target_row, words)
-                duration += self.timing.array_program(needs_reset)
-            existing = self._read_row(partition, target_row)
-            updated = bytearray(existing)
-            updated[start:start + chunk] = payload[cursor:cursor + chunk]
-            if faults is not None and faults.program_faults_on:
-                failed = faults.program_word_failures_for(
-                    self.channel_id, self.module_id, partition, target_row,
-                    words,
-                    lambda w, r=target_row: tracker.writes_to(r, w))
-                if failed:
-                    # Failed SET passes leave the word's cells (and
-                    # bytes) exactly as they were before the pulse.
-                    word_bytes = self.geometry.word_bytes
-                    for word in failed:
-                        lo = word * word_bytes
-                        updated[lo:lo + word_bytes] = existing[
-                            lo:lo + word_bytes]
-                    self._program_failures.extend(
-                        (target_row, word) for word in failed)
-            self._storage[(partition, target_row)] = bytes(updated)
-            self.buffers.invalidate_row(partition, target_row)
-            cursor += chunk
-        return duration
-
-    def _apply_reset(self, partition: int, row: int, column: int,
-                     size: int) -> float:
-        duration = 0.0
-        tracker = self._cells[partition]
-        for target_row, words in self._words_touched(row, column, size):
-            start = column if target_row == row else 0
-            chunk = min(self.geometry.row_bytes - start, size)
-            tracker.reset(target_row, words)
-            duration += self.timing.array_reset_only()
-            existing = bytearray(self._read_row(partition, target_row))
-            existing[start:start + chunk] = bytes(chunk)
-            self._storage[(partition, target_row)] = bytes(existing)
-            self.buffers.invalidate_row(partition, target_row)
-            size -= chunk
-        return duration
 
     def _erase_partition(self, partition: int) -> None:
         tracker = self._cells[partition]

@@ -36,7 +36,6 @@ class RowBufferSet:
         self.row_bytes = row_bytes
         self._pairs = [RowBufferPair(buffer_id=i) for i in range(count)]
         self._clock = 0
-        self.misses = 0
 
     def __len__(self) -> int:
         return len(self._pairs)
@@ -128,13 +127,6 @@ class RowBufferSet:
                           key=lambda pair: pair.last_use).buffer_id
         return planned, True, True
 
-    def victim(self) -> RowBufferPair:
-        """Least-recently-used pair, for allocation on a miss."""
-        self.misses += 1
-        pair = min(self._pairs, key=lambda p: p.last_use)
-        self._touch(pair)
-        return pair
-
     # ------------------------------------------------------------------
     # Mutation from the module's phase handlers
     # ------------------------------------------------------------------
@@ -172,13 +164,3 @@ class RowBufferSet:
                     and pair.row == row):
                 pair.rdb_valid = False
                 pair.data = None
-
-    def invalidate_all(self) -> None:
-        """Boot-time state: nothing cached."""
-        for pair in self._pairs:
-            pair.rab_valid = False
-            pair.rdb_valid = False
-            pair.upper_row = None
-            pair.data = None
-            pair.partition = None
-            pair.row = None

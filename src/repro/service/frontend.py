@@ -289,13 +289,21 @@ class ServiceFrontend:
     # Driving the run
     # ------------------------------------------------------------------
     def run(self) -> ServiceResult:
-        """Offer the full seeded timeline and drain it to completion."""
+        """Offer the full seeded timeline and drain it to completion.
+
+        A process that fails (a backend error the subsystem does not
+        contain) raises its error here; of several, the one started
+        first.
+        """
         timeline = merged_timeline(self.config)
-        self.sim.process(self._inject(timeline))
+        processes = [self.sim.process(self._inject(timeline))]
         for _ in range(self.config.workers):
-            self.sim.process(self._worker())
-        self.sim.process(self._sweep())
+            processes.append(self.sim.process(self._worker()))
+        processes.append(self.sim.process(self._sweep()))
         self.sim.run()
+        for process in processes:
+            if not process.ok:
+                raise typing.cast(BaseException, process.value)
         self._roll_level(self.brownout_level)
         result = ServiceResult(
             config=self.config, elapsed_ns=self.sim.now,

@@ -16,8 +16,6 @@ coprocessor with different interfaces:
 
 from __future__ import annotations
 
-import typing
-
 from repro.controller import PramSubsystem, SchedulerPolicy
 from repro.controller.firmware import FirmwareModel
 from repro.energy import EnergyAccount

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import typing
 
-from repro.controller import SchedulerPolicy
 from repro.storage import FlashCellType
 from repro.systems.base import AcceleratedSystem, SystemConfig
 from repro.systems.hetero import HeteroSystem, IdealHeteroSystem, IdealSystem

@@ -1,71 +1,47 @@
-"""PHY, initializer, datapath, planner, and hint-store tests."""
+"""PHY command-cost, planner, and hint-store tests."""
 
 import pytest
 
 from repro.controller import (
     AccessPlanner,
-    Datapath,
-    Initializer,
     MemoryRequest,
     Op,
-    PramPhy,
+    PramSubsystem,
     WriteHintStore,
 )
-from repro.pram import PramGeometry, PramModule
+from repro.pram import PramAddress, PramGeometry
+from repro.sim import Simulator
+from repro.telemetry.tracer import RecordingTracer, use_tracer
+
+
+def _read_command_spans():
+    """Bus command spans of a cold read and an RAB hit, and the tCK."""
+    tracer = RecordingTracer()
+    with use_tracer(tracer):
+        subsystem = PramSubsystem(Simulator())
+    # Rows 0 and 1 of one partition share their upper row address: the
+    # first read ships a pre-active and an activate packet, the second
+    # (an RAB hit) the activate alone.
+    compose = subsystem.address_map.compose
+    addresses = [compose(PramAddress(0, 0, 0, row, 0)) for row in (0, 1)]
+    subsystem.run_stream([MemoryRequest(Op.READ, address, 32)
+                          for address in addresses], mode="closed")
+    spans = [span.end_ns - span.start_ns for span in tracer.spans
+             if span.name == "cmd"]
+    return spans, subsystem.params.tck_ns
 
 
 class TestPhy:
+    """The PHY reduces to the channel's cost of one tCK per command packet."""
+
     def test_clock_matches_400mhz(self):
-        assert PramPhy().clock_ns == 2.5
+        spans, tck = _read_command_spans()
+        assert tck == 2.5
+        assert spans[-1] == 2.5  # one packet, one 400 MHz cycle
 
     def test_command_cost_per_packet(self):
-        phy = PramPhy()
-        assert phy.command_cost(2) == 5.0
-
-    def test_register_write_cost(self):
-        phy = PramPhy()
-        assert phy.register_write_cost() == 2.5
-
-    def test_negative_packets_rejected(self):
-        with pytest.raises(ValueError):
-            PramPhy().command_cost(-1)
-
-
-class TestInitializer:
-    def test_boot_invalidate_buffers_and_sets_owba(self):
-        module = PramModule()
-        module.buffers.load_rab(0, 5)
-        init = Initializer(overlay_window_base=0x4000)
-        latency = init.boot([module])
-        assert init.booted
-        assert latency > 0
-        assert module.buffers.find_rab(5) is None
-        assert module.window.base_address == 0x4000
-
-    def test_boot_scales_with_module_count(self):
-        modules_2 = [PramModule() for _ in range(2)]
-        modules_8 = [PramModule() for _ in range(8)]
-        assert Initializer().boot(modules_8) > Initializer().boot(modules_2)
-
-    def test_boot_requires_modules(self):
-        with pytest.raises(ValueError):
-            Initializer().boot([])
-
-
-class TestDatapath:
-    def test_stage_store_and_load(self):
-        dp = Datapath()
-        dp.stage_store(b"\x01" * 32)
-        assert dp.store_register == b"\x01" * 32
-        assert dp.stage_load(b"\x02" * 16) == b"\x02" * 16
-        assert dp.load_register == b"\x02" * 16 + bytes(16)
-
-    def test_operand_size_limits(self):
-        dp = Datapath()
-        with pytest.raises(ValueError):
-            dp.stage_store(b"")
-        with pytest.raises(ValueError):
-            dp.stage_store(bytes(33))
+        spans, tck = _read_command_spans()
+        assert spans == [2 * tck, tck]
 
 
 class TestAccessPlanner:

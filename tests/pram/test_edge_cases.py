@@ -50,9 +50,9 @@ class TestModuleProtocolEdges:
                            bitlines_per_tile=64, wordlines_per_tile=64)
         module = PramModule(geometry=geo)
         last_row = geo.rows_per_partition - 1
-        t = module.stage_program(0.0, 0, last_row, 16, bytes(64))
-        with pytest.raises(AddressError):
-            module.execute_program(t)
+        with pytest.raises(AddressError, match="runs past its"):
+            module.stage_program(0.0, 0, last_row, 16, bytes(64))
+        assert not module.window.busy
 
     def test_partition_ready_at_tracks_busy(self):
         module = PramModule()

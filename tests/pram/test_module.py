@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.faults.plan import FaultConfig, FaultState
 from repro.pram import (
     AddressError,
     BufferMissError,
@@ -14,6 +15,7 @@ from repro.pram import (
 from repro.pram.overlay_window import (
     CMD_ERASE,
     CMD_PROGRAM,
+    CMD_RETRY_PROGRAM,
     CMD_SELECTIVE_ERASE,
 )
 
@@ -102,23 +104,29 @@ class TestWritePath:
         _, data = full_read(module, 0, 0)
         assert data == b"\x02" * 32
 
-    def test_multi_row_program_spills_correctly(self, module):
-        payload = bytes(range(64))
-        full_write(module, 0, 10, payload)
-        _, first = full_read(module, 0, 10)
-        _, second = full_read(module, 0, 11)
-        assert first + second == payload
+    def test_payload_past_its_row_is_refused_at_staging(self, module):
+        t = module.stage_program(0.0, 0, 10, 0, b"\x01" * 32)
+        # 32 bytes from column 16 would run into row 11.
+        with pytest.raises(AddressError, match="runs past its 32-byte row"):
+            module.stage_program(t, 0, 10, 16, b"\x02" * 32)
+        assert not module.window.busy
+        # The window still holds the first program, and only it runs.
+        module.execute_program(t)
+        assert module.peek(0, 10) == b"\x01" * 32
+        assert module.peek(0, 11) == bytes(32)
+        assert module.cell_tracker(0).programmed_words == (
+            module.geometry.words_per_row)
+        assert module.last_program_time(0, 11) == float("-inf")
 
     @pytest.mark.parametrize("command", [CMD_PROGRAM, CMD_SELECTIVE_ERASE])
     def test_rejected_program_leaves_the_window_idle(self, module, command):
-        # 64 bytes from the last row of partition 0 spill past it.
+        # 64 bytes from the last row of partition 0 run past that row.
         last = module.geometry.rows_per_partition - 1
-        t = module.stage_program(0.0, 0, last, 0, bytes(64), command=command)
-        with pytest.raises(AddressError, match="spills past the partition"):
-            module.execute_program(t)
+        with pytest.raises(AddressError, match="runs past its 32-byte row"):
+            module.stage_program(0.0, 0, last, 0, bytes(64),
+                                 command=command)
         assert not module.window.busy
         assert module.last_program_time(0, last) == float("-inf")
-        assert module.last_program_time(0, last + 1) == float("-inf")
         # The next program, on another partition, runs as usual.
         full_write(module, 1, 0, b"\x05" * 32)
         _, data = full_read(module, 1, 0)
@@ -151,6 +159,12 @@ class TestWritePath:
     def test_bad_partition_rejected(self, module):
         with pytest.raises(AddressError):
             module.stage_program(0.0, 16, 0, 0, bytes(32))
+
+    def test_needs_reset_refuses_a_span_past_its_row(self, module):
+        module.poke(0, 100, b"\x99" * 32)
+        assert module.program_needs_reset(0, 100, 16, 16)
+        with pytest.raises(AddressError, match="not inside a 32-byte row"):
+            module.program_needs_reset(0, 100, 16, 32)
 
 
 class TestSelectiveErase:
@@ -263,3 +277,145 @@ def test_small_geometry_supported():
     full_write(module, 0, 0, bytes(geo.row_bytes))
     _, data = full_read(module, 0, 0)
     assert data == bytes(geo.row_bytes)
+
+
+# ----------------------------------------------------------------------
+# The one-frame program path against the row-by-row helpers it replaced
+# ----------------------------------------------------------------------
+def _reference_words_touched(module, row, column, size):
+    """(row, word indices) pairs a program of ``size`` bytes from
+    (row, column) touches, row by row."""
+    geo = module.geometry
+    result = []
+    offset, remaining, current_row = column, size, row
+    while remaining > 0:
+        chunk = min(geo.row_bytes - offset, remaining)
+        result.append((current_row, range(
+            offset // geo.word_bytes,
+            (offset + chunk - 1) // geo.word_bytes + 1)))
+        remaining -= chunk
+        offset = 0
+        current_row += 1
+    return result
+
+
+def _reference_program(module, partition, row, column, payload,
+                       set_only=False):
+    duration = 0.0
+    tracker = module._cells[partition]
+    faults = module._faults
+    cursor = 0
+    for target_row, words in _reference_words_touched(
+            module, row, column, len(payload)):
+        start = column if target_row == row else 0
+        chunk = min(module.geometry.row_bytes - start, len(payload) - cursor)
+        if set_only:
+            tracker.set_pass(target_row, words)
+            duration += module.timing.array_program(False)
+        else:
+            needs_reset = tracker.program(target_row, words)
+            duration += module.timing.array_program(needs_reset)
+        existing = module.peek(partition, target_row)
+        updated = bytearray(existing)
+        updated[start:start + chunk] = payload[cursor:cursor + chunk]
+        if faults is not None and faults.program_faults_on:
+            failed = faults.program_word_failures_for(
+                module.channel_id, module.module_id, partition, target_row,
+                words, lambda w, r=target_row: tracker.writes_to(r, w))
+            word_bytes = module.geometry.word_bytes
+            for word in failed:
+                lo = word * word_bytes
+                updated[lo:lo + word_bytes] = existing[lo:lo + word_bytes]
+            module._program_failures.extend(
+                (target_row, word) for word in failed)
+        module._storage[(partition, target_row)] = bytes(updated)
+        module.buffers.invalidate_row(partition, target_row)
+        cursor += chunk
+    return duration
+
+
+def _reference_reset(module, partition, row, column, size):
+    duration = 0.0
+    tracker = module._cells[partition]
+    for target_row, words in _reference_words_touched(
+            module, row, column, size):
+        start = column if target_row == row else 0
+        chunk = min(module.geometry.row_bytes - start, size)
+        tracker.reset(target_row, words)
+        duration += module.timing.array_reset_only()
+        existing = bytearray(module.peek(partition, target_row))
+        existing[start:start + chunk] = bytes(chunk)
+        module._storage[(partition, target_row)] = bytes(existing)
+        module.buffers.invalidate_row(partition, target_row)
+        size -= chunk
+    return duration
+
+
+def _reference_execute(module, now, command, partition, row, column,
+                       payload):
+    """``execute_program`` as the per-row helpers ran it."""
+    module._program_failures = []
+    if command != CMD_SELECTIVE_ERASE:
+        module._last_program[(partition, row)] = now
+    if command == CMD_SELECTIVE_ERASE:
+        duration = _reference_reset(module, partition, row, column,
+                                    len(payload))
+        module.resets += 1
+    elif command == CMD_RETRY_PROGRAM:
+        duration = _reference_program(module, partition, row, column,
+                                      payload, set_only=True)
+        module.retry_programs += 1
+    else:
+        duration = _reference_program(module, partition, row, column,
+                                      payload)
+        module.programs += 1
+    finish = module._occupy(partition, now, duration)
+    module._program_end[partition] = finish
+    return finish + module.timing.write_recovery_ns
+
+
+def _device_state(module):
+    trackers = [(tracker._programmed, tracker._pulses,
+                 tracker.total_set_passes, tracker.total_reset_passes)
+                for tracker in module._cells[:2]]
+    return (module._storage, trackers, module._partition_busy_until,
+            module._program_end, module._last_program, module.programs,
+            module.resets, module.retry_programs)
+
+
+@st.composite
+def _programs(draw):
+    command = draw(st.sampled_from(
+        [CMD_PROGRAM, CMD_RETRY_PROGRAM, CMD_SELECTIVE_ERASE]))
+    column = draw(st.integers(min_value=0, max_value=31))
+    size = draw(st.integers(min_value=1, max_value=32 - column))
+    return (draw(st.floats(min_value=0.0, max_value=20_000.0)), command,
+            draw(st.integers(min_value=0, max_value=1)),
+            draw(st.integers(min_value=0, max_value=2)), column,
+            draw(st.binary(min_size=size, max_size=size)))
+
+
+@given(st.lists(_programs(), max_size=25), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_one_frame_program_matches_the_row_helpers(programs, faulty):
+    """Every program, SET-only retry and pre-RESET leaves the device as
+    the row-by-row path did, under a program-fault plan with partition
+    stalls as well as without one."""
+    config = FaultConfig(seed=3, program_fail_probability=0.3,
+                         wear_fail_factor=0.5, endurance_budget=6,
+                         partition_stall_probability=0.3,
+                         partition_stall_ns=700.0)
+    subject, reference = (
+        PramModule(faults=FaultState(config) if faulty else None)
+        for _ in range(2))
+    now = 0.0
+    for delay, command, partition, row, column, payload in programs:
+        now += delay
+        staged = subject.stage_program(now, partition, row, column, payload,
+                                       command=command)
+        finish = subject.execute_program(staged)
+        assert finish == _reference_execute(reference, staged, command,
+                                             partition, row, column, payload)
+        assert (subject.take_program_failures()
+                == reference.take_program_failures())
+        assert _device_state(subject) == _device_state(reference)

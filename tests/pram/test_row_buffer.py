@@ -71,25 +71,16 @@ class TestRdbLoading:
 
 
 class TestLru:
-    def test_victim_is_least_recently_used(self):
-        buffers = make_buffers(count=2)
-        buffers.load_rab(0, 1)
-        buffers.load_rab(1, 2)
-        buffers.find_rab(1)  # touch pair 0
-        victim = buffers.victim()
-        assert victim.buffer_id == 1
-
-    def test_victim_counts_misses(self):
+    def test_busy_planned_pair_yields_the_least_recently_used_free(self):
         buffers = make_buffers()
-        buffers.victim()
-        buffers.victim()
-        assert buffers.misses == 2
-
-    def test_untouched_pairs_are_picked_first(self):
-        buffers = make_buffers(count=3)
-        buffers.load_rab(0, 1)
-        victim = buffers.victim()
-        assert victim.buffer_id in (1, 2)
+        for pair in (2, 0, 3, 1):  # touched in this order
+            buffers.load_rab(pair, upper_row=10 + pair)
+        stamps = [pair.last_use for pair in buffers._pairs]
+        # A miss planned on busy pair 2 takes pair 0, the free pair
+        # touched longest ago, and touches nothing.
+        assert buffers.probe(0, 5, 99, planned=2, exclude={2, 3},
+                             skipping=True) == (0, True, True)
+        assert [pair.last_use for pair in buffers._pairs] == stamps
 
 
 class TestInvalidation:
@@ -105,14 +96,6 @@ class TestInvalidation:
         buffers.load_rdb(1, partition=1, row=10, data=ROW)
         buffers.invalidate_row(partition=1, row=9)
         assert buffers.find_rdb(1, 10) is not None
-
-    def test_invalidate_all(self):
-        buffers = make_buffers()
-        buffers.load_rab(0, 3)
-        buffers.load_rdb(0, 0, 384, ROW)
-        buffers.invalidate_all()
-        assert buffers.find_rab(3) is None
-        assert buffers.find_rdb(0, 384) is None
 
 
 # ----------------------------------------------------------------------

@@ -70,6 +70,28 @@ def run_frontend(config=BASE, **backend_kwargs):
     return frontend.run(), backend
 
 
+class BrokenBackend(StubBackend):
+    """A backend whose submit fails with an error it does not contain."""
+
+    def submit(self, request: MemoryRequest) -> typing.Generator:
+        self.submits += 1
+        yield self.sim.timeout(self.latency)
+        raise RuntimeError("backend broke")
+
+
+def test_a_backend_error_raises_from_run():
+    # Three requests, one worker: the worker's failure must surface,
+    # not drop the request it served from every count while the
+    # other two expire in the queue.
+    config = dataclasses.replace(BASE, tenants=1, rate_rps=1e5,
+                                 duration_ns=20_000.0, workers=1)
+    sim = Simulator()
+    backend = BrokenBackend(sim)
+    with pytest.raises(RuntimeError, match="backend broke"):
+        ServiceFrontend(sim, backend, config).run()
+    assert backend.submits == 1
+
+
 def test_everything_completes_at_light_load():
     result, backend = run_frontend()
     totals = result.totals()
