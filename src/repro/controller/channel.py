@@ -264,15 +264,14 @@ class ChannelController:
         if not self._pre_resets:
             return
         per_module: typing.Dict[int, typing.List[_HintChunk]] = {}
+        channel_rows = self.address_map.channel_rows
         while True:
             hint = self.hints.pop()
             if hint is None:
                 break
             address, size, registered_at = hint
-            for pram_address, _, chunk_size in self.address_map.iter_rows(
-                    address, size):
-                if pram_address.channel != self.channel_id:
-                    continue
+            for pram_address, _, chunk_size in channel_rows(
+                    address, size, self.channel_id):
                 per_module.setdefault(pram_address.module, []).append(
                     (pram_address, chunk_size, registered_at))
         if not per_module:
@@ -618,9 +617,11 @@ class ChannelController:
         ``span_name`` labels the hold on the bus track (None: no span).
         """
         sim = self.sim
+        tracer = sim.tracer
         module = self.modules[index]
-        self._observe(Command.STAGE_PROGRAM, index,
-                      partition=partition, row=row)
+        if tracer.enabled:
+            self._observe(Command.STAGE_PROGRAM, index,
+                          partition=partition, row=row)
         stage_finish = module.stage_program(sim.now, partition, row, column,
                                             payload, command=command)
         duration = stage_finish - sim.now
@@ -635,8 +636,9 @@ class ChannelController:
                 self._note_bus_hold(grant, span_name, module=index,
                                     partition=partition, req=req)
             self.bus.release(grant)
-        self._observe(Command.EXECUTE_PROGRAM, index,
-                      partition=partition, row=row)
+        if tracer.enabled:
+            self._observe(Command.EXECUTE_PROGRAM, index,
+                          partition=partition, row=row)
         return module.execute_program(sim.now, req=req)
 
     # ------------------------------------------------------------------
@@ -825,12 +827,11 @@ class ChannelController:
 
     def _observe(self, command: Command, module_index: int,
                  **fields: typing.Any) -> None:
-        """Report one command to the tracer (the conformance trace)."""
-        tracer = self.sim.tracer
-        if tracer.enabled:
-            tracer.command(CommandRecord(
-                time=self.sim.now, channel=self.channel_id,
-                module=module_index, command=command, **fields))
+        """Report one command to the tracer (the conformance trace);
+        callers check ``tracer.enabled`` first."""
+        self.sim.tracer.command(CommandRecord(
+            time=self.sim.now, channel=self.channel_id,
+            module=module_index, command=command, **fields))
 
     def _partition_track(self, module_index: int, partition: int) -> str:
         """Trace-track name of one partition's array lane."""

@@ -283,15 +283,19 @@ class PramSubsystem:
 
         Under a pre-resetting policy the channels RESET those rows in
         the background (call :meth:`drain_hints` or let a system model
-        run it alongside compute).  The region is decomposed into
-        row-sized hints routed to the owning channel.
+        run it alongside compute).  Every channel that owns rows of the
+        region queues it once, with its count of those rows.  A region
+        the address map refuses (a negative size, a start out of range,
+        an end past capacity) raises before any store changes.
         """
+        address_map = self.address_map
+        rows = [address_map.channel_row_count(address, size, channel)
+                for channel in range(len(self.hint_stores))]
         registered_at = self.sim.now
-        for pram_address, _, chunk in self.address_map.iter_rows(
-                address, size):
-            flat = self.address_map.compose(pram_address)
-            self.hint_stores[pram_address.channel].add(
-                flat, chunk, registered_at=registered_at)
+        for store, count in zip(self.hint_stores, rows):
+            if count:
+                store.add(address, size, registered_at=registered_at,
+                          rows=count)
 
     def drain_hints(self) -> typing.Generator:
         """Process body: run every channel's hint prefetcher to empty."""

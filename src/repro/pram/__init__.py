@@ -7,13 +7,14 @@ samples the paper wires to its FPGA:
   bank/partition/tile geometry of Section II-A;
 * :mod:`~repro.pram.address` — flat-byte-address ⇄ (channel, module,
   partition, row, column) decomposition, including the upper/lower row
-  split required by three-phase addressing;
+  split required by three-phase addressing and one channel's rows of a
+  region;
 * :mod:`~repro.pram.cell` — word-granularity SET/RESET state so the
   pristine-vs-programmed write-latency asymmetry (and therefore
   selective erasing) is observable;
 * :mod:`~repro.pram.row_buffer` — the RAB/RDB multi-row-buffer file;
-* :mod:`~repro.pram.overlay_window` — the overlay-window register set
-  and program buffer used for all writes;
+* :mod:`~repro.pram.overlay_window` — the overlay window every write
+  goes through: the staged program's fields and the busy status;
 * :mod:`~repro.pram.module` — a PRAM chip: the LPDDR2-NVM three-phase
   addressing state machine with per-partition busy tracking;
 * :mod:`~repro.pram.timing` — pure latency computations for each phase.

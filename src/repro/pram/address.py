@@ -163,6 +163,81 @@ class AddressMap:
             column = 0
             address = new(PramAddress, (channel, module, partition, row, 0))
 
+    # A stripe unit is one row of one module: unit u = flat // row_bytes
+    # sits on module u % modules and channel (u // modules) % channels,
+    # so a channel owns every ``channels``-th run of ``modules`` units.
+    def _region_units(self, flat: int, size: int
+                      ) -> typing.Tuple[int, int] | None:
+        """First and one-past-last stripe unit of ``[flat, flat + size)``
+        (None when empty), raising what :meth:`iter_rows` raises for the
+        region, but before any chunk rather than at the offending one."""
+        if size < 0:
+            raise AddressError(f"negative size: {size}")
+        if size == 0:
+            return None
+        total = self._total_bytes
+        if flat < 0:
+            raise AddressError(f"negative address: {flat}")
+        if flat >= total:
+            raise AddressError(
+                f"address {flat:#x} beyond capacity {total:#x}")
+        if flat + size > total:
+            # iter_rows stops at the first chunk past the last row.
+            raise AddressError(
+                f"address {total:#x} beyond capacity {total:#x}")
+        row_bytes = self._row_bytes
+        return flat // row_bytes, (flat + size - 1) // row_bytes + 1
+
+    def channel_row_count(self, flat: int, size: int, channel: int) -> int:
+        """How many of :meth:`iter_rows`' chunks of the region fall on
+        ``channel``, counted without visiting them."""
+        units = self._region_units(flat, size)
+        if units is None:
+            return 0
+        modules = self._modules
+        period = modules * self._channels
+        offset = channel * modules
+
+        def owned_below(unit: int) -> int:
+            full, rest = divmod(unit, period)
+            return full * modules + min(max(rest - offset, 0), modules)
+
+        return owned_below(units[1]) - owned_below(units[0])
+
+    def channel_rows(self, flat: int, size: int, channel: int
+                     ) -> typing.Iterator[typing.Tuple[PramAddress, int, int]]:
+        """:meth:`iter_rows`' triples of the region that fall on
+        ``channel``, in the same order; the region is checked before
+        the first, and the other channels' stripes are skipped whole,
+        never decomposed."""
+        units = self._region_units(flat, size)
+        if units is None:
+            return
+        first, end = units
+        row_bytes = self._row_bytes
+        modules = self._modules
+        channels = self._channels
+        partitions = self._partitions
+        stop = flat + size
+        new: typing.Callable[..., typing.Any] = tuple.__new__
+        # The channel's first run of units at or after the region start.
+        group = first // modules
+        group += (channel - group) % channels
+        last_group = (end - 1) // modules
+        while group <= last_group:
+            partition_row = group // channels
+            partition = partition_row % partitions
+            row = partition_row // partitions
+            base = group * modules
+            for unit in range(max(first, base), min(end, base + modules)):
+                start = unit * row_bytes
+                # Only the region's first chunk can begin mid-row.
+                begin = start if start > flat else flat
+                yield (new(PramAddress, (channel, unit - base, partition,
+                                         row, begin - start)),
+                       begin - flat, min(start + row_bytes, stop) - begin)
+            group += channels
+
     def _validate(self, address: PramAddress) -> None:
         geo = self.geometry
         checks = (

@@ -73,7 +73,6 @@ class PramModule:
         # end times and remaining time of paused programs.
         self._program_end: typing.Dict[int, float] = {}
         self._paused_remaining: typing.Dict[int, float] = {}
-        self.pauses = 0
         # Optional fault injection (repro.faults): the device records
         # the faults it suffered so the controller can verify/retry via
         # take_read_fault()/take_program_failures().  None costs one
@@ -117,7 +116,6 @@ class PramModule:
         self._paused_remaining[partition] = remaining + resume_penalty_ns
         self._partition_busy_until[partition] = now
         self._program_end[partition] = now
-        self.pauses += 1
         return True
 
     def resume_program(self, partition: int, now: float) -> float:
@@ -251,15 +249,16 @@ class PramModule:
     def stage_program(self, now: float, partition: int, row: int,
                       column: int, data: bytes,
                       command: int = ow.CMD_PROGRAM) -> float:
-        """Fill the overlay-window registers and program buffer.
+        """Stage a program in the overlay window.
 
-        Models the translator's register-write sequence (Section V-B):
+        Prices the translator's register-write sequence (Section V-B):
         command code, target address, burst size, then the payload burst
-        into the program buffer.  A program stays inside one row, as
-        every 32-byte operand the controller moves does: a payload that
-        runs past its row is refused before the window changes.
-        Returns when staging completes; call :meth:`execute_program`
-        afterwards to launch the array program.
+        into the program buffer; the window keeps the fields themselves.
+        A program stays inside one row, as every 32-byte operand the
+        controller moves does: a payload that runs past its row is
+        refused before the window changes.  Returns when staging
+        completes; call :meth:`execute_program` afterwards to launch
+        the array program.
         """
         if not 0 <= partition < self._partitions:
             self._check_partition(partition)
@@ -277,8 +276,7 @@ class PramModule:
             raise AddressError("payload exceeds the program buffer")
         if not data:
             raise ProtocolError("empty program payload")
-        window.stage(command, (partition * rows + row) * row_bytes + column,
-                     data)
+        window.stage(command, partition, row, column, data)
         timing = self.timing
         burst = timing._bursts.get(size)
         if burst is None:
@@ -287,7 +285,7 @@ class PramModule:
 
     def execute_program(self, now: float,
                         req: int | None = None) -> float:
-        """Poke the execute register: program staged data to the array.
+        """Execute the staged program: program its data to the array.
 
         Returns the completion time.  The target partition is busy for
         the whole array program; the overlay window frees at the same
@@ -298,14 +296,7 @@ class PramModule:
         gap moves) leaves it unset.
         """
         window = self.window
-        command, flat, size, payload = window.execute()
-        # The window's flat target address: partition, row, column.
-        row_bytes = self._row_bytes
-        rows = self._rows
-        column = flat % row_bytes
-        rest = flat // row_bytes
-        row = rest % rows
-        partition = rest // rows
+        command, partition, row, column, payload = window.execute()
         # Failures belong to exactly one program: stale records from
         # background work (pre-resets, gap moves) must not alias into
         # the next request's verify pass.
@@ -318,6 +309,7 @@ class PramModule:
             self.erases += 1
             span_name = "erase"
         else:
+            size = len(payload)
             word_bytes = self._word_bytes
             words = range(column // word_bytes,
                           (column + size - 1) // word_bytes + 1)
@@ -347,7 +339,7 @@ class PramModule:
                     self.retry_programs += 1
                     span_name = "retry_program"
                 if faults is None or not faults.program_faults_on:
-                    if size == row_bytes:
+                    if size == self._row_bytes:
                         storage[key] = payload
                     else:
                         updated = bytearray(storage.get(key, self._blank_row))

@@ -11,6 +11,7 @@ from repro.controller import (
 )
 from repro.pram import PramAddress, PramGeometry
 from repro.sim import Simulator
+from repro.telemetry.metrics import MetricsRegistry, use_metrics
 from repro.telemetry.tracer import RecordingTracer, use_tracer
 
 
@@ -132,3 +133,41 @@ class TestWriteHintStore:
             store.add(0, 0)
         with pytest.raises(ValueError):
             store.add(-1, 32)
+
+    def test_a_region_counts_its_rows(self):
+        store = WriteHintStore()
+        store.add(16, 1024, registered_at=1.0, rows=17)
+        store.add(4096, 64, registered_at=2.0, rows=2)
+        assert (store.registered, len(store), store.depth()) == (19, 19, 19.0)
+        assert store.pop() == (16, 1024, 1.0)
+        assert (store.consumed, len(store), store.depth()) == (17, 2, 2.0)
+        store.add(8192, 32, registered_at=3.0)
+        assert store.pop() == (4096, 64, 2.0)
+        assert store.pop() == (8192, 32, 3.0)
+        assert store.pop() is None
+        assert (store.registered, store.consumed) == (20, 20)
+        assert (len(store), store.peak_depth) == (0, 19)
+
+    def test_region_metrics_read_as_per_row_adds(self):
+        # One region of three rows and one of a single row register,
+        # drain and peak exactly as four one-row hints.
+        def metrics_of(hints):
+            registry = MetricsRegistry()
+            with use_metrics(registry):
+                store = WriteHintStore()
+            for hint in hints:
+                store.add(*hint)
+            while store.pop() is not None:
+                pass
+            counters = [registry.counter(path)
+                        for path in ("sched.hints.registered",
+                                     "sched.hints.consumed")]
+            return ([(counter.value, counter.events) for counter in counters],
+                    registry.snapshot("sched.hints.*"))
+
+        regions = metrics_of([(0, 96, 1.0, 3), (512, 32, 1.0, 1)])
+        rows = metrics_of([(0, 32, 1.0), (32, 32, 1.0), (64, 32, 1.0),
+                           (512, 32, 1.0)])
+        assert regions == rows
+        assert regions[0] == [(4.0, 4), (4.0, 4)]
+        assert regions[1]["sched.hints.depth_peak"] == 4.0

@@ -4,7 +4,7 @@ import pytest
 
 from repro.controller import MemoryRequest, Op, PramSubsystem, SchedulerPolicy
 from repro.controller.firmware import FirmwareModel
-from repro.pram import PramGeometry
+from repro.pram import AddressError, PramGeometry
 from repro.sim import Simulator
 
 #: Small geometry keeps tests fast while preserving multi-everything.
@@ -217,6 +217,45 @@ class TestPolicies:
         sim.process(driver())
         sim.run()
         assert subsystem.channels[0].pre_resets_issued == 0
+
+
+class TestWriteHintRegistration:
+    #: 1 KiB: two channels of two modules, two partitions of four rows.
+    TINY = PramGeometry(channels=2, modules_per_channel=2,
+                        partitions_per_bank=2, tiles_per_partition=1,
+                        bitlines_per_tile=256, wordlines_per_tile=4)
+
+    def test_each_owning_channel_queues_the_region_once(self):
+        sim = Simulator()
+        subsystem = PramSubsystem(sim, geometry=self.TINY)
+        subsystem.register_write_hint(16, 1000)
+        owned = [sum(1 for address, _, _ in
+                     subsystem.address_map.iter_rows(16, 1000)
+                     if address.channel == channel) for channel in (0, 1)]
+        assert owned == [16, 16]
+        for store, rows in zip(subsystem.hint_stores, owned):
+            assert (store.registered, len(store)) == (rows, rows)
+            assert store.pop() == (16, 1000, 0.0)
+            assert store.pop() is None
+
+    def test_a_refused_region_queues_nothing(self):
+        sim = Simulator()
+        subsystem = PramSubsystem(sim, geometry=self.TINY)
+        subsystem.preload(896, b"\x11" * 128)
+        subsystem.register_write_hint(-32, 0)  # empty: no error, no hint
+        for address, size, message in (
+                (960, 128, "address 0x400 beyond capacity 0x400"),
+                (1024, 32, "address 0x400 beyond capacity 0x400"),
+                (-32, 64, "negative address: -32"),
+                (0, -1, "negative size: -1")):
+            with pytest.raises(AddressError, match=message):
+                subsystem.register_write_hint(address, size)
+        assert [store.registered for store in subsystem.hint_stores] == [0, 0]
+        assert [len(store) for store in subsystem.hint_stores] == [0, 0]
+        sim.process(subsystem.drain_hints())
+        sim.run()
+        assert subsystem.operation_counts()["resets"] == 0
+        assert subsystem.inspect(896, 128) == b"\x11" * 128
 
 
 class TestPhaseSkipping:

@@ -17,9 +17,10 @@ class TestModulePauseResume:
         t = module.stage_program(0.0, 0, 0, 0, bytes(32))
         module.execute_program(t)
         assert module.program_in_flight(0, t + 100.0)
-        assert module.pause_program(0, t + 100.0, resume_penalty_ns=1_000)
+        assert module.pause_program(0, t + 100.0,
+                                    resume_penalty_ns=1_000) is True
         assert module.partition_ready_at(0) == t + 100.0
-        assert module.pauses == 1
+        assert not module.program_in_flight(0, t + 100.0)
 
     def test_resume_restores_remaining_plus_penalty(self):
         module = PramModule()

@@ -158,3 +158,82 @@ class TestIterRows:
         assert offsets[0] == 0
         for address, _, chunk_size in chunks:
             assert address.column + chunk_size <= MAP.geometry.row_bytes
+
+
+# ----------------------------------------------------------------------
+# One channel's rows of a region, against iter_rows filtered by channel
+# ----------------------------------------------------------------------
+@st.composite
+def _geometries(draw):
+    return PramGeometry(
+        channels=draw(st.integers(min_value=1, max_value=3)),
+        modules_per_channel=draw(st.integers(min_value=1, max_value=4)),
+        partitions_per_bank=draw(st.integers(min_value=1, max_value=3)),
+        tiles_per_partition=1, bitlines_per_tile=256,
+        wordlines_per_tile=draw(st.integers(min_value=1, max_value=4)),
+        row_bytes=draw(st.sampled_from([4, 8, 32])))
+
+
+def _filtered(address_map, flat, size, channel):
+    """iter_rows' chunks on ``channel``."""
+    return [triple for triple in address_map.iter_rows(flat, size)
+            if triple[0].channel == channel]
+
+
+def _listed(address_map, flat, size, channel):
+    return list(address_map.channel_rows(flat, size, channel))
+
+
+def _outcome(function, *args):
+    """What ``function(*args)`` returns, or the AddressError it raises."""
+    try:
+        return function(*args)
+    except AddressError as error:
+        return f"AddressError: {error}"
+
+
+class TestChannelRows:
+    @given(_geometries(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_iter_rows_filtered_by_channel(self, geometry, data):
+        address_map = AddressMap(geometry)
+        total, row_bytes = geometry.total_bytes, geometry.row_bytes
+        # Row-aligned and unaligned ends, past-capacity ends, and zero
+        # and negative sizes and starts.
+        flat = data.draw(st.one_of(
+            st.integers(min_value=-2, max_value=total + 2),
+            st.integers(min_value=0, max_value=total // row_bytes).map(
+                lambda row: row * row_bytes)))
+        size = data.draw(st.one_of(
+            st.integers(min_value=-2, max_value=total + 2),
+            st.integers(min_value=0, max_value=total // row_bytes).map(
+                lambda rows: rows * row_bytes - flat % row_bytes)))
+        for channel in range(geometry.channels):
+            args = (flat, size, channel)
+            expected = _outcome(_filtered, address_map, *args)
+            assert _outcome(_listed, address_map, *args) == expected
+            count = _outcome(address_map.channel_row_count, *args)
+            if isinstance(expected, str):
+                assert count == expected
+            else:
+                assert count == len(expected)
+
+    def test_refuses_before_yielding(self):
+        # iter_rows raises at the first chunk past capacity; the
+        # channel enumeration raises before its first chunk.
+        geometry = PramGeometry(channels=2, modules_per_channel=2,
+                                partitions_per_bank=2, tiles_per_partition=1,
+                                bitlines_per_tile=256, wordlines_per_tile=4)
+        rows = AddressMap(geometry).channel_rows(960, 128, 1)
+        with pytest.raises(AddressError,
+                           match="address 0x400 beyond capacity 0x400"):
+            next(rows)
+
+    def test_default_geometry_stripe(self):
+        # Section III-B: a 1 KiB request covers 16 modules per channel.
+        rows = list(MAP.channel_rows(0, 1024, 1))
+        assert [address.module for address, _, _ in rows] == list(range(16))
+        assert {address.channel for address, _, _ in rows} == {1}
+        assert [offset for _, offset, _ in rows] == list(range(512, 1024, 32))
+        assert MAP.channel_row_count(0, 1024, 1) == 16
+        assert MAP.channel_row_count(16, 1024, 0) == 17

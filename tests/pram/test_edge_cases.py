@@ -1,4 +1,4 @@
-"""PRAM device edge cases: window relocation, geometry extremes,
+"""PRAM device edge cases: protocol edges, geometry extremes,
 buffer-state interactions."""
 
 import pytest
@@ -11,22 +11,6 @@ from repro.pram import (
     ProtocolError,
 )
 from repro.pram.overlay_window import CMD_PROGRAM
-
-
-class TestOverlayWindowRelocation:
-    def test_relocated_window_still_programs(self):
-        module = PramModule()
-        module.window.set_base(0x100000)
-        t = module.stage_program(0.0, 0, 0, 0, b"\x11" * 32)
-        finish = module.execute_program(t)
-        assert finish > t
-        assert module.peek(0, 0) == b"\x11" * 32
-
-    def test_contains_reflects_relocation(self):
-        module = PramModule()
-        module.window.set_base(0x100000)
-        assert not module.window.contains(0x80)
-        assert module.window.contains(0x100000 + 0x80)
 
 
 class TestModuleProtocolEdges:

@@ -15,18 +15,26 @@ cells at the default config are known to move when that happens:
 
 At the ``--quick`` config the same changes moved nothing at seeds 1-5,
 so those cells run at the default config.  Every system on gemver and
-doitg at ``QUICK`` covers the remaining devices.
+doitg at ``QUICK`` covers the remaining devices.  The fig13 replay of
+doitg under all four policies at ``QUICK`` pins the PRAM write path on
+its own: the staging and execution of every program, the write-hint
+store and the pre-RESET drain (304 pre-RESETs under selective-erasing
+and final each).
 
 The first two digests were taken with every storage hold still on a
 ``Resource``, the floyd digest with the chunks already starting and
-finishing in place.  Re-pin them only in a change that means to move
-results, and say so in its description.
+finishing in place, the fig13 digest with the overlay window still
+encoding each program's target into a flat register address and the
+hint store still holding one composed address per row.  Re-pin them
+only in a change that means to move results, and say so in its
+description.
 """
 
 import dataclasses
 import hashlib
 import json
 
+from repro.experiments.fig13_schedulers import POLICIES, subsystem_run
 from repro.experiments.runner import QUICK, ExperimentConfig
 from repro.systems import SYSTEM_NAMES, build_system
 
@@ -42,6 +50,9 @@ PINNED_PRAM_CHANNEL_CELL = (
 #: SHA-256 of every system on gemver and doitg at QUICK, seed 1.
 PINNED_QUICK_MATRIX = (
     "7a611b31101576ef6198395882b4dc32524c77d9273ac1307a1b4ed0137a8419")
+#: SHA-256 of fig13's doitg replay under all four policies, QUICK, seed 1.
+PINNED_FIG13_WRITE_PATH = (
+    "88cabf88a35218dbf609f2e5f279c44ae711f82a57527c2560d0312c37abdc8e")
 
 
 def _canonical(result):
@@ -97,3 +108,17 @@ def test_quick_matrix():
              for system in SYSTEM_NAMES}
     assert len(cells) == 22
     assert _digest(cells) == PINNED_QUICK_MATRIX
+
+
+def test_fig13_write_path():
+    bundle = QUICK.bundle("doitg")
+    runs = {}
+    for policy in POLICIES:
+        run = subsystem_run(bundle, policy)
+        sketch = run.sketch
+        runs[policy.value] = {
+            "mbps": run.mbps, "count": sketch.count,
+            "clamped": sketch.clamped, "min": sketch.min_value,
+            "max": sketch.max_value,
+            "buckets": sorted(sketch._counts.items())}
+    assert _digest(runs) == PINNED_FIG13_WRITE_PATH
