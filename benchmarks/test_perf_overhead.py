@@ -288,13 +288,14 @@ def _seed_submit(self, request):
         self.queue_depth.record(self.sim.now, float(self._inflight))
     if self.firmware is not None:
         yield self.sim.process(self.firmware.admit())
-    by_channel = self.planner.chunks_by_channel(request)
     failure = None
     results: typing.List[typing.Any] = []
+    address, size = request.address, request.size
+    row_count = self.address_map.channel_row_count
     try:
         results = yield self.sim.fork_join([
-            self.channels[ch].execute_chunks(chunks)
-            for ch, chunks in sorted(by_channel.items())])
+            channel.execute_chunks(request) for channel in self.channels
+            if row_count(address, size, channel.channel_id)])
     except PramError as exc:
         failure = exc
     request.complete_time = self.sim.now

@@ -23,9 +23,8 @@ from __future__ import annotations
 import typing
 
 from repro.controller.scheduler import SchedulerPolicy, WriteHintStore
-from repro.controller.request import Op, RequestStatus
-from repro.controller.translator import ChunkPlan, RetirementMap
-from repro.controller.wear_level import StartGapMapper
+from repro.controller.request import MemoryRequest, Op, RequestStatus
+from repro.controller.wear_level import RetirementMap, StartGapMapper
 from repro.faults.ecc import secded_decode
 from repro.faults.plan import FaultState
 from repro.pram.address import AddressMap, PramAddress
@@ -48,6 +47,10 @@ from repro.sim import (
 from repro.sim.resource import Request
 from repro.telemetry.metrics import current_metrics
 from repro.telemetry.timeseries import Sampler
+
+#: One row of a request: (row address, offset into the request, chunk
+#: bytes, planned RAB/RDB pair).
+Chunk = typing.Tuple[PramAddress, int, int, int]
 
 #: One hinted pre-reset target: (row address, chunk bytes, hint time).
 _HintChunk = typing.Tuple[PramAddress, int, float]
@@ -115,6 +118,12 @@ class ChannelController:
         self._busy_pairs: typing.List[typing.Set[int]] = [
             set() for _ in self.modules
         ]
+        # Each module's next planned pair: successive chunks on a module
+        # rotate through its pairs, the precondition for the
+        # interleaving scheduler to overlap one chunk's burst with
+        # another's array access.
+        self._pair_count = pair_count
+        self._next_pair = [0] * len(self.modules)
         # Optional start-gap wear leveling (Section VII): one mapper
         # per (module, partition); one row per partition is the spare.
         self.wear_leveling = wear_leveling
@@ -220,17 +229,18 @@ class ChannelController:
     # ------------------------------------------------------------------
     # Public API: chunk execution processes
     # ------------------------------------------------------------------
-    def execute_chunks(self, chunks: typing.Sequence[ChunkPlan]
-                       ) -> typing.Generator:
-        """Process body: run this channel's chunks under the policy.
+    def execute_chunks(self, request: MemoryRequest) -> typing.Generator:
+        """Process body: run this channel's rows of ``request`` under
+        the policy.
 
         Returns ``(request offset, data)`` pairs — one per chunk, data
         ``b""`` for writes — so the subsystem can reassemble a
         multi-stripe request in address order rather than channel
         order.
         """
+        chunks = self.walk_rows(request)
         if self._interleaves:
-            ordered = yield self._start_chunks(chunks)
+            ordered = yield self._start_chunks(request, chunks)
         else:
             # Noop scheduling: one request owns the channel at a time.
             # Within the request, chunks still fan out across modules —
@@ -239,18 +249,34 @@ class ChannelController:
             lock = self._serial_lock.request()
             yield lock
             try:
-                ordered = yield self._start_chunks(chunks)
+                ordered = yield self._start_chunks(request, chunks)
             finally:
                 self._serial_lock.release(lock)
         return ordered
 
-    def _start_chunks(self, chunks: typing.Sequence[ChunkPlan]) -> Join:
+    def walk_rows(self, request: MemoryRequest) -> typing.List[Chunk]:
+        """This channel's rows of ``request`` in stripe order
+        (:meth:`~repro.pram.address.AddressMap.channel_rows`), each
+        given its module's next pair of the round-robin rotation."""
+        next_pair = self._next_pair
+        pair_count = self._pair_count
+        chunks: typing.List[Chunk] = []
+        for address, offset, size in self.address_map.channel_rows(
+                request.address, request.size, self.channel_id):
+            module = address.module
+            planned = next_pair[module]
+            next_pair[module] = (planned + 1) % pair_count
+            chunks.append((address, offset, size, planned))
+        return chunks
+
+    def _start_chunks(self, request: MemoryRequest,
+                      chunks: typing.Sequence[Chunk]) -> Join:
         """One child process per chunk, started in chunk order in this
         step; the join yields their results in chunk order."""
+        body = self._write_chunk if request.op is _WRITE else self._read_chunk
         return self.sim.fork_join([
-            self._write_chunk(chunk) if chunk.request.op is _WRITE
-            else self._read_chunk(chunk)
-            for chunk in chunks])
+            body(request, address, offset, size, planned)
+            for address, offset, size, planned in chunks])
 
     def prefetch_hints(self) -> typing.Generator:
         """Process body: drain the write-hint store by pre-RESETting.
@@ -301,12 +327,13 @@ class ChannelController:
     # sketches) runs only under telemetry, so an untraced chunk pays
     # for the model alone.  Only the fault and wear-leveling paths,
     # which few chunks take, delegate to sub-generators.
-    def _read_chunk(self, chunk: ChunkPlan) -> typing.Generator:
+    def _read_chunk(self, request: MemoryRequest, address: PramAddress,
+                    offset: int, size: int,
+                    planned: int) -> typing.Generator:
         """Process body: one read chunk, pair probe to data burst."""
         sim = self.sim
         start = sim.now
         tracer = sim.tracer
-        address = chunk.address
         index = address.module
         module = self.modules[index]
         partition = address.partition
@@ -318,7 +345,7 @@ class ChannelController:
             raise AddressError(f"row {row} out of range")
         upper = row >> self._lower_bits
         lower = row & self._lower_mask
-        req = chunk.request.request_id
+        req = request.request_id
 
         # Own one RAB/RDB pair for the whole probe→burst span.  Without
         # this, pipelined reads that share a pair (e.g. every chunk
@@ -337,7 +364,7 @@ class ChannelController:
         # their RDB is about to be overwritten, so neither their
         # contents nor the pair itself can be used.
         buffer_id, need_pre_active, need_activate = module.buffers.probe(
-            partition, row, upper, chunk.buffer_id, busy,
+            partition, row, upper, planned, busy,
             self.phase_skipping)
         if not need_pre_active:
             if need_activate:
@@ -416,7 +443,7 @@ class ChannelController:
                               row=row, skipped_pre_active=not need_pre_active,
                               skipped_activate=not need_activate)
             finish, data = module.read_burst(
-                sim.now, buffer_id, address.column, chunk.size)
+                sim.now, buffer_id, address.column, size)
             # Consume the fault record synchronously (no yield since the
             # burst) so concurrent chunks never see each other's flips.
             fault_bits = (module.take_read_fault()
@@ -441,12 +468,12 @@ class ChannelController:
                 self.faults.note_ecc(decoded.corrected_bits,
                                      decoded.uncorrectable_codewords)
                 if decoded.uncorrectable_codewords:
-                    chunk.request.degrade(
+                    request.degrade(
                         RequestStatus.DEGRADED,
                         f"uncorrectable read error in ch{self.channel_id}."
                         f"m{index}.p{partition} row {row}")
                 else:
-                    chunk.request.degrade(RequestStatus.CORRECTED)
+                    request.degrade(RequestStatus.CORRECTED)
             if not 0 < len(data) <= OPERAND_BYTES:
                 raise ValueError(f"datapath operand must be 1..{OPERAND_BYTES}"
                                  f" bytes, got {len(data)}")
@@ -465,25 +492,29 @@ class ChannelController:
             tracer.emit("read_chunk", f"ch{self.channel_id}.inflight",
                         start, sim.now, asynchronous=True,
                         module=index, partition=partition, req=req)
-        return (chunk.offset, data)
+        return (offset, data)
 
-    def _write_chunk(self, chunk: ChunkPlan) -> typing.Generator:
-        """Process body: one write chunk, stage to write recovery."""
+    def _write_chunk(self, request: MemoryRequest, address: PramAddress,
+                     offset: int, size: int,
+                     planned: int) -> typing.Generator:
+        """Process body: one write chunk, stage to write recovery.
+
+        ``planned`` goes unused: a program stages through the module's
+        overlay window, not through a RAB/RDB pair.
+        """
         sim = self.sim
         start = sim.now
         tracer = sim.tracer
-        address = chunk.address
         index = address.module
         module = self.modules[index]
-        # chunk.payload written out.
-        assert chunk.request.data is not None  # MemoryRequest validation
-        payload = chunk.request.data[chunk.offset:chunk.offset + chunk.size]
+        assert request.data is not None  # MemoryRequest validation
+        payload = request.data[offset:offset + size]
 
         partition = address.partition
         row = address.row
         if self._remaps_rows:
             row = self._physical_row(index, partition, row)
-        req = chunk.request.request_id
+        req = request.request_id
         lock = self._window_locks[index]
         window = lock.request()
         yield window
@@ -542,7 +573,8 @@ class ChannelController:
                                 req=req)
             if failures:
                 yield from self._verify_and_retry(
-                    chunk, module, index, partition, row, failures, req)
+                    request, module, index, partition, row, address.column,
+                    payload, failures)
             if self.wear_leveling:
                 yield from self._account_write(index, partition)
         finally:
@@ -555,7 +587,7 @@ class ChannelController:
             tracer.emit("write_chunk", f"ch{self.channel_id}.inflight",
                         start, sim.now, asynchronous=True,
                         module=index, partition=partition, req=req)
-        return (chunk.offset, b"")
+        return (offset, b"")
 
     def _pre_reset(self, address: PramAddress, size: int,
                    registered_at: float = float("inf")
@@ -644,11 +676,13 @@ class ChannelController:
     # ------------------------------------------------------------------
     # Program-and-verify resilience (repro.faults)
     # ------------------------------------------------------------------
-    def _verify_and_retry(self, chunk: ChunkPlan, module: PramModule,
-                          index: int, partition: int, row: int,
-                          failures: typing.List[typing.Tuple[int, int]],
-                          req: int) -> typing.Generator:
-        """Bounded retry loop over a chunk's verify-failed words.
+    def _verify_and_retry(self, request: MemoryRequest, module: PramModule,
+                          index: int, partition: int, row: int, column: int,
+                          payload: bytes,
+                          failures: typing.List[typing.Tuple[int, int]]
+                          ) -> typing.Generator:
+        """Bounded retry loop over a write chunk's verify-failed words,
+        ``payload`` the chunk's bytes at ``column`` of ``row``.
 
         Each pass re-senses the row (the verify read), waits the
         configured backoff, then re-issues a SET-only program covering
@@ -658,7 +692,7 @@ class ChannelController:
         faults = self.faults
         assert faults is not None  # caller guards
         config = faults.config
-        payload = chunk.payload
+        req = request.request_id
         word_bytes = module.geometry.word_bytes
         attempts = 0
         while failures and attempts < config.max_program_retries:
@@ -681,9 +715,7 @@ class ChannelController:
             words = sorted({word for _, word in failures})
             first, last = words[0], words[-1]
             row_data = bytearray(module.peek(partition, row))
-            if payload is not None:
-                row_data[chunk.address.column:
-                         chunk.address.column + len(payload)] = payload
+            row_data[column:column + len(payload)] = payload
             retry_payload = bytes(
                 row_data[first * word_bytes:(last + 1) * word_bytes])
             yield from self._program(index, partition, row,
@@ -697,12 +729,12 @@ class ChannelController:
                 yield self.sim.timeout(ready - self.sim.now)
         if failures:
             faults.note_retries_exhausted()
-            yield from self._retire_row(chunk, module, index, partition,
-                                        row, req)
+            yield from self._retire_row(request, module, index, partition,
+                                        row, column, payload)
 
-    def _retire_row(self, chunk: ChunkPlan, module: PramModule,
-                    index: int, partition: int, row: int,
-                    req: int) -> typing.Generator:
+    def _retire_row(self, request: MemoryRequest, module: PramModule,
+                    index: int, partition: int, row: int, column: int,
+                    payload: bytes) -> typing.Generator:
         """Remap an unrecoverable row onto a spare, moving its data.
 
         With no spare left the request completes ``FAILED`` — degraded
@@ -718,21 +750,19 @@ class ChannelController:
             # No spare left is a *permanent* failure: replaying the
             # request hits the same worn row with the same empty spare
             # pool, so upstream retry layers must not spend budget on it.
-            chunk.request.fault_permanent = True
-            chunk.request.degrade(
+            request.fault_permanent = True
+            request.degrade(
                 RequestStatus.FAILED,
                 f"row {row} unrecoverable and no spare left in "
                 f"ch{self.channel_id}.m{index}.p{partition}")
             return
         start = self.sim.now
+        req = request.request_id
         # Build the repaired row image (current bytes with the chunk
         # payload overlaid) and program it into the spare: one sense of
         # the bad row, then a normal full-row program.
         row_data = bytearray(module.peek(partition, row))
-        payload = chunk.payload
-        if payload is not None:
-            row_data[chunk.address.column:
-                     chunk.address.column + len(payload)] = payload
+        row_data[column:column + len(payload)] = payload
         yield self.sim.timeout(module.timing.activate())
         yield from self._program(index, partition, spare, 0,
                                  bytes(row_data), req=req)
@@ -753,7 +783,7 @@ class ChannelController:
         if spare_failures:
             # The spare misbehaved on its very first program; its data
             # is partial, so the write is lossy but still placed.
-            chunk.request.degrade(
+            request.degrade(
                 RequestStatus.DEGRADED,
                 f"spare row {spare} failed verify after retiring "
                 f"row {row}")

@@ -14,7 +14,6 @@ from repro.controller.channel import ChannelController
 from repro.controller.firmware import FirmwareModel
 from repro.controller.request import MemoryRequest, Op, RequestStatus
 from repro.controller.scheduler import SchedulerPolicy, WriteHintStore
-from repro.controller.translator import AccessPlanner
 from repro.controller.wear_level import DEFAULT_GAP_WRITE_INTERVAL
 from repro.faults.plan import FaultConfig, FaultState
 from repro.pram.address import AddressMap
@@ -51,7 +50,6 @@ class PramSubsystem:
         self.params = params
         self.policy = policy
         self.address_map = AddressMap(geometry)
-        self.planner = AccessPlanner(self.address_map)
         self.hint_stores = [WriteHintStore() for _ in range(geometry.channels)]
         self.firmware = firmware
         # Optional fault injection (repro.faults): one shared state so
@@ -129,19 +127,21 @@ class PramSubsystem:
             # firmware system's results (DESIGN §6.1).
             yield self.sim.process(  # noqa: SIM008 - order-bearing
                 self.firmware.admit())
-        by_channel = self.planner.chunks_by_channel(request)
-        # Each channel's chunks start in this step, channel by channel;
-        # the join yields each channel's results in channel order.
-        # Device-model errors (protocol violations, address faults) are
-        # contained here: the request completes FAILED instead of the
-        # exception tearing through the event loop and killing
-        # unrelated in-flight processes.
+        # Each channel that owns rows of the request walks and starts
+        # them in this step, channel by channel; the join yields each
+        # channel's results in channel order.  Device-model errors
+        # (protocol violations, address faults) are contained here: the
+        # request completes FAILED instead of the exception tearing
+        # through the event loop and killing unrelated in-flight
+        # processes.
         failure: PramError | None = None
         results: typing.List[typing.Any] = []
+        address, size = request.address, request.size
+        row_count = self.address_map.channel_row_count
         try:
             results = yield self.sim.fork_join([
-                self.channels[ch].execute_chunks(chunks)
-                for ch, chunks in sorted(by_channel.items())])
+                channel.execute_chunks(request) for channel in self.channels
+                if row_count(address, size, channel.channel_id)])
         except PramError as exc:
             failure = exc
         request.complete_time = self.sim.now
@@ -325,6 +325,7 @@ class PramSubsystem:
         Rows the data covers whole are poked straight from its slice;
         partial first/last rows are read-modify-written functionally.
         A row is its own physical row unless its channel can remap it.
+        A region the address map refuses raises before any row changes.
         """
         row_bytes = self.geometry.row_bytes
         modules = self.modules

@@ -21,6 +21,10 @@ content of physical line ``gap - 1`` is copied into ``gap`` and the
 registers update), so hot logical lines slowly migrate across all
 physical lines.  A full rotation takes ``n * interval`` writes, after
 which every physical line has absorbed an equal share.
+
+The module also holds the other row remap the channel controllers
+compose with start-gap: bad-row retirement onto spare rows, which
+fault resilience (:mod:`repro.faults`) turns on.
 """
 
 from __future__ import annotations
@@ -117,3 +121,59 @@ class StartGapMapper:
             return 1.0
         mean = sum(counts) / len(counts)
         return max(counts) / mean if mean else 1.0
+
+
+class RetirementMap:
+    """Bad-row retirement: remaps worn-out rows onto reserved spares.
+
+    The top ``spare_rows`` physical rows of every partition are carved
+    out as replacements (the wear-leveling gap region shrinks to
+    match).  When program-and-verify retries exhaust on a row the
+    channel controller retires it: data moves to the next free spare
+    and all later accesses follow the remap.  Spares can themselves be
+    retired (chains are followed), and when a partition runs out the
+    controller degrades the request instead of raising.
+    """
+
+    def __init__(self, rows_per_partition: int, spare_rows: int) -> None:
+        if spare_rows < 0:
+            raise ValueError(f"spare_rows must be >= 0, got {spare_rows}")
+        if spare_rows >= rows_per_partition:
+            raise ValueError(
+                f"spare_rows {spare_rows} must leave data rows in the "
+                f"{rows_per_partition}-row partition"
+            )
+        self.rows_per_partition = rows_per_partition
+        self.spare_rows = spare_rows
+        self.first_spare = rows_per_partition - spare_rows
+        self._remap: typing.Dict[typing.Tuple[int, int, int], int] = {}
+        self._next_spare: typing.Dict[typing.Tuple[int, int], int] = {}
+        self.retired = 0
+
+    def translate(self, module: int, partition: int, row: int) -> int:
+        """Follow the remap chain from ``row`` to its live location."""
+        if not self._remap:
+            return row
+        seen = 0
+        while (target := self._remap.get((module, partition, row))) is not None:
+            row = target
+            seen += 1
+            if seen > self.spare_rows:  # pragma: no cover - invariant
+                raise RuntimeError("retirement remap chain cycles")
+        return row
+
+    def retire(self, module: int, partition: int,
+               row: int) -> int | None:
+        """Retire ``row``; returns the spare it now maps to, or None.
+
+        None means the partition's spares are exhausted — the caller
+        must degrade the request rather than remap.
+        """
+        key = (module, partition)
+        cursor = self.first_spare + self._next_spare.get(key, 0)
+        if cursor >= self.rows_per_partition:
+            return None
+        self._next_spare[key] = self._next_spare.get(key, 0) + 1
+        self._remap[(module, partition, row)] = cursor
+        self.retired += 1
+        return cursor

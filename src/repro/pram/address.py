@@ -43,10 +43,6 @@ class PramAddress(typing.NamedTuple):
     row: int
     column: int  # byte offset within the row
 
-    def row_key(self) -> typing.Tuple[int, int, int, int]:
-        """Hashable identity of the row this address falls in."""
-        return (self.channel, self.module, self.partition, self.row)
-
 
 class AddressMap:
     """Bidirectional flat-address ⇄ :class:`PramAddress` mapping."""
@@ -123,15 +119,14 @@ class AddressMap:
 
         Requests larger than one 32-byte row are the norm (the server
         issues 512 B per channel); the controller turns each chunk into
-        one three-phase access.  Only the first chunk goes through
-        :meth:`decompose`; each later one advances the device
-        coordinates in stripe order (module, then channel, then
-        partition, then row), as
-        :meth:`~repro.controller.translator.AccessPlanner.plan` does.
+        one three-phase access, walking a channel's share of them with
+        :meth:`channel_rows`.  The region is checked before the first
+        chunk, so a caller that acts per chunk acts on all or none.
+        Only the first chunk goes through :meth:`decompose`; each later
+        one advances the device coordinates in stripe order (module,
+        then channel, then partition, then row).
         """
-        if size < 0:
-            raise AddressError(f"negative size: {size}")
-        if size == 0:
+        if self._region_units(flat, size) is None:
             return
         address = self.decompose(flat)
         channel, module, partition, row, column = address
@@ -156,10 +151,6 @@ class AddressMap:
                     if partition == self._partitions:
                         partition = 0
                         row += 1
-                        if row == self._rows:
-                            raise AddressError(
-                                f"address {flat + produced:#x} beyond "
-                                f"capacity {self._total_bytes:#x}")
             column = 0
             address = new(PramAddress, (channel, module, partition, row, 0))
 
@@ -169,8 +160,8 @@ class AddressMap:
     def _region_units(self, flat: int, size: int
                       ) -> typing.Tuple[int, int] | None:
         """First and one-past-last stripe unit of ``[flat, flat + size)``
-        (None when empty), raising what :meth:`iter_rows` raises for the
-        region, but before any chunk rather than at the offending one."""
+        (None when empty); raises :class:`AddressError` for a negative
+        size or a region that starts or ends outside the capacity."""
         if size < 0:
             raise AddressError(f"negative size: {size}")
         if size == 0:
@@ -182,7 +173,7 @@ class AddressMap:
             raise AddressError(
                 f"address {flat:#x} beyond capacity {total:#x}")
         if flat + size > total:
-            # iter_rows stops at the first chunk past the last row.
+            # The error names the region's first byte past capacity.
             raise AddressError(
                 f"address {total:#x} beyond capacity {total:#x}")
         row_bytes = self._row_bytes

@@ -115,6 +115,12 @@ class PramGeometry:
                 raise ValueError(f"{field.name} must be >= 1")
         if self.row_bytes % self.word_bytes:
             raise ValueError("row_bytes must be a multiple of word_bytes")
+        bits = (self.tiles_per_partition * self.bitlines_per_tile
+                * self.wordlines_per_tile)
+        if bits % (8 * self.row_bytes) or bits < 8 * self.row_bytes:
+            raise ValueError(
+                f"a partition of {bits} bits must hold a whole, non-zero "
+                f"number of {self.row_bytes}-byte rows")
 
     @functools.cached_property
     def partition_bytes(self) -> int:

@@ -264,7 +264,7 @@ class PageBufferBackend:
         self.port = Pool(sim, capacity=1, name="pagebuf.port")
         self.read_chunk_ns = read_chunk_ns
         self.write_chunk_ns = write_chunk_ns
-        self._data: typing.Dict[int, bytes] = {}   # page -> payload
+        self._contents = SparsePages()
         self.pages_read = 0
         self.pages_written = 0
 
@@ -284,9 +284,7 @@ class PageBufferBackend:
         yield from self.buffer.access(size)
         self.energy.charge_bytes(
             "dram", self.energy.model.accel_dram_pj_per_byte, size)
-        payload = self._data.get(page, bytes(self.PAGE_BYTES))
-        offset = address - page * self.PAGE_BYTES
-        return payload[offset:offset + size]
+        return self.inspect(address, size)
 
     def write_block(self, address: int, data: bytes) -> typing.Generator:
         page = address // self.PAGE_BYTES
@@ -296,10 +294,7 @@ class PageBufferBackend:
         yield from self.buffer.access(len(data))
         self.energy.charge_bytes(
             "dram", self.energy.model.accel_dram_pj_per_byte, len(data))
-        payload = bytearray(self._data.get(page, bytes(self.PAGE_BYTES)))
-        offset = address - page * self.PAGE_BYTES
-        payload[offset:offset + len(data)] = data
-        self._data[page] = bytes(payload)
+        self.preload(address, data)
         self.buffer.insert(page, dirty=True)
 
     def flush(self) -> typing.Generator:
@@ -310,8 +305,8 @@ class PageBufferBackend:
     def invalidate_buffer(self) -> None:
         """Per-kernel-round buffer teardown (after a flush).
 
-        The page payloads in ``_data`` are the medium's contents and
-        stay; only DRAM residency is dropped.
+        The contents are the medium's and stay; only DRAM residency is
+        dropped.
         """
         self.buffer.clear_residency()
 
@@ -319,28 +314,10 @@ class PageBufferBackend:
         pass  # the page interface hides the medium from hints
 
     def preload(self, address: int, data: bytes) -> None:
-        cursor = 0
-        while cursor < len(data):
-            page = (address + cursor) // self.PAGE_BYTES
-            offset = (address + cursor) % self.PAGE_BYTES
-            span = min(self.PAGE_BYTES - offset, len(data) - cursor)
-            payload = bytearray(self._data.get(page,
-                                               bytes(self.PAGE_BYTES)))
-            payload[offset:offset + span] = data[cursor:cursor + span]
-            self._data[page] = bytes(payload)
-            cursor += span
+        self._contents.store(address, data)
 
     def inspect(self, address: int, size: int) -> bytes:
-        out = bytearray()
-        cursor = 0
-        while cursor < size:
-            page = (address + cursor) // self.PAGE_BYTES
-            offset = (address + cursor) % self.PAGE_BYTES
-            span = min(self.PAGE_BYTES - offset, size - cursor)
-            payload = self._data.get(page, bytes(self.PAGE_BYTES))
-            out += payload[offset:offset + span]
-            cursor += span
-        return bytes(out)
+        return self._contents.load(address, size)
 
     # ------------------------------------------------------------------
     def _ensure_resident(self, page: int) -> typing.Generator:

@@ -1,9 +1,10 @@
-"""PHY command-cost, planner, and hint-store tests."""
+"""PHY command-cost, channel row-walk, and hint-store tests."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.controller import (
-    AccessPlanner,
     MemoryRequest,
     Op,
     PramSubsystem,
@@ -45,63 +46,122 @@ class TestPhy:
         assert spans == [2 * tck, tck]
 
 
-class TestAccessPlanner:
+def _walks(subsystem, request):
+    """Each channel's walk of ``request``: (module, offset, size, pair)."""
+    return [[(address.module, offset, size, planned)
+             for address, offset, size, planned in channel.walk_rows(request)]
+            for channel in subsystem.channels]
+
+
+def _chunks_started(subsystem, request):
+    """Chunks each channel runs for ``request``, run to completion."""
+    subsystem.run_stream([request])
+    return [channel.chunks_read + channel.chunks_written
+            for channel in subsystem.channels]
+
+
+class TestChannelWalk:
+    """Each channel walks its own rows of a request and rotates each of
+    its modules' RAB/RDB pairs."""
+
     def test_single_row_request_is_one_chunk(self):
-        planner = AccessPlanner()
-        chunks = planner.plan(MemoryRequest(Op.READ, 0, 32))
-        assert len(chunks) == 1
-        assert chunks[0].size == 32
+        subsystem = PramSubsystem(Simulator())
+        assert _walks(subsystem, MemoryRequest(Op.READ, 0, 32)) == [
+            [(0, 0, 32, 0)], []]
 
-    def test_512_byte_request_decomposes_to_16_rows(self):
-        planner = AccessPlanner()
-        chunks = planner.plan(MemoryRequest(Op.READ, 0, 512))
-        assert len(chunks) == 16
-        assert all(c.size == 32 for c in chunks)
+    def test_512_byte_request_is_16_rows_on_one_channel(self):
+        subsystem = PramSubsystem(Simulator())
+        request = MemoryRequest(Op.READ, 0, 512)
+        assert _walks(subsystem, request) == [
+            [(module, 32 * module, 32, 0) for module in range(16)], []]
+        assert _chunks_started(subsystem, request) == [16, 0]
 
-    def test_buffer_ids_rotate_round_robin_per_module(self):
-        planner = AccessPlanner()
-        # Two successive requests to the same module rotate its pairs.
-        first = planner.plan(MemoryRequest(Op.READ, 0, 32))
-        second = planner.plan(MemoryRequest(Op.READ, 0, 32))
-        third = planner.plan(MemoryRequest(Op.READ, 0, 32))
-        assert [c[0].buffer_id for c in (first, second, third)] == [0, 1, 2]
+    def test_pairs_of_one_module_rotate_across_requests(self):
+        subsystem = PramSubsystem(Simulator())
+        walks = [_walks(subsystem, MemoryRequest(Op.READ, 0, 32))
+                 for _ in range(3)]
+        assert [walk[0][0][3] for walk in walks] == [0, 1, 2]
 
-    def test_buffer_ids_independent_across_modules(self):
-        planner = AccessPlanner()
-        chunks = planner.plan(MemoryRequest(Op.READ, 0, 128))
-        # 128 B spans modules 0..3, each using its own buffer 0.
-        assert [c.buffer_id for c in chunks] == [0, 0, 0, 0]
+    def test_modules_rotate_independently(self):
+        subsystem = PramSubsystem(Simulator())
+        # 128 B spans modules 0..3, each on its own first pair; then
+        # module 1 alone moves to its second.
+        first = _walks(subsystem, MemoryRequest(Op.READ, 0, 128))[0]
+        assert [(module, pair) for module, _, _, pair in first] == [
+            (0, 0), (1, 0), (2, 0), (3, 0)]
+        second = _walks(subsystem, MemoryRequest(Op.READ, 32, 64))[0]
+        assert [(module, pair) for module, _, _, pair in second] == [
+            (1, 1), (2, 1)]
 
-    def test_write_chunks_carry_payload_slices(self):
-        planner = AccessPlanner()
+    def test_write_slices_land_on_their_rows(self):
+        subsystem = PramSubsystem(Simulator())
         payload = bytes(range(64))
-        chunks = planner.plan(MemoryRequest(Op.WRITE, 0, 64, data=payload))
-        assert chunks[0].payload == payload[:32]
-        assert chunks[1].payload == payload[32:]
-        assert chunks[0].is_write
+        subsystem.run_stream([MemoryRequest(Op.WRITE, 16, 64, data=payload)])
+        modules = subsystem.modules[0]
+        assert modules[0].peek(0, 0) == bytes(16) + payload[:16]
+        assert modules[1].peek(0, 0) == payload[16:48]
+        assert modules[2].peek(0, 0) == payload[48:] + bytes(16)
+        read = MemoryRequest(Op.READ, 16, 64)
+        subsystem.run_stream([read])
+        assert read.result == payload
 
-    def test_read_chunk_payload_is_none(self):
-        planner = AccessPlanner()
-        chunks = planner.plan(MemoryRequest(Op.READ, 0, 32))
-        assert chunks[0].payload is None
-
-    def test_chunks_by_channel_split(self):
-        geo = PramGeometry()
-        planner = AccessPlanner()
+    def test_a_request_across_the_stripe_runs_one_chunk_per_channel(self):
         # 480..511 is (ch0, m15); 512..543 is (ch1, m0).
+        subsystem = PramSubsystem(Simulator())
         request = MemoryRequest(Op.READ, 480, 64)
-        grouped = planner.chunks_by_channel(request)
-        assert set(grouped) == {0, 1}
-        assert len(grouped[0]) == 1
-        assert len(grouped[1]) == 1
+        assert _walks(subsystem, request) == [
+            [(15, 0, 32, 0)], [(0, 32, 32, 0)]]
+        assert _chunks_started(subsystem, request) == [1, 1]
 
     def test_1kb_request_covers_both_channels_fully(self):
-        geo = PramGeometry()
-        planner = AccessPlanner()
+        subsystem = PramSubsystem(Simulator())
         request = MemoryRequest(Op.READ, 0, 1024)
-        grouped = planner.chunks_by_channel(request)
-        assert len(grouped[0]) == geo.modules_per_channel
-        assert len(grouped[1]) == geo.modules_per_channel
+        walks = _walks(subsystem, request)
+        assert [[module for module, _, _, _ in walk] for walk in walks] == [
+            list(range(16)), list(range(16))]
+        assert _chunks_started(subsystem, request) == [16, 16]
+
+
+@st.composite
+def _geometries_and_requests(draw):
+    geometry = PramGeometry(
+        channels=draw(st.integers(min_value=1, max_value=3)),
+        modules_per_channel=draw(st.integers(min_value=1, max_value=4)),
+        partitions_per_bank=draw(st.integers(min_value=1, max_value=3)),
+        tiles_per_partition=1, bitlines_per_tile=256,
+        wordlines_per_tile=draw(st.integers(min_value=1, max_value=4)),
+        row_bytes=draw(st.sampled_from([4, 8, 32])),
+        rdb_count=draw(st.integers(min_value=1, max_value=4)))
+    total = geometry.total_bytes
+    requests = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        address = draw(st.integers(min_value=0, max_value=total - 1))
+        size = draw(st.integers(min_value=1, max_value=total - address))
+        requests.append(MemoryRequest(Op.READ, address, size))
+    return geometry, requests
+
+
+class TestChannelWalkReference:
+    @given(_geometries_and_requests())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_iter_rows_with_round_robin_pairs(self, drawn):
+        # The reference: the whole region in stripe order, filtered by
+        # channel, each module of each channel rotating through its
+        # pairs in that order.
+        geometry, requests = drawn
+        subsystem = PramSubsystem(Simulator(), geometry=geometry)
+        next_pair = {}
+        for request in requests:
+            expected = [[] for _ in range(geometry.channels)]
+            for address, offset, size in subsystem.address_map.iter_rows(
+                    request.address, request.size):
+                key = (address.channel, address.module)
+                planned = next_pair.get(key, 0)
+                next_pair[key] = (planned + 1) % geometry.rdb_count
+                expected[address.channel].append(
+                    (address, offset, size, planned))
+            assert [channel.walk_rows(request)
+                    for channel in subsystem.channels] == expected
 
 
 class TestWriteHintStore:

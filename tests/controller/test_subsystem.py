@@ -4,6 +4,7 @@ import pytest
 
 from repro.controller import MemoryRequest, Op, PramSubsystem, SchedulerPolicy
 from repro.controller.firmware import FirmwareModel
+from repro.controller.request import RequestStatus
 from repro.pram import AddressError, PramGeometry
 from repro.sim import Simulator
 
@@ -256,6 +257,37 @@ class TestWriteHintRegistration:
         sim.run()
         assert subsystem.operation_counts()["resets"] == 0
         assert subsystem.inspect(896, 128) == b"\x11" * 128
+
+
+class TestPastCapacity:
+    """A region that runs past the 1 KiB capacity changes nothing."""
+
+    TINY = TestWriteHintRegistration.TINY
+
+    def test_preload_refuses_before_any_row(self):
+        subsystem = PramSubsystem(Simulator(), geometry=self.TINY)
+        with pytest.raises(AddressError,
+                           match="address 0x400 beyond capacity 0x400"):
+            subsystem.preload(960, b"\x11" * 128)
+        assert subsystem.inspect(960, 64) == bytes(64)
+
+    @pytest.mark.parametrize("op", [Op.READ, Op.WRITE])
+    def test_a_request_completes_failed(self, op):
+        # The address fault is a device-model error: submit contains it
+        # and the stream returns.
+        subsystem = PramSubsystem(Simulator(), geometry=self.TINY)
+        data = b"\x22" * 64 if op is Op.WRITE else None
+        request = MemoryRequest(op, 1000, 64, data=data)
+        subsystem.run_stream([request])
+        assert request.status is RequestStatus.FAILED
+        assert request.fault_permanent
+        assert request.error == "AddressError: address 0x400 beyond capacity 0x400"
+        assert request.result == (bytes(64) if op is Op.READ else b"")
+        assert (subsystem.requests_completed, subsystem.requests_failed,
+                subsystem.inflight) == (1, 1, 0)
+        assert [channel.chunks_read + channel.chunks_written
+                for channel in subsystem.channels] == [0, 0]
+        assert subsystem.inspect(960, 64) == bytes(64)
 
 
 class TestPhaseSkipping:

@@ -219,15 +219,17 @@ class TestChannelRows:
                 assert count == len(expected)
 
     def test_refuses_before_yielding(self):
-        # iter_rows raises at the first chunk past capacity; the
-        # channel enumeration raises before its first chunk.
+        # Both walks check the whole region before their first chunk,
+        # so a caller acting per chunk acts on all of it or none.
         geometry = PramGeometry(channels=2, modules_per_channel=2,
                                 partitions_per_bank=2, tiles_per_partition=1,
                                 bitlines_per_tile=256, wordlines_per_tile=4)
-        rows = AddressMap(geometry).channel_rows(960, 128, 1)
-        with pytest.raises(AddressError,
-                           match="address 0x400 beyond capacity 0x400"):
-            next(rows)
+        address_map = AddressMap(geometry)
+        for rows in (address_map.channel_rows(960, 128, 1),
+                     address_map.iter_rows(960, 128)):
+            with pytest.raises(AddressError,
+                               match="address 0x400 beyond capacity 0x400"):
+                next(rows)
 
     def test_default_geometry_stripe(self):
         # Section III-B: a 1 KiB request covers 16 modules per channel.

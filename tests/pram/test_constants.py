@@ -92,3 +92,25 @@ class TestGeometry:
     def test_rejects_misaligned_word_size(self):
         with pytest.raises(ValueError):
             PramGeometry(row_bytes=32, word_bytes=5)
+
+    @pytest.mark.parametrize("tiles, bitlines, wordlines", [
+        (1, 8, 5),     # 40 bits: 5 bytes, not a whole 32-byte row
+        (1, 8, 3),     # 24 bits: under one row
+        (1, 96, 3),    # 288 bits: one row and four bytes
+        (3, 8, 1),     # 24 bits of three tiles
+    ])
+    def test_rejects_a_partition_of_partial_rows(self, tiles, bitlines,
+                                                 wordlines):
+        # A partial row would make the row count (floor division) and
+        # the capacity (whole bytes) disagree.
+        with pytest.raises(ValueError, match="whole, non-zero number of "
+                                             "32-byte rows"):
+            PramGeometry(tiles_per_partition=tiles, bitlines_per_tile=bitlines,
+                         wordlines_per_tile=wordlines)
+
+    def test_accepts_a_single_row_partition(self):
+        geometry = PramGeometry(tiles_per_partition=1, bitlines_per_tile=256,
+                                wordlines_per_tile=1)
+        assert geometry.rows_per_partition == 1
+        assert geometry.total_bytes == geometry.channels * (
+            geometry.modules_per_channel * geometry.partitions_per_bank * 32)
