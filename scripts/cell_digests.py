@@ -10,7 +10,7 @@ Usage, from the repository root::
 time, every cell ``python -m repro.experiments run all`` declares (each
 key once, in declaration order) and prints one line per cell: the first
 16 hex digits of the SHA-256 of the cell's canonical result, then its
-key.  A self-contained experiment (fig12, fig18-21, endurance, the
+key.  A self-contained experiment (fig12, fig20-21, endurance, the
 three service sweeps) is one ``experiment/<id>`` cell whose payload is
 its report; its line digests the experiment's raw ``run()`` result
 instead, because a report rounds its figures to three significant
@@ -50,7 +50,6 @@ from repro.controller.request import reset_request_ids  # noqa: E402
 from repro.experiments import (  # noqa: E402
     cli,
     fig12_interleaving_timing,
-    fig18_19_ipc,
     fig20_21_power,
     parallel,
     reliability,
@@ -63,8 +62,6 @@ from repro.experiments import (  # noqa: E402
 RAW_RUNS: typing.Dict[str, typing.Callable[[runner.ExperimentConfig],
                                            typing.Any]] = {
     "fig12": lambda config: fig12_interleaving_timing.run(),
-    "fig18": fig18_19_ipc.run_figure18,
-    "fig19": fig18_19_ipc.run_figure19,
     "fig20": fig20_21_power.run_figure20,
     "fig21": fig20_21_power.run_figure21,
     "endurance": reliability.run,

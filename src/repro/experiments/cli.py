@@ -42,102 +42,109 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib
 import math
 import os
 import pathlib
 import sys
+import types
 import typing
 
 from repro.experiments import parallel, runner
 from repro.sim.hostprof import use_hostprof
 from repro.sim.stats import Counter
-from repro.telemetry import (
-    ExperimentProfile,
-    HostProfiler,
-    Telemetry,
-    build_profile,
-    render_html,
-    render_summary,
-    render_text,
-    write_speedscope,
-)
-from repro.experiments import (
-    fig01_motivation,
-    fig07_firmware,
-    fig12_interleaving_timing,
-    fig13_schedulers,
-    fig15_bandwidth,
-    fig16_exec_time,
-    fig17_energy,
-    fig18_19_ipc,
-    fig20_21_power,
-    reliability,
-    service_sweeps,
-    tables,
-)
 
-#: name -> (description, callable(config) -> report string)
-EXPERIMENTS: typing.Dict[str, typing.Tuple[str, typing.Callable]] = {
-    "tables": ("Tables I-III: configuration parameters",
-               lambda config: tables.report()),
-    "fig01": ("Figure 1: conventional vs ideal (perf/energy)",
-              lambda config: fig01_motivation.report(
-                  fig01_motivation.run(config))),
-    "fig07": ("Figure 7: firmware vs oracle controller",
-              lambda config: fig07_firmware.report(
-                  fig07_firmware.run(config))),
-    "fig12": ("Figure 12: interleaving timing overlap",
-              lambda config: fig12_interleaving_timing.report(
-                  fig12_interleaving_timing.run())),
-    "fig13": ("Figure 13: the four subsystem schedulers",
-              lambda config: fig13_schedulers.report(
-                  fig13_schedulers.run(config))),
-    "fig15": ("Figure 15: normalized throughput, ten systems",
-              lambda config: fig15_bandwidth.report(
-                  fig15_bandwidth.run(config))),
-    "fig16": ("Figure 16: execution-time decomposition",
-              lambda config: fig16_exec_time.report(
-                  fig16_exec_time.run(config))),
-    "fig17": ("Figure 17: energy decomposition",
-              lambda config: fig17_energy.report(
-                  fig17_energy.run(config))),
-    "fig18": ("Figure 18: IPC time series, gemver",
-              lambda config: fig18_19_ipc.report(
-                  fig18_19_ipc.run_figure18(config))),
-    "fig19": ("Figure 19: IPC time series, doitg",
-              lambda config: fig18_19_ipc.report(
-                  fig18_19_ipc.run_figure19(config))),
-    "fig20": ("Figure 20: power/energy capture, gemver",
-              lambda config: fig20_21_power.report(
-                  fig20_21_power.run_figure20(config))),
-    "fig21": ("Figure 21: power/energy capture, doitg",
-              lambda config: fig20_21_power.report(
-                  fig20_21_power.run_figure21(config))),
-    "endurance": ("Reliability: bandwidth + error rate vs wear "
-                  "(endurance sweep)",
-                  lambda config: reliability.report(
-                      reliability.run(config))),
-    "overload": ("Service: goodput under 0.5x-10x offered load "
-                 "(graceful degradation)",
-                 lambda config: service_sweeps.report_overload(
-                     service_sweeps.run_overload(config))),
-    "burst_absorption": ("Service: arrival processes x queue depths "
-                         "(burst absorption)",
-                         lambda config: service_sweeps.report_burst(
-                             service_sweeps.run_burst(config))),
-    "tenant_isolation": ("Service: rogue tenant vs per-tenant "
-                         "admission queues (SLO isolation)",
-                         lambda config: service_sweeps.report_isolation(
-                             service_sweeps.run_isolation(config))),
-}
+if typing.TYPE_CHECKING:  # pragma: no cover - typing-only imports
+    from repro.telemetry.dashboard import ExperimentProfile
+    from repro.telemetry.hostprof import HostProfiler
+    from repro.telemetry.session import Telemetry
+
+
+def _module(name: str) -> types.ModuleType:
+    """``repro.experiments.<name>``, imported the first time it is used."""
+    return importlib.import_module(f"repro.experiments.{name}")
+
+
+def _lazy(module: str,
+          run: typing.Callable[[types.ModuleType, runner.ExperimentConfig],
+                               str]
+          ) -> typing.Callable[[runner.ExperimentConfig], str]:
+    """``run(module, config)``, importing ``module`` when first called."""
+    return lambda config: run(_module(module), config)
+
 
 #: Experiments that are views over cells other experiments may share
-#: (the system matrix, fig13's replays); every other experiment is one
-#: ``experiment/<name>`` cell whose payload is its report.
-_VIEWS: typing.Dict[str, typing.Any] = {
-    "fig01": fig01_motivation, "fig07": fig07_firmware,
-    "fig13": fig13_schedulers, "fig15": fig15_bandwidth,
-    "fig16": fig16_exec_time, "fig17": fig17_energy}
+#: (the system matrix, fig13's replays): id -> (module, arguments).
+#: The module declares the cells, ``cells(config, *arguments)``, and
+#: renders their results, ``report(view(config, results, *arguments))``.
+#: Every other experiment is one ``experiment/<name>`` cell whose
+#: payload is its report.
+_VIEWS: typing.Dict[str, typing.Tuple[str, typing.Tuple[str, ...]]] = {
+    "fig01": ("fig01_motivation", ()),
+    "fig07": ("fig07_firmware", ()),
+    "fig13": ("fig13_schedulers", ()),
+    "fig15": ("fig15_bandwidth", ()),
+    "fig16": ("fig16_exec_time", ()),
+    "fig17": ("fig17_energy", ()),
+    "fig18": ("fig18_19_ipc", ("gemver",)),
+    "fig19": ("fig18_19_ipc", ("doitg",)),
+}
+
+
+def run_view(name: str, config: runner.ExperimentConfig) -> str:
+    """View experiment ``name``'s report, its cells run in-process."""
+    return render(name, config, parallel.cell_results(
+        experiment_cells(name, config), config))
+
+
+#: name -> (description, callable(config) -> report string); an
+#: experiment's module is imported when the experiment first runs.
+EXPERIMENTS: typing.Dict[str, typing.Tuple[str, typing.Callable]] = {
+    "tables": ("Tables I-III: configuration parameters",
+               _lazy("tables", lambda module, config: module.report())),
+    "fig01": ("Figure 1: conventional vs ideal (perf/energy)",
+              lambda config: run_view("fig01", config)),
+    "fig07": ("Figure 7: firmware vs oracle controller",
+              lambda config: run_view("fig07", config)),
+    "fig12": ("Figure 12: interleaving timing overlap",
+              _lazy("fig12_interleaving_timing",
+                    lambda module, config: module.report(module.run()))),
+    "fig13": ("Figure 13: the four subsystem schedulers",
+              lambda config: run_view("fig13", config)),
+    "fig15": ("Figure 15: normalized throughput, ten systems",
+              lambda config: run_view("fig15", config)),
+    "fig16": ("Figure 16: execution-time decomposition",
+              lambda config: run_view("fig16", config)),
+    "fig17": ("Figure 17: energy decomposition",
+              lambda config: run_view("fig17", config)),
+    "fig18": ("Figure 18: IPC time series, gemver",
+              lambda config: run_view("fig18", config)),
+    "fig19": ("Figure 19: IPC time series, doitg",
+              lambda config: run_view("fig19", config)),
+    "fig20": ("Figure 20: power/energy capture, gemver",
+              _lazy("fig20_21_power", lambda module, config: module.report(
+                  module.run_figure20(config)))),
+    "fig21": ("Figure 21: power/energy capture, doitg",
+              _lazy("fig20_21_power", lambda module, config: module.report(
+                  module.run_figure21(config)))),
+    "endurance": ("Reliability: bandwidth + error rate vs wear "
+                  "(endurance sweep)",
+                  _lazy("reliability", lambda module, config: module.report(
+                      module.run(config)))),
+    "overload": (
+        "Service: goodput under 0.5x-10x offered load (graceful degradation)",
+        _lazy("service_sweeps", lambda module, config: module.report_overload(
+            module.run_overload(config)))),
+    "burst_absorption": (
+        "Service: arrival processes x queue depths (burst absorption)",
+        _lazy("service_sweeps", lambda module, config: module.report_burst(
+            module.run_burst(config)))),
+    "tenant_isolation": (
+        "Service: rogue tenant vs per-tenant admission queues "
+        "(SLO isolation)",
+        _lazy("service_sweeps", lambda module, config: module.report_isolation(
+            module.run_isolation(config)))),
+}
 
 
 def run_alone(config: runner.ExperimentConfig, name: str) -> str:
@@ -149,7 +156,8 @@ def experiment_cells(name: str, config: runner.ExperimentConfig
                      ) -> typing.List[runner.Cell]:
     """The cells experiment ``name`` declares, in order."""
     if name in _VIEWS:
-        return _VIEWS[name].cells(config)
+        module, arguments = _VIEWS[name]
+        return _module(module).cells(config, *arguments)
     return [runner.Cell(f"experiment/{name}", run_alone, (name,))]
 
 
@@ -157,8 +165,9 @@ def render(name: str, config: runner.ExperimentConfig,
            results: typing.Mapping[str, typing.Any]) -> str:
     """Experiment ``name``'s report, a pure view of its cell results."""
     if name in _VIEWS:
-        module = _VIEWS[name]
-        return module.report(module.view(config, results))
+        module, arguments = _VIEWS[name]
+        owner = _module(module)
+        return owner.report(owner.view(config, results, *arguments))
     return results[f"experiment/{name}"]
 
 
@@ -272,6 +281,8 @@ def experiment_profile(name: str, cells: typing.Sequence[runner.Cell],
                        run: parallel.CellRun) -> ExperimentProfile:
     """``name``'s profile: the spans of the cells it declares, wherever
     they were recorded, checked against their overlap counters."""
+    from repro.telemetry.dashboard import build_profile
+
     keys = [cell.key for cell in cells]
     registries = [run.metrics[key] for key in keys]
     counters = [registry.get(OVERLAP_COUNTER) for registry in registries
@@ -287,6 +298,8 @@ def write_observation(directory: str, telemetry: Telemetry,
                       profiles: typing.Sequence[ExperimentProfile],
                       hostprof: HostProfiler | None) -> None:
     """Every artifact of an observed run, into ``directory``."""
+    from repro.telemetry.dashboard import render_html, render_text
+
     path = pathlib.Path(directory)
     path.mkdir(parents=True, exist_ok=True)
     telemetry.write_trace(str(path / "trace.json"))
@@ -312,8 +325,15 @@ def main(argv: typing.Sequence[str] | None = None) -> int:
         for name, (description, _) in EXPERIMENTS.items():
             print(f"{name:8s} {description}")
         return 0
+    # Each chosen experiment runs, prints and is written once, in the
+    # order it is first named.
     chosen = (list(EXPERIMENTS) if args.experiment == "all"
-              else [name for name in args.experiment.split(",") if name])
+              else list(dict.fromkeys(
+                  name for name in args.experiment.split(",") if name)))
+    if not chosen:
+        print(f"no experiment named in {args.experiment!r}; try 'list'",
+              file=sys.stderr)
+        return 2
     unknown = [name for name in chosen if name not in EXPERIMENTS]
     if unknown:
         print(f"unknown experiment(s): {', '.join(unknown)}; "
@@ -351,10 +371,18 @@ def main(argv: typing.Sequence[str] | None = None) -> int:
         except ValueError as exc:
             print(f"invalid --service plan: {exc}", file=sys.stderr)
             return 2
-    telemetry = Telemetry() if args.observe is not None else None
+    telemetry = None
+    if args.observe is not None:
+        from repro.telemetry.session import Telemetry
+
+        telemetry = Telemetry()
     # The profiler is both collector and ambient provider: each cell is
     # profiled by one of its own, folded into this instance.
-    hostprof = HostProfiler() if args.hostprof is not None else None
+    hostprof = None
+    if args.hostprof is not None:
+        from repro.telemetry.hostprof import HostProfiler
+
+        hostprof = HostProfiler()
     plan = {name: experiment_cells(name, config) for name in chosen}
     with contextlib.ExitStack() as stack:
         if hostprof is not None:
@@ -383,6 +411,8 @@ def main(argv: typing.Sequence[str] | None = None) -> int:
             hostprof)
         print(f"observation written to {args.observe}")
     if hostprof is not None:
+        from repro.telemetry.hostprof import render_summary, write_speedscope
+
         write_speedscope(hostprof, args.hostprof)
         print(f"host profile (speedscope) written to {args.hostprof}")
         print(render_summary(hostprof))

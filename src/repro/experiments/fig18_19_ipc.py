@@ -5,32 +5,46 @@ read-intensive workload (gemver, Figure 18) and a write-intensive one
 (doitg, Figure 19) for the integrated/paged/NOR/DRAM-less systems.
 Page-granule systems show zero-IPC valleys while pages move; DRAM-less
 sustains IPC throughout.
+
+Each figure is a view of its workload's row of the system matrix, the
+``matrix/<workload>/<system>`` cells Figs. 15-17 declare too.
 """
 
 from __future__ import annotations
 
 import typing
 
-from repro.experiments.runner import ExperimentConfig, format_table
-from repro.systems import build_system
+from repro.experiments import parallel
+from repro.experiments.runner import (
+    Cell,
+    ExperimentConfig,
+    format_table,
+    matrix_cells,
+    matrix_of,
+)
 
 #: The systems Figures 18/19 plot.
 IPC_SYSTEMS = ("Integrated-SLC", "Integrated-MLC", "Integrated-TLC",
                "PAGE-buffer", "NOR-intf", "DRAM-less")
 
 
-def run(workload_name: str,
-        config: ExperimentConfig = ExperimentConfig(),
-        systems: typing.Sequence[str] = IPC_SYSTEMS,
-        buckets: int = 40) -> typing.Dict:
+def cells(config: ExperimentConfig, workload_name: str,
+          systems: typing.Sequence[str] = IPC_SYSTEMS) -> typing.List[Cell]:
+    """The system-matrix cells one figure reads: ``workload_name`` on
+    each of ``systems``."""
+    return matrix_cells((workload_name,), systems)
+
+
+def view(config: ExperimentConfig, results: typing.Mapping[str, typing.Any],
+         workload_name: str, systems: typing.Sequence[str] = IPC_SYSTEMS,
+         buckets: int = 40) -> typing.Dict:
     """Returns resampled aggregate-IPC series per system."""
-    bundle = config.bundle(workload_name)
-    system_config = config.system_config()
+    runs = matrix_of(results, (workload_name,), systems)[workload_name]
     series = {}
     means = {}
     stall_fraction = {}
     for name in systems:
-        result = build_system(name, system_config).run(bundle)
+        result = runs[name]
         ipc = result.aggregate_ipc
         end = max(result.total_ns, ipc.times[-1] if len(ipc) else 1.0)
         series[name] = ipc.resample(0.0, end, buckets)
@@ -47,6 +61,16 @@ def run(workload_name: str,
         "mean_ipc": means,
         "stall_fraction": stall_fraction,
     }
+
+
+def run(workload_name: str,
+        config: ExperimentConfig = ExperimentConfig(),
+        systems: typing.Sequence[str] = IPC_SYSTEMS,
+        buckets: int = 40) -> typing.Dict:
+    """:func:`view` over one figure's cells, run in-process."""
+    return view(config, parallel.cell_results(
+        cells(config, workload_name, systems), config),
+        workload_name, systems, buckets)
 
 
 def run_figure18(config: ExperimentConfig = ExperimentConfig()

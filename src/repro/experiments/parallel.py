@@ -12,7 +12,9 @@ In an observed run each cell records into a session of its own
 (:class:`~repro.telemetry.session.Telemetry`), and under an ambient
 host profiler into a :class:`~repro.telemetry.hostprof.HostProfiler`
 of its own; both cross the process boundary pickled as they are, and
-the parent folds them in with their ``merge`` methods.
+the parent folds them in with their ``merge`` methods.  The session,
+the host profiler, the process pool and the cache's pickling are
+imported by the first run that uses them.
 
 :class:`ResultCache` keys cells by (cell id, config hash, source-tree
 hash of ``src/repro``): an unchanged cell is replayed, zero
@@ -22,25 +24,25 @@ can never serve stale physics.
 
 from __future__ import annotations
 
-import concurrent.futures
 import contextlib
 import dataclasses
 import hashlib
 import json
 import os
 import pathlib
-import pickle
-import platform
 import typing
 
 from repro.controller.request import reset_request_ids
 from repro.experiments import runner
 from repro.sim.hostprof import current_hostprof, use_hostprof
-from repro.telemetry.bench import collect_provenance
-from repro.telemetry.hostprof import HostProfiler
 from repro.telemetry.metrics import MetricsRegistry, current_metrics
-from repro.telemetry.session import Telemetry
 from repro.telemetry.tracer import RecordingTracer, Span, current_tracer
+
+if typing.TYPE_CHECKING:  # pragma: no cover - typing-only imports
+    import concurrent.futures
+
+    from repro.telemetry.hostprof import HostProfiler
+    from repro.telemetry.session import Telemetry
 
 #: Bumped whenever the cached payload layout changes; part of every key.
 #: 2: capture tuple gained the time-series sampling spec.
@@ -124,6 +126,8 @@ def cell_key(experiment: str, config: runner.ExperimentConfig,
     ran under a session of its own, so an observed rerun never replays
     an entry that holds none.
     """
+    import platform
+
     payload = {
         "schema": CACHE_SCHEMA,
         "experiment": experiment,
@@ -150,6 +154,8 @@ class ResultCache:
 
     def get(self, key: str) -> typing.Union["CellOutcome", None]:
         """The cached outcome for ``key``, or None (counts hit/miss)."""
+        import pickle
+
         path = self._path(key)
         try:
             with open(path, "rb") as handle:
@@ -166,6 +172,8 @@ class ResultCache:
     def put(self, key: str, outcome: "CellOutcome") -> None:
         """Persist ``outcome``; atomic via rename so readers never see
         a torn write."""
+        import pickle
+
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         temp = path.with_suffix(f".tmp.{os.getpid()}")
@@ -193,12 +201,18 @@ def _run_cell(cell: runner.Cell, config: runner.ExperimentConfig,
     """One cell under a fresh session and host profiler (as asked) and
     fresh request ids (DESIGN §11.1); in-process or in a pool worker
     alike."""
-    telemetry = Telemetry() if observed else None
-    profiler = HostProfiler() if profiled else None
+    telemetry: typing.Union[Telemetry, None] = None
+    profiler: typing.Union[HostProfiler, None] = None
     with contextlib.ExitStack() as stack:
-        if telemetry is not None:
+        if observed:
+            from repro.telemetry import session
+
+            telemetry = session.Telemetry()
             stack.enter_context(telemetry.activate())
-        if profiler is not None:
+        if profiled:
+            from repro.telemetry import hostprof
+
+            profiler = hostprof.HostProfiler()
             stack.enter_context(use_hostprof(profiler))
         reset_request_ids()
         payload = cell.function(config, *cell.args)
@@ -260,7 +274,9 @@ def _outcomes(cells: typing.Sequence[runner.Cell],
     with contextlib.ExitStack() as stack:
         futures: typing.Dict[int, concurrent.futures.Future[CellOutcome]] = {}
         if jobs > 1 and pending:
-            pool = stack.enter_context(concurrent.futures.ProcessPoolExecutor(
+            from concurrent.futures import ProcessPoolExecutor
+
+            pool = stack.enter_context(ProcessPoolExecutor(
                 max_workers=min(jobs, len(pending))))
             futures = {index: pool.submit(_run_cell, cells[index], config,
                                           observed, profiled)
@@ -329,9 +345,11 @@ def run_cells(
                       else contextlib.nullcontext()):
                     tracer.merge(outcome.telemetry.tracer)
                 run.spans[key] = tracer.spans[mark:]
-        if outcome.hostprof is not None and isinstance(profiler,
-                                                       HostProfiler):
-            profiler.merge(outcome.hostprof)
+        if outcome.hostprof is not None:
+            from repro.telemetry import hostprof
+
+            if isinstance(profiler, hostprof.HostProfiler):
+                profiler.merge(outcome.hostprof)
     return run
 
 
@@ -351,6 +369,8 @@ def write_result(results_dir: typing.Union[str, os.PathLike[str]],
     """Persist one report under the provenance header the benchmark
     suite uses, so CLI- and pytest-produced ``results/*.txt`` are
     interchangeable."""
+    from repro.telemetry.bench import collect_provenance
+
     directory = pathlib.Path(results_dir)
     directory.mkdir(parents=True, exist_ok=True)
     provenance = collect_provenance(scale=config.scale, seed=config.seed,

@@ -20,11 +20,22 @@ off the level series the components already record, with
 :meth:`~repro.sim.stats.TimeSeries.time_weighted_mean`, and busy time
 and queue depth (:mod:`repro.telemetry.gauges`) off the recorded spans.
 
+Only what the model itself imports loads with the package: the
+simulator kernel imports the tracer, and the devices the metrics
+registry and the sampler.  Every other public name — the exporters,
+the session, the attribution profile, the gauges, BENCH compare, the
+host profiler and the dashboard — loads from its submodule the first
+time it is looked up (PEP 562), so a run that neither observes nor
+profiles never imports them.
+
 NOTE: ``tracer`` must stay import-light (stdlib only) — the simulator
 kernel imports it, so anything heavier would cycle.  Keep the ``tracer``
 import first here: partially-initialized-package imports from
 ``sim.engine`` rely on it being fully loaded.
 """
+
+import importlib
+import typing
 
 from repro.telemetry.tracer import (
     NULL_TRACER,
@@ -42,19 +53,6 @@ from repro.telemetry.metrics import (  # noqa: E402  (tracer must come first)
     use_metrics,
 )
 
-from repro.telemetry.export import (  # noqa: E402
-    load_spanlog,
-    perfetto_document,
-    perfetto_events,
-    spanlog_commands,
-    spanlog_lines,
-    spanlog_spans,
-    validate_perfetto,
-    validate_spanlog,
-    write_perfetto,
-    write_spanlog,
-)
-
 from repro.telemetry.timeseries import (  # noqa: E402
     DEFAULT_WINDOW_NS,
     TIMESERIES_SCHEMA,
@@ -69,56 +67,98 @@ from repro.telemetry.timeseries import (  # noqa: E402
     write_timeseries,
 )
 
-from repro.telemetry.session import Telemetry  # noqa: E402
+if typing.TYPE_CHECKING:  # pragma: no cover - loaded by __getattr__
+    from repro.telemetry.bench import (
+        BenchMetric,
+        BenchReport,
+        CompareResult,
+        MetricDelta,
+        bench_filename,
+        collect_provenance,
+        compare,
+        load_bench,
+        render_compare,
+        write_bench,
+    )
+    from repro.telemetry.dashboard import (
+        ExperimentProfile,
+        build_profile,
+        render_html,
+        render_text,
+    )
+    from repro.telemetry.export import (
+        load_spanlog,
+        perfetto_document,
+        perfetto_events,
+        spanlog_commands,
+        spanlog_lines,
+        spanlog_spans,
+        validate_perfetto,
+        validate_spanlog,
+        write_perfetto,
+        write_spanlog,
+    )
+    from repro.telemetry.gauges import (
+        LittlesLawCheck,
+        TrackUtilization,
+        capture_window,
+        littles_law,
+        request_depth_series,
+        utilization_table,
+    )
+    from repro.telemetry.hostprof import (
+        HostProfiler,
+        classify_event,
+        load_speedscope,
+        render_flame,
+        render_summary,
+        speedscope_document,
+        validate_speedscope,
+        write_speedscope,
+    )
+    from repro.telemetry.profile import (
+        SEGMENTS,
+        AttributionSummary,
+        RequestAttribution,
+        attribute_requests,
+        summarize,
+        verify_attribution,
+    )
+    from repro.telemetry.session import Telemetry
 
-from repro.telemetry.profile import (  # noqa: E402
-    SEGMENTS,
-    AttributionSummary,
-    RequestAttribution,
-    attribute_requests,
-    summarize,
-    verify_attribution,
-)
+#: Submodule -> the public names it owns that load on first use.
+_LAZY_MODULES: typing.Dict[str, typing.Tuple[str, ...]] = {
+    "bench": ("BenchMetric", "BenchReport", "CompareResult", "MetricDelta",
+              "bench_filename", "collect_provenance", "compare",
+              "load_bench", "render_compare", "write_bench"),
+    "dashboard": ("ExperimentProfile", "build_profile", "render_html",
+                  "render_text"),
+    "export": ("load_spanlog", "perfetto_document", "perfetto_events",
+               "spanlog_commands", "spanlog_lines", "spanlog_spans",
+               "validate_perfetto", "validate_spanlog", "write_perfetto",
+               "write_spanlog"),
+    "gauges": ("LittlesLawCheck", "TrackUtilization", "capture_window",
+               "littles_law", "request_depth_series", "utilization_table"),
+    "hostprof": ("HostProfiler", "classify_event", "load_speedscope",
+                 "render_flame", "render_summary", "speedscope_document",
+                 "validate_speedscope", "write_speedscope"),
+    "profile": ("SEGMENTS", "AttributionSummary", "RequestAttribution",
+                "attribute_requests", "summarize", "verify_attribution"),
+    "session": ("Telemetry",),
+}
+_OWNER = {name: module for module, names in _LAZY_MODULES.items()
+          for name in names}
 
-from repro.telemetry.gauges import (  # noqa: E402
-    LittlesLawCheck,
-    TrackUtilization,
-    capture_window,
-    littles_law,
-    request_depth_series,
-    utilization_table,
-)
 
-from repro.telemetry.bench import (  # noqa: E402
-    BenchMetric,
-    BenchReport,
-    CompareResult,
-    MetricDelta,
-    bench_filename,
-    collect_provenance,
-    compare,
-    load_bench,
-    render_compare,
-    write_bench,
-)
+def __getattr__(name: str) -> typing.Any:
+    """Load a public name from its submodule on first access."""
+    module = _OWNER.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
 
-from repro.telemetry.hostprof import (  # noqa: E402
-    HostProfiler,
-    classify_event,
-    load_speedscope,
-    render_flame,
-    render_summary,
-    speedscope_document,
-    validate_speedscope,
-    write_speedscope,
-)
-
-from repro.telemetry.dashboard import (  # noqa: E402
-    ExperimentProfile,
-    build_profile,
-    render_html,
-    render_text,
-)
 
 __all__ = [
     "AttributionSummary",

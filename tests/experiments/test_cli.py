@@ -93,6 +93,18 @@ class TestMain:
         assert cli.main(["run", "fig07", "--quick"]) == 0
         assert "firmware" in capsys.readouterr().out
 
+    def test_a_list_without_ids_fails(self, capsys):
+        assert cli.main(["run", ","]) == 2
+        captured = capsys.readouterr()
+        assert "','" in captured.err
+        assert captured.out == ""
+
+    def test_a_repeated_id_runs_once(self, capsys):
+        assert cli.main(["run", "fig12"]) == 0
+        once = capsys.readouterr().out
+        assert cli.main(["run", "fig12,fig12"]) == 0
+        assert capsys.readouterr().out == once
+
     def test_every_registered_experiment_has_description(self):
         for name, (description, run_fn) in cli.EXPERIMENTS.items():
             assert description
